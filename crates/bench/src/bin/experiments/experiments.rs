@@ -1228,22 +1228,10 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         );
     });
     {
-        let mut one = mzd_sim::RoundSimulator::new(cfg.clone(), 7).expect("valid");
-        sim.push(BenchEntry {
-            name: "simulate_round_n27",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
-                black_box(one.run_round(27));
-            }),
-        });
-    }
-    {
-        // Event-engine hot path: the same N = 27 round, but with the
-        // request arena and draw buffer preallocated to the round size
+        // Event-engine hot path: one N = 27 round with the request
+        // arena and draw buffer preallocated to the round size
         // (`with_capacity`), so the steady state is allocation-free —
         // the contract asserted by crates/sim/tests/alloc_steady_state.rs.
-        // `simulate_round_n27` above is retained for artifact continuity
-        // with the pre-rewrite baselines.
         let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
         sim.push(BenchEntry {
             name: "engine_round_n27",
@@ -1299,17 +1287,6 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         }
         mzd_par::set_jobs(1); // run_round parallelizes node steps internally
         sim.push(BenchEntry {
-            name: "cluster_dispatch_round_4n",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
-                black_box(fleet.run_round());
-            }),
-        });
-        // Every per-disk round in the fleet now routes through the event
-        // core, so this measures the same dispatch/step/fold cycle under
-        // its post-rewrite canonical name; `cluster_dispatch_round_4n`
-        // stays for continuity with the pre-rewrite artifact trail.
-        sim.push(BenchEntry {
             name: "engine_fleet_dispatch_4n",
             jobs: 1,
             ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
@@ -1349,32 +1326,6 @@ pub fn bench_summary(budget: Budget) {
         println!(
             "  {:<38} jobs={}  {:>14.1} ns/op",
             e.name, e.jobs, e.ns_per_op
-        );
-    }
-
-    // Pre-rewrite round cost, pinned from the committed golden at the
-    // last per-request-loop commit, with its calibration entry from the
-    // same run. Scaling the legacy number by this host's calibration
-    // ratio (same clamp as bench-check) turns the pin into an estimate
-    // of what the old loop would cost *here*, so the reported speedup
-    // compares like with like instead of two different machines.
-    const LEGACY_ROUND_NS: f64 = 2789.6;
-    const LEGACY_CAL_NS: f64 = 1837.4;
-    let at_jobs1 = |name: &str| {
-        combined
-            .iter()
-            .find(|e| e.name == name && e.jobs == 1)
-            .map(|e| e.ns_per_op)
-    };
-    if let (Some(cal), Some(engine)) = (
-        at_jobs1("calibration_p_late_bound"),
-        at_jobs1("engine_round_n27"),
-    ) {
-        let scaled_legacy = LEGACY_ROUND_NS * (cal / LEGACY_CAL_NS).clamp(0.25, 4.0);
-        println!(
-            "\n  event-engine round (N=27): {engine:.1} ns/op vs {scaled_legacy:.1} ns/op \
-             legacy loop (host-scaled) -> {:.2}x rounds/sec",
-            scaled_legacy / engine
         );
     }
 }

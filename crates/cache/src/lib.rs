@@ -188,28 +188,6 @@ impl CacheStats {
     }
 }
 
-/// Conservative lower confidence bound on a hit ratio measured as
-/// `successes` avoided disk visits out of `trials` lookups: the Wilson
-/// score interval's lower endpoint at ~95% (z = 2). Returns 0 for empty
-/// samples — admission inflation stays off until evidence accumulates.
-///
-/// The server feeds this into the cache-aware admission mode: inflating
-/// `N_max` by `1 / (1 − h·(1 − safety))` is only sound for an `h` the
-/// measured traffic actually sustains, so the *lower* bound is used.
-#[must_use]
-pub fn hit_ratio_lower_bound(successes: u64, trials: u64) -> f64 {
-    if trials == 0 || successes == 0 {
-        return 0.0;
-    }
-    let n = trials as f64;
-    let p = (successes.min(trials)) as f64 / n;
-    let z2 = 4.0; // z = 2 ≈ 95.45% two-sided
-    let denom = 1.0 + z2 / n;
-    let center = p + z2 / (2.0 * n);
-    let margin = (z2 * (p * (1.0 - p) + z2 / (4.0 * n)) / n).sqrt();
-    ((center - margin) / denom).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,25 +219,5 @@ mod tests {
         assert_eq!(s.lookups(), 10);
         assert!((s.disk_avoidance_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().disk_avoidance_ratio(), 0.0);
-    }
-
-    #[test]
-    fn wilson_bound_is_conservative_and_consistent() {
-        assert_eq!(hit_ratio_lower_bound(0, 0), 0.0);
-        assert_eq!(hit_ratio_lower_bound(0, 100), 0.0);
-        // Always below the point estimate, approaching it as n grows.
-        let small = hit_ratio_lower_bound(8, 10);
-        let large = hit_ratio_lower_bound(8_000, 10_000);
-        assert!(small < 0.8);
-        assert!(large < 0.8);
-        assert!(large > small);
-        assert!(large > 0.79, "large-sample bound {large} too loose");
-        // Monotone in successes.
-        assert!(hit_ratio_lower_bound(50, 100) < hit_ratio_lower_bound(90, 100));
-        // Never negative, never above 1.
-        for s in [0u64, 1, 50, 99, 100] {
-            let b = hit_ratio_lower_bound(s, 100);
-            assert!((0.0..=1.0).contains(&b), "bound {b} for {s}/100");
-        }
     }
 }

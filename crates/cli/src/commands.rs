@@ -331,28 +331,11 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
     let streams = parsed.u64_or("streams", 28)?;
     let rounds = parsed.u64_or("rounds", 1200)?;
     let seed = parsed.u64_or("seed", 42)?;
-    let objects = usize::try_from(parsed.u64_or("objects", 16)?)
-        .map_err(|_| CliError::Usage("--objects is too large".into()))?;
-    let object_rounds = u32::try_from(parsed.u64_or("object-rounds", 600)?)
-        .map_err(|_| CliError::Usage("--object-rounds is too large".into()))?;
-    let skew = parsed.f64_or("zipf", 0.0)?;
-    let mean = parsed.f64_or("mean", 200_000.0)?;
-    let sd = parsed.f64_or("sd", 100_000.0)?;
+    let (catalog, zipf) = serve_catalog(parsed)?;
 
     let cfg = serve_server_config(parsed, disks)?;
     let degrade_enabled = parsed.flag("degrade");
 
-    let sizes =
-        SizeDistribution::gamma(mean, sd * sd).map_err(|e| CliError::Execution(e.to_string()))?;
-    let catalog: Vec<ObjectSpec> = (0..objects)
-        .map(|i| {
-            ObjectSpec::new(format!("obj-{i}"), sizes.clone(), object_rounds)
-                .map(|o| o.with_content_id(i as u64 + 1))
-                .map_err(|e| CliError::Execution(e.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-    let zipf =
-        Zipf::new(catalog.len(), skew).map_err(|e| CliError::Usage(format!("--zipf: {e}")))?;
     // The request-arrival RNG is deliberately separate from the server's
     // seeded RNG so admission order does not perturb fragment sampling.
     let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
@@ -380,8 +363,11 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         settings.config_echo = vec![
             ("disk".into(), parsed.str_or("disk", "viking").into()),
             ("disks".into(), disks.to_string()),
-            ("mean".into(), format!("{mean}")),
-            ("sd".into(), format!("{sd}")),
+            (
+                "mean".into(),
+                format!("{}", parsed.f64_or("mean", 200_000.0)?),
+            ),
+            ("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)),
             ("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)),
             ("seed".into(), seed.to_string()),
             ("streams".into(), streams.to_string()),
@@ -440,9 +426,14 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         out,
         "served {rounds} rounds on {disks} disk(s) (seed {seed}):"
     );
+    // `serve_catalog` built at least one object (a Zipf law over zero
+    // ranks is an error), all `--object-rounds` long.
     let _ = writeln!(
         out,
-        "  catalog: {objects} objects x {object_rounds} rounds, Zipf skew {skew}"
+        "  catalog: {} objects x {} rounds, Zipf skew {}",
+        catalog.len(),
+        catalog[0].rounds,
+        zipf.skew()
     );
     let adm = server.admission();
     if adm.is_cache_aware() {

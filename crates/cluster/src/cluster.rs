@@ -43,7 +43,7 @@ use mzd_workload::ObjectSpec;
 use crate::dispatcher::{Dispatcher, LeaseTable, NodeView, Pending};
 use crate::guarantee::ClusterGuarantee;
 use crate::metrics::{ClusterMetrics, HealthMetrics};
-use crate::node::{Node, ServerNode};
+use crate::node::ServerNode;
 use crate::placement::Placement;
 use crate::ClusterError;
 

@@ -10,10 +10,9 @@
 //!
 //! The crate is organized as four layers:
 //!
-//! * **[`node`]** — the [`Node`] trait: the trait-sized surface of one
-//!   fleet member (identity, capacity, stream open, one round step,
-//!   evacuation). [`ServerNode`] implements it over `VideoServer`;
-//!   tests implement it over scripted mocks.
+//! * **[`node`]** — [`ServerNode`]: one fleet member over
+//!   `VideoServer`, behind the narrow surface the cluster needs
+//!   (identity, capacity, stream open, one round step, evacuation).
 //! * **[`placement`]** — deterministic stream placement: a consistent-
 //!   hash ring (virtual nodes) picks the primary; a striping-aware
 //!   rendezvous ordering ranks the fallbacks, so node failure moves only
@@ -69,7 +68,7 @@ pub use cluster::{
 };
 pub use dispatcher::{Dispatcher, LeaseTable, NodeView, Pending};
 pub use guarantee::ClusterGuarantee;
-pub use node::{EvacuatedStream, Node, NodeRoundReport, ServerNode};
+pub use node::{EvacuatedStream, NodeRoundReport, ServerNode};
 pub use placement::Placement;
 
 /// Errors from cluster configuration and operation.

@@ -1,12 +1,9 @@
-//! The [`Node`] abstraction: the trait-sized surface of one fleet
-//! member.
+//! One fleet member: [`ServerNode`].
 //!
-//! A node is whatever can host streams, advance one round at a time,
-//! and hand its streams back when the cluster declares it failed. The
-//! production implementation, [`ServerNode`], wraps the full
-//! [`mzd_server::VideoServer`] (config + admission + round loop);
-//! tests drive the dispatcher and lease machinery with scripted mock
-//! nodes instead.
+//! A node hosts streams, advances one round at a time, and hands its
+//! streams back when the cluster declares it failed. [`ServerNode`]
+//! wraps the full [`mzd_server::VideoServer`] (config + admission +
+//! round loop) behind the narrow surface the cluster needs.
 
 use mzd_server::{ServerConfig, SloSettings, StreamHandle, VideoServer};
 use mzd_workload::ObjectSpec;
@@ -42,40 +39,11 @@ pub struct EvacuatedStream {
     pub glitches: u64,
 }
 
-/// The trait-sized surface the cluster needs from one fleet member:
-/// identity and capacity, admission-gated stream open, one round of the
-/// serving loop, and evacuation on failure. Everything else the full
-/// server offers (caching, SLO, tracing, recorder) stays behind the
-/// implementation.
-pub trait Node {
-    /// This node's fleet-wide id (its slot index).
-    fn id(&self) -> u32;
-    /// Number of disks behind this node.
-    fn disks(&self) -> u32;
-    /// Active streams hosted right now.
-    fn active_streams(&self) -> usize;
-    /// Per-disk active-stream counts for the next round — the vector the
-    /// cluster-level admission controller decides on, and whose minimum
-    /// the striping-aware placement fallback ranks by.
-    fn per_disk_load(&self) -> Vec<u32>;
-    /// Try to open a stream; `Some(local id)` on admission, `None` if
-    /// the node's own controller rejects (the cluster's composed limit
-    /// is checked by the caller first — this is the node's backstop).
-    fn try_open(&mut self, object: ObjectSpec) -> Option<u64>;
-    /// Mark a hosted stream as degradable (a migrated stream accepts a
-    /// reduced-bitrate rendition at degradation rung 3+, so absorbing a
-    /// failed node's load rides the existing ladder instead of glitching
-    /// everyone). Returns whether the stream was found.
-    fn mark_degradable(&mut self, local_id: u64) -> bool;
-    /// Advance one round.
-    fn step_round(&mut self) -> NodeRoundReport;
-    /// Close every hosted stream and return the manifest, sorted by
-    /// local id (admission order) so migration is deterministic.
-    fn evacuate(&mut self) -> Vec<EvacuatedStream>;
-}
-
-/// The production [`Node`]: a full [`VideoServer`] plus the handle
-/// bookkeeping the trait surface needs.
+/// One fleet member: a full [`VideoServer`] plus the handle
+/// bookkeeping the cluster needs. The cluster sees identity and
+/// capacity, admission-gated stream open, one round of the serving
+/// loop, and evacuation on failure; everything else the full server
+/// offers (caching, SLO, tracing, recorder) stays behind it.
 #[derive(Debug)]
 pub struct ServerNode {
     id: u32,
@@ -134,7 +102,7 @@ impl ServerNode {
         self.server.attach_recorder(recorder);
     }
 
-    /// [`Node::try_open`] with an externally minted root span adopted
+    /// [`ServerNode::try_open`] with an externally minted root span adopted
     /// for the stream — how the dispatcher's submission-time
     /// [`mzd_telemetry::SpanContext`] stitches into this node's trace
     /// so a migrated stream stays one causal chain across hosts.
@@ -150,37 +118,53 @@ impl ServerNode {
         self.handles.insert(handle.id(), handle);
         Some(handle.id())
     }
-}
 
-impl Node for ServerNode {
-    fn id(&self) -> u32 {
+    /// This node's fleet-wide id (its slot index).
+    #[must_use]
+    pub fn id(&self) -> u32 {
         self.id
     }
 
-    fn disks(&self) -> u32 {
+    /// Number of disks behind this node.
+    #[must_use]
+    pub fn disks(&self) -> u32 {
         self.server.config().disks
     }
 
-    fn active_streams(&self) -> usize {
+    /// Active streams hosted right now.
+    #[must_use]
+    pub fn active_streams(&self) -> usize {
         self.server.active_streams()
     }
 
-    fn per_disk_load(&self) -> Vec<u32> {
+    /// Per-disk active-stream counts for the next round — the vector the
+    /// cluster-level admission controller decides on, and whose minimum
+    /// the striping-aware placement fallback ranks by.
+    #[must_use]
+    pub fn per_disk_load(&self) -> Vec<u32> {
         self.server.per_disk_load()
     }
 
-    fn try_open(&mut self, object: ObjectSpec) -> Option<u64> {
+    /// Try to open a stream; `Some(local id)` on admission, `None` if
+    /// the node's own controller rejects (the cluster's composed limit
+    /// is checked by the caller first — this is the node's backstop).
+    pub fn try_open(&mut self, object: ObjectSpec) -> Option<u64> {
         self.try_open_traced(object, None)
     }
 
-    fn mark_degradable(&mut self, local_id: u64) -> bool {
+    /// Mark a hosted stream as degradable (a migrated stream accepts a
+    /// reduced-bitrate rendition at degradation rung 3+, so absorbing a
+    /// failed node's load rides the existing ladder instead of glitching
+    /// everyone). Returns whether the stream was found.
+    pub fn mark_degradable(&mut self, local_id: u64) -> bool {
         match self.handles.get(&local_id) {
             Some(&h) => self.server.set_degradable(h, true).is_ok(),
             None => false,
         }
     }
 
-    fn step_round(&mut self) -> NodeRoundReport {
+    /// Advance one round.
+    pub fn step_round(&mut self) -> NodeRoundReport {
         let report = self.server.run_round();
         for id in &report.completed_streams {
             self.handles.remove(id);
@@ -193,7 +177,9 @@ impl Node for ServerNode {
         }
     }
 
-    fn evacuate(&mut self) -> Vec<EvacuatedStream> {
+    /// Close every hosted stream and return the manifest, sorted by
+    /// local id (admission order) so migration is deterministic.
+    pub fn evacuate(&mut self) -> Vec<EvacuatedStream> {
         let manifest = self.server.active_session_info();
         let mut out = Vec::with_capacity(manifest.len());
         for info in manifest {

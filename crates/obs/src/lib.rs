@@ -1,24 +1,20 @@
-//! Fleet-wide observability plane for the mzd workspace.
+//! Fleet-wide observability scopes for the mzd workspace.
 //!
 //! A multi-node fleet cannot audit its composed stochastic guarantee
 //! with per-node averages of averages: the p99 of a merged population
-//! is not a function of per-node p99s. This crate provides the three
-//! pieces the fleet path records through:
+//! is not a function of per-node p99s. This crate holds the fleet
+//! scopes the cluster records through, built on `mzd-telemetry`'s
+//! mergeable [`QuantileSketch`] and its [`LabelSet`] /
+//! [`render_sketch_series`] exposition writer:
 //!
-//! * [`QuantileSketch`] — a *mergeable* fixed-layout quantile sketch on
-//!   the exact log-bucket geometry `mzd-telemetry` histograms use
-//!   ([`mzd_telemetry::geometry`]). Because the layout is a constant,
-//!   merging is bucket-wise `u64` addition: **exact**, associative,
-//!   commutative, and byte-stable at any `--jobs` width. The merged
-//!   sketch's quantiles equal the quantiles of the concatenated
-//!   per-node samples up to one bucket width (~29% relative bucket
-//!   span, ≤ ~13% value error) — true fleet-level p50/p99/p999.
-//! * [`LabelSet`] — a sorted label scope (`node="3"`, `disk="0"`)
-//!   rendered with full Prometheus value escaping.
-//! * [`NodeScope`] / [`SketchFleet`] — one labeled sketch registry per
-//!   node plus the fleet aggregator that merges them and renders
-//!   Prometheus text: per-node `_bucket{node="N",le="…"}` series and a
-//!   fleet-level `_fleet` summary with `quantile` labels.
+//! * [`NodeScope`] — one labeled sketch registry per node
+//!   (`node="3"`), recorded into by the cluster round loop.
+//! * [`SketchFleet`] — the fleet aggregator that merges the node
+//!   scopes exactly (bucket-wise addition on the fixed layout) and
+//!   renders Prometheus text: per-node `_bucket{node="N",le="…"}`
+//!   series and a fleet-level `_fleet` summary with `quantile` labels —
+//!   true fleet-level p50/p99/p999, within one bucket width of the
+//!   quantiles of the concatenated per-node samples.
 //!
 //! Like its siblings the crate is dependency-free beyond
 //! `mzd-telemetry` itself, and everything here is a pure function of
@@ -27,206 +23,10 @@
 
 #![warn(missing_docs)]
 
-use mzd_telemetry::geometry::{bucket_index, bucket_value, BUCKET_COUNT, SLOT_COUNT};
-use mzd_telemetry::prom;
+use mzd_telemetry::prom::{self, render_sketch_series, LabelSet};
+use mzd_telemetry::QuantileSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A mergeable quantile sketch on the workspace's shared log-bucket
-/// geometry.
-///
-/// Unlike [`mzd_telemetry::Histogram`] (atomic, process-global, handle
-/// semantics) this is a plain value: cheap to clone, merge and compare,
-/// which is what per-node scopes and fleet roll-ups need. Both types
-/// index values with the same [`mzd_telemetry::geometry`] functions, so
-/// a sketch and a histogram fed the same samples agree bucket for
-/// bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantileSketch {
-    /// `[underflow, BUCKET_COUNT regular, overflow]` observation counts.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            buckets: vec![0; SLOT_COUNT],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation. NaN is dropped (as the histogram does).
-    pub fn record(&mut self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Merge another sketch into this one: bucket-wise addition, exact
-    /// by construction of the fixed layout. `merge` is associative and
-    /// commutative on the bucket counts, so fleet roll-ups are
-    /// independent of node visiting order.
-    pub fn merge(&mut self, other: &Self) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Observations recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Exact minimum (+∞ when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Exact maximum (−∞ when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The raw per-slot counts (underflow first, overflow last) — the
-    /// merge invariant tests compare these directly.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`). Mirrors
-    /// [`mzd_telemetry::Histogram::quantile`]: rank `ceil(q·count)`
-    /// located in the cumulative buckets, the bucket midpoint clamped
-    /// into the observed `[min, max]`. NaN when empty.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-        #[allow(clippy::cast_sign_loss)]
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            if cumulative >= rank {
-                return bucket_value(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Cumulative `(upper_bound, count_le)` pairs in ascending bound
-    /// order ending at `(+∞, count)` — the Prometheus exposition shape,
-    /// identical to [`mzd_telemetry::Histogram::cumulative_buckets`].
-    #[must_use]
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::with_capacity(BUCKET_COUNT + 1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            if i == 0 {
-                continue; // underflow merges into the first regular bound
-            }
-            out.push((mzd_telemetry::geometry::bucket_bound(i), cumulative));
-        }
-        out
-    }
-}
-
-/// A sorted, immutable-after-build label scope.
-///
-/// Keys are held sorted so rendering — and therefore every exposition
-/// byte — is independent of insertion order. Values may contain any
-/// characters; rendering escapes the three the exposition format
-/// reserves (see [`mzd_telemetry::prom::escape_label_value`]).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LabelSet {
-    pairs: Vec<(String, String)>,
-}
-
-impl LabelSet {
-    /// The empty label set (renders as no label block at all).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add or replace one label, keeping keys sorted.
-    #[must_use]
-    pub fn with(mut self, key: &str, value: &str) -> Self {
-        match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-            Ok(i) => self.pairs[i].1 = value.to_string(),
-            Err(i) => self.pairs.insert(i, (key.to_string(), value.to_string())),
-        }
-        self
-    }
-
-    /// The sorted `(key, value)` pairs.
-    #[must_use]
-    pub fn pairs(&self) -> &[(String, String)] {
-        &self.pairs
-    }
-
-    /// Render as `{k="v",...}` (empty string when no labels), with
-    /// values escaped for the exposition format.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let pairs: Vec<(&str, &str)> = self
-            .pairs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        prom::render_label_set(&pairs)
-    }
-
-    /// Render with one extra trailing pair appended (how `le` joins the
-    /// scope labels on `_bucket` series without cloning the set).
-    #[must_use]
-    pub fn render_with(&self, key: &str, value: &str) -> String {
-        let mut pairs: Vec<(&str, &str)> = self
-            .pairs
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        pairs.push((key, value));
-        prom::render_label_set(&pairs)
-    }
-}
 
 /// One node's sketch registry: a label scope (`node="N"`) plus named
 /// sketches, recorded into by the cluster round loop.
@@ -296,12 +96,6 @@ impl SketchFleet {
                 .map(|i| NodeScope::new(LabelSet::new().with("node", &i.to_string())))
                 .collect(),
         }
-    }
-
-    /// Number of node scopes.
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.scopes.len()
     }
 
     /// Mutable access to one node's scope.
@@ -385,115 +179,10 @@ impl SketchFleet {
     }
 }
 
-/// Render one sketch as cumulative labeled `_bucket` / `_sum` /
-/// `_count` exposition lines under `labels`. Empty buckets are elided
-/// exactly as [`mzd_telemetry::prom::render`] elides them; the
-/// mandatory `+Inf` bucket closes the series at the total count.
-pub fn render_sketch_series(
-    out: &mut String,
-    sanitized_name: &str,
-    labels: &LabelSet,
-    sketch: &QuantileSketch,
-) {
-    let n = sanitized_name;
-    let mut previous = 0u64;
-    for (bound, cumulative) in sketch.cumulative_buckets() {
-        if bound.is_finite() {
-            if cumulative == previous {
-                continue;
-            }
-            previous = cumulative;
-            let _ = writeln!(
-                out,
-                "{n}_bucket{} {cumulative}",
-                labels.render_with("le", &prom::format_value(bound))
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{n}_bucket{} {}",
-        labels.render_with("le", "+Inf"),
-        sketch.count()
-    );
-    let _ = writeln!(
-        out,
-        "{n}_sum{} {}",
-        labels.render(),
-        prom::format_value(sketch.sum())
-    );
-    let _ = writeln!(out, "{n}_count{} {}", labels.render(), sketch.count());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn sketch_agrees_with_histogram_buckets() {
-        let mut sketch = QuantileSketch::new();
-        let hist = mzd_telemetry::Registry::new().histogram("t");
-        for i in 1..=500 {
-            let v = f64::from(i) * 1e-3;
-            sketch.record(v);
-            hist.record(v);
-        }
-        assert_eq!(sketch.cumulative_buckets(), hist.cumulative_buckets());
-        for (_, q) in mzd_telemetry::QUANTILE_LABELS {
-            assert_eq!(sketch.quantile(q), hist.quantile(q));
-        }
-    }
-
-    #[test]
-    fn empty_sketch_quantile_is_nan() {
-        let s = QuantileSketch::new();
-        assert!(s.quantile(0.5).is_nan());
-        assert_eq!(s.count(), 0);
-        // NaN observations are dropped, not binned.
-        let mut s = QuantileSketch::new();
-        s.record(f64::NAN);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merged_quantile_matches_concatenated_within_one_bucket() {
-        // Two disjoint populations; the merged p99 must equal the p99
-        // of the concatenation up to bucket resolution (~29% width).
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut all = QuantileSketch::new();
-        for i in 1..=300 {
-            let low = f64::from(i) * 1e-4;
-            let high = f64::from(i) * 2e-3;
-            a.record(low);
-            b.record(high);
-            all.record(low);
-            all.record(high);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.bucket_counts(), all.bucket_counts());
-        for (_, q) in mzd_telemetry::QUANTILE_LABELS {
-            assert_eq!(merged.quantile(q), all.quantile(q));
-        }
-    }
-
-    #[test]
-    fn label_sets_sort_and_escape() {
-        let l = LabelSet::new().with("node", "3").with("disk", "0");
-        assert_eq!(l.render(), "{disk=\"0\",node=\"3\"}");
-        assert_eq!(
-            l.render_with("le", "+Inf"),
-            "{disk=\"0\",node=\"3\",le=\"+Inf\"}"
-        );
-        let l = LabelSet::new().with("zone", "a\"b\\c\nd");
-        assert_eq!(l.render(), "{zone=\"a\\\"b\\\\c\\nd\"}");
-        // Replacement keeps a single entry per key.
-        let l = LabelSet::new().with("node", "1").with("node", "2");
-        assert_eq!(l.render(), "{node=\"2\"}");
-        assert_eq!(LabelSet::new().render(), "");
-    }
 
     #[test]
     fn fleet_renders_labeled_series_and_fleet_summary() {
@@ -528,6 +217,53 @@ mod tests {
         let text = fleet.render_prom();
         assert!(text.contains("_bucket{node=\"0\",le=\"+Inf\"} 0"), "{text}");
         assert!(text.contains("_fleet_count 0"), "{text}");
+    }
+
+    /// Pins the exact fleet exposition bytes: two nodes, one sketch
+    /// with samples on both, and one declared but never recorded (its
+    /// fleet quantiles read `NaN`).
+    #[test]
+    fn fleet_exposition_bytes_are_pinned() {
+        let mut fleet = SketchFleet::with_nodes(2);
+        fleet.declare_all("cluster.node.queue_depth");
+        for (node, v) in [(0, 0.02), (0, 0.5), (1, 0.02), (1, 0.4), (1, 3.0)] {
+            fleet.node_mut(node).record("cluster.node.service_time", v);
+        }
+        let expected = r#"# TYPE mzd_cluster_node_queue_depth histogram
+mzd_cluster_node_queue_depth_bucket{node="0",le="+Inf"} 0
+mzd_cluster_node_queue_depth_sum{node="0"} 0
+mzd_cluster_node_queue_depth_count{node="0"} 0
+mzd_cluster_node_queue_depth_bucket{node="1",le="+Inf"} 0
+mzd_cluster_node_queue_depth_sum{node="1"} 0
+mzd_cluster_node_queue_depth_count{node="1"} 0
+# TYPE mzd_cluster_node_queue_depth_fleet summary
+mzd_cluster_node_queue_depth_fleet{quantile="0.5"} NaN
+mzd_cluster_node_queue_depth_fleet{quantile="0.95"} NaN
+mzd_cluster_node_queue_depth_fleet{quantile="0.99"} NaN
+mzd_cluster_node_queue_depth_fleet{quantile="0.999"} NaN
+mzd_cluster_node_queue_depth_fleet_sum 0
+mzd_cluster_node_queue_depth_fleet_count 0
+# TYPE mzd_cluster_node_service_time histogram
+mzd_cluster_node_service_time_bucket{node="0",le="0.021544346900318825"} 1
+mzd_cluster_node_service_time_bucket{node="0",le="0.5994842503189421"} 2
+mzd_cluster_node_service_time_bucket{node="0",le="+Inf"} 2
+mzd_cluster_node_service_time_sum{node="0"} 0.52
+mzd_cluster_node_service_time_count{node="0"} 2
+mzd_cluster_node_service_time_bucket{node="1",le="0.021544346900318825"} 1
+mzd_cluster_node_service_time_bucket{node="1",le="0.4641588833612773"} 2
+mzd_cluster_node_service_time_bucket{node="1",le="3.593813663804626"} 3
+mzd_cluster_node_service_time_bucket{node="1",le="+Inf"} 3
+mzd_cluster_node_service_time_sum{node="1"} 3.42
+mzd_cluster_node_service_time_count{node="1"} 3
+# TYPE mzd_cluster_node_service_time_fleet summary
+mzd_cluster_node_service_time_fleet{quantile="0.5"} 0.4084238652674518
+mzd_cluster_node_service_time_fleet{quantile="0.95"} 3
+mzd_cluster_node_service_time_fleet{quantile="0.99"} 3
+mzd_cluster_node_service_time_fleet{quantile="0.999"} 3
+mzd_cluster_node_service_time_fleet_sum 3.94
+mzd_cluster_node_service_time_fleet_count 5
+"#;
+        assert_eq!(fleet.render_prom(), expected);
     }
 
     proptest! {

@@ -163,7 +163,7 @@ impl AdmissionController {
     }
 
     /// Feed the latest conservative lower bound on the cache's
-    /// disk-avoidance ratio (e.g. [`mzd_cache::hit_ratio_lower_bound`]
+    /// disk-avoidance ratio (e.g. [`mzd_slo::wilson_lower_bound`]
     /// over a recent measurement window). Clamped to `[0, 1)`. No-op
     /// semantically unless cache-aware mode is enabled.
     pub fn set_hit_ratio_lower_bound(&mut self, h: f64) {
@@ -451,23 +451,23 @@ mod tests {
         c.enable_cache_aware(0.0).unwrap();
 
         // Zero lookups: no evidence, bound 0, no inflation.
-        let h = mzd_cache::hit_ratio_lower_bound(0, 0);
+        let h = mzd_slo::wilson_lower_bound(0, 0);
         assert_eq!(h, 0.0);
         c.set_hit_ratio_lower_bound(h);
         assert_eq!(c.effective_per_disk_limit(), base);
 
         // All misses: bound 0 at any sample size.
-        assert_eq!(mzd_cache::hit_ratio_lower_bound(0, 10_000), 0.0);
+        assert_eq!(mzd_slo::wilson_lower_bound(0, 10_000), 0.0);
 
         // All hits: the bound stays strictly below 1 (it is a *lower*
         // confidence bound) and grows with the sample size.
-        let small = mzd_cache::hit_ratio_lower_bound(16, 16);
-        let large = mzd_cache::hit_ratio_lower_bound(100_000, 100_000);
+        let small = mzd_slo::wilson_lower_bound(16, 16);
+        let large = mzd_slo::wilson_lower_bound(100_000, 100_000);
         assert!(small > 0.0 && small < 1.0);
         assert!(large > small && large < 1.0);
 
         // successes > trials is clamped rather than exceeding 1.
-        assert!(mzd_cache::hit_ratio_lower_bound(20, 10) < 1.0);
+        assert!(mzd_slo::wilson_lower_bound(20, 10) < 1.0);
     }
 
     #[test]

@@ -251,38 +251,15 @@ pub struct CompletedStream {
     pub buffer_high_water: f64,
 }
 
-/// Summary of one disk's round, carrying the full phase decomposition
-/// (`seek + rotational + transfer + stall + fault == service_time`
-/// exactly — the invariant `mzd postmortem` audits).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiskRoundSummary {
-    /// Disk index.
-    pub disk: u32,
-    /// Requests served.
-    pub requests: u32,
-    /// Sweep service time, seconds.
-    pub service_time: f64,
-    /// Whether the disk overran the round.
-    pub late: bool,
-    /// Time spent seeking, seconds.
-    pub seek_time: f64,
-    /// Rotational latency, seconds.
-    pub rotational_time: f64,
-    /// Transfer time, seconds.
-    pub transfer_time: f64,
-    /// Recalibration stall time, seconds.
-    pub stall_time: f64,
-    /// Injected fault time, seconds.
-    pub fault_time: f64,
-}
-
 /// Report for one global round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport {
     /// 0-based round index.
     pub round: u64,
-    /// Per-disk summaries.
-    pub disks: Vec<DiskRoundSummary>,
+    /// Per-disk summaries, carrying the full phase decomposition
+    /// (`seek + rotational + transfer + stall + fault == service_time`
+    /// exactly — the invariant `mzd postmortem` audits).
+    pub disks: Vec<mzd_prof::DiskPhases>,
     /// Stream ids that glitched this round.
     pub glitched_streams: Vec<u64>,
     /// Stream ids that finished play-out this round.
@@ -1268,7 +1245,7 @@ impl VideoServer {
                     ],
                 );
             }
-            disk_summaries.push(DiskRoundSummary {
+            disk_summaries.push(mzd_prof::DiskPhases {
                 disk: d as u32,
                 requests: sizes.len() as u32,
                 service_time: out.service_time,
@@ -1553,7 +1530,7 @@ impl VideoServer {
                     .iter()
                     .fold((0u64, 0u64), |(t, a), &(lt, la)| (t + lt, a + la));
                 let h = if trials >= HIT_WINDOW_MIN_TRIALS {
-                    mzd_cache::hit_ratio_lower_bound(avoided, trials)
+                    mzd_slo::wilson_lower_bound(avoided, trials)
                 } else {
                     0.0
                 };
@@ -1623,21 +1600,6 @@ impl VideoServer {
         degrade_escalated: bool,
         cache_counts: (u64, u64, u64),
     ) {
-        let disks: Vec<mzd_prof::DiskPhases> = report
-            .disks
-            .iter()
-            .map(|ds| mzd_prof::DiskPhases {
-                disk: ds.disk,
-                requests: ds.requests,
-                service_time: ds.service_time,
-                late: ds.late,
-                seek_time: ds.seek_time,
-                rotational_time: ds.rotational_time,
-                transfer_time: ds.transfer_time,
-                stall_time: ds.stall_time,
-                fault_time: ds.fault_time,
-            })
-            .collect();
         let mut faults = mzd_prof::FaultTotals::default();
         for sim in &self.disks {
             let c = sim.fault_counters();
@@ -1670,7 +1632,7 @@ impl VideoServer {
                 .map_or(0.0, FragmentCache::occupancy_bytes),
             load: self.load.clone(),
             rng_positions: self.disks.iter().map(RoundSimulator::rounds_run).collect(),
-            disks,
+            disks: report.disks.clone(),
             faults,
         };
         let recorder = self.recorder.as_ref().expect("checked by caller");

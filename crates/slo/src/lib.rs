@@ -28,19 +28,14 @@
 //!   round length): the rest of the workspace deliberately records no
 //!   wall-clock time so seeded replays stay byte-identical.
 //!
-//! [`report::render_html`] turns a run's metrics/events JSONL into a
-//! self-contained HTML page with inline-SVG sparklines — no external
-//! assets, viewable offline.
-//!
 //! Like `mzd-telemetry` and `mzd-cache`, this crate depends on nothing
 //! outside the workspace (only the telemetry crate, for the JSON
-//! writer/parser and the span-context type).
+//! writer and the span-context type).
 
 #![warn(missing_docs)]
 
 pub mod burn;
 pub mod conformance;
-pub mod report;
 pub mod trace;
 
 pub use burn::{AlertTransition, BurnConfig, BurnRateEngine};
@@ -69,8 +64,10 @@ impl std::error::Error for SloError {}
 /// endpoint at ~95% (z = 2). Returns 0 for empty samples.
 ///
 /// Shared by the drift detector (tail-exceedance rate must *provably*
-/// exceed its tolerance before an alarm) — the same
-/// evidence-before-action posture as the cache-aware admission bound.
+/// exceed its tolerance before an alarm) and the server's cache-aware
+/// admission (inflating `N_max` by `1 / (1 − h·(1 − safety))` is only
+/// sound for a hit ratio `h` the measured traffic actually sustains) —
+/// one evidence-before-action posture.
 #[must_use]
 pub fn wilson_lower_bound(successes: u64, trials: u64) -> f64 {
     if trials == 0 || successes == 0 {
@@ -99,5 +96,25 @@ mod tests {
         assert!(wilson_lower_bound(500, 500) > all);
         // Below the point estimate.
         assert!(wilson_lower_bound(10, 100) < 0.1);
+    }
+
+    #[test]
+    fn wilson_bound_is_conservative_and_consistent() {
+        assert_eq!(wilson_lower_bound(0, 0), 0.0);
+        assert_eq!(wilson_lower_bound(0, 100), 0.0);
+        // Always below the point estimate, approaching it as n grows.
+        let small = wilson_lower_bound(8, 10);
+        let large = wilson_lower_bound(8_000, 10_000);
+        assert!(small < 0.8);
+        assert!(large < 0.8);
+        assert!(large > small);
+        assert!(large > 0.79, "large-sample bound {large} too loose");
+        // Monotone in successes.
+        assert!(wilson_lower_bound(50, 100) < wilson_lower_bound(90, 100));
+        // Never negative, never above 1.
+        for s in [0u64, 1, 50, 99, 100] {
+            let b = wilson_lower_bound(s, 100);
+            assert!((0.0..=1.0).contains(&b), "bound {b} for {s}/100");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! must be able to measure itself: how long a Chernoff minimization takes,
 //! how the simulated round service time is actually distributed, what the
 //! admission controller accepted and rejected. This crate provides the
-//! three primitives the rest of the workspace records into:
+//! primitives the rest of the workspace records into:
 //!
 //! * [`Registry`] — a thread-safe metrics registry of named
 //!   [`Counter`]s, [`Gauge`]s and fixed-bucket [`Histogram`]s with
@@ -20,9 +20,16 @@
 //!   with pluggable sinks ([`event::NullSink`], [`event::StderrSink`],
 //!   [`event::JsonlSink`], [`event::MemorySink`]) for per-round records
 //!   and admission decisions.
+//! * [`QuantileSketch`] — a plain-value, mergeable quantile sketch on
+//!   the fixed log-bucket [`geometry`] histograms record into, and the
+//!   one read side of that layout: histograms answer every quantile and
+//!   bucket query through a copy into a sketch, and per-node fleet
+//!   scopes record straight into sketches and merge them exactly.
 //! * [`prom::render`] — Prometheus text exposition of a whole
 //!   [`Registry`], including histogram buckets as cumulative
-//!   `_bucket{le="..."}` series (the `--prom-out` surface).
+//!   `_bucket{le="..."}` series (the `--prom-out` surface), written by
+//!   [`prom::render_sketch_series`] under a [`prom::LabelSet`] — the
+//!   same writer the fleet's node-labeled series use.
 //!
 //! # Global vs. scoped
 //!
@@ -52,6 +59,7 @@ pub mod event;
 pub mod json;
 pub mod prom;
 mod registry;
+mod sketch;
 mod span;
 
 pub use event::{emit, events_enabled, set_sink, Event, EventSink};
@@ -59,6 +67,7 @@ pub use registry::{
     geometry, global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot,
     QUANTILE_LABELS,
 };
+pub use sketch::QuantileSketch;
 pub use span::{Span, SpanContext};
 
 /// Time a scope into a histogram of the [`global()`] registry.
@@ -75,4 +84,75 @@ macro_rules! span {
     ($name:expr) => {
         $crate::Span::enter($crate::global().execution_histogram($name))
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::prom::LabelSet;
+
+    #[test]
+    fn label_sets_sort_and_escape() {
+        let l = LabelSet::new().with("node", "3").with("disk", "0");
+        assert_eq!(l.render(), "{disk=\"0\",node=\"3\"}");
+        assert_eq!(
+            l.render_with("le", "+Inf"),
+            "{disk=\"0\",node=\"3\",le=\"+Inf\"}"
+        );
+        let l = LabelSet::new().with("zone", "a\"b\\c\nd");
+        assert_eq!(l.render(), "{zone=\"a\\\"b\\\\c\\nd\"}");
+        // Replacement keeps a single entry per key.
+        let l = LabelSet::new().with("node", "1").with("node", "2");
+        assert_eq!(l.render(), "{node=\"2\"}");
+        assert_eq!(LabelSet::new().render(), "");
+    }
+
+    #[test]
+    fn sketch_agrees_with_histogram_buckets() {
+        let mut sketch = QuantileSketch::new();
+        let hist = Registry::new().histogram("t");
+        for i in 1..=500 {
+            let v = f64::from(i) * 1e-3;
+            sketch.record(v);
+            hist.record(v);
+        }
+        assert_eq!(sketch.cumulative_buckets(), hist.cumulative_buckets());
+        for (_, q) in QUANTILE_LABELS {
+            assert_eq!(sketch.quantile(q), hist.quantile(q));
+        }
+    }
+
+    #[test]
+    fn empty_sketch_quantile_is_nan() {
+        let s = QuantileSketch::new();
+        assert!(s.quantile(0.5).is_nan());
+        assert_eq!(s.count(), 0);
+        // NaN observations are dropped, not binned.
+        let mut s = QuantileSketch::new();
+        s.record(f64::NAN);
+        assert_eq!(s.count(), 0);
+    }
+
+    #[test]
+    fn merged_quantile_matches_concatenated_within_one_bucket() {
+        // Two disjoint populations; the merged p99 must equal the p99
+        // of the concatenation up to bucket resolution (~29% width).
+        let mut a = QuantileSketch::new();
+        let mut b = QuantileSketch::new();
+        let mut all = QuantileSketch::new();
+        for i in 1..=300 {
+            let low = f64::from(i) * 1e-4;
+            let high = f64::from(i) * 2e-3;
+            a.record(low);
+            b.record(high);
+            all.record(low);
+            all.record(high);
+        }
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged.bucket_counts(), all.bucket_counts());
+        for (_, q) in QUANTILE_LABELS {
+            assert_eq!(merged.quantile(q), all.quantile(q));
+        }
+    }
 }

@@ -17,8 +17,13 @@
 //! expose byte-identical text at any `--jobs` width (the property the
 //! CLI's `--prom-out` snapshots rely on). Execution-scoped series
 //! remain visible in the JSON snapshot.
+//!
+//! Every histogram-shaped series in the workspace — registry
+//! histograms here, node-labeled fleet sketches elsewhere — is written
+//! by one function, [`render_sketch_series`], under a [`LabelSet`].
 
 use crate::registry::Registry;
+use crate::sketch::QuantileSketch;
 use std::fmt::Write as _;
 
 /// Sanitize a dotted metric name into the Prometheus exposition
@@ -43,6 +48,11 @@ pub fn sanitize_name(name: &str) -> String {
 #[must_use]
 pub fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
+    write_escaped_label_value(&mut out, value);
+    out
+}
+
+fn write_escaped_label_value(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -51,7 +61,6 @@ pub fn escape_label_value(value: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// Render a label set as `{k="v",...}` with values escaped, or an
@@ -60,23 +69,79 @@ pub fn escape_label_value(value: &str) -> String {
 /// keep them sorted for byte-stable output).
 #[must_use]
 pub fn render_label_set(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut out = String::new();
+    write_label_set(&mut out, labels.iter().copied());
+    out
+}
+
+/// [`render_label_set`] appending to `out` (nothing for no pairs).
+fn write_label_set<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a str, &'a str)>) {
+    let mut first = true;
+    for (k, v) in pairs {
+        out.push(if first { '{' } else { ',' });
+        first = false;
         for c in k.chars() {
             out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
         }
         out.push_str("=\"");
-        out.push_str(&escape_label_value(v));
+        write_escaped_label_value(out, v);
         out.push('"');
     }
-    out.push('}');
-    out
+    if !first {
+        out.push('}');
+    }
+}
+
+/// A sorted, immutable-after-build label scope.
+///
+/// Keys are held sorted so rendering — and therefore every exposition
+/// byte — is independent of insertion order. Values may contain any
+/// characters; rendering escapes the three the exposition format
+/// reserves (see [`escape_label_value`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LabelSet {
+    pairs: Vec<(String, String)>,
+}
+
+impl LabelSet {
+    /// The empty label set (renders as no label block at all).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add or replace one label, keeping keys sorted.
+    #[must_use]
+    pub fn with(mut self, key: &str, value: &str) -> Self {
+        match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+            Ok(i) => self.pairs[i].1 = value.to_string(),
+            Err(i) => self.pairs.insert(i, (key.to_string(), value.to_string())),
+        }
+        self
+    }
+
+    /// Render as `{k="v",...}` (empty string when no labels), with
+    /// values escaped for the exposition format.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write_with(&mut out, None);
+        out
+    }
+
+    /// Render with one extra trailing pair appended, the way `_bucket`
+    /// lines append `le` to the scope labels.
+    #[must_use]
+    pub fn render_with(&self, key: &str, value: &str) -> String {
+        let mut out = String::new();
+        self.write_with(&mut out, Some((key, value)));
+        out
+    }
+
+    fn write_with(&self, out: &mut String, extra: Option<(&str, &str)>) {
+        let pairs = self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        write_label_set(out, pairs.chain(extra));
+    }
 }
 
 /// Format a sample value: finite floats use the shortest round-trip
@@ -104,12 +169,47 @@ pub fn format_value(v: f64) -> String {
     s
 }
 
-/// Render `registry` in Prometheus text exposition format.
-///
-/// Histogram `_bucket` series are cumulative; bounds whose bucket is
-/// empty are elided (the cumulative value at any retained bound is
-/// exact), and the mandatory `le="+Inf"` bucket always closes the
-/// series at the total count.
+/// Render one sketch as cumulative `_bucket` / `_sum` / `_count`
+/// exposition lines under `labels` (no label block for an empty set).
+/// Bounds whose bucket is empty are elided — the cumulative value at
+/// any retained bound is exact — and the mandatory `le="+Inf"` bucket
+/// always closes the series at the total count.
+pub fn render_sketch_series(
+    out: &mut String,
+    sanitized_name: &str,
+    labels: &LabelSet,
+    sketch: &QuantileSketch,
+) {
+    let n = sanitized_name;
+    let mut le = String::new();
+    let mut previous = 0u64;
+    for (bound, cumulative) in sketch.cumulative() {
+        if !bound.is_finite() || cumulative == previous {
+            continue;
+        }
+        previous = cumulative;
+        le.clear();
+        write_value(&mut le, bound);
+        let _ = write!(out, "{n}_bucket");
+        labels.write_with(out, Some(("le", &le)));
+        let _ = writeln!(out, " {cumulative}");
+    }
+    let count = sketch.count();
+    let _ = write!(out, "{n}_bucket");
+    labels.write_with(out, Some(("le", "+Inf")));
+    let _ = writeln!(out, " {count}");
+    let _ = write!(out, "{n}_sum");
+    labels.write_with(out, None);
+    out.push(' ');
+    write_value(out, sketch.sum());
+    out.push('\n');
+    let _ = write!(out, "{n}_count");
+    labels.write_with(out, None);
+    let _ = writeln!(out, " {count}");
+}
+
+/// Render `registry` in Prometheus text exposition format; histograms
+/// go through [`render_sketch_series`] with no labels.
 #[must_use]
 pub fn render(registry: &Registry) -> String {
     let snapshot = registry.snapshot();
@@ -132,6 +232,7 @@ pub fn render(registry: &Registry) -> String {
         write_value(&mut out, *value);
         out.push('\n');
     }
+    let no_labels = LabelSet::new();
     for (name, histogram) in registry.histogram_entries() {
         if registry.is_execution_scoped(&name) {
             // Span timers carry real elapsed time and solver iteration
@@ -141,25 +242,8 @@ pub fn render(registry: &Registry) -> String {
             continue;
         }
         let n = sanitize_name(&name);
-        let count = histogram.count();
         let _ = writeln!(out, "# TYPE {n} histogram");
-        let mut previous = 0u64;
-        for (bound, cumulative) in histogram.cumulative_buckets() {
-            if bound.is_finite() {
-                if cumulative == previous {
-                    continue; // empty bucket: cumulative value unchanged
-                }
-                previous = cumulative;
-                let _ = write!(out, "{n}_bucket{{le=\"");
-                write_value(&mut out, bound);
-                let _ = writeln!(out, "\"}} {cumulative}");
-            }
-        }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {count}");
-        let _ = write!(out, "{n}_sum ");
-        write_value(&mut out, histogram.sum());
-        out.push('\n');
-        let _ = writeln!(out, "{n}_count {count}");
+        render_sketch_series(&mut out, &n, &no_labels, &histogram.sketch());
     }
     out
 }
@@ -316,5 +400,50 @@ mod tests {
         assert_eq!(format_value(f64::NAN), "NaN");
         assert_eq!(format_value(f64::INFINITY), "+Inf");
         assert_eq!(format_value(f64::NEG_INFINITY), "-Inf");
+    }
+
+    /// Pins the exact exposition bytes of a small registry: a counter,
+    /// a gauge, a histogram with underflow (`0`, `1e-12`), mid-range
+    /// and overflow (`1e9`, counted only by `+Inf`) observations, and
+    /// an execution-scoped histogram that must not appear — plus the
+    /// JSON snapshot of the same registry, quantiles included.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let r = Registry::new();
+        r.counter("sim.rounds").add(3);
+        r.gauge("server.buffer.occupancy_bytes").set(2.5e5);
+        let h = r.histogram("sim.round.service_time");
+        for v in [0.0, 1e-12, 0.25, 0.3, 0.75, 1e9] {
+            h.record(v);
+        }
+        r.execution_histogram("core.chernoff.minimize").record(1e-3);
+        let expected = r#"# TYPE mzd_sim_rounds counter
+mzd_sim_rounds 3
+# TYPE mzd_server_buffer_occupancy_bytes gauge
+mzd_server_buffer_occupancy_bytes 250000
+# TYPE mzd_sim_round_service_time histogram
+mzd_sim_round_service_time_bucket{le="0.0000000012915496650148839"} 2
+mzd_sim_round_service_time_bucket{le="0.2782559402207126"} 3
+mzd_sim_round_service_time_bucket{le="0.3593813663804626"} 4
+mzd_sim_round_service_time_bucket{le="0.7742636826811279"} 5
+mzd_sim_round_service_time_bucket{le="+Inf"} 6
+mzd_sim_round_service_time_sum 1000000001.3
+mzd_sim_round_service_time_count 6
+"#;
+        assert_eq!(render(&r), expected);
+        let expected_json = r#"{
+  "counters": {
+    "sim.rounds": 3
+  },
+  "gauges": {
+    "server.buffer.occupancy_bytes": 250000
+  },
+  "histograms": {
+    "core.chernoff.minimize": {"count": 1, "sum": 0.001, "mean": 0.001, "min": 0.001, "max": 0.001, "p50": 0.001, "p95": 0.001, "p99": 0.001, "p999": 0.001},
+    "sim.round.service_time": {"count": 6, "sum": 1000000001.3, "mean": 166666666.88333333, "min": 0, "max": 1000000000, "p50": 0.24484367468222296, "p95": 11364.636663857244, "p99": 11364.636663857244, "p999": 11364.636663857244}
+  }
+}
+"#;
+        assert_eq!(r.snapshot().to_json(), expected_json);
     }
 }

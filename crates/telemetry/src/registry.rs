@@ -76,8 +76,8 @@ impl Gauge {
     }
 }
 
-/// The fixed log-bucket geometry shared by [`Histogram`] and by the
-/// mergeable quantile sketches in `mzd-obs`.
+/// The fixed log-bucket geometry: [`Histogram`] records into it and
+/// [`QuantileSketch`], its one read side, walks it.
 ///
 /// Nine log-spaced buckets per factor of ten across thirteen decades
 /// starting at `1e-9`, plus one underflow and one overflow slot. The
@@ -144,7 +144,8 @@ pub mod geometry {
     }
 }
 
-use geometry::{bucket_index, bucket_value, BUCKET_COUNT};
+use crate::sketch::QuantileSketch;
+use geometry::{bucket_index, SLOT_COUNT};
 
 /// A fixed-bucket log-scale histogram with atomic recording and
 /// quantile estimation.
@@ -155,6 +156,10 @@ use geometry::{bucket_index, bucket_value, BUCKET_COUNT};
 /// below `1e-9` (including zero and negatives) are clamped into an
 /// underflow bucket, values above `1e4` into an overflow bucket; exact
 /// `min`/`max`/`sum` are tracked separately, and NaNs are dropped.
+///
+/// Recording is lock-free; every read (quantiles, cumulative buckets,
+/// snapshots) goes through one copy of the atomics into a
+/// [`QuantileSketch`].
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -174,7 +179,7 @@ struct HistogramInner {
 impl Default for HistogramInner {
     fn default() -> Self {
         Self {
-            buckets: (0..BUCKET_COUNT + 2).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..SLOT_COUNT).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0f64.to_bits()),
             min: AtomicU64::new(f64::INFINITY.to_bits()),
@@ -242,70 +247,54 @@ impl Histogram {
         f64::from_bits(self.0.sum.load(Ordering::Relaxed))
     }
 
-    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`) from the buckets.
-    ///
-    /// Accuracy is limited by the bucket resolution (~13% relative);
-    /// exact extremes come from [`Histogram::snapshot`]'s `min`/`max`.
-    /// Returns NaN for an empty histogram.
+    /// Estimate the `q`-quantile (`0 ≤ q ≤ 1`) from the buckets
+    /// ([`QuantileSketch::quantile`]). Exact extremes come from
+    /// [`Histogram::snapshot`]'s `min`/`max`. NaN when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        let inner = &*self.0;
-        let total = inner.count.load(Ordering::Relaxed);
-        if total == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based ceil(q·total).
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in inner.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                // Clamp the estimate into the true observed range.
-                let min = f64::from_bits(inner.min.load(Ordering::Relaxed));
-                let max = f64::from_bits(inner.max.load(Ordering::Relaxed));
-                return bucket_value(i).clamp(min, max);
-            }
-        }
-        f64::from_bits(inner.max.load(Ordering::Relaxed))
+        self.sketch().quantile(q)
     }
 
-    /// Cumulative bucket counts as `(upper_bound, count_le)` pairs, in
-    /// ascending bound order, ending with `(+∞, total count)` — the
-    /// exposition shape Prometheus histograms use. The underflow bucket
-    /// (values ≤ 1 ns) reports under the first regular bound.
+    /// Cumulative bucket counts as `(upper_bound, count_le)` pairs
+    /// ([`QuantileSketch::cumulative_buckets`]).
     #[must_use]
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let inner = &*self.0;
-        let mut out = Vec::with_capacity(BUCKET_COUNT + 1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in inner.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if i == 0 {
-                // Underflow merges into the first regular bound below.
-                continue;
-            }
-            out.push((geometry::bucket_bound(i), cumulative));
-        }
-        out
+        self.sketch().cumulative_buckets()
     }
 
     /// An immutable copy of the current state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count();
-        let sum = self.sum();
+        let sketch = self.sketch();
+        let count = sketch.count();
         HistogramSnapshot {
             count,
-            sum,
+            sum: sketch.sum(),
             mean: if count == 0 {
                 f64::NAN
             } else {
-                sum / count as f64
+                sketch.sum() / count as f64
             },
-            min: f64::from_bits(self.0.min.load(Ordering::Relaxed)),
-            max: f64::from_bits(self.0.max.load(Ordering::Relaxed)),
-            quantiles: QUANTILE_LABELS.map(|(_, q)| self.quantile(q)),
+            min: sketch.min(),
+            max: sketch.max(),
+            quantiles: QUANTILE_LABELS.map(|(_, q)| sketch.quantile(q)),
+        }
+    }
+
+    /// The current state as a [`QuantileSketch`]: one relaxed load per
+    /// atomic.
+    pub(crate) fn sketch(&self) -> QuantileSketch {
+        let inner = &*self.0;
+        QuantileSketch {
+            buckets: inner
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            count: inner.count.load(Ordering::Relaxed),
+            sum: f64::from_bits(inner.sum.load(Ordering::Relaxed)),
+            min: f64::from_bits(inner.min.load(Ordering::Relaxed)),
+            max: f64::from_bits(inner.max.load(Ordering::Relaxed)),
         }
     }
 }
@@ -551,6 +540,7 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geometry::{bucket_value, BUCKET_COUNT};
 
     #[test]
     fn counters_and_gauges_roundtrip() {

@@ -2,7 +2,7 @@
 //! lease protocol, and the composed guarantee holds against observed
 //! glitch counts over long horizons.
 
-use mzd_cluster::{Cluster, ClusterConfig, Node, NodeOutage, SubmitOutcome};
+use mzd_cluster::{Cluster, ClusterConfig, NodeOutage, SubmitOutcome};
 use mzd_workload::{ObjectSpec, SizeDistribution};
 
 fn object(rounds: u32) -> ObjectSpec {

@@ -7,9 +7,8 @@
 use mzd_cluster::{
     Cluster, ClusterConfig, MigrationRecord, NodeOutage, NODE_SPAN_BASE_SHIFT, SKETCH_SERVICE_TIME,
 };
-use mzd_obs::QuantileSketch;
 use mzd_prof::{read_fleet_bundle, DumpTrigger, RecorderSettings};
-use mzd_telemetry::geometry;
+use mzd_telemetry::{geometry, QuantileSketch};
 use mzd_workload::{ObjectSpec, SizeDistribution};
 
 fn object(rounds: u32) -> ObjectSpec {

@@ -1,9 +1,9 @@
 //! End-to-end scenarios for the observability stack: flight-recorder
 //! bundles must be byte-identical across reruns and worker counts, the
-//! recorded phase decomposition must reproduce the simulator's
-//! [`mzd_server::DiskRoundSummary`] exactly, a chaos run must fire a
-//! *triggered* (non-manual) dump, and the Prometheus exposition of the
-//! global registry must be well-formed.
+//! recorded phase decomposition must reproduce the per-disk phases of
+//! the simulator's [`mzd_server::RoundReport`] exactly, a chaos run
+//! must fire a *triggered* (non-manual) dump, and the Prometheus
+//! exposition of the global registry must be well-formed.
 
 use mzd_fault::FaultConfig;
 use mzd_server::{ServerConfig, SloSettings, VideoServer};
