@@ -87,7 +87,7 @@ commands:
                                    whole-node outage of node zone%N]
               --lease-rounds L    [rounds of silence before a node is
                                    declared failed and its streams
-                                   migrate; default 3]
+                                   migrate; default 3; needs --nodes N]
               --health            [gray-failure detection: per-node
                                    suspicion scores over per-stream
                                    service times drive a probation ->
@@ -100,10 +100,14 @@ commands:
                                    needs --nodes N]
               --gray-node I       [the node carrying any gray=... shape
                                    in --fault-profile (mod N); other
-                                   members run it stripped; default 0]
+                                   members run it stripped; default 0;
+                                   needs --nodes N]
               --cache-bytes B --cache-policy lru|interval|cost
               --cache-safety S    [enables cache-aware admission]
-              --slo               [burn-rate + model-conformance monitor]
+              --slo               [burn-rate + model-conformance monitor;
+                                   single server only: with --nodes N
+                                   each node runs it under --degrade
+                                   or --trace-out]
               --trace-out PATH    [per-stream causal trace, Chrome JSON;
                                    implies --slo; with --nodes N the
                                    per-node traces are stitched under
@@ -127,7 +131,9 @@ commands:
                                      recorder ring; default 64]
               --dump-on-exit      [also dump a manual bundle at exit]
               --profile-out PATH  [phase profile as collapsed stacks,
-                                   flamegraph.pl/inferno compatible]
+                                   flamegraph.pl/inferno compatible;
+                                   with --nodes N every node's rounds
+                                   fold into the same stacks]
               --prom-out PATH     [Prometheus text exposition of the
                                    metrics registry, written per round;
                                    with --nodes N it also carries the

@@ -7,7 +7,9 @@ use mzd_core::{GuaranteeModel, WorstCaseRate, ZoneHandling};
 use mzd_disk::{profiles, Disk, DiskProfile};
 use mzd_sim::{estimate_p_late_par, SimConfig};
 use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
+use rand::{rngs::StdRng, SeedableRng};
 use std::fmt::Write as _;
+use std::path::PathBuf;
 
 /// Execute a parsed command line, returning the text to print.
 ///
@@ -93,8 +95,7 @@ fn analyze_trace(parsed: &Parsed) -> Result<String, CliError> {
     if path.is_empty() {
         return Err(CliError::Usage("analyze-trace needs --file PATH".into()));
     }
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Execution(format!("cannot read {path}: {e}")))?;
+    let text = read_file(path)?;
     let trace =
         mzd_workload::Trace::parse(&text).map_err(|e| CliError::Execution(e.to_string()))?;
     let delta = parsed.f64_or("delta", 0.01)?;
@@ -255,7 +256,6 @@ fn simulate(parsed: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-#[allow(clippy::too_many_lines)]
 /// Build the per-server configuration the `serve` flags describe —
 /// shared by the single-node path and (as the per-node template) the
 /// `--nodes N` fleet path.
@@ -318,31 +318,283 @@ fn serve_catalog(parsed: &Parsed) -> Result<(Vec<ObjectSpec>, Zipf), CliError> {
     Ok((catalog, zipf))
 }
 
-fn serve(parsed: &Parsed) -> Result<String, CliError> {
-    use rand::{rngs::StdRng, SeedableRng};
+/// Running totals of one `serve` loop. The last three are fleet-only.
+#[derive(Default)]
+struct Totals {
+    stream_rounds: u64,
+    completions: u64,
+    /// Requests turned away at capacity.
+    rejected: u64,
+    /// Host glitch events.
+    glitches: u64,
+    migrated: u64,
+    late_disks: u64,
+    /// Rounds in which a node failed.
+    failures: Vec<u64>,
+}
 
+/// What the one `serve` loop needs from a single server or a fleet.
+trait Serving {
+    /// Offer one request; `true` when it is turned away at capacity.
+    fn offer(&mut self, object: ObjectSpec) -> bool;
+    /// Run one round into `totals`, returning its completions.
+    fn step(&mut self, totals: &mut Totals) -> usize;
+    /// Dump a manual postmortem now (`--dump-on-exit`).
+    fn dump_now(&mut self) -> Result<(), CliError>;
+    /// Exposition every `--prom-out` write appends to the registry.
+    fn prom_appendix(&self) -> Option<String> {
+        None
+    }
+}
+
+impl Serving for mzd_server::VideoServer {
+    fn offer(&mut self, object: ObjectSpec) -> bool {
+        // A request beyond capacity waits in the server's queue.
+        self.enqueue_stream(object);
+        false
+    }
+
+    fn step(&mut self, totals: &mut Totals) -> usize {
+        totals.stream_rounds += self.active_streams() as u64;
+        let report = self.run_round();
+        totals.glitches += report.glitched_streams.len() as u64;
+        report.completed_streams.len()
+    }
+
+    fn dump_now(&mut self) -> Result<(), CliError> {
+        match self.recorder() {
+            Some(rec) => rec
+                .trigger_dump(mzd_prof::DumpTrigger::Manual)
+                .map(drop)
+                .map_err(|e| CliError::Execution(format!("postmortem dump failed: {e}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Serving for mzd_cluster::Cluster {
+    fn offer(&mut self, object: ObjectSpec) -> bool {
+        matches!(
+            self.submit(object),
+            Ok(mzd_cluster::SubmitOutcome::Rejected { .. })
+        )
+    }
+
+    fn step(&mut self, totals: &mut Totals) -> usize {
+        totals.stream_rounds += self.active_streams() as u64;
+        let report = self.run_round();
+        totals.glitches += report.glitched_streams;
+        totals.migrated += report.migrations.len() as u64;
+        totals.late_disks += u64::from(report.late_disks);
+        if !report.failed_nodes.is_empty() {
+            totals.failures.push(report.round);
+        }
+        report.completed.len()
+    }
+
+    fn dump_now(&mut self) -> Result<(), CliError> {
+        self.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
+        Ok(())
+    }
+
+    /// The fleet's node-labeled quantile-sketch series.
+    fn prom_appendix(&self) -> Option<String> {
+        Some(self.sketches().render_prom())
+    }
+}
+
+/// The one `serve` loop: offer `streams` requests, then run `rounds`
+/// rounds at constant offered load — every play-out completion draws a
+/// fresh request — rewriting `--metrics-out` and `--prom-out` after
+/// every round so a mid-run reader sees live state. `--profile-out`
+/// profiles the loop; `--dump-on-exit` dumps once it ends.
+fn drive(
+    parsed: &Parsed,
+    target: &mut impl Serving,
+    (catalog, zipf): &(Vec<ObjectSpec>, Zipf),
+    seed: u64,
+    streams: u64,
+    rounds: u64,
+) -> Result<Totals, CliError> {
+    // The request-arrival RNG is deliberately separate from the target's
+    // seeded RNG so admission order does not perturb fragment sampling.
+    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
+    let mut draw = || catalog[zipf.sample(&mut arrivals)].clone();
+    let profiling = parsed.has("profile-out");
+    if profiling {
+        mzd_prof::reset_profile();
+        mzd_prof::set_profiling(true);
+    }
+    let mut totals = Totals::default();
+    for _ in 0..streams {
+        totals.rejected += u64::from(target.offer(draw()));
+    }
+    for _ in 0..rounds {
+        for _ in 0..target.step(&mut totals) {
+            totals.completions += 1;
+            totals.rejected += u64::from(target.offer(draw()));
+        }
+        if let Some(path) = parsed.str_opt("metrics-out") {
+            write_file(path, &mzd_telemetry::global().snapshot().to_json())?;
+        }
+        if let Some(path) = parsed.str_opt("prom-out") {
+            if let Some(appendix) = target.prom_appendix() {
+                crate::telemetry::set_prom_appendix(appendix);
+            }
+            write_file(path, &crate::telemetry::render_prom())?;
+        }
+    }
+    if profiling {
+        mzd_prof::set_profiling(false);
+    }
+    // Keep the appendix current for the exit-time `--prom-out` write.
+    if let Some(appendix) = target.prom_appendix() {
+        crate::telemetry::set_prom_appendix(appendix);
+    }
+    if parsed.flag("dump-on-exit") {
+        target.dump_now()?;
+    }
+    Ok(totals)
+}
+
+fn read_file(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path)
+        .map_err(|e| CliError::Execution(format!("cannot read {path}: {e}")))
+}
+
+pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
+    std::fs::write(path, contents)
+        .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))
+}
+
+/// Glitches per stream-round, 0 before any stream-round.
+fn glitch_rate(glitches: u64, stream_rounds: u64) -> f64 {
+    if stream_rounds == 0 {
+        0.0
+    } else {
+        glitches as f64 / stream_rounds as f64
+    }
+}
+
+/// Flight-recorder settings for `--postmortem-dir`, `None` without it.
+/// `config_echo` carries enough provenance for `mzd postmortem` to
+/// rebuild the analytic model and rerun the exact configuration; a
+/// fleet's `(nodes, lease rounds)` follow `disks`.
+fn recorder_settings(
+    parsed: &Parsed,
+    disks: u32,
+    fleet: Option<(u32, u32)>,
+    seed: u64,
+    streams: u64,
+    rounds: u64,
+) -> Result<Option<mzd_prof::RecorderSettings>, CliError> {
+    let Some(dir) = parsed.str_opt("postmortem-dir") else {
+        return Ok(None);
+    };
+    let capacity = usize::try_from(parsed.u64_or("recorder-capacity", 64)?)
+        .map_err(|_| CliError::Usage("--recorder-capacity is too large".into()))?;
+    let mut settings = mzd_prof::RecorderSettings::new(dir);
+    settings.capacity = capacity.max(1);
+    let echo = &mut settings.config_echo;
+    echo.push(("disk".into(), parsed.str_or("disk", "viking").into()));
+    echo.push(("disks".into(), disks.to_string()));
+    if let Some((nodes, lease_rounds)) = fleet {
+        echo.push(("nodes".into(), nodes.to_string()));
+        echo.push(("lease_rounds".into(), lease_rounds.to_string()));
+    }
+    echo.push((
+        "mean".into(),
+        format!("{}", parsed.f64_or("mean", 200_000.0)?),
+    ));
+    echo.push(("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)));
+    echo.push(("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)));
+    echo.push(("seed".into(), seed.to_string()));
+    echo.push(("streams".into(), streams.to_string()));
+    echo.push(("rounds".into(), rounds.to_string()));
+    let faults = parsed.str_or("fault-profile", "");
+    echo.push(("fault_profile".into(), faults.into()));
+    Ok(Some(settings))
+}
+
+/// The lines that close every `serve` report: `--trace-out` (`trace`
+/// holds the JSON and its span count, `None` when tracing is off),
+/// `--profile-out`, and the postmortem dumps (`None` without recorders,
+/// else the dumps and the line to print when there are none).
+fn serve_tail(
+    out: &mut String,
+    parsed: &Parsed,
+    trace: Option<(String, String)>,
+    dumps: Option<(Vec<(mzd_prof::DumpTrigger, PathBuf)>, String)>,
+) -> Result<(), CliError> {
+    if let Some(path) = parsed.str_opt("trace-out") {
+        let (json, spans) =
+            trace.ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
+        write_file(path, &json)?;
+        let _ = writeln!(out, "  trace: {spans} -> {path}");
+    }
+    if let Some(path) = parsed.str_opt("profile-out") {
+        let folded = mzd_prof::collapsed();
+        write_file(path, &folded)?;
+        let stacks = folded.lines().count();
+        let _ = writeln!(out, "  profile: {stacks} stack(s) -> {path}");
+    }
+    if let Some((dumps, none)) = dumps {
+        if dumps.is_empty() {
+            let _ = writeln!(out, "  postmortem: {none}");
+        }
+        for (trigger, path) in dumps {
+            let (trigger, path) = (trigger.as_str(), path.display());
+            let _ = writeln!(out, "  postmortem: {trigger} -> {path}");
+        }
+    }
+    Ok(())
+}
+
+/// `mzd serve`: one server, or with `--nodes N` (N > 1) a sharded
+/// fleet of such servers, driven by the same loop.
+fn serve(parsed: &Parsed) -> Result<String, CliError> {
     let disks = u32::try_from(parsed.u64_or("disks", 1)?)
         .map_err(|_| CliError::Usage("--disks is too large".into()))?;
     let nodes = u32::try_from(parsed.u64_or("nodes", 1)?)
         .map_err(|_| CliError::Usage("--nodes is too large".into()))?;
-    if nodes > 1 {
-        return serve_cluster(parsed, nodes, disks);
+    let fleet = nodes > 1;
+    // A flag only the other path reads is a usage error, not a no-op.
+    let foreign: &[&str] = if fleet {
+        &["slo"]
+    } else {
+        &["health", "gray-node", "lease-rounds"]
+    };
+    if let Some(flag) = foreign.iter().find(|flag| parsed.has(flag)) {
+        return Err(CliError::Usage(if fleet {
+            format!(
+                "--{flag} is single-server only; fleet nodes run SLO via --degrade or --trace-out"
+            )
+        } else {
+            format!("--{flag} needs a fleet: add --nodes N with N > 1")
+        }));
     }
-    let streams = parsed.u64_or("streams", 28)?;
     let rounds = parsed.u64_or("rounds", 1200)?;
     let seed = parsed.u64_or("seed", 42)?;
-    let (catalog, zipf) = serve_catalog(parsed)?;
-
     let cfg = serve_server_config(parsed, disks)?;
-    let degrade_enabled = parsed.flag("degrade");
+    if fleet {
+        serve_fleet(parsed, cfg, nodes, rounds, seed)
+    } else {
+        serve_single(parsed, cfg, rounds, seed)
+    }
+}
 
-    // The request-arrival RNG is deliberately separate from the server's
-    // seeded RNG so admission order does not perturb fragment sampling.
-    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-
+fn serve_single(
+    parsed: &Parsed,
+    cfg: mzd_server::ServerConfig,
+    rounds: u64,
+    seed: u64,
+) -> Result<String, CliError> {
+    let streams = parsed.u64_or("streams", 28)?;
+    let disks = cfg.disks;
+    let catalog = serve_catalog(parsed)?;
     // The degradation ladder is driven by the burn-rate alert, so
     // `--degrade` implies the SLO layer (like `--trace-out` does).
-    let slo_enabled = parsed.flag("slo") || parsed.has("trace-out") || degrade_enabled;
+    let slo_enabled = parsed.flag("slo") || parsed.has("trace-out") || cfg.degrade.is_some();
     let target = cfg.target;
     let mut server =
         mzd_server::VideoServer::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
@@ -353,86 +605,26 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
             .enable_slo(settings)
             .map_err(|e| CliError::Execution(e.to_string()))?;
     }
-    if let Some(dir) = parsed.str_opt("postmortem-dir") {
-        let capacity = usize::try_from(parsed.u64_or("recorder-capacity", 64)?)
-            .map_err(|_| CliError::Usage("--recorder-capacity is too large".into()))?;
-        let mut settings = mzd_prof::RecorderSettings::new(dir);
-        settings.capacity = capacity.max(1);
-        // Enough provenance for `mzd postmortem` to rebuild the analytic
-        // model and rerun the exact configuration.
-        settings.config_echo = vec![
-            ("disk".into(), parsed.str_or("disk", "viking").into()),
-            ("disks".into(), disks.to_string()),
-            (
-                "mean".into(),
-                format!("{}", parsed.f64_or("mean", 200_000.0)?),
-            ),
-            ("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)),
-            ("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)),
-            ("seed".into(), seed.to_string()),
-            ("streams".into(), streams.to_string()),
-            ("rounds".into(), rounds.to_string()),
-            (
-                "fault_profile".into(),
-                parsed.str_or("fault-profile", "").into(),
-            ),
-        ];
+    if let Some(settings) = recorder_settings(parsed, disks, None, seed, streams, rounds)? {
         let recorder = mzd_prof::Recorder::new(settings);
         mzd_prof::install_panic_hook(recorder.clone());
         server.attach_recorder(recorder);
     }
-    let profiling = parsed.str_opt("profile-out").is_some();
-    if profiling {
-        mzd_prof::reset_profile();
-        mzd_prof::set_profiling(true);
-    }
-    for _ in 0..streams {
-        let object = catalog[zipf.sample(&mut arrivals)].clone();
-        server.enqueue_stream(object);
-    }
-    let mut glitches = 0u64;
-    let mut stream_rounds = 0u64;
-    let mut completions = 0u64;
-    for _ in 0..rounds {
-        stream_rounds += server.active_streams() as u64;
-        let report = server.run_round();
-        glitches += report.glitched_streams.len() as u64;
-        // Constant offered load: every play-out completion re-draws a
-        // fresh request from the popularity law.
-        for _ in &report.completed_streams {
-            completions += 1;
-            let object = catalog[zipf.sample(&mut arrivals)].clone();
-            server.enqueue_stream(object);
-        }
-        // Live exposition: a scraper (or textfile collector) pointed at
-        // the file sees the registry as of the latest completed round.
-        if let Some(path) = parsed.str_opt("prom-out") {
-            std::fs::write(path, crate::telemetry::render_prom())
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        }
-    }
-    if profiling {
-        mzd_prof::set_profiling(false);
-    }
-    if parsed.flag("dump-on-exit") {
-        if let Some(rec) = server.recorder() {
-            rec.trigger_dump(mzd_prof::DumpTrigger::Manual)
-                .map_err(|e| CliError::Execution(format!("postmortem dump failed: {e}")))?;
-        }
-    }
+    let totals = drive(parsed, &mut server, &catalog, seed, streams, rounds)?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
         "served {rounds} rounds on {disks} disk(s) (seed {seed}):"
     );
-    // `serve_catalog` built at least one object (a Zipf law over zero
-    // ranks is an error), all `--object-rounds` long.
+    // The catalog holds at least one object (a Zipf law over zero ranks
+    // is an error), all `--object-rounds` long.
+    let (objects, zipf) = &catalog;
     let _ = writeln!(
         out,
         "  catalog: {} objects x {} rounds, Zipf skew {}",
-        catalog.len(),
-        catalog[0].rounds,
+        objects.len(),
+        objects[0].rounds,
         zipf.skew()
     );
     let adm = server.admission();
@@ -451,16 +643,13 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         "  streams: {} active, {} waiting, {} completed play-out",
         server.active_streams(),
         server.waiting_streams(),
-        completions
+        totals.completions
     );
-    let glitch_rate = if stream_rounds == 0 {
-        0.0
-    } else {
-        glitches as f64 / stream_rounds as f64
-    };
+    let (glitches, stream_rounds) = (totals.glitches, totals.stream_rounds);
+    let rate = glitch_rate(glitches, stream_rounds);
     let _ = writeln!(
         out,
-        "  glitches: {glitches} in {stream_rounds} stream-rounds (rate {glitch_rate:.5})"
+        "  glitches: {glitches} in {stream_rounds} stream-rounds (rate {rate:.5})"
     );
     if let Some(cache) = server.cache() {
         let stats = cache.stats();
@@ -526,61 +715,37 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
                 ""
             }
         );
-        if let Some(path) = parsed.str_opt("trace-out") {
-            let json = server
-                .trace_chrome_json()
-                .ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
-            std::fs::write(path, json)
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "  trace: {} span(s) -> {path}", status.trace_spans);
-        }
     }
-    if let Some(path) = parsed.str_opt("profile-out") {
-        let folded = mzd_prof::collapsed();
-        std::fs::write(path, &folded)
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(
-            out,
-            "  profile: {} stack(s) -> {path}",
-            folded.lines().count()
-        );
-    }
-    if let Some(rec) = server.recorder() {
-        let dumps = rec.dumps();
-        if dumps.is_empty() {
-            let _ = writeln!(
-                out,
-                "  postmortem: no dump triggered ({} round(s) retained)",
-                rec.len()
-            );
-        }
-        for (trigger, path) in dumps {
-            let _ = writeln!(
-                out,
-                "  postmortem: {} -> {}",
-                trigger.as_str(),
-                path.display()
-            );
-        }
-    }
+    let trace = server
+        .trace_chrome_json()
+        .zip(server.slo_status())
+        .map(|(json, s)| (json, format!("{} span(s)", s.trace_spans)));
+    let dumps = server.recorder().map(|rec| {
+        let none = format!("no dump triggered ({} round(s) retained)", rec.len());
+        (rec.dumps(), none)
+    });
+    serve_tail(&mut out, parsed, trace, dumps)?;
     Ok(out)
 }
 
-/// `mzd serve --nodes N`: the sharded fleet. One dispatcher, N nodes of
-/// `--disks` disks, consistent-hash placement, lease-timeout failure
+/// The sharded fleet behind `serve --nodes N`: one dispatcher, N nodes
+/// of `--disks` disks, consistent-hash placement, lease-timeout failure
 /// detection, and the paper guarantee composed fleet-wide.
-fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliError> {
-    use rand::{rngs::StdRng, SeedableRng};
-
-    let rounds = parsed.u64_or("rounds", 1200)?;
-    let seed = parsed.u64_or("seed", 42)?;
+fn serve_fleet(
+    parsed: &Parsed,
+    node: mzd_server::ServerConfig,
+    nodes: u32,
+    rounds: u64,
+    seed: u64,
+) -> Result<String, CliError> {
+    let disks = node.disks;
     let lease_rounds = u32::try_from(parsed.u64_or("lease-rounds", 3)?)
         .map_err(|_| CliError::Usage("--lease-rounds is too large".into()))?;
     let gray_node = u32::try_from(parsed.u64_or("gray-node", 0)?)
         .map_err(|_| CliError::Usage("--gray-node is too large".into()))?;
     let mut cfg = mzd_cluster::ClusterConfig::paper_reference(nodes, disks)
         .map_err(|e| CliError::Execution(e.to_string()))?;
-    cfg.node = serve_server_config(parsed, disks)?;
+    cfg.node = node;
     cfg.lease_rounds = lease_rounds;
     cfg.gray_node = gray_node;
     let mut fleet =
@@ -604,86 +769,12 @@ fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliE
     }
     // Correlated fleet postmortems: per-node recorders under
     // `DIR/node-{i}/` plus the fleet manifest the triggers write.
-    if let Some(dir) = parsed.str_opt("postmortem-dir") {
-        let capacity = usize::try_from(parsed.u64_or("recorder-capacity", 64)?)
-            .map_err(|_| CliError::Usage("--recorder-capacity is too large".into()))?;
-        let mut settings = mzd_prof::RecorderSettings::new(dir);
-        settings.capacity = capacity.max(1);
-        settings.config_echo = vec![
-            ("disk".into(), parsed.str_or("disk", "viking").into()),
-            ("disks".into(), disks.to_string()),
-            ("nodes".into(), nodes.to_string()),
-            ("lease_rounds".into(), lease_rounds.to_string()),
-            (
-                "mean".into(),
-                format!("{}", parsed.f64_or("mean", 200_000.0)?),
-            ),
-            ("sd".into(), format!("{}", parsed.f64_or("sd", 100_000.0)?)),
-            ("round".into(), format!("{}", parsed.f64_or("round", 1.0)?)),
-            ("seed".into(), seed.to_string()),
-            ("streams".into(), streams.to_string()),
-            ("rounds".into(), rounds.to_string()),
-            (
-                "fault_profile".into(),
-                parsed.str_or("fault-profile", "").into(),
-            ),
-        ];
+    let shape = Some((nodes, lease_rounds));
+    if let Some(settings) = recorder_settings(parsed, disks, shape, seed, streams, rounds)? {
         fleet.attach_recorders(&settings);
     }
-
-    let (catalog, zipf) = serve_catalog(parsed)?;
-    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-    let mut rejected = 0u64;
-    let submit = |fleet: &mut mzd_cluster::Cluster, arrivals: &mut StdRng| {
-        let object = catalog[zipf.sample(arrivals)].clone();
-        match fleet.submit(object) {
-            Ok(mzd_cluster::SubmitOutcome::Rejected { .. }) => 1u64,
-            _ => 0,
-        }
-    };
-    for _ in 0..streams {
-        rejected += submit(&mut fleet, &mut arrivals);
-    }
-
-    let mut host_glitches = 0u64;
-    let mut stream_rounds = 0u64;
-    let mut failures: Vec<u64> = Vec::new();
-    let mut migrated = 0u64;
-    let mut late_disks = 0u64;
-    for _ in 0..rounds {
-        stream_rounds += fleet.active_streams() as u64;
-        let report = fleet.run_round();
-        host_glitches += report.glitched_streams;
-        migrated += report.migrations.len() as u64;
-        late_disks += u64::from(report.late_disks);
-        if !report.failed_nodes.is_empty() {
-            failures.push(report.round);
-        }
-        // Constant offered load: every completion re-draws a request.
-        for _ in &report.completed {
-            rejected += submit(&mut fleet, &mut arrivals);
-        }
-        // Live flush: cluster.* counters and gauges land in the same
-        // snapshot sink per round, so a mid-run reader sees fleet
-        // state, not just the final write at exit.
-        if let Some(path) = parsed.str_opt("metrics-out") {
-            let json = mzd_telemetry::global().snapshot().to_json();
-            std::fs::write(path, json)
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(path) = parsed.str_opt("prom-out") {
-            // The fleet's labeled sketch series ride along as an
-            // appendix to the process-global registry.
-            crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
-            std::fs::write(path, crate::telemetry::render_prom())
-                .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        }
-    }
-    // Keep the appendix current for the exit-time `--prom-out` write.
-    crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
-    if parsed.flag("dump-on-exit") {
-        fleet.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
-    }
+    let catalog = serve_catalog(parsed)?;
+    let totals = drive(parsed, &mut fleet, &catalog, seed, streams, rounds)?;
 
     let status = fleet.status();
     let over_budget = fleet
@@ -722,33 +813,30 @@ fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliE
     let _ = writeln!(
         out,
         "  streams: {} active, {} waiting, {} completed play-out, {} rejected at capacity",
-        status.active_streams, status.waiting, status.completed, rejected
+        status.active_streams, status.waiting, status.completed, totals.rejected
     );
-    let glitch_rate = if stream_rounds == 0 {
-        0.0
-    } else {
-        status.total_glitches as f64 / stream_rounds as f64
-    };
+    let stream_rounds = totals.stream_rounds;
+    let rate = glitch_rate(status.total_glitches, stream_rounds);
     let _ = writeln!(
         out,
         "  glitches: {} host + {} outage in {} stream-rounds (rate {:.5}); {} late disk-rounds",
-        host_glitches, status.outage_glitches, stream_rounds, glitch_rate, late_disks
+        totals.glitches, status.outage_glitches, stream_rounds, rate, totals.late_disks
     );
     let _ = writeln!(
         out,
         "  failures: {} node failure(s){}{}; {} stream(s) migrated",
-        failures.len(),
-        if failures.is_empty() {
+        totals.failures.len(),
+        if totals.failures.is_empty() {
             String::new()
         } else {
-            format!(" at round(s) {failures:?}")
+            format!(" at round(s) {:?}", totals.failures)
         },
         if fleet.config().outages.is_empty() {
             String::new()
         } else {
             format!(" ({} scripted outage(s))", fleet.config().outages.len())
         },
-        migrated
+        totals.migrated
     );
     let _ = writeln!(
         out,
@@ -797,29 +885,15 @@ fn serve_cluster(parsed: &Parsed, nodes: u32, disks: u32) -> Result<String, CliE
             service.count()
         );
     }
-    if let Some(path) = parsed.str_opt("trace-out") {
-        let json = fleet
-            .trace_chrome_json()
-            .ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
+    let trace = fleet.trace_chrome_json().map(|json| {
         let spans = json.matches("\"ph\":\"X\"").count();
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "  trace: {spans} stitched span(s) -> {path}");
-    }
-    if parsed.has("postmortem-dir") {
-        let dumps = fleet.fleet_dumps();
-        if dumps.is_empty() {
-            let _ = writeln!(out, "  postmortem: no fleet dump triggered");
-        }
-        for (trigger, path) in dumps {
-            let _ = writeln!(
-                out,
-                "  postmortem: {} -> {}",
-                trigger.as_str(),
-                path.display()
-            );
-        }
-    }
+        (json, format!("{spans} stitched span(s)"))
+    });
+    let dumps = parsed.has("postmortem-dir").then(|| {
+        let none = "no fleet dump triggered".to_string();
+        (fleet.fleet_dumps().to_vec(), none)
+    });
+    serve_tail(&mut out, parsed, trace, dumps)?;
     Ok(out)
 }
 
@@ -830,30 +904,16 @@ fn report(parsed: &Parsed) -> Result<String, CliError> {
     let out_path = parsed
         .str_opt("out")
         .ok_or_else(|| CliError::Usage("report needs --out PATH".into()))?;
-    let events_text = std::fs::read_to_string(events_path)
-        .map_err(|e| CliError::Execution(format!("cannot read {events_path}: {e}")))?;
-    let metrics_text = match parsed.str_opt("metrics") {
-        None => None,
-        Some(path) => Some(
-            std::fs::read_to_string(path)
-                .map_err(|e| CliError::Execution(format!("cannot read {path}: {e}")))?,
-        ),
-    };
-    let profile_text = match parsed.str_opt("profile") {
-        None => None,
-        Some(path) => Some(
-            std::fs::read_to_string(path)
-                .map_err(|e| CliError::Execution(format!("cannot read {path}: {e}")))?,
-        ),
-    };
+    let events_text = read_file(events_path)?;
+    let metrics_text = parsed.str_opt("metrics").map(read_file).transpose()?;
+    let profile_text = parsed.str_opt("profile").map(read_file).transpose()?;
     let html = crate::report::render(
         &events_text,
         metrics_text.as_deref(),
         profile_text.as_deref(),
         events_path,
     );
-    std::fs::write(out_path, &html)
-        .map_err(|e| CliError::Execution(format!("cannot write {out_path}: {e}")))?;
+    write_file(out_path, &html)?;
     Ok(format!(
         "report: {} bytes of HTML -> {out_path}\n",
         html.len()

@@ -64,13 +64,10 @@ pub fn init(parsed: &Parsed) -> Result<(), CliError> {
 pub fn finish(parsed: &Parsed) -> Result<(), CliError> {
     mzd_telemetry::event::flush();
     if let Some(path) = parsed.str_opt("metrics-out") {
-        let json = mzd_telemetry::global().snapshot().to_json();
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
+        crate::commands::write_file(path, &mzd_telemetry::global().snapshot().to_json())?;
     }
     if let Some(path) = parsed.str_opt("prom-out") {
-        std::fs::write(path, render_prom())
-            .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))?;
+        crate::commands::write_file(path, &render_prom())?;
     }
     Ok(())
 }

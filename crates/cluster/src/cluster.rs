@@ -256,6 +256,12 @@ struct StreamMeta {
     glitches: u64,
     migrations: u32,
     rounds_total: u32,
+    /// The root span minted at submission, adopted by every host the
+    /// stream lands on (tracing only).
+    root: Option<SpanContext>,
+    /// The round the stream (re-)entered a queue, for queue-wait span
+    /// durations (tracing only).
+    queued_at: Option<u64>,
 }
 
 /// A point-in-time health-subsystem summary (see
@@ -296,15 +302,9 @@ struct HealthState {
     /// level, `round_length / node_capacity` — the same unit the
     /// retry budget is priced in.
     hedge_cost: f64,
-    recomposed: RecomposedGuarantee,
-    max_suspicion: f64,
-    probations: u64,
-    ejections: u64,
-    readmissions: u64,
-    clears: u64,
-    hedges_issued: u64,
-    hedges_won: u64,
-    hedge_slack_debited: f64,
+    /// The running summary [`Cluster::health_status`] reports; its
+    /// per-node counts are read from the detector instead.
+    status: HealthStatus,
     metrics: HealthMetrics,
 }
 
@@ -320,11 +320,9 @@ pub struct Cluster {
     dispatcher: Dispatcher,
     lease: LeaseTable,
     nodes: Vec<ServerNode>,
-    /// seq → (node, node-local stream id) for hosted streams.
-    hosted: BTreeMap<u64, (u32, u64)>,
-    /// (node, node-local id) → seq — the inverse, for report mapping.
+    /// (node, node-local id) → seq for every hosted stream.
     by_host: BTreeMap<(u32, u64), u64>,
-    /// seq → life-of-stream counters for every in-flight stream.
+    /// seq → life-of-stream record for every in-flight stream.
     meta: BTreeMap<u64, StreamMeta>,
     /// Requests held while no node was available to queue on.
     unrouted: Vec<Pending>,
@@ -342,12 +340,6 @@ pub struct Cluster {
     /// The fleet (dispatcher) tracer; `None` until
     /// [`Cluster::enable_tracing`].
     tracer: Option<Tracer>,
-    /// seq → the root span minted at submission, adopted by every
-    /// host the stream lands on (tracing only).
-    stream_roots: BTreeMap<u64, SpanContext>,
-    /// seq → the round the stream (re-)entered a queue, for queue-wait
-    /// span durations (tracing only).
-    queued_at: BTreeMap<u64, u64>,
     /// Per-node flight-recorder handles (clones of the recorders
     /// attached to the servers), for correlated fleet dumps.
     recorders: Vec<Option<Recorder>>,
@@ -444,7 +436,6 @@ impl Cluster {
             dispatcher,
             lease,
             nodes,
-            hosted: BTreeMap::new(),
             by_host: BTreeMap::new(),
             meta: BTreeMap::new(),
             unrouted: Vec::new(),
@@ -457,8 +448,6 @@ impl Cluster {
             metrics,
             sketches,
             tracer: None,
-            stream_roots: BTreeMap::new(),
-            queued_at: BTreeMap::new(),
             recorders,
             fleet_dir: None,
             fleet_dumps: Vec::new(),
@@ -528,15 +517,19 @@ impl Cluster {
         self.health = Some(HealthState {
             detector,
             hedge_cost: self.cfg.node.round_length / f64::from(self.guarantee.node_capacity.max(1)),
-            recomposed,
-            max_suspicion: 0.0,
-            probations: 0,
-            ejections: 0,
-            readmissions: 0,
-            clears: 0,
-            hedges_issued: 0,
-            hedges_won: 0,
-            hedge_slack_debited: 0.0,
+            status: HealthStatus {
+                probation_nodes: 0,
+                ejected_nodes: 0,
+                probations: 0,
+                ejections: 0,
+                readmissions: 0,
+                clears: 0,
+                hedges_issued: 0,
+                hedges_won: 0,
+                hedge_slack_debited: 0.0,
+                recomposed,
+                max_suspicion: 0.0,
+            },
             metrics,
         });
         Ok(())
@@ -549,15 +542,7 @@ impl Cluster {
         self.health.as_ref().map(|h| HealthStatus {
             probation_nodes: h.detector.probation_count(),
             ejected_nodes: h.detector.ejected_count(),
-            probations: h.probations,
-            ejections: h.ejections,
-            readmissions: h.readmissions,
-            clears: h.clears,
-            hedges_issued: h.hedges_issued,
-            hedges_won: h.hedges_won,
-            hedge_slack_debited: h.hedge_slack_debited,
-            recomposed: h.recomposed,
-            max_suspicion: h.max_suspicion,
+            ..h.status.clone()
         })
     }
 
@@ -575,7 +560,7 @@ impl Cluster {
     /// Streams the fleet is currently responsible for: hosted plus
     /// queued plus held unrouted.
     fn committed(&self) -> u64 {
-        (self.hosted.len() + self.dispatcher.queued_total() + self.unrouted.len()) as u64
+        (self.by_host.len() + self.dispatcher.queued_total() + self.unrouted.len()) as u64
     }
 
     /// Whether the health subsystem has `node` ejected. Ejection is
@@ -703,7 +688,7 @@ impl Cluster {
     /// Streams hosted fleet-wide right now.
     #[must_use]
     pub fn active_streams(&self) -> usize {
-        self.hosted.len()
+        self.by_host.len()
     }
 
     /// Requests waiting in queues (plus any held unrouted).
@@ -737,7 +722,7 @@ impl Cluster {
             round: self.round,
             nodes: self.cfg.nodes,
             live_nodes: self.lease.live_count(),
-            active_streams: self.hosted.len(),
+            active_streams: self.by_host.len(),
             waiting: self.waiting(),
             completed: self.completed.len(),
             total_glitches: self.total_glitches,
@@ -764,10 +749,11 @@ impl Cluster {
             .health
             .as_ref()
             .map_or(self.guarantee.fleet_capacity, |h| {
-                if h.recomposed.frozen {
+                if h.status.recomposed.frozen {
                     0
                 } else {
-                    h.recomposed
+                    h.status
+                        .recomposed
                         .effective_capacity
                         .min(self.guarantee.fleet_capacity)
                 }
@@ -780,41 +766,63 @@ impl Cluster {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.metrics.submitted.inc();
+        // Mint the stream's root span at submission: every host it
+        // lands on adopts this context, so the whole fleet itinerary
+        // is one causal chain under trace id `seq`.
+        let ts = self.round * self.round_us();
+        let root = self.tracer.as_mut().map(|tracer| {
+            let root = tracer.root(seq);
+            tracer.record("fleet.submit", "fleet", 0, seq, ts, 1, root, &[]);
+            root
+        });
         self.meta.insert(
             seq,
             StreamMeta {
                 glitches: 0,
                 migrations: 0,
                 rounds_total: object.rounds,
+                root,
+                queued_at: root.map(|_| self.round),
             },
         );
-        self.metrics.submitted.inc();
-        // Mint the stream's root span at submission: every host it
-        // lands on adopts this context, so the whole fleet itinerary
-        // is one causal chain under trace id `seq`.
-        let ts = self.round * self.round_us();
-        if let Some(tracer) = self.tracer.as_mut() {
-            let root = tracer.root(seq);
-            tracer.record("fleet.submit", "fleet", 0, seq, ts, 1, root, &[]);
-            self.stream_roots.insert(seq, root);
-            self.queued_at.insert(seq, self.round);
-        }
         let pending = Pending {
             seq,
             object,
             carried_glitches: 0,
             migrated: false,
         };
+        let node = self.route(pending);
+        Ok(SubmitOutcome::Queued { seq, node })
+    }
+
+    /// Park `pending` in the queue placement picks, or hold it unrouted
+    /// while no node is available. Returns the chosen node.
+    fn route(&mut self, pending: Pending) -> Option<u32> {
         let views = self.views();
         match self.dispatcher.route(pending, &views, &self.placement) {
-            Ok(node) => Ok(SubmitOutcome::Queued {
-                seq,
-                node: Some(node),
-            }),
+            Ok(node) => Some(node),
             Err(p) => {
                 self.unrouted.push(p);
-                Ok(SubmitOutcome::Queued { seq, node: None })
+                None
             }
+        }
+    }
+
+    /// Record a dispatcher span (pid 0, tid = seq) under the stream's
+    /// submission-time root. A no-op unless tracing is on.
+    fn fleet_span(
+        &mut self,
+        seq: u64,
+        name: &'static str,
+        ts: u64,
+        dur: u64,
+        args: &[(&'static str, u64)],
+    ) {
+        let root = self.meta.get(&seq).and_then(|m| m.root);
+        if let (Some(tracer), Some(root)) = (self.tracer.as_mut(), root) {
+            let ctx = tracer.child(&root);
+            tracer.record(name, "fleet", 0, seq, ts, dur, ctx, args);
         }
     }
 
@@ -858,8 +866,6 @@ impl Cluster {
     /// Finish bookkeeping for a stream that completed play-out.
     fn finish_stream(&mut self, seq: u64) -> ClusterCompletedStream {
         let meta = self.meta.remove(&seq).expect("completed stream has meta");
-        self.stream_roots.remove(&seq);
-        self.queued_at.remove(&seq);
         let record = ClusterCompletedStream {
             seq,
             glitches: meta.glitches,
@@ -888,9 +894,8 @@ impl Cluster {
         for e in manifest {
             let seq = self
                 .by_host
-                .remove(&(from, e.local_id))
+                .remove(&(from, e.handle.id()))
                 .expect("evacuated stream was hosted");
-            self.hosted.remove(&seq);
             let remaining = e.object.rounds - e.fragments_consumed;
             if remaining == 0 {
                 let record = self.finish_stream(seq);
@@ -899,60 +904,38 @@ impl Cluster {
             }
             let meta = self.meta.get_mut(&seq).expect("evacuated stream meta");
             meta.migrations += 1;
-            if let Some(tracer) = self.tracer.as_mut() {
-                if let Some(root) = self.stream_roots.get(&seq) {
-                    let ctx = tracer.child(root);
-                    tracer.record(
-                        span_name,
-                        "fleet",
-                        0,
-                        seq,
-                        round * round_us,
-                        1,
-                        ctx,
-                        &[("node", u64::from(from))],
-                    );
-                }
-                self.queued_at.insert(seq, round);
+            if self.tracer.is_some() {
+                meta.queued_at = Some(round);
             }
+            let carried_glitches = meta.glitches;
+            self.fleet_span(
+                seq,
+                span_name,
+                round * round_us,
+                1,
+                &[("node", u64::from(from))],
+            );
             let pending = Pending {
                 seq,
                 object: ObjectSpec {
                     rounds: remaining,
                     ..e.object
                 },
-                carried_glitches: meta.glitches,
+                carried_glitches,
                 migrated: true,
             };
             self.migrations_total += 1;
             self.metrics.migrated_streams.inc();
             self.metrics.requeued.inc();
-            let views = self.views();
-            match self.dispatcher.route(pending, &views, &self.placement) {
-                Ok(to) => {
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        if let Some(root) = self.stream_roots.get(&seq) {
-                            let ctx = tracer.child(root);
-                            tracer.record(
-                                "fleet.requeue",
-                                "fleet",
-                                0,
-                                seq,
-                                round * round_us,
-                                1,
-                                ctx,
-                                &[("to", u64::from(to))],
-                            );
-                        }
-                    }
-                    report.migrations.push(MigrationRecord {
-                        seq,
-                        from,
-                        to,
-                        remaining_rounds: remaining,
-                    });
-                }
-                Err(p) => self.unrouted.push(p),
+            if let Some(to) = self.route(pending) {
+                let args = [("to", u64::from(to))];
+                self.fleet_span(seq, "fleet.requeue", round * round_us, 1, &args);
+                report.migrations.push(MigrationRecord {
+                    seq,
+                    from,
+                    to,
+                    remaining_rounds: remaining,
+                });
             }
         }
         // Requests still parked on the evacuated node's queue re-route
@@ -960,10 +943,7 @@ impl Cluster {
         // line on the adopting queue).
         for pending in self.dispatcher.drain_node(from) {
             self.metrics.requeued.inc();
-            let views = self.views();
-            if let Err(p) = self.dispatcher.route(pending, &views, &self.placement) {
-                self.unrouted.push(p);
-            }
+            self.route(pending);
         }
     }
 
@@ -992,10 +972,7 @@ impl Cluster {
 
         // 2. Re-route requests held while the whole fleet was dark.
         for pending in std::mem::take(&mut self.unrouted) {
-            let views = self.views();
-            if let Err(p) = self.dispatcher.route(pending, &views, &self.placement) {
-                self.unrouted.push(p);
-            }
+            self.route(pending);
         }
 
         // 3. Dispatch: live, operational, non-ejected nodes pull from
@@ -1005,47 +982,31 @@ impl Cluster {
             if !operational[i as usize] || !self.lease.is_live(i) || self.is_health_ejected(i) {
                 continue;
             }
-            while self.dispatcher.peek(i).is_some() {
-                if !matches!(
+            while self.dispatcher.peek(i).is_some()
+                && matches!(
                     self.admission
                         .decide(&self.nodes[i as usize].per_disk_load()),
                     AdmissionDecision::Admit
-                ) {
+                )
+            {
+                let Some(pending) = self.dispatcher.pull(i) else {
                     break;
-                }
-                let pending = self.dispatcher.pull(i).expect("peeked entry");
+                };
                 // Hand the submission-time root to the adopting node:
                 // its admit/round spans stitch under it.
-                let root = self.stream_roots.get(&pending.seq).copied();
+                let root = self.meta.get(&pending.seq).and_then(|m| m.root);
                 let node = &mut self.nodes[i as usize];
-                match node.try_open_traced(pending.object.clone(), root) {
+                match node.try_open_traced(pending.object.clone(), root, pending.migrated) {
                     Some(local_id) => {
-                        if pending.migrated {
-                            // Riding the degradation ladder: the
-                            // adopter may serve this stream a reduced
-                            // rendition instead of glitching everyone.
-                            node.mark_degradable(local_id);
-                        }
-                        self.hosted.insert(pending.seq, (i, local_id));
                         self.by_host.insert((i, local_id), pending.seq);
                         let meta = self.meta.get_mut(&pending.seq).expect("queued stream meta");
                         meta.glitches = meta.glitches.max(pending.carried_glitches);
+                        let queued = meta.queued_at.take().unwrap_or(round);
                         report.admitted += 1;
                         self.metrics.admitted.inc();
-                        if let (Some(tracer), Some(root)) = (self.tracer.as_mut(), root) {
-                            let queued = self.queued_at.remove(&pending.seq).unwrap_or(round);
-                            let ctx = tracer.child(&root);
-                            tracer.record(
-                                "fleet.queue.wait",
-                                "fleet",
-                                0,
-                                pending.seq,
-                                queued * round_us,
-                                (round - queued) * round_us,
-                                ctx,
-                                &[("node", u64::from(i))],
-                            );
-                        }
+                        let (ts, dur) = (queued * round_us, (round - queued) * round_us);
+                        let args = [("node", u64::from(i))];
+                        self.fleet_span(pending.seq, "fleet.queue.wait", ts, dur, &args);
                     }
                     None => {
                         // Node backstop refused (should not out-admit
@@ -1094,7 +1055,7 @@ impl Cluster {
             }
         }
         if let Some(h) = self.health.as_mut() {
-            h.hedges_issued += hedges.len() as u64;
+            h.status.hedges_issued += hedges.len() as u64;
             h.metrics.hedges_issued.add(hedges.len() as u64);
         }
 
@@ -1130,16 +1091,16 @@ impl Cluster {
                 let slack = spare_slack.entry(spare).or_insert_with(|| {
                     reports[spare as usize].as_ref().map_or(0.0, |r| {
                         let worst = r
-                            .disk_service_times
+                            .disks
                             .iter()
-                            .fold(0.0_f64, |acc, &t| acc.max(t));
+                            .fold(0.0_f64, |acc, d| acc.max(d.service_time));
                         (round_length - worst).max(0.0)
                     })
                 });
                 if *slack >= h.hedge_cost {
                     *slack -= h.hedge_cost;
-                    h.hedges_won += 1;
-                    h.hedge_slack_debited += h.hedge_cost;
+                    h.status.hedges_won += 1;
+                    h.status.hedge_slack_debited += h.hedge_cost;
                     h.metrics.hedges_won.inc();
                     h.metrics.hedge_slack_debited.add(h.hedge_cost);
                     covered.insert(victim);
@@ -1156,17 +1117,19 @@ impl Cluster {
             };
             self.lease.renew(i, round);
             self.metrics.lease_renewals.inc();
-            report.late_disks += node_report.late_disks;
+            report.late_disks += node_report.disks.iter().filter(|d| d.late).count() as u32;
             // Feed the fleet observability plane: one service-time
             // sample per disk into the node's labeled sketch, merged
             // exactly at exposition time.
-            for &service_time in &node_report.disk_service_times {
+            let service_times: Vec<f64> =
+                node_report.disks.iter().map(|d| d.service_time).collect();
+            for &service_time in &service_times {
                 self.sketches
                     .node_mut(i)
                     .record(SKETCH_SERVICE_TIME, service_time);
             }
-            report.node_service_times[i as usize] = node_report.disk_service_times;
-            for local in node_report.glitched {
+            report.node_service_times[i as usize] = service_times;
+            for local in node_report.glitched_streams {
                 let seq = self.by_host[&(i, local)];
                 if covered.contains(&seq) {
                     // The winning hedge delivered this stream's round
@@ -1181,12 +1144,11 @@ impl Cluster {
                 self.total_glitches += 1;
                 self.metrics.glitches.inc();
             }
-            for local in node_report.completed {
+            for local in node_report.completed_streams {
                 let seq = self
                     .by_host
                     .remove(&(i, local))
                     .expect("completed stream was hosted");
-                self.hosted.remove(&seq);
                 let record = self.finish_stream(seq);
                 report.completed.push(record);
             }
@@ -1259,15 +1221,15 @@ impl Cluster {
             let outcome = {
                 let h = self.health.as_mut().expect("health checked above");
                 let outcome = h.detector.observe(round, &samples);
-                h.probations += outcome.probated.len() as u64;
+                h.status.probations += outcome.probated.len() as u64;
                 h.metrics.probations.add(outcome.probated.len() as u64);
-                h.readmissions += outcome.readmitted.len() as u64;
+                h.status.readmissions += outcome.readmitted.len() as u64;
                 h.metrics.readmissions.add(outcome.readmitted.len() as u64);
-                h.clears += outcome.cleared.len() as u64;
+                h.status.clears += outcome.cleared.len() as u64;
                 h.metrics.clears.add(outcome.cleared.len() as u64);
-                h.ejections += outcome.ejected.len() as u64;
+                h.status.ejections += outcome.ejected.len() as u64;
                 h.metrics.ejections.add(outcome.ejected.len() as u64);
-                h.max_suspicion = outcome.max_suspicion;
+                h.status.max_suspicion = outcome.max_suspicion;
                 h.metrics.suspicion_max.set(outcome.max_suspicion);
                 outcome
             };
@@ -1281,7 +1243,7 @@ impl Cluster {
             let committed = self.committed();
             let h = self.health.as_mut().expect("health checked above");
             let ejected_count = h.detector.ejected_count();
-            h.recomposed = mzd_health::recompose(
+            h.status.recomposed = mzd_health::recompose(
                 n,
                 u64::from(self.guarantee.node_capacity),
                 self.guarantee.p_error_stream,
@@ -1291,13 +1253,13 @@ impl Cluster {
             #[allow(clippy::cast_precision_loss)]
             h.metrics
                 .fleet_capacity
-                .set(h.recomposed.effective_capacity as f64);
+                .set(h.status.recomposed.effective_capacity as f64);
             h.metrics
                 .degrade_rung
-                .set(f64::from(h.recomposed.degrade_rung));
+                .set(f64::from(h.status.recomposed.degrade_rung));
             h.metrics
                 .admission_frozen
-                .set(f64::from(u8::from(h.recomposed.frozen)));
+                .set(f64::from(u8::from(h.status.recomposed.frozen)));
             h.metrics
                 .nodes_probation
                 .set(f64::from(h.detector.probation_count()));
@@ -1308,7 +1270,7 @@ impl Cluster {
         }
 
         // 8. Gauges and the round counter.
-        self.metrics.streams_active.set(self.hosted.len() as f64);
+        self.metrics.streams_active.set(self.by_host.len() as f64);
         self.metrics.streams_waiting.set(self.waiting() as f64);
         self.metrics
             .nodes_available

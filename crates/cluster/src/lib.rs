@@ -68,7 +68,7 @@ pub use cluster::{
 };
 pub use dispatcher::{Dispatcher, LeaseTable, NodeView, Pending};
 pub use guarantee::ClusterGuarantee;
-pub use node::{EvacuatedStream, NodeRoundReport, ServerNode};
+pub use node::ServerNode;
 pub use placement::Placement;
 
 /// Errors from cluster configuration and operation.

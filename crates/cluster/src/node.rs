@@ -5,52 +5,22 @@
 //! wraps the full [`mzd_server::VideoServer`] (config + admission +
 //! round loop) behind the narrow surface the cluster needs.
 
-use mzd_server::{ServerConfig, SloSettings, StreamHandle, VideoServer};
+use mzd_server::{ActiveStreamInfo, RoundReport, ServerConfig, SloSettings, VideoServer};
 use mzd_workload::ObjectSpec;
 
 use crate::ClusterError;
 
-/// What one node reports after stepping one round.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NodeRoundReport {
-    /// Node-local ids of streams that glitched this round.
-    pub glitched: Vec<u64>,
-    /// Node-local ids of streams that finished play-out this round.
-    pub completed: Vec<u64>,
-    /// Disks that overran the round.
-    pub late_disks: u32,
-    /// Per-disk sweep service times this round (seconds), in disk
-    /// order — the samples the fleet observability plane feeds into
-    /// its per-node quantile sketches.
-    pub disk_service_times: Vec<f64>,
-}
-
-/// One stream pulled off a failed node, with enough state to resume it
-/// elsewhere.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvacuatedStream {
-    /// The stream's id on the failed node.
-    pub local_id: u64,
-    /// The object being played out (full original spec).
-    pub object: ObjectSpec,
-    /// Fragments already consumed — the resume point.
-    pub fragments_consumed: u32,
-    /// Glitches charged on the failed node.
-    pub glitches: u64,
-}
-
-/// One fleet member: a full [`VideoServer`] plus the handle
-/// bookkeeping the cluster needs. The cluster sees identity and
-/// capacity, admission-gated stream open, one round of the serving
-/// loop, and evacuation on failure; everything else the full server
-/// offers (caching, SLO, tracing, recorder) stays behind it.
+/// One fleet member: a full [`VideoServer`] behind the narrow surface
+/// the cluster needs. The cluster sees identity and capacity,
+/// admission-gated stream open, one round of the serving loop, and
+/// evacuation on failure; everything else the full server offers
+/// (caching, SLO, tracing, recorder) stays behind it. Streams are
+/// named by their local id, the [`mzd_server::StreamHandle::id`] the
+/// server issued.
 #[derive(Debug)]
 pub struct ServerNode {
     id: u32,
     server: VideoServer,
-    /// Handles by local id — `StreamHandle` is opaque, so the node keeps
-    /// the map from the ids it reports to the handles it got.
-    handles: std::collections::BTreeMap<u64, StreamHandle>,
 }
 
 impl ServerNode {
@@ -67,11 +37,7 @@ impl ServerNode {
         if degrade {
             server.enable_slo(SloSettings::for_target(target))?;
         }
-        Ok(Self {
-            id,
-            server,
-            handles: std::collections::BTreeMap::new(),
-        })
+        Ok(Self { id, server })
     }
 
     /// The wrapped server, for read-only inspection (reports, tests).
@@ -102,20 +68,30 @@ impl ServerNode {
         self.server.attach_recorder(recorder);
     }
 
-    /// [`ServerNode::try_open`] with an externally minted root span adopted
-    /// for the stream — how the dispatcher's submission-time
-    /// [`mzd_telemetry::SpanContext`] stitches into this node's trace
-    /// so a migrated stream stays one causal chain across hosts.
+    /// Try to open a stream; `Some(local id)` on admission, `None` if
+    /// the node's own controller rejects (the cluster's composed limit
+    /// is checked by the caller first — this is the node's backstop).
+    ///
+    /// `root`, when given, is the dispatcher's submission-time
+    /// [`mzd_telemetry::SpanContext`], adopted so a migrated stream
+    /// stays one causal chain across hosts. A `migrated` stream is
+    /// marked degradable: it accepts a reduced-bitrate rendition at
+    /// degradation rung 3+, so absorbing a failed node's load rides the
+    /// existing ladder instead of glitching everyone.
     pub fn try_open_traced(
         &mut self,
         object: ObjectSpec,
         root: Option<mzd_telemetry::SpanContext>,
+        migrated: bool,
     ) -> Option<u64> {
         let handle = match root {
             Some(root) => self.server.open_stream_with_root(object, root).ok()?,
             None => self.server.open_stream(object).ok()?,
         };
-        self.handles.insert(handle.id(), handle);
+        if migrated {
+            // The handle was issued just above, so the stream is active.
+            let _ = self.server.set_degradable(handle, true);
+        }
         Some(handle.id())
     }
 
@@ -145,58 +121,24 @@ impl ServerNode {
         self.server.per_disk_load()
     }
 
-    /// Try to open a stream; `Some(local id)` on admission, `None` if
-    /// the node's own controller rejects (the cluster's composed limit
-    /// is checked by the caller first — this is the node's backstop).
-    pub fn try_open(&mut self, object: ObjectSpec) -> Option<u64> {
-        self.try_open_traced(object, None)
+    /// Advance one round. Stream ids in the report are local ids.
+    pub fn step_round(&mut self) -> RoundReport {
+        self.server.run_round()
     }
 
-    /// Mark a hosted stream as degradable (a migrated stream accepts a
-    /// reduced-bitrate rendition at degradation rung 3+, so absorbing a
-    /// failed node's load rides the existing ladder instead of glitching
-    /// everyone). Returns whether the stream was found.
-    pub fn mark_degradable(&mut self, local_id: u64) -> bool {
-        match self.handles.get(&local_id) {
-            Some(&h) => self.server.set_degradable(h, true).is_ok(),
-            None => false,
-        }
-    }
-
-    /// Advance one round.
-    pub fn step_round(&mut self) -> NodeRoundReport {
-        let report = self.server.run_round();
-        for id in &report.completed_streams {
-            self.handles.remove(id);
-        }
-        NodeRoundReport {
-            late_disks: report.disks.iter().filter(|d| d.late).count() as u32,
-            disk_service_times: report.disks.iter().map(|d| d.service_time).collect(),
-            glitched: report.glitched_streams,
-            completed: report.completed_streams,
-        }
-    }
-
-    /// Close every hosted stream and return the manifest, sorted by
-    /// local id (admission order) so migration is deterministic.
-    pub fn evacuate(&mut self) -> Vec<EvacuatedStream> {
+    /// Close every hosted stream and return the manifest — each entry
+    /// carries the object and resume point — sorted by local id
+    /// (admission order) so migration is deterministic.
+    pub fn evacuate(&mut self) -> Vec<ActiveStreamInfo> {
         let manifest = self.server.active_session_info();
-        let mut out = Vec::with_capacity(manifest.len());
-        for info in manifest {
+        for info in &manifest {
             // `active_session_info` only lists live sessions; closing
             // them cannot fail.
             self.server
                 .close_stream(info.handle)
                 .expect("evacuating a live session");
-            self.handles.remove(&info.handle.id());
-            out.push(EvacuatedStream {
-                local_id: info.handle.id(),
-                object: info.object,
-                fragments_consumed: info.fragments_consumed,
-                glitches: info.glitches,
-            });
         }
-        out
+        manifest
     }
 }
 
@@ -218,37 +160,38 @@ mod tests {
         assert_eq!(n.id(), 3);
         assert_eq!(n.disks(), 2);
         assert_eq!(n.per_disk_load(), vec![0, 0]);
-        let a = n.try_open(obj(3)).unwrap();
-        let b = n.try_open(obj(10)).unwrap();
+        let a = n.try_open_traced(obj(3), None, false).unwrap();
+        let b = n.try_open_traced(obj(10), None, true).unwrap();
         assert_ne!(a, b);
         assert_eq!(n.active_streams(), 2);
-        assert!(n.mark_degradable(b));
-        assert!(!n.mark_degradable(999));
+        let mut completed = Vec::new();
         for _ in 0..3 {
-            n.step_round();
+            completed.extend(n.step_round().completed_streams);
         }
-        // The 3-round object completed and its handle is forgotten.
+        // The 3-round object completed; the migrated one plays on.
+        assert_eq!(completed, vec![a]);
         assert_eq!(n.active_streams(), 1);
-        assert!(!n.mark_degradable(a));
     }
 
     #[test]
     fn evacuation_returns_ordered_manifest_and_empties_node() {
         let mut n = node(2, 6);
-        let ids: Vec<u64> = (0..5).map(|_| n.try_open(obj(20)).unwrap()).collect();
+        let ids: Vec<u64> = (0..5)
+            .map(|_| n.try_open_traced(obj(20), None, false).unwrap())
+            .collect();
         n.step_round();
         n.step_round();
         let manifest = n.evacuate();
         assert_eq!(n.active_streams(), 0);
         assert_eq!(manifest.len(), 5);
-        let got: Vec<u64> = manifest.iter().map(|e| e.local_id).collect();
+        let got: Vec<u64> = manifest.iter().map(|e| e.handle.id()).collect();
         assert_eq!(got, ids);
         for e in &manifest {
             assert_eq!(e.fragments_consumed, 2);
             assert_eq!(e.object.rounds, 20);
         }
         // A fresh open works after evacuation.
-        assert!(n.try_open(obj(4)).is_some());
+        assert!(n.try_open_traced(obj(4), None, false).is_some());
     }
 
     #[test]
@@ -256,8 +199,8 @@ mod tests {
         let mut n = node(1, 7);
         let limit = n.server().admission().per_disk_limit();
         for _ in 0..limit {
-            assert!(n.try_open(obj(50)).is_some());
+            assert!(n.try_open_traced(obj(50), None, false).is_some());
         }
-        assert!(n.try_open(obj(50)).is_none());
+        assert!(n.try_open_traced(obj(50), None, false).is_none());
     }
 }

@@ -23,11 +23,11 @@ use mzd_core::{GuaranteeModel, ZoneHandling};
 use mzd_disk::Disk;
 use mzd_fault::FaultConfig;
 use mzd_sim::round::{OverrunPolicy, RoundSimulator, SeekPolicy, SimConfig};
-use mzd_slo::{AlertTransition, DriftTransition, Tracer};
+use mzd_slo::{Tracer, Transition};
 use mzd_workload::{ObjectSpec, SizeDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Rounds of cache-lookup history the hit-ratio measurement window spans.
 const HIT_WINDOW_ROUNDS: usize = 64;
@@ -42,7 +42,6 @@ struct ServerMetrics {
     accepted: mzd_telemetry::Counter,
     rejected: mzd_telemetry::Counter,
     queued: mzd_telemetry::Counter,
-    requeued: mzd_telemetry::Counter,
     queue_depth: mzd_telemetry::Histogram,
     buffer_occupancy: mzd_telemetry::Gauge,
     waiting: mzd_telemetry::Gauge,
@@ -63,7 +62,6 @@ impl ServerMetrics {
             accepted: g.counter("server.admission.accepted"),
             rejected: g.counter("server.admission.rejected"),
             queued: g.counter("server.admission.queued"),
-            requeued: g.counter("server.admission.requeued"),
             queue_depth: g.histogram("server.round.queue_depth"),
             buffer_occupancy: g.gauge("server.buffer.occupancy"),
             waiting: g.gauge("server.round.waiting"),
@@ -268,6 +266,75 @@ pub struct RoundReport {
     pub admitted_from_queue: Vec<u64>,
 }
 
+/// What a round's stages hand each other: the counts the SLO, degrade,
+/// cache and recorder stages read, and the glitched ids the report
+/// carries.
+#[derive(Debug, Default)]
+struct RoundTally {
+    /// Logical time of the round, microseconds (the tracer's clock).
+    trace_ts: u64,
+    /// Ladder rung at round entry.
+    rung: u8,
+    /// Unpaused streams served this round.
+    stream_rounds: u64,
+    hits: u64,
+    delayed_hits: u64,
+    misses: u64,
+    /// Requests served at the reduced rendition (rung 3+).
+    downshifts: u64,
+    /// Cache evictions before the round's fills.
+    evictions_before: u64,
+    /// Ids of the streams that glitched, in sweep order.
+    glitched: Vec<u64>,
+}
+
+/// Per-round working buffers, cleared and refilled every round so a
+/// steady-state round reuses their allocations.
+#[derive(Debug, Default)]
+struct RoundScratch {
+    /// Per-disk session indices of the round's disk batch.
+    batch: Vec<Vec<usize>>,
+    /// Per-disk fragment sizes, slot-aligned with `batch`.
+    sizes: Vec<Vec<f64>>,
+    /// Per-disk cache key each batch slot fetches (None for uncached
+    /// requests), slot-aligned with `batch`.
+    keys: Vec<Vec<Option<FragmentKey>>>,
+    /// Per-disk work-ahead fragments offered to the sweep's slack.
+    prefetch_sizes: Vec<Vec<f64>>,
+    prefetch_keys: Vec<Vec<FragmentKey>>,
+    /// Work-ahead keys already planned this round.
+    prefetch_planned: HashSet<FragmentKey>,
+    /// Sessions waiting on another stream's in-flight fetch, by fetched
+    /// key. Filled by the partition stage and fully drained by the
+    /// sweep; never iterated, so map order cannot affect behavior.
+    waiters: HashMap<FragmentKey, Vec<usize>>,
+}
+
+impl RoundScratch {
+    fn new(disks: usize) -> Self {
+        Self {
+            batch: vec![Vec::new(); disks],
+            sizes: vec![Vec::new(); disks],
+            keys: vec![Vec::new(); disks],
+            prefetch_sizes: vec![Vec::new(); disks],
+            prefetch_keys: vec![Vec::new(); disks],
+            ..Self::default()
+        }
+    }
+
+    fn clear(&mut self) {
+        for d in 0..self.batch.len() {
+            self.batch[d].clear();
+            self.sizes[d].clear();
+            self.keys[d].clear();
+            self.prefetch_sizes[d].clear();
+            self.prefetch_keys[d].clear();
+        }
+        self.prefetch_planned.clear();
+        self.waiters.clear();
+    }
+}
+
 /// The continuous-media server.
 #[derive(Debug)]
 pub struct VideoServer {
@@ -277,16 +344,10 @@ pub struct VideoServer {
     disks: Vec<RoundSimulator>,
     sessions: Vec<Session>,
     completed: Vec<CompletedStream>,
-    /// Pending requests as `(arrival id, object)`.
-    ///
-    /// **Fairness invariant:** the queue is kept sorted by ascending
-    /// arrival id at all times. [`Self::enqueue_stream`] appends with a
-    /// fresh (monotone) id; [`Self::requeue_stream`] re-inserts an old
-    /// arrival at its sorted position. [`Self::drain_wait_queue`] admits
-    /// strictly front-first, so admission order always equals arrival
-    /// order — a requeued (migrated/preempted) stream re-enters *ahead
-    /// of* every request that arrived after it, never at the tail.
-    waiting: std::collections::VecDeque<(u64, ObjectSpec)>,
+    /// Pending requests as `(arrival id, object)`, in arrival order:
+    /// [`Self::enqueue_stream`] appends with a fresh (monotone) id and
+    /// [`Self::drain_wait_queue`] admits strictly front-first.
+    waiting: VecDeque<(u64, ObjectSpec)>,
     rng: StdRng,
     next_id: u64,
     rounds_run: u64,
@@ -299,14 +360,8 @@ pub struct VideoServer {
     cache: Option<FragmentCache>,
     /// Sliding window of per-round `(lookups, disk visits avoided)` used
     /// to measure the hit ratio for cache-aware admission.
-    hit_window: std::collections::VecDeque<(u64, u64)>,
-    /// Scratch: per-disk session indices for the current round.
-    batch: Vec<Vec<usize>>,
-    /// Scratch: per-disk fragment sizes for the current round.
-    batch_sizes: Vec<Vec<f64>>,
-    /// Scratch: per-disk cache keys being fetched by each batch slot
-    /// (None for uncached requests).
-    batch_keys: Vec<Vec<Option<FragmentKey>>>,
+    hit_window: VecDeque<(u64, u64)>,
+    scratch: RoundScratch,
     metrics: ServerMetrics,
     /// Optional SLO layer: burn alerting, conformance, tracing.
     slo: Option<SloState>,
@@ -400,17 +455,15 @@ impl VideoServer {
             disks,
             sessions: Vec::new(),
             completed: Vec::new(),
-            waiting: std::collections::VecDeque::new(),
+            waiting: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
             rounds_run: 0,
             rejected: 0,
             load: vec![0; disk_count],
             cache,
-            hit_window: std::collections::VecDeque::with_capacity(HIT_WINDOW_ROUNDS + 1),
-            batch: vec![Vec::new(); disk_count],
-            batch_sizes: vec![Vec::new(); disk_count],
-            batch_keys: vec![Vec::new(); disk_count],
+            hit_window: VecDeque::with_capacity(HIT_WINDOW_ROUNDS + 1),
+            scratch: RoundScratch::new(disk_count),
             metrics: ServerMetrics::new(),
             slo: None,
             degrade,
@@ -594,66 +647,112 @@ impl VideoServer {
         load
     }
 
+    /// Open session `id` on `object` — the one admission path behind
+    /// [`Self::open_stream`] and [`Self::drain_wait_queue`], which differ
+    /// only in the event's `decision`. The caller has already consulted
+    /// the admission controller.
+    fn admit(
+        &mut self,
+        id: u64,
+        object: ObjectSpec,
+        root: Option<mzd_telemetry::SpanContext>,
+        decision: &'static str,
+    ) -> StreamHandle {
+        // Start on the least-loaded disk to keep the rotation balanced.
+        let start = self
+            .load
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &l)| l)
+            .map_or(0, |(d, _)| d as u32);
+        self.load[start as usize] += 1;
+        if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
+            cache.update_reader(id, cid, 0);
+        }
+        self.sessions.push(Session {
+            id,
+            object,
+            fragments_consumed: 0,
+            start_disk: start,
+            glitches: 0,
+            buffer: BufferTracker::new(),
+            paused: false,
+            degradable: false,
+        });
+        self.metrics.accepted.inc();
+        let ts = self.trace_now_us();
+        if let Some(slo) = self.slo.as_mut() {
+            if let Some(root) = root {
+                slo.adopt_root(id, root);
+            }
+            slo.record_stream_span(
+                id,
+                "admit",
+                "admission",
+                ts,
+                1,
+                &[("disk", u64::from(start))],
+            );
+        }
+        if mzd_telemetry::events_enabled() {
+            mzd_telemetry::emit(
+                mzd_telemetry::Event::new("server.admission")
+                    .str("decision", decision)
+                    .u64("stream", id)
+                    .u64("disk", u64::from(start)),
+            );
+        }
+        StreamHandle(id)
+    }
+
+    /// Retire session `idx`, whose reservation sits on `disk` — the one
+    /// retirement path behind [`Self::close_stream`] and the round's
+    /// advance stage. Releases the reservation, the cache reader and the
+    /// trace root, and files the stream's record. Returns its id.
+    fn retire(&mut self, idx: usize, disk: usize) -> u64 {
+        let s = self.sessions.swap_remove(idx);
+        self.load[disk] -= 1;
+        if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
+            cache.remove_reader(s.id);
+        }
+        if let Some(slo) = self.slo.as_mut() {
+            slo.forget_stream(s.id);
+        }
+        self.completed.push(CompletedStream {
+            id: s.id,
+            object: s.object.name,
+            rounds_played: s.fragments_consumed,
+            glitches: s.glitches,
+            buffer_high_water: s.buffer.high_water(),
+        });
+        s.id
+    }
+
     /// Try to open a stream on `object`. Admission is stochastic-guarantee
     /// driven: the request is rejected if any disk would exceed the
     /// precomputed per-disk limit.
     ///
     /// # Errors
-    /// [`ServerError::Invalid`] is never returned here; rejection is
-    /// signalled by `Ok(Err(decision))`-free design: the return is
-    /// `Result<StreamHandle, AdmissionDecision>` wrapped in the outer
-    /// server error for uniformity.
+    /// The controller's [`AdmissionDecision::Reject`] when the server is
+    /// at its limit.
     pub fn open_stream(&mut self, object: ObjectSpec) -> Result<StreamHandle, AdmissionDecision> {
+        self.try_open(object, None)
+    }
+
+    /// Open `object` if the controller admits it, adopting `root` as the
+    /// new stream's trace root when given.
+    fn try_open(
+        &mut self,
+        object: ObjectSpec,
+        root: Option<mzd_telemetry::SpanContext>,
+    ) -> Result<StreamHandle, AdmissionDecision> {
         // The rotation visits every disk, so the binding constraint is the
         // most loaded disk — checked by the controller.
         match self.admission.decide(&self.load) {
             AdmissionDecision::Admit => {
-                // Start on the least-loaded disk to keep the rotation
-                // balanced.
-                let start = self
-                    .load
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &l)| l)
-                    .map(|(d, _)| d as u32)
-                    .unwrap_or(0);
                 let id = self.next_id;
                 self.next_id += 1;
-                self.load[start as usize] += 1;
-                if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
-                    cache.update_reader(id, cid, 0);
-                }
-                self.sessions.push(Session {
-                    id,
-                    object,
-                    fragments_consumed: 0,
-                    start_disk: start,
-                    glitches: 0,
-                    buffer: BufferTracker::new(),
-                    paused: false,
-                    degradable: false,
-                });
-                self.metrics.accepted.inc();
-                let ts = self.trace_now_us();
-                if let Some(slo) = self.slo.as_mut() {
-                    slo.record_stream_span(
-                        id,
-                        "admit",
-                        "admission",
-                        ts,
-                        1,
-                        &[("disk", u64::from(start))],
-                    );
-                }
-                if mzd_telemetry::events_enabled() {
-                    mzd_telemetry::emit(
-                        mzd_telemetry::Event::new("server.admission")
-                            .str("decision", "accept")
-                            .u64("stream", id)
-                            .u64("disk", u64::from(start)),
-                    );
-                }
-                Ok(StreamHandle(id))
+                Ok(self.admit(id, object, root, "accept"))
             }
             reject @ AdmissionDecision::Reject { .. } => {
                 self.rejected += 1;
@@ -686,16 +785,7 @@ impl VideoServer {
         object: ObjectSpec,
         root: mzd_telemetry::SpanContext,
     ) -> Result<StreamHandle, AdmissionDecision> {
-        if let Some(slo) = self.slo.as_mut() {
-            slo.stage_root(root);
-        }
-        let result = self.open_stream(object);
-        if result.is_err() {
-            if let Some(slo) = self.slo.as_mut() {
-                slo.clear_staged_root();
-            }
-        }
-        result
+        self.try_open(object, Some(root))
     }
 
     /// Enqueue a stream request instead of rejecting it: §1's alternative
@@ -736,103 +826,17 @@ impl VideoServer {
         self.waiting.len()
     }
 
-    /// Re-enter a previously arrived request into the wait queue without
-    /// losing its place in line. `arrival` is the id the request was
-    /// assigned when it first arrived at this server (a queued entry's
-    /// id, or an admitted stream's [`StreamHandle::id`] when it is
-    /// preempted or migrated back).
-    ///
-    /// The entry is inserted at its sorted position by arrival id — not
-    /// pushed to the tail — so a requeued stream goes back in line ahead
-    /// of every request that arrived after it (see the fairness
-    /// invariant on [`Self::drain_wait_queue`]). Requeues of the same
-    /// arrival id keep their relative call order.
-    pub fn requeue_stream(&mut self, arrival: u64, object: ObjectSpec) {
-        let pos = self.waiting.partition_point(|(id, _)| *id <= arrival);
-        self.waiting.insert(pos, (arrival, object));
-        self.metrics.requeued.inc();
-        self.metrics.waiting.set(self.waiting.len() as f64);
-        if mzd_telemetry::events_enabled() {
-            mzd_telemetry::emit(
-                mzd_telemetry::Event::new("server.admission")
-                    .str("decision", "requeue")
-                    .u64("stream", arrival)
-                    .u64("position", pos as u64)
-                    .u64("waiting", self.waiting.len() as u64),
-            );
-        }
-    }
-
     /// Admit as many waiting requests as capacity allows, strictly
-    /// front-first. Called automatically at the end of every round;
-    /// public so callers can trigger it after [`Self::close_stream`].
-    ///
-    /// **Fairness invariant:** the wait queue is sorted by ascending
-    /// arrival id ([`Self::enqueue_stream`] appends monotone ids,
-    /// [`Self::requeue_stream`] re-inserts at the sorted position), and
-    /// this drain only ever admits the front entry. Together these
-    /// guarantee strict FIFO by *original arrival* even under requeue: a
-    /// migrated stream is re-admitted before any request that arrived
-    /// after it, and two requeued streams keep their relative arrival
-    /// order.
+    /// front-first, so admission order equals arrival order. Called
+    /// automatically at the end of every round; public so callers can
+    /// trigger it after [`Self::close_stream`].
     pub fn drain_wait_queue(&mut self) -> Vec<StreamHandle> {
-        debug_assert!(
-            self.waiting
-                .iter()
-                .zip(self.waiting.iter().skip(1))
-                .all(|((a, _), (b, _))| a <= b),
-            "wait queue out of arrival order — requeue must insert sorted"
-        );
         let mut admitted = Vec::new();
-        while let Some((id, object)) = self.waiting.front().cloned() {
-            match self.admission.decide(&self.load) {
-                AdmissionDecision::Admit => {
-                    self.waiting.pop_front();
-                    let start = self
-                        .load
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, &l)| l)
-                        .map(|(d, _)| d as u32)
-                        .unwrap_or(0);
-                    self.load[start as usize] += 1;
-                    if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
-                        cache.update_reader(id, cid, 0);
-                    }
-                    self.sessions.push(Session {
-                        id,
-                        object,
-                        fragments_consumed: 0,
-                        start_disk: start,
-                        glitches: 0,
-                        buffer: BufferTracker::new(),
-                        paused: false,
-                        degradable: false,
-                    });
-                    admitted.push(StreamHandle(id));
-                    self.metrics.accepted.inc();
-                    let ts = self.trace_now_us();
-                    if let Some(slo) = self.slo.as_mut() {
-                        slo.record_stream_span(
-                            id,
-                            "admit",
-                            "admission",
-                            ts,
-                            1,
-                            &[("disk", u64::from(start))],
-                        );
-                    }
-                    if mzd_telemetry::events_enabled() {
-                        mzd_telemetry::emit(
-                            mzd_telemetry::Event::new("server.admission")
-                                .str("decision", "dequeue")
-                                .u64("stream", id)
-                                .u64("disk", u64::from(start)),
-                        );
-                    }
-                }
-                AdmissionDecision::Reject { .. } => break,
-            }
+        while matches!(self.admission.decide(&self.load), AdmissionDecision::Admit) {
+            let Some((id, object)) = self.waiting.pop_front() else {
+                break;
+            };
+            admitted.push(self.admit(id, object, None, "dequeue"));
         }
         self.metrics.waiting.set(self.waiting.len() as f64);
         admitted
@@ -844,29 +848,12 @@ impl VideoServer {
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
     pub fn close_stream(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
-        let idx = self
-            .sessions
-            .iter()
-            .position(|s| s.id == handle.0)
-            .ok_or(ServerError::UnknownStream(handle.0))?;
-        let s = self.sessions.swap_remove(idx);
-        let d = self
+        let idx = self.session_index(handle)?;
+        let s = &self.sessions[idx];
+        let disk = self
             .layout
             .disk_of_fragment(s.start_disk, s.fragments_consumed);
-        self.load[d as usize] -= 1;
-        if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
-            cache.remove_reader(s.id);
-        }
-        if let Some(slo) = self.slo.as_mut() {
-            slo.forget_stream(s.id);
-        }
-        self.completed.push(CompletedStream {
-            id: s.id,
-            object: s.object.name.clone(),
-            rounds_played: s.fragments_consumed,
-            glitches: s.glitches,
-            buffer_high_water: s.buffer.high_water(),
-        });
+        self.retire(idx, disk as usize);
         Ok(())
     }
 
@@ -875,10 +862,14 @@ impl VideoServer {
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
     pub fn stream_glitches(&self, handle: StreamHandle) -> Result<u64, ServerError> {
+        Ok(self.sessions[self.session_index(handle)?].glitches)
+    }
+
+    /// Index of the active session behind `handle`.
+    fn session_index(&self, handle: StreamHandle) -> Result<usize, ServerError> {
         self.sessions
             .iter()
-            .find(|s| s.id == handle.0)
-            .map(|s| s.glitches)
+            .position(|s| s.id == handle.0)
             .ok_or(ServerError::UnknownStream(handle.0))
     }
 
@@ -917,12 +908,8 @@ impl VideoServer {
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
     pub fn pause_stream(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
-        let s = self
-            .sessions
-            .iter_mut()
-            .find(|s| s.id == handle.id())
-            .ok_or(ServerError::UnknownStream(handle.id()))?;
-        s.paused = true;
+        let i = self.session_index(handle)?;
+        self.sessions[i].paused = true;
         Ok(())
     }
 
@@ -931,12 +918,8 @@ impl VideoServer {
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
     pub fn resume_stream(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
-        let s = self
-            .sessions
-            .iter_mut()
-            .find(|s| s.id == handle.id())
-            .ok_or(ServerError::UnknownStream(handle.id()))?;
-        s.paused = false;
+        let i = self.session_index(handle)?;
+        self.sessions[i].paused = false;
         Ok(())
     }
 
@@ -945,11 +928,7 @@ impl VideoServer {
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
     pub fn is_paused(&self, handle: StreamHandle) -> Result<bool, ServerError> {
-        self.sessions
-            .iter()
-            .find(|s| s.id == handle.id())
-            .map(|s| s.paused)
-            .ok_or(ServerError::UnknownStream(handle.id()))
+        Ok(self.sessions[self.session_index(handle)?].paused)
     }
 
     /// Mark a stream degradable: at degradation rung 3+ it is served a
@@ -964,12 +943,8 @@ impl VideoServer {
         handle: StreamHandle,
         degradable: bool,
     ) -> Result<(), ServerError> {
-        let s = self
-            .sessions
-            .iter_mut()
-            .find(|s| s.id == handle.id())
-            .ok_or(ServerError::UnknownStream(handle.id()))?;
-        s.degradable = degradable;
+        let i = self.session_index(handle)?;
+        self.sessions[i].degradable = degradable;
         Ok(())
     }
 
@@ -985,119 +960,77 @@ impl VideoServer {
         })
     }
 
-    /// Rung 4: pause the newest [`DegradeSettings::shed_fraction`] of
-    /// unpaused streams. They hold their admission reservation (exactly
-    /// like a VCR pause) and resume automatically when the ladder steps
-    /// back below rung 4.
-    fn shed_newest_streams(&mut self) {
-        let fraction = self
-            .degrade
-            .as_ref()
-            .map_or(0.0, |d| d.settings.shed_fraction);
-        let mut candidates: Vec<(u64, usize)> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.paused)
-            .map(|(i, s)| (s.id, i))
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        // Newest first: the most recently admitted streams lose service
-        // first, preserving the oldest commitments.
-        candidates.sort_unstable_by_key(|&(id, _)| std::cmp::Reverse(id));
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-        #[allow(clippy::cast_sign_loss)]
-        let shed = ((candidates.len() as f64 * fraction).ceil() as usize).min(candidates.len());
-        for &(id, idx) in candidates.iter().take(shed) {
-            self.sessions[idx].paused = true;
-            self.shed_by_degrade.push(id);
-        }
-    }
-
-    /// Resume every stream the ladder shed, if still active.
-    fn resume_shed_streams(&mut self) {
-        for id in self.shed_by_degrade.drain(..) {
-            if let Some(s) = self.sessions.iter_mut().find(|s| s.id == id) {
-                s.paused = false;
-            }
-        }
-    }
-
-    fn emit_degrade_event(&self, action: &'static str, rung: u8) {
-        if mzd_telemetry::events_enabled() {
-            mzd_telemetry::emit(
-                mzd_telemetry::Event::new("server.degrade")
-                    .str("action", action)
-                    .u64("rung", u64::from(rung))
-                    .u64("round", self.rounds_run)
-                    .u64("shed", self.shed_by_degrade.len() as u64),
-            );
-        }
-    }
-
     /// Advance one global round: serve every active stream's next fragment
     /// — from the cache when it is resident or already being fetched,
     /// from the assigned disk otherwise — account glitches and buffers,
     /// retire finished streams.
+    ///
+    /// The round is six stages in a fixed order, each under its own
+    /// profile phase beneath `server.round`: partition, sweep, slo,
+    /// degrade, advance, cache.
     pub fn run_round(&mut self) -> RoundReport {
-        let _phase_round = mzd_prof::phase("server.round");
-        // Partition sessions over disks for this round, consulting the
-        // cache first: hits skip disk service entirely, delayed hits
-        // coalesce onto the in-flight fetch of an earlier stream, misses
-        // go to disk and fill the cache on completion.
-        let phase_partition = mzd_prof::phase("partition");
-        for b in &mut self.batch {
-            b.clear();
-        }
-        for b in &mut self.batch_sizes {
-            b.clear();
-        }
-        for b in &mut self.batch_keys {
-            b.clear();
-        }
-        let trace_ts = self.trace_now_us();
-        let round_us = (self.cfg.round_length * 1e6) as u64;
-        let rung = self.degrade.as_ref().map_or(0, DegradeState::rung);
-        let downshift_factor = self
+        let _phase = mzd_prof::phase("server.round");
+        let mut tally = self.partition_stage();
+        let disks = self.sweep_stage(&mut tally);
+        let alert_raised = self.slo_stage(&tally, &disks);
+        let escalated = self.degrade_stage(tally.downshifts);
+        let completed_streams = self.advance_stage();
+        self.cache_stage(&tally);
+
+        self.rounds_run += 1;
+        // Capacity freed by completions goes to waiting requests (§1:
+        // postponed admissions resume when streams terminate).
+        let admitted = self.drain_wait_queue();
+        let report = RoundReport {
+            round: self.rounds_run - 1,
+            disks,
+            glitched_streams: std::mem::take(&mut tally.glitched),
+            completed_streams,
+            admitted_from_queue: admitted.iter().map(StreamHandle::id).collect(),
+        };
+        self.publish_round(&report, &tally, alert_raised, escalated);
+        report
+    }
+
+    /// Partition stage: put every unpaused session's next fragment in
+    /// its disk's batch, consulting the cache first — hits skip disk
+    /// service entirely, delayed hits coalesce onto the in-flight fetch
+    /// of an earlier stream, misses go to disk and fill the cache on
+    /// completion — then plan the round's work-ahead prefetch.
+    fn partition_stage(&mut self) -> RoundTally {
+        let _phase = mzd_prof::phase("partition");
+        self.scratch.clear();
+        let (rung, downshift_factor) = self
             .degrade
             .as_ref()
-            .map_or(1.0, |d| d.settings.downshift_factor);
-        let mut downshifted_requests = 0u64;
-        let mut stream_rounds = 0u64;
-        let mut round_hits = 0u64;
-        let mut round_delayed = 0u64;
-        let mut round_misses = 0u64;
-        let evictions_before = self.cache.as_ref().map_or(0, |c| c.stats().evictions);
-        // Sessions waiting on another stream's in-flight fetch this round,
-        // by fetched key. Filled and fully drained within this call; never
-        // iterated, so map order cannot affect behavior.
-        let mut delayed_waiters: HashMap<FragmentKey, Vec<usize>> = HashMap::new();
-        for i in 0..self.sessions.len() {
-            if self.sessions[i].paused {
+            .map_or((0, 1.0), |d| (d.rung(), d.settings.downshift_factor));
+        let mut tally = RoundTally {
+            trace_ts: self.trace_now_us(),
+            rung,
+            evictions_before: self.cache.as_ref().map_or(0, |c| c.stats().evictions),
+            ..RoundTally::default()
+        };
+        let round_us = (self.cfg.round_length * 1e6) as u64;
+        for (i, s) in self.sessions.iter_mut().enumerate() {
+            if s.paused {
                 continue;
             }
-            stream_rounds += 1;
-            let s = &mut self.sessions[i];
-            let sid = s.id;
+            tally.stream_rounds += 1;
             let frag = s.fragments_consumed;
             let d = self.layout.disk_of_fragment(s.start_disk, frag) as usize;
             // Stored objects have one fixed size per fragment (shared by
             // every reader — the precondition for caching); i.i.d.
             // objects re-draw per round exactly as before.
-            let size = match s.object.stored_fragment_size(frag) {
+            let mut size = match s.object.stored_fragment_size(frag) {
                 Some(stored) => stored,
                 None => s.object.sizes.sample(&mut self.rng),
             };
             // Rung 3+: degradable streams accept a reduced rendition
             // instead of risking glitches at the full rate.
-            let size = if rung >= RUNG_DOWNSHIFT && s.degradable {
-                downshifted_requests += 1;
-                size * downshift_factor
-            } else {
-                size
-            };
+            if rung >= RUNG_DOWNSHIFT && s.degradable {
+                tally.downshifts += 1;
+                size *= downshift_factor;
+            }
             let mut fetch_key = None;
             let mut serve_from_disk = true;
             let mut disposition = "disk.read";
@@ -1109,20 +1042,20 @@ impl VideoServer {
                 };
                 match cache.lookup(key) {
                     Lookup::Hit => {
-                        round_hits += 1;
+                        tally.hits += 1;
                         self.metrics.cache_hit_latency.record(0.0);
                         s.buffer.deliver(size);
                         serve_from_disk = false;
                         disposition = "cache.hit";
                     }
                     Lookup::DelayedHit => {
-                        round_delayed += 1;
-                        delayed_waiters.entry(key).or_default().push(i);
+                        tally.delayed_hits += 1;
+                        self.scratch.waiters.entry(key).or_default().push(i);
                         serve_from_disk = false;
                         disposition = "cache.delayed_hit";
                     }
                     Lookup::Miss => {
-                        round_misses += 1;
+                        tally.misses += 1;
                         cache.begin_fetch(key);
                         fetch_key = Some(key);
                         disposition = "disk.fetch";
@@ -1130,18 +1063,18 @@ impl VideoServer {
                 }
             }
             if serve_from_disk {
-                self.batch[d].push(i);
-                self.batch_sizes[d].push(size);
-                self.batch_keys[d].push(fetch_key);
+                self.scratch.batch[d].push(i);
+                self.scratch.sizes[d].push(size);
+                self.scratch.keys[d].push(fetch_key);
             }
             if let Some(slo) = self.slo.as_mut() {
                 // One causal chain per stream per round: the round span
                 // under the stream root, the disposition under the round.
                 if let Some(round_ctx) = slo.record_stream_span(
-                    sid,
+                    s.id,
                     "stream.round",
                     "stream",
-                    trace_ts,
+                    tally.trace_ts,
                     round_us,
                     &[
                         ("round", self.rounds_run),
@@ -1151,65 +1084,79 @@ impl VideoServer {
                 ) {
                     let cat = if serve_from_disk { "disk" } else { "cache" };
                     let dur = if serve_from_disk { round_us } else { 1 };
-                    slo.record_under(round_ctx, disposition, cat, 1, sid, trace_ts, dur, &[]);
+                    slo.record_under(
+                        round_ctx,
+                        disposition,
+                        cat,
+                        1,
+                        s.id,
+                        tally.trace_ts,
+                        dur,
+                        &[],
+                    );
                 }
             }
         }
+        self.plan_work_ahead(rung);
+        tally
+    }
 
+    /// Work-ahead prefetch: upcoming fragments of cached stored objects
+    /// ride each disk's post-sweep slack, best-effort (the mandatory
+    /// batch keeps priority). Dropped at degradation rung 2+ — slack
+    /// work is the cheapest load to shed.
+    fn plan_work_ahead(&mut self, rung: u8) {
+        let enabled = self.cfg.work_ahead > 0 && rung < RUNG_DROP_PREFETCH;
+        let Some(cache) = self.cache.as_ref().filter(|_| enabled) else {
+            return;
+        };
+        let scratch = &mut self.scratch;
+        for s in self.sessions.iter().filter(|s| !s.paused) {
+            let Some(cid) = s.object.content_id else {
+                continue;
+            };
+            for look in 1..=self.cfg.work_ahead {
+                let frag = s.fragments_consumed + look;
+                if frag >= s.object.rounds {
+                    break;
+                }
+                let Some(bytes) = s.object.stored_fragment_size(frag) else {
+                    break;
+                };
+                let key = FragmentKey {
+                    object: cid,
+                    fragment: frag,
+                };
+                if cache.contains(key)
+                    || cache.fetch_in_flight(key)
+                    || !scratch.prefetch_planned.insert(key)
+                {
+                    continue;
+                }
+                let d = self.layout.disk_of_fragment(s.start_disk, frag) as usize;
+                scratch.prefetch_sizes[d].push(bytes);
+                scratch.prefetch_keys[d].push(key);
+            }
+        }
+    }
+
+    /// Sweep stage: each disk serves its batch, plus whatever work-ahead
+    /// fits in its slack, in one SCAN sweep (§2.3). Late requests glitch
+    /// their stream and every stream coalesced onto them; completed
+    /// fetches fill the cache and release their coalesced waiters.
+    fn sweep_stage(&mut self, tally: &mut RoundTally) -> Vec<mzd_prof::DiskPhases> {
+        let _phase = mzd_prof::phase("sweep");
         // Expected rotational + transfer time a cached copy of one
         // fragment saves the disk per hit — the cost-aware policy's rank.
         let rot_half = self.cfg.disk.rotation_time() / 2.0;
         let inv_rate = self.cfg.disk.inverse_rate_moment(1);
-
-        // Work-ahead prefetch: upcoming fragments of cached stored
-        // objects ride each disk's post-sweep slack, best-effort (the
-        // mandatory batch keeps priority). Dropped at degradation
-        // rung 2+ — slack work is the cheapest load to shed.
-        let mut extra_sizes: Vec<Vec<f64>> = vec![Vec::new(); self.disks.len()];
-        let mut extra_keys: Vec<Vec<FragmentKey>> = vec![Vec::new(); self.disks.len()];
-        if self.cfg.work_ahead > 0 && rung < RUNG_DROP_PREFETCH {
-            if let Some(cache) = self.cache.as_ref() {
-                let mut queued = std::collections::HashSet::new();
-                for s in &self.sessions {
-                    if s.paused {
-                        continue;
-                    }
-                    let Some(cid) = s.object.content_id else {
-                        continue;
-                    };
-                    for look in 1..=self.cfg.work_ahead {
-                        let frag = s.fragments_consumed + look;
-                        if frag >= s.object.rounds {
-                            break;
-                        }
-                        let Some(bytes) = s.object.stored_fragment_size(frag) else {
-                            break;
-                        };
-                        let key = FragmentKey {
-                            object: cid,
-                            fragment: frag,
-                        };
-                        if cache.contains(key) || cache.fetch_in_flight(key) || !queued.insert(key)
-                        {
-                            continue;
-                        }
-                        let d = self.layout.disk_of_fragment(s.start_disk, frag) as usize;
-                        extra_sizes[d].push(bytes);
-                        extra_keys[d].push(key);
-                    }
-                }
-            }
-        }
-
-        drop(phase_partition);
-
-        let phase_sweep = mzd_prof::phase("sweep");
-        let mut disk_summaries = Vec::with_capacity(self.disks.len());
-        let mut glitched_ids = Vec::new();
+        let scratch = &mut self.scratch;
+        let mut disks = Vec::with_capacity(self.disks.len());
         for (d, sim) in self.disks.iter_mut().enumerate() {
-            let sizes = &self.batch_sizes[d];
+            let (batch, sizes, keys) = (&scratch.batch[d], &scratch.sizes[d], &scratch.keys[d]);
             self.metrics.queue_depth.record(sizes.len() as f64);
-            let (out, prefetched) = sim.run_round_sized_with_extras(sizes, &extra_sizes[d]);
+            let (out, prefetched) =
+                sim.run_round_sized_with_extras(sizes, &scratch.prefetch_sizes[d]);
             if out.late {
                 self.metrics.round_overrun.inc();
                 if mzd_telemetry::events_enabled() {
@@ -1223,13 +1170,13 @@ impl VideoServer {
                 }
             }
             if prefetched.served > 0 {
-                let cache = self.cache.as_mut().expect("prefetch implies a cache");
-                for (&key, &bytes) in extra_keys[d]
-                    .iter()
-                    .zip(&extra_sizes[d])
-                    .take(prefetched.served)
-                {
-                    cache.insert(key, bytes, rot_half + bytes * inv_rate);
+                if let Some(cache) = self.cache.as_mut() {
+                    let planned = scratch.prefetch_keys[d]
+                        .iter()
+                        .zip(&scratch.prefetch_sizes[d]);
+                    for (&key, &bytes) in planned.take(prefetched.served) {
+                        cache.insert(key, bytes, rot_half + bytes * inv_rate);
+                    }
                 }
                 self.metrics.prefetch_fetched.add(prefetched.served as u64);
             }
@@ -1237,7 +1184,7 @@ impl VideoServer {
                 slo.record_disk_span(
                     d as u64,
                     "disk.sweep",
-                    trace_ts,
+                    tally.trace_ts,
                     (out.service_time * 1e6) as u64,
                     &[
                         ("requests", sizes.len() as u64),
@@ -1245,7 +1192,7 @@ impl VideoServer {
                     ],
                 );
             }
-            disk_summaries.push(mzd_prof::DiskPhases {
+            disks.push(mzd_prof::DiskPhases {
                 disk: d as u32,
                 requests: sizes.len() as u32,
                 service_time: out.service_time,
@@ -1257,213 +1204,195 @@ impl VideoServer {
                 fault_time: out.fault_time,
             });
             for &slot in &out.glitched_streams {
-                let session_idx = self.batch[d][slot as usize];
-                self.sessions[session_idx].glitches += 1;
-                glitched_ids.push(self.sessions[session_idx].id);
+                let slot = slot as usize;
+                let session = &mut self.sessions[batch[slot]];
+                session.glitches += 1;
+                tally.glitched.push(session.id);
                 // A late fetch is late for everyone coalesced onto it.
-                if let Some(key) = self.batch_keys[d][slot as usize] {
-                    if let Some(waiters) = delayed_waiters.get(&key) {
-                        for &w in waiters {
-                            self.sessions[w].glitches += 1;
-                            glitched_ids.push(self.sessions[w].id);
-                        }
-                    }
+                let waiters = keys[slot].and_then(|key| scratch.waiters.get(&key));
+                for &w in waiters.into_iter().flatten() {
+                    self.sessions[w].glitches += 1;
+                    tally.glitched.push(self.sessions[w].id);
                 }
             }
             // Deliveries: every request of the batch fills its client's
             // buffer for the next round; completed fetches fill the cache
             // and release their coalesced waiters.
-            for (slot, &session_idx) in self.batch[d].iter().enumerate() {
+            for (slot, &session_idx) in batch.iter().enumerate() {
                 let bytes = sizes[slot];
                 self.sessions[session_idx].buffer.deliver(bytes);
-                if let Some(key) = self.batch_keys[d][slot] {
-                    let cache = self.cache.as_mut().expect("fetch key implies a cache");
-                    cache.complete_fetch(key, bytes, rot_half + bytes * inv_rate);
-                    if let Some(waiters) = delayed_waiters.remove(&key) {
-                        // Waiters receive the fragment when the sweep
-                        // finishes: a partial-round latency, not a disk
-                        // visit of their own.
-                        let latency_rounds = out.service_time / self.cfg.round_length;
-                        for w in waiters {
-                            self.sessions[w].buffer.deliver(bytes);
-                            self.metrics.cache_hit_latency.record(latency_rounds);
-                        }
+                let (Some(key), Some(cache)) = (keys[slot], self.cache.as_mut()) else {
+                    continue;
+                };
+                cache.complete_fetch(key, bytes, rot_half + bytes * inv_rate);
+                if let Some(waiters) = scratch.waiters.remove(&key) {
+                    // Waiters receive the fragment when the sweep
+                    // finishes: a partial-round latency, not a disk
+                    // visit of their own.
+                    let latency_rounds = out.service_time / self.cfg.round_length;
+                    for w in waiters {
+                        self.sessions[w].buffer.deliver(bytes);
+                        self.metrics.cache_hit_latency.record(latency_rounds);
                     }
                 }
             }
         }
         debug_assert!(
-            delayed_waiters.is_empty(),
+            scratch.waiters.is_empty(),
             "every in-flight fetch completes within its round"
         );
-        drop(phase_sweep);
+        disks
+    }
 
-        // SLO: burn-rate accounting against the admitted glitch budget,
-        // model conformance on each busy disk's observed sweep time, and
-        // the admission brake on alert transitions.
-        let phase_slo = mzd_prof::phase("slo");
-        let mut slo_alert_raised = false;
-        if let Some(slo) = self.slo.as_mut() {
-            if slo.tracer.is_some() {
-                for &gid in &glitched_ids {
-                    slo.record_stream_span(
-                        gid,
-                        "glitch",
-                        "glitch",
-                        trace_ts,
-                        1,
-                        &[("round", self.rounds_run)],
-                    );
-                }
-            }
-            let transition = slo
-                .burn
-                .observe_round(stream_rounds, glitched_ids.len() as u64);
-            slo.metrics.burn_fast.set(slo.burn.burn_fast());
-            slo.metrics.burn_slow.set(slo.burn.burn_slow());
-            slo.metrics.burn_long.set(slo.burn.burn_long());
-            match transition {
-                Some(AlertTransition::Raised) => {
-                    slo_alert_raised = true;
-                    slo.metrics.alerts.inc();
-                    self.admission.set_over_admission_frozen(true);
-                    if mzd_telemetry::events_enabled() {
-                        mzd_telemetry::emit(
-                            mzd_telemetry::Event::new("slo.alert")
-                                .str("transition", "raised")
-                                .u64("round", self.rounds_run)
-                                .f64("burn_fast", slo.burn.burn_fast())
-                                .f64("burn_slow", slo.burn.burn_slow())
-                                .u64(
-                                    "frozen_limit",
-                                    u64::from(self.admission.effective_per_disk_limit()),
-                                ),
-                        );
-                    }
-                }
-                Some(AlertTransition::Cleared) => {
-                    self.admission.set_over_admission_frozen(false);
-                    if mzd_telemetry::events_enabled() {
-                        mzd_telemetry::emit(
-                            mzd_telemetry::Event::new("slo.alert")
-                                .str("transition", "cleared")
-                                .u64("round", self.rounds_run)
-                                .f64("burn_fast", slo.burn.burn_fast()),
-                        );
-                    }
-                }
-                None => {}
-            }
-            if slo.conformance.is_some() {
-                for ds in &disk_summaries {
-                    if ds.requests == 0 {
-                        continue;
-                    }
-                    // PIT: push the observed sweep time through the
-                    // predicted CDF for this batch size. An unbuildable
-                    // table maps to NaN, which the checker counts as an
-                    // exceedance rather than silently dropping.
-                    let u = slo
-                        .cdf_for(ds.requests)
-                        .map_or(f64::NAN, |c| c.evaluate(ds.service_time));
-                    let tr = slo
-                        .conformance
-                        .as_mut()
-                        .expect("conformance checked above")
-                        .observe(u);
-                    if let Some(tr) = tr {
-                        let name = match tr {
-                            DriftTransition::Raised => {
-                                slo.metrics.drifts.inc();
-                                "raised"
-                            }
-                            DriftTransition::Cleared => "cleared",
-                        };
-                        if mzd_telemetry::events_enabled() {
-                            let cc = slo.conformance.as_ref().expect("conformance checked above");
-                            mzd_telemetry::emit(
-                                mzd_telemetry::Event::new("slo.drift")
-                                    .str("transition", name)
-                                    .u64("round", self.rounds_run)
-                                    .u64("disk", u64::from(ds.disk))
-                                    .f64("ks", cc.ks_statistic())
-                                    .f64("tail_exceedance", cc.tail_exceedance()),
-                            );
-                        }
-                    }
-                }
-                let cc = slo.conformance.as_ref().expect("conformance checked above");
-                slo.metrics.ks.set(cc.ks_statistic());
-                slo.metrics.tail.set(cc.tail_exceedance());
-            }
-            if mzd_telemetry::events_enabled() {
-                let cc_ks = slo.conformance.as_ref().map_or(0.0, |c| c.ks_statistic());
-                let cc_tail = slo
-                    .conformance
-                    .as_ref()
-                    .map_or(0.0, |c| c.tail_exceedance());
-                mzd_telemetry::emit(
-                    mzd_telemetry::Event::new("slo.round")
-                        .u64("round", self.rounds_run)
-                        .u64("stream_rounds", stream_rounds)
-                        .u64("glitches", glitched_ids.len() as u64)
-                        .f64("burn_fast", slo.burn.burn_fast())
-                        .f64("burn_slow", slo.burn.burn_slow())
-                        .f64("burn_long", slo.burn.burn_long())
-                        .u64("alert", u64::from(slo.burn.alert_active()))
-                        .u64("frozen", u64::from(self.admission.over_admission_frozen()))
-                        .f64("ks", cc_ks)
-                        .f64("tail_exceedance", cc_tail),
+    /// SLO stage: burn-rate accounting against the admitted glitch
+    /// budget, model conformance on each busy disk's observed sweep
+    /// time, and the admission brake on alert transitions. Returns
+    /// whether a fast-burn alert was raised this round.
+    fn slo_stage(&mut self, tally: &RoundTally, disks: &[mzd_prof::DiskPhases]) -> bool {
+        let _phase = mzd_prof::phase("slo");
+        let Some(slo) = self.slo.as_mut() else {
+            return false;
+        };
+        let round = self.rounds_run;
+        if slo.tracer.is_some() {
+            for &gid in &tally.glitched {
+                slo.record_stream_span(
+                    gid,
+                    "glitch",
+                    "glitch",
+                    tally.trace_ts,
+                    1,
+                    &[("round", round)],
                 );
             }
         }
-
-        drop(phase_slo);
-
-        // Graceful degradation: the ladder climbs on sustained fast-burn
-        // alert, steps down on sustained quiet. Without an SLO layer the
-        // burn signal is absent and the ladder stays at rung 0.
-        let phase_degrade = mzd_prof::phase("degrade");
-        let mut degrade_escalated = false;
-        if self.degrade.is_some() {
-            let alert = self.slo.as_ref().is_some_and(|s| s.burn.alert_active());
-            let transition = self.degrade.as_mut().and_then(|d| d.observe(alert));
-            match transition {
-                Some(DegradeTransition::Escalated(r)) => {
-                    degrade_escalated = true;
-                    if r == RUNG_PAUSE_NEWEST {
-                        self.shed_newest_streams();
-                    }
-                    self.emit_degrade_event("escalate", r);
-                }
-                Some(DegradeTransition::Recovered(r)) => {
-                    if r == RUNG_PAUSE_NEWEST - 1 {
-                        self.resume_shed_streams();
-                    }
-                    self.emit_degrade_event("recover", r);
-                }
-                None => {}
+        let alert = slo
+            .burn
+            .observe_round(tally.stream_rounds, tally.glitched.len() as u64);
+        slo.metrics.burn_fast.set(slo.burn.burn_fast());
+        slo.metrics.burn_slow.set(slo.burn.burn_slow());
+        slo.metrics.burn_long.set(slo.burn.burn_long());
+        if let Some(transition) = alert {
+            let raised = transition == Transition::Raised;
+            if raised {
+                slo.metrics.alerts.inc();
             }
-            // With a ladder attached, the over-admission freeze holds as
-            // long as rung 1+ is engaged, independent of the
-            // instantaneous alert state the SLO layer reacts to.
-            let rung_now = self.degrade.as_ref().map_or(0, DegradeState::rung);
-            self.admission
-                .set_over_admission_frozen(alert || rung_now >= RUNG_FREEZE_OVER_ADMISSION);
-            if let Some(d) = self.degrade.as_ref() {
-                d.metrics
-                    .shed_streams
-                    .set(self.shed_by_degrade.len() as f64);
-                d.metrics.downshift_rounds.add(downshifted_requests);
+            self.admission.set_over_admission_frozen(raised);
+            if mzd_telemetry::events_enabled() {
+                let mut event = mzd_telemetry::Event::new("slo.alert")
+                    .str("transition", transition.as_str())
+                    .u64("round", round)
+                    .f64("burn_fast", slo.burn.burn_fast());
+                if raised {
+                    event = event.f64("burn_slow", slo.burn.burn_slow()).u64(
+                        "frozen_limit",
+                        u64::from(self.admission.effective_per_disk_limit()),
+                    );
+                }
+                mzd_telemetry::emit(event);
             }
         }
+        if slo.conformance.is_some() {
+            for ds in disks.iter().filter(|ds| ds.requests > 0) {
+                let Some(drift) = slo.observe_sweep(ds.requests, ds.service_time) else {
+                    continue;
+                };
+                if drift == Transition::Raised {
+                    slo.metrics.drifts.inc();
+                }
+                if mzd_telemetry::events_enabled() {
+                    let (ks, tail) = slo.conformance_stats();
+                    mzd_telemetry::emit(
+                        mzd_telemetry::Event::new("slo.drift")
+                            .str("transition", drift.as_str())
+                            .u64("round", round)
+                            .u64("disk", u64::from(ds.disk))
+                            .f64("ks", ks)
+                            .f64("tail_exceedance", tail),
+                    );
+                }
+            }
+            let (ks, tail) = slo.conformance_stats();
+            slo.metrics.ks.set(ks);
+            slo.metrics.tail.set(tail);
+        }
+        if mzd_telemetry::events_enabled() {
+            let (ks, tail) = slo.conformance_stats();
+            mzd_telemetry::emit(
+                mzd_telemetry::Event::new("slo.round")
+                    .u64("round", round)
+                    .u64("stream_rounds", tally.stream_rounds)
+                    .u64("glitches", tally.glitched.len() as u64)
+                    .f64("burn_fast", slo.burn.burn_fast())
+                    .f64("burn_slow", slo.burn.burn_slow())
+                    .f64("burn_long", slo.burn.burn_long())
+                    .u64("alert", u64::from(slo.burn.alert_active()))
+                    .u64("frozen", u64::from(self.admission.over_admission_frozen()))
+                    .f64("ks", ks)
+                    .f64("tail_exceedance", tail),
+            );
+        }
+        alert == Some(Transition::Raised)
+    }
 
-        drop(phase_degrade);
+    /// Degrade stage: the ladder climbs on sustained fast-burn alert and
+    /// steps down on sustained quiet. Without an SLO layer the burn
+    /// signal is absent and the ladder stays at rung 0. Returns whether
+    /// the ladder escalated this round.
+    fn degrade_stage(&mut self, downshifts: u64) -> bool {
+        let _phase = mzd_prof::phase("degrade");
+        let Some(ladder) = self.degrade.as_mut() else {
+            return false;
+        };
+        let alert = self.slo.as_ref().is_some_and(|s| s.burn.alert_active());
+        let transition = ladder.observe(alert);
+        let step = match transition {
+            Some(DegradeTransition::Escalated(rung)) => {
+                if rung == RUNG_PAUSE_NEWEST {
+                    shed_newest(
+                        &mut self.sessions,
+                        &mut self.shed_by_degrade,
+                        ladder.settings.shed_fraction,
+                    );
+                }
+                Some(("escalate", rung))
+            }
+            Some(DegradeTransition::Recovered(rung)) => {
+                if rung == RUNG_PAUSE_NEWEST - 1 {
+                    resume_shed(&mut self.sessions, &mut self.shed_by_degrade);
+                }
+                Some(("recover", rung))
+            }
+            None => None,
+        };
+        if let (Some((action, rung)), true) = (step, mzd_telemetry::events_enabled()) {
+            mzd_telemetry::emit(
+                mzd_telemetry::Event::new("server.degrade")
+                    .str("action", action)
+                    .u64("rung", u64::from(rung))
+                    .u64("round", self.rounds_run)
+                    .u64("shed", self.shed_by_degrade.len() as u64),
+            );
+        }
+        // With a ladder attached, the over-admission freeze holds as
+        // long as rung 1+ is engaged, independent of the instantaneous
+        // alert state the SLO layer reacts to.
+        self.admission
+            .set_over_admission_frozen(alert || ladder.rung() >= RUNG_FREEZE_OVER_ADMISSION);
+        ladder
+            .metrics
+            .shed_streams
+            .set(self.shed_by_degrade.len() as f64);
+        ladder.metrics.downshift_rounds.add(downshifts);
+        matches!(transition, Some(DegradeTransition::Escalated(_)))
+    }
 
-        // Advance sessions; retire the finished. The incremental load
-        // vector follows each stream's rotation to the next disk.
-        let phase_advance = mzd_prof::phase("advance");
-        let mut completed_ids = Vec::new();
+    /// Advance stage: every unpaused session moves to its next fragment;
+    /// finished ones retire. The incremental load vector follows each
+    /// stream's rotation to the next disk. Returns the retired ids.
+    fn advance_stage(&mut self) -> Vec<u64> {
+        let _phase = mzd_prof::phase("advance");
+        let mut completed = Vec::new();
         let mut i = 0;
         while i < self.sessions.len() {
             let s = &mut self.sessions[i];
@@ -1477,22 +1406,7 @@ impl VideoServer {
                     .disk_of_fragment(s.start_disk, s.fragments_consumed) as usize;
             s.fragments_consumed += 1;
             if s.fragments_consumed >= s.object.rounds {
-                let s = self.sessions.swap_remove(i);
-                self.load[old_d] -= 1;
-                if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
-                    cache.remove_reader(s.id);
-                }
-                if let Some(slo) = self.slo.as_mut() {
-                    slo.forget_stream(s.id);
-                }
-                completed_ids.push(s.id);
-                self.completed.push(CompletedStream {
-                    id: s.id,
-                    object: s.object.name.clone(),
-                    rounds_played: s.fragments_consumed,
-                    glitches: s.glitches,
-                    buffer_high_water: s.buffer.high_water(),
-                });
+                completed.push(self.retire(i, old_d));
             } else {
                 let new_d = self
                     .layout
@@ -1503,65 +1417,66 @@ impl VideoServer {
                 i += 1;
             }
         }
+        completed
+    }
 
-        drop(phase_advance);
-
-        // Cache bookkeeping: metrics, and the measured-hit-ratio feed for
-        // cache-aware admission.
-        let phase_cache = mzd_prof::phase("cache");
-        if let Some(cache) = &self.cache {
-            self.metrics.cache_hits.add(round_hits);
-            self.metrics.cache_delayed_hits.add(round_delayed);
-            self.metrics.cache_misses.add(round_misses);
-            self.metrics
-                .cache_evictions
-                .add(cache.stats().evictions - evictions_before);
-            self.metrics.cache_occupancy.set(cache.occupancy_bytes());
-            self.hit_window.push_back((
-                round_hits + round_delayed + round_misses,
-                round_hits + round_delayed,
-            ));
-            if self.hit_window.len() > HIT_WINDOW_ROUNDS {
-                self.hit_window.pop_front();
-            }
-            if self.admission.is_cache_aware() {
-                let (trials, avoided) = self
-                    .hit_window
-                    .iter()
-                    .fold((0u64, 0u64), |(t, a), &(lt, la)| (t + lt, a + la));
-                let h = if trials >= HIT_WINDOW_MIN_TRIALS {
-                    mzd_slo::wilson_lower_bound(avoided, trials)
-                } else {
-                    0.0
-                };
-                self.admission.set_hit_ratio_lower_bound(h);
-            }
-            if mzd_telemetry::events_enabled() {
-                mzd_telemetry::emit(
-                    mzd_telemetry::Event::new("server.cache")
-                        .u64("round", self.rounds_run)
-                        .u64("hits", round_hits)
-                        .u64("delayed_hits", round_delayed)
-                        .u64("misses", round_misses)
-                        .f64("occupancy_bytes", cache.occupancy_bytes())
-                        .u64("resident", cache.len() as u64),
-                );
-            }
-        }
-
-        drop(phase_cache);
-
-        self.rounds_run += 1;
-        // Capacity freed by completions goes to waiting requests (§1:
-        // postponed admissions resume when streams terminate).
-        let newly_admitted = self.drain_wait_queue();
-        let report = RoundReport {
-            round: self.rounds_run - 1,
-            disks: disk_summaries,
-            glitched_streams: glitched_ids,
-            completed_streams: completed_ids,
-            admitted_from_queue: newly_admitted.iter().map(StreamHandle::id).collect(),
+    /// Cache stage: cache metrics, and the measured-hit-ratio feed for
+    /// cache-aware admission.
+    fn cache_stage(&mut self, tally: &RoundTally) {
+        let _phase = mzd_prof::phase("cache");
+        let Some(cache) = &self.cache else {
+            return;
         };
+        let (hits, delayed, misses) = (tally.hits, tally.delayed_hits, tally.misses);
+        self.metrics.cache_hits.add(hits);
+        self.metrics.cache_delayed_hits.add(delayed);
+        self.metrics.cache_misses.add(misses);
+        self.metrics
+            .cache_evictions
+            .add(cache.stats().evictions - tally.evictions_before);
+        self.metrics.cache_occupancy.set(cache.occupancy_bytes());
+        self.hit_window
+            .push_back((hits + delayed + misses, hits + delayed));
+        if self.hit_window.len() > HIT_WINDOW_ROUNDS {
+            self.hit_window.pop_front();
+        }
+        if self.admission.is_cache_aware() {
+            let (trials, avoided) = self
+                .hit_window
+                .iter()
+                .fold((0u64, 0u64), |(t, a), &(lt, la)| (t + lt, a + la));
+            let h = if trials >= HIT_WINDOW_MIN_TRIALS {
+                mzd_slo::wilson_lower_bound(avoided, trials)
+            } else {
+                0.0
+            };
+            self.admission.set_hit_ratio_lower_bound(h);
+        }
+        if mzd_telemetry::events_enabled() {
+            mzd_telemetry::emit(
+                mzd_telemetry::Event::new("server.cache")
+                    .u64("round", self.rounds_run)
+                    .u64("hits", hits)
+                    .u64("delayed_hits", delayed)
+                    .u64("misses", misses)
+                    .f64("occupancy_bytes", cache.occupancy_bytes())
+                    .u64("resident", cache.len() as u64),
+            );
+        }
+    }
+
+    /// Publish a finished round: the buffer gauge, the `server.round`
+    /// event, and the flight-recorder snapshot with any dump triggers it
+    /// tripped. Snapshots carry only logical state (round ids, counters,
+    /// phase decompositions) so bundles from a seeded run are
+    /// byte-identical across reruns and `--jobs` widths.
+    fn publish_round(
+        &self,
+        report: &RoundReport,
+        tally: &RoundTally,
+        alert_raised: bool,
+        escalated: bool,
+    ) {
         let occupancy: f64 = self.sessions.iter().map(|s| s.buffer.occupancy()).sum();
         self.metrics.buffer_occupancy.set(occupancy);
         if mzd_telemetry::events_enabled() {
@@ -1576,30 +1491,9 @@ impl VideoServer {
                     .u64_list("admitted_from_queue", &report.admitted_from_queue),
             );
         }
-        if self.recorder.is_some() {
-            self.record_round(
-                &report,
-                rung,
-                slo_alert_raised,
-                degrade_escalated,
-                (round_hits, round_delayed, round_misses),
-            );
-        }
-        report
-    }
-
-    /// Push this round's snapshot into the flight recorder and fire any
-    /// dump triggers it tripped. Snapshots carry only logical state
-    /// (round ids, counters, phase decompositions) so bundles from a
-    /// seeded run are byte-identical across reruns and `--jobs` widths.
-    fn record_round(
-        &mut self,
-        report: &RoundReport,
-        rung_at_entry: u8,
-        slo_alert_raised: bool,
-        degrade_escalated: bool,
-        cache_counts: (u64, u64, u64),
-    ) {
+        let Some(recorder) = self.recorder.as_ref() else {
+            return;
+        };
         let mut faults = mzd_prof::FaultTotals::default();
         for sim in &self.disks {
             let c = sim.fault_counters();
@@ -1610,22 +1504,18 @@ impl VideoServer {
             faults.failed_reads += c.failed_reads;
             faults.unavailable_rounds += c.unavailable_rounds;
         }
-        let (hits, delayed, misses) = cache_counts;
-        let snapshot = mzd_prof::RoundSnapshot {
+        recorder.push(mzd_prof::RoundSnapshot {
             round: report.round,
             active_streams: self.sessions.len() as u64,
             waiting_streams: self.waiting.len() as u64,
             glitches: report.glitched_streams.len() as u64,
-            rung: self
-                .degrade
-                .as_ref()
-                .map_or(rung_at_entry, DegradeState::rung),
+            rung: self.degrade.as_ref().map_or(tally.rung, DegradeState::rung),
             burn_fast: self.slo.as_ref().map_or(0.0, |s| s.burn.burn_fast()),
             burn_slow: self.slo.as_ref().map_or(0.0, |s| s.burn.burn_slow()),
             burn_long: self.slo.as_ref().map_or(0.0, |s| s.burn.burn_long()),
-            cache_hits: hits,
-            cache_delayed_hits: delayed,
-            cache_misses: misses,
+            cache_hits: tally.hits,
+            cache_delayed_hits: tally.delayed_hits,
+            cache_misses: tally.misses,
             cache_occupancy_bytes: self
                 .cache
                 .as_ref()
@@ -1634,15 +1524,13 @@ impl VideoServer {
             rng_positions: self.disks.iter().map(RoundSimulator::rounds_run).collect(),
             disks: report.disks.clone(),
             faults,
-        };
-        let recorder = self.recorder.as_ref().expect("checked by caller");
-        recorder.push(snapshot);
+        });
         let any_late = report.disks.iter().any(|d| d.late);
         // Priority order: the rarest, highest-signal trigger dumps first
         // (the recorder deduplicates per kind and caps total dumps).
         for (fired, trigger) in [
-            (slo_alert_raised, mzd_prof::DumpTrigger::SloFastBurn),
-            (degrade_escalated, mzd_prof::DumpTrigger::DegradeEscalation),
+            (alert_raised, mzd_prof::DumpTrigger::SloFastBurn),
+            (escalated, mzd_prof::DumpTrigger::DegradeEscalation),
             (any_late, mzd_prof::DumpTrigger::RoundOverrun),
         ] {
             if fired {
@@ -1661,6 +1549,37 @@ impl VideoServer {
             glitches += self.run_round().glitched_streams.len() as u64;
         }
         glitches
+    }
+}
+
+/// Rung 4: pause the newest `fraction` of unpaused sessions, recording
+/// their ids in `shed`. They hold their admission reservation (exactly
+/// like a VCR pause) and resume when the ladder steps back below rung 4.
+fn shed_newest(sessions: &mut [Session], shed: &mut Vec<u64>, fraction: f64) {
+    let mut candidates: Vec<(u64, usize)> = sessions
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.paused)
+        .map(|(i, s)| (s.id, i))
+        .collect();
+    // Newest first: the most recently admitted streams lose service
+    // first, preserving the oldest commitments.
+    candidates.sort_unstable_by_key(|&(id, _)| std::cmp::Reverse(id));
+    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+    #[allow(clippy::cast_sign_loss)]
+    let count = ((candidates.len() as f64 * fraction).ceil() as usize).min(candidates.len());
+    for &(id, idx) in candidates.iter().take(count) {
+        sessions[idx].paused = true;
+        shed.push(id);
+    }
+}
+
+/// Resume every stream the ladder shed, if still active.
+fn resume_shed(sessions: &mut [Session], shed: &mut Vec<u64>) {
+    for id in shed.drain(..) {
+        if let Some(s) = sessions.iter_mut().find(|s| s.id == id) {
+            s.paused = false;
+        }
     }
 }
 
@@ -1822,81 +1741,6 @@ mod tests {
         assert_eq!(admitted_total, 3);
         assert_eq!(s.waiting_streams(), 0);
         assert_eq!(s.active_streams(), 3);
-    }
-
-    #[test]
-    fn requeue_reenters_ahead_of_newer_arrivals() {
-        let mut s = server(1, 19);
-        // Fill capacity, then queue three requests and capture the
-        // middle one's arrival id.
-        while s.open_stream(short_object(50)).is_ok() {}
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        assert_eq!(s.waiting_streams(), 3);
-        // A migrated stream whose original arrival (stream id 0, the
-        // very first admission) predates every queued request re-enters
-        // at the FRONT, not the tail.
-        let b_arrival = 0u64;
-        s.requeue_stream(b_arrival, short_object(7));
-        assert_eq!(s.waiting_streams(), 4);
-        // Free one slot: the requeued (oldest) entry must be admitted
-        // first even though it was pushed last.
-        let victim = s.active_session_info()[0].handle;
-        s.close_stream(victim).unwrap();
-        let admitted = s.drain_wait_queue();
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(admitted[0].id(), b_arrival);
-        // The admitted session plays the requeued 7-round object.
-        let got = s
-            .active_session_info()
-            .into_iter()
-            .find(|i| i.handle == admitted[0])
-            .unwrap();
-        assert_eq!(got.object.rounds, 7);
-    }
-
-    #[test]
-    fn requeued_streams_keep_relative_arrival_order() {
-        let mut s = server(1, 20);
-        while s.open_stream(short_object(50)).is_ok() {}
-        // Two "migrated" streams with old arrival ids 3 and 5, requeued
-        // newest-first: drain must still admit 3 before 5, and both
-        // before the freshly queued request.
-        assert!(s.enqueue_stream(short_object(50)).is_none());
-        // "Migrate off" the sessions with ids 3 and 5 first so their
-        // arrival ids are free to re-enter the queue.
-        let victims: Vec<_> = s
-            .active_session_info()
-            .iter()
-            .filter(|i| [0, 3, 5].contains(&i.handle.id()))
-            .map(|i| i.handle)
-            .collect();
-        assert_eq!(victims.len(), 3);
-        s.requeue_stream(5, short_object(9));
-        s.requeue_stream(3, short_object(8));
-        assert_eq!(s.waiting_streams(), 3);
-        for v in victims {
-            s.close_stream(v).unwrap();
-        }
-        let admitted = s.drain_wait_queue();
-        assert_eq!(admitted.len(), 3);
-        assert_eq!(admitted[0].id(), 3);
-        assert_eq!(admitted[1].id(), 5);
-        let rounds: Vec<u32> = admitted
-            .iter()
-            .map(|h| {
-                s.active_session_info()
-                    .into_iter()
-                    .find(|i| i.handle == *h)
-                    .unwrap()
-                    .object
-                    .rounds
-            })
-            .collect();
-        assert_eq!(rounds[0], 8);
-        assert_eq!(rounds[1], 9);
-        assert_eq!(rounds[2], 50);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 
 use crate::admission::QualityTarget;
 use mzd_core::{GuaranteeModel, ServiceTimeCdf};
-use mzd_slo::{BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig, Tracer};
+use mzd_slo::{
+    BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig, Tracer, Transition,
+};
 use mzd_telemetry::SpanContext;
 use std::collections::HashMap;
 
@@ -142,10 +144,6 @@ pub(crate) struct SloState {
     pub tracer: Option<Tracer>,
     /// Root span per live stream (tracing only).
     stream_roots: HashMap<u64, SpanContext>,
-    /// An externally minted root to adopt for the *next* stream seen —
-    /// how a cluster dispatcher propagates its submission-time
-    /// `SpanContext` into this node's trace so cross-node chains stitch.
-    pending_root: Option<SpanContext>,
     pub metrics: SloMetrics,
 }
 
@@ -166,7 +164,6 @@ impl SloState {
             cdfs: HashMap::new(),
             tracer: settings.tracing.then(Tracer::new),
             stream_roots: HashMap::new(),
-            pending_root: None,
             metrics: SloMetrics::new(),
         })
     }
@@ -184,43 +181,50 @@ impl SloState {
         self.cdfs.get(&n)
     }
 
+    /// Feed one busy disk's sweep to the conformance checker: its
+    /// observed service time pushed through the predicted CDF for its
+    /// batch size (the PIT). An unbuildable table maps to NaN, which the
+    /// checker counts as an exceedance rather than silently dropping.
+    /// `None` when conformance is off or its state did not change.
+    pub(crate) fn observe_sweep(&mut self, requests: u32, service_time: f64) -> Option<Transition> {
+        self.conformance.as_ref()?;
+        let u = self
+            .cdf_for(requests)
+            .map_or(f64::NAN, |c| c.evaluate(service_time));
+        self.conformance.as_mut()?.observe(u)
+    }
+
+    /// KS statistic and tail exceedance of the conformance window, both
+    /// 0 when conformance is off.
+    pub(crate) fn conformance_stats(&self) -> (f64, f64) {
+        self.conformance
+            .as_ref()
+            .map_or((0.0, 0.0), |c| (c.ks_statistic(), c.tail_exceedance()))
+    }
+
     /// Invalidate the CDF tables after a model change.
     pub(crate) fn set_model(&mut self, model: GuaranteeModel) {
         self.model = model;
         self.cdfs.clear();
     }
 
-    /// The root span context of a stream: an externally staged root
-    /// ([`Self::stage_root`]) is adopted first, otherwise one is minted
-    /// on first sight. `None` when tracing is off.
+    /// The root span context of a stream, minted on first sight unless
+    /// one was adopted ([`Self::adopt_root`]). `None` when tracing is
+    /// off.
     pub(crate) fn stream_root(&mut self, stream: u64) -> Option<SpanContext> {
         let tracer = self.tracer.as_mut()?;
-        match self.stream_roots.entry(stream) {
-            std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let root = self
-                    .pending_root
-                    .take()
-                    .unwrap_or_else(|| tracer.root(stream));
-                Some(*e.insert(root))
-            }
-        }
+        let root = self.stream_roots.entry(stream);
+        Some(*root.or_insert_with(|| tracer.root(stream)))
     }
 
-    /// Stage an externally minted root context to adopt for the next
-    /// stream that needs one (consumed by [`Self::stream_root`]). The
-    /// cluster dispatcher uses this to thread its submission-time span
-    /// through admission on whichever node the stream lands on.
-    pub(crate) fn stage_root(&mut self, root: SpanContext) {
+    /// Adopt an externally minted root for `stream` — how a cluster
+    /// dispatcher threads its submission-time span through admission on
+    /// whichever node the stream lands on, so cross-node chains stitch.
+    /// A no-op when tracing is off.
+    pub(crate) fn adopt_root(&mut self, stream: u64, root: SpanContext) {
         if self.tracer.is_some() {
-            self.pending_root = Some(root);
+            self.stream_roots.insert(stream, root);
         }
-    }
-
-    /// Drop a staged root that was never adopted (the stream it was
-    /// minted for was rejected by admission).
-    pub(crate) fn clear_staged_root(&mut self) {
-        self.pending_root = None;
     }
 
     /// Drop the root context of a finished stream (the recorded spans
@@ -283,6 +287,7 @@ impl SloState {
     }
 
     pub(crate) fn status(&self, over_admission_frozen: bool) -> SloStatus {
+        let (ks_statistic, tail_exceedance) = self.conformance_stats();
         SloStatus {
             alert_active: self.burn.alert_active(),
             alerts_raised: self.burn.alerts_raised(),
@@ -297,14 +302,8 @@ impl SloState {
                 .conformance
                 .as_ref()
                 .map_or(0, ConformanceChecker::drifts_raised),
-            ks_statistic: self
-                .conformance
-                .as_ref()
-                .map_or(0.0, ConformanceChecker::ks_statistic),
-            tail_exceedance: self
-                .conformance
-                .as_ref()
-                .map_or(0.0, ConformanceChecker::tail_exceedance),
+            ks_statistic,
+            tail_exceedance,
             over_admission_frozen,
             trace_spans: self.tracer.as_ref().map_or(0, Tracer::len),
         }

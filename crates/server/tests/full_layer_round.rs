@@ -1,0 +1,174 @@
+//! Pins one single-server run with every round stage engaged: a cached,
+//! work-ahead, fault-injected, SLO-traced server on the degradation
+//! ladder. The run mirrors
+//!
+//! ```text
+//! mzd serve --rounds 300 --streams 70 --disks 2 --seed 13 --objects 64 \
+//!     --object-rounds 120 --cache-bytes 4000000 --cache-safety 0.2 \
+//!     --zipf 1.0 --work-ahead 2 --fault-profile media=0.25,retries=2,timeout=0.005 \
+//!     --degrade --trace-out t.json
+//! ```
+//!
+//! and folds every round report, the causal trace and the final layer
+//! summaries into one FNV-1a digest. Any change to RNG draw order, stage
+//! order or bookkeeping moves the digest. This file holds a single test
+//! so the process-global `server.prefetch.fetched` counter is this run's
+//! alone.
+
+use mzd_server::{
+    CacheSettings, DegradeSettings, RoundReport, ServerConfig, SloSettings, VideoServer,
+};
+use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Digest of the run, captured before the round was split into stages.
+const PINNED_DIGEST: u64 = 0xea7f_f8aa_a9f9_9ecb;
+
+/// Byte sink folded into one `mzd_prof::fnv1a64` digest at the end.
+#[derive(Default)]
+struct Fold(Vec<u8>);
+
+impl Fold {
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn ids(&mut self, ids: &[u64]) {
+        self.u64(ids.len() as u64);
+        for &id in ids {
+            self.u64(id);
+        }
+    }
+
+    fn report(&mut self, r: &RoundReport) {
+        self.u64(r.round);
+        self.u64(r.disks.len() as u64);
+        for d in &r.disks {
+            self.u64(u64::from(d.disk));
+            self.u64(u64::from(d.requests));
+            self.u64(u64::from(d.late));
+            for v in [
+                d.service_time,
+                d.seek_time,
+                d.rotational_time,
+                d.transfer_time,
+                d.stall_time,
+                d.fault_time,
+            ] {
+                self.f64(v);
+            }
+        }
+        self.ids(&r.glitched_streams);
+        self.ids(&r.completed_streams);
+        self.ids(&r.admitted_from_queue);
+    }
+}
+
+#[test]
+fn full_layer_round_is_pinned() {
+    let seed = 13;
+    let mut cfg = ServerConfig::paper_reference(2).unwrap();
+    cfg.cache = Some(CacheSettings {
+        admission_safety: Some(0.2),
+        ..CacheSettings::lru(4_000_000.0)
+    });
+    cfg.faults = Some(mzd_fault::FaultConfig::parse("media=0.25,retries=2,timeout=0.005").unwrap());
+    cfg.work_ahead = 2;
+    cfg.degrade = Some(DegradeSettings::default());
+    let target = cfg.target;
+    let mut server = VideoServer::new(cfg, seed).unwrap();
+    server
+        .enable_slo(SloSettings::for_target(target).with_tracing(true))
+        .unwrap();
+
+    let sizes = SizeDistribution::gamma(200_000.0, 1e10).unwrap();
+    let catalog: Vec<ObjectSpec> = (0..64u64)
+        .map(|i| {
+            ObjectSpec::new(format!("obj-{i}"), sizes.clone(), 120)
+                .unwrap()
+                .with_content_id(i + 1)
+        })
+        .collect();
+    let zipf = Zipf::new(catalog.len(), 1.0).unwrap();
+    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
+    for _ in 0..70 {
+        server.enqueue_stream(catalog[zipf.sample(&mut arrivals)].clone());
+    }
+
+    let mut fold = Fold::default();
+    let (mut dequeued, mut completions) = (0usize, 0usize);
+    for _ in 0..300 {
+        let report = server.run_round();
+        fold.report(&report);
+        dequeued += report.admitted_from_queue.len();
+        for _ in &report.completed_streams {
+            completions += 1;
+            server.enqueue_stream(catalog[zipf.sample(&mut arrivals)].clone());
+        }
+    }
+
+    fold.0
+        .extend_from_slice(server.trace_chrome_json().unwrap().as_bytes());
+    let slo = server.slo_status().unwrap();
+    for flag in [
+        slo.alert_active,
+        slo.drift_active,
+        slo.over_admission_frozen,
+    ] {
+        fold.u64(u64::from(flag));
+    }
+    for v in [slo.alerts_raised, slo.drifts_raised, slo.trace_spans as u64] {
+        fold.u64(v);
+    }
+    for v in [
+        slo.burn_fast,
+        slo.burn_slow,
+        slo.burn_long,
+        slo.ks_statistic,
+        slo.tail_exceedance,
+    ] {
+        fold.f64(v);
+    }
+    let degrade = server.degrade_status().unwrap();
+    for v in [
+        u64::from(degrade.rung),
+        degrade.escalations,
+        degrade.recoveries,
+        degrade.shed_streams,
+    ] {
+        fold.u64(v);
+    }
+    let cache = server.cache().unwrap();
+    let stats = *cache.stats();
+    for v in [
+        stats.hits,
+        stats.delayed_hits,
+        stats.misses,
+        stats.evictions,
+        stats.insertions,
+        stats.rejected_fills,
+        cache.len() as u64,
+    ] {
+        fold.u64(v);
+    }
+    fold.f64(cache.occupancy_bytes());
+
+    // Every stage did work: prefetch and coalescing (partition, sweep,
+    // cache), queue drains and completions (advance), an alert and a
+    // drift (slo), and the ladder's top rung (degrade).
+    let prefetched = mzd_telemetry::global().snapshot().counters["server.prefetch.fetched"];
+    assert_eq!(prefetched, 1_421);
+    assert_eq!(stats.delayed_hits, 7_044);
+    assert_eq!(dequeued, 28);
+    assert_eq!(completions, 90);
+    assert_eq!((slo.alerts_raised, slo.drifts_raised), (1, 1));
+    assert_eq!((degrade.rung, degrade.shed_streams), (4, 18));
+
+    let digest = mzd_prof::fnv1a64(&fold.0);
+    assert_eq!(digest, PINNED_DIGEST, "digest {digest:#018x}");
+}

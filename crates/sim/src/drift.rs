@@ -17,7 +17,7 @@ use crate::round::{RoundSimulator, SimConfig};
 use crate::SimError;
 use mzd_core::{GuaranteeModel, ServiceTimeCdf};
 use mzd_disk::PlacementPolicy;
-use mzd_slo::{ConformanceChecker, ConformanceConfig, DriftTransition};
+use mzd_slo::{ConformanceChecker, ConformanceConfig, Transition};
 
 /// Grid resolution for the predicted CDF. Coarser than the library
 /// default because the scenario evaluates one fixed `n`: 129 points keep
@@ -126,19 +126,13 @@ pub fn run_drift_scenario(
         }
         let u = cdf.evaluate(outcome.service_time);
         if let Some(transition) = checker.observe(u) {
-            if transition == DriftTransition::Raised && drift_round.is_none() {
+            if transition == Transition::Raised && drift_round.is_none() {
                 drift_round = Some(round);
             }
             if mzd_telemetry::events_enabled() {
                 mzd_telemetry::emit(
                     mzd_telemetry::Event::new("slo.drift")
-                        .str(
-                            "transition",
-                            match transition {
-                                DriftTransition::Raised => "raised",
-                                DriftTransition::Cleared => "cleared",
-                            },
-                        )
+                        .str("transition", transition.as_str())
                         .u64("round", round)
                         .f64("ks", checker.ks_statistic())
                         .f64("tail_exceedance", checker.tail_exceedance()),

@@ -14,7 +14,7 @@
 //! clear factor. Raise→clear therefore always takes at least
 //! `hysteresis` rounds: alerts cannot flap by construction.
 
-use crate::SloError;
+use crate::{Latch, SloError, Transition};
 use std::collections::VecDeque;
 
 /// Configuration of a [`BurnRateEngine`].
@@ -128,15 +128,6 @@ impl Window {
     }
 }
 
-/// An alert state change reported by [`BurnRateEngine::observe_round`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertTransition {
-    /// The fast-burn alert went active this round.
-    Raised,
-    /// The alert cleared after a full hysteresis period of quiet.
-    Cleared,
-}
-
 /// Multi-window burn-rate tracker with hysteresis.
 #[derive(Debug)]
 pub struct BurnRateEngine {
@@ -144,10 +135,8 @@ pub struct BurnRateEngine {
     fast: Window,
     slow: Window,
     long: Window,
-    alert_active: bool,
-    quiet_rounds: u64,
+    alert: Latch,
     rounds_observed: u64,
-    alerts_raised: u64,
 }
 
 impl BurnRateEngine {
@@ -163,42 +152,25 @@ impl BurnRateEngine {
             slow: Window::new(cfg.slow_window),
             long: Window::new(cfg.long_window),
             cfg,
-            alert_active: false,
-            quiet_rounds: 0,
+            alert: Latch::default(),
             rounds_observed: 0,
-            alerts_raised: 0,
         })
     }
 
     /// Feed one round: how many stream-rounds were served and how many
     /// of them glitched. Returns an alert transition when the state
     /// changed this round.
-    pub fn observe_round(&mut self, stream_rounds: u64, glitches: u64) -> Option<AlertTransition> {
+    pub fn observe_round(&mut self, stream_rounds: u64, glitches: u64) -> Option<Transition> {
         self.fast.push(stream_rounds, glitches);
         self.slow.push(stream_rounds, glitches);
         self.long.push(stream_rounds, glitches);
         self.rounds_observed += 1;
         let fast = self.fast.burn(self.cfg.budget);
         let slow = self.slow.burn(self.cfg.budget);
-        if self.alert_active {
-            if fast < self.cfg.clear_factor {
-                self.quiet_rounds += 1;
-                if self.quiet_rounds >= self.cfg.hysteresis {
-                    self.alert_active = false;
-                    self.quiet_rounds = 0;
-                    return Some(AlertTransition::Cleared);
-                }
-            } else {
-                self.quiet_rounds = 0;
-            }
-        } else if self.fast.full() && fast >= self.cfg.raise_factor && slow >= self.cfg.raise_factor
-        {
-            self.alert_active = true;
-            self.quiet_rounds = 0;
-            self.alerts_raised += 1;
-            return Some(AlertTransition::Raised);
-        }
-        None
+        let raise =
+            self.fast.full() && fast >= self.cfg.raise_factor && slow >= self.cfg.raise_factor;
+        self.alert
+            .observe(raise, fast < self.cfg.clear_factor, self.cfg.hysteresis)
     }
 
     /// Burn rate over the fast window.
@@ -222,7 +194,7 @@ impl BurnRateEngine {
     /// Whether a fast-burn alert is currently active.
     #[must_use]
     pub fn alert_active(&self) -> bool {
-        self.alert_active
+        self.alert.active
     }
 
     /// Rounds observed so far.
@@ -234,7 +206,7 @@ impl BurnRateEngine {
     /// Alerts raised so far.
     #[must_use]
     pub fn alerts_raised(&self) -> u64 {
-        self.alerts_raised
+        self.alert.raised
     }
 
     /// The configuration in effect.
@@ -289,7 +261,7 @@ mod tests {
             assert_eq!(e.observe_round(10, 10), None);
         }
         // Eighth fills the window: both burns at 100x.
-        assert_eq!(e.observe_round(10, 10), Some(AlertTransition::Raised));
+        assert_eq!(e.observe_round(10, 10), Some(Transition::Raised));
         assert!(e.alert_active());
         assert!(e.burn_fast() > 50.0);
     }
@@ -310,7 +282,7 @@ mod tests {
             assert_eq!(e.observe_round(10, 0), None, "round {i}");
             assert!(e.alert_active());
         }
-        assert_eq!(e.observe_round(10, 0), Some(AlertTransition::Cleared));
+        assert_eq!(e.observe_round(10, 0), Some(Transition::Cleared));
         assert!(!e.alert_active());
         assert_eq!(e.rounds_observed(), 23);
     }

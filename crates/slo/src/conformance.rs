@@ -25,7 +25,7 @@
 //! the predicted quantiles almost every round and fires within a
 //! window's worth of observations.
 
-use crate::{wilson_lower_bound, SloError};
+use crate::{wilson_lower_bound, Latch, SloError, Transition};
 use std::collections::VecDeque;
 
 /// Configuration of a [`ConformanceChecker`].
@@ -91,15 +91,6 @@ impl ConformanceConfig {
     }
 }
 
-/// A drift state change reported by [`ConformanceChecker::observe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftTransition {
-    /// The observed tail departed the model: drift went active.
-    Raised,
-    /// Drift cleared after a full hysteresis period in tolerance.
-    Cleared,
-}
-
 /// Online PIT-uniformity monitor with a one-sided drift alarm.
 #[derive(Debug)]
 pub struct ConformanceChecker {
@@ -107,10 +98,8 @@ pub struct ConformanceChecker {
     ring: VecDeque<f64>,
     bin_counts: Vec<u64>,
     tail_count: u64,
-    drift_active: bool,
-    quiet: u64,
+    drift: Latch,
     observed: u64,
-    drifts_raised: u64,
 }
 
 impl ConformanceChecker {
@@ -125,10 +114,8 @@ impl ConformanceChecker {
             bin_counts: vec![0; cfg.bins],
             tail_count: 0,
             cfg,
-            drift_active: false,
-            quiet: 0,
+            drift: Latch::default(),
             observed: 0,
-            drifts_raised: 0,
         })
     }
 
@@ -149,7 +136,7 @@ impl ConformanceChecker {
 
     /// Feed one PIT value `u = F_model(observed service time)`, clamped
     /// to `[0, 1]`. Returns a drift transition when the state changed.
-    pub fn observe(&mut self, u: f64) -> Option<DriftTransition> {
+    pub fn observe(&mut self, u: f64) -> Option<Transition> {
         let u = if u.is_finite() {
             u.clamp(0.0, 1.0)
         } else {
@@ -171,24 +158,7 @@ impl ConformanceChecker {
         }
         self.observed += 1;
         let out = self.out_of_tolerance();
-        if self.drift_active {
-            if out {
-                self.quiet = 0;
-            } else {
-                self.quiet += 1;
-                if self.quiet >= self.cfg.hysteresis {
-                    self.drift_active = false;
-                    self.quiet = 0;
-                    return Some(DriftTransition::Cleared);
-                }
-            }
-        } else if out {
-            self.drift_active = true;
-            self.quiet = 0;
-            self.drifts_raised += 1;
-            return Some(DriftTransition::Raised);
-        }
-        None
+        self.drift.observe(out, !out, self.cfg.hysteresis)
     }
 
     /// KS-style max deviation between the windowed empirical PIT CDF
@@ -223,7 +193,7 @@ impl ConformanceChecker {
     /// Whether drift is currently active.
     #[must_use]
     pub fn drift_active(&self) -> bool {
-        self.drift_active
+        self.drift.active
     }
 
     /// Total PIT observations fed so far.
@@ -235,7 +205,7 @@ impl ConformanceChecker {
     /// Drift alarms raised so far.
     #[must_use]
     pub fn drifts_raised(&self) -> u64 {
-        self.drifts_raised
+        self.drift.raised
     }
 
     /// The configuration in effect.
@@ -321,7 +291,7 @@ mod tests {
         // out of the window, then hysteresis must still elapse.
         let mut cleared_after = None;
         for i in 0..200 {
-            if c.observe(0.3) == Some(DriftTransition::Cleared) {
+            if c.observe(0.3) == Some(Transition::Cleared) {
                 cleared_after = Some(i + 1);
                 break;
             }

@@ -38,9 +38,68 @@ pub mod burn;
 pub mod conformance;
 pub mod trace;
 
-pub use burn::{AlertTransition, BurnConfig, BurnRateEngine};
-pub use conformance::{ConformanceChecker, ConformanceConfig, DriftTransition};
+pub use burn::{BurnConfig, BurnRateEngine};
+pub use conformance::{ConformanceChecker, ConformanceConfig};
 pub use trace::{render_chrome_json, TraceEvent, Tracer};
+
+/// A state change of an SLO alarm: the fast-burn alert
+/// ([`BurnRateEngine::observe_round`]) or the drift alarm
+/// ([`ConformanceChecker::observe`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// The alarm went active.
+    Raised,
+    /// The alarm cleared after a full hysteresis period of calm.
+    Cleared,
+}
+
+impl Transition {
+    /// The name `slo.alert` and `slo.drift` events carry in their
+    /// `transition` field.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Transition::Raised => "raised",
+            Transition::Cleared => "cleared",
+        }
+    }
+}
+
+/// The raise/clear machine both alarms run: raise when the raise
+/// condition holds, clear after `hysteresis` consecutive calm
+/// observations, and count raises. Raise→clear therefore always spans
+/// at least `hysteresis` observations, so an alarm cannot flap.
+#[derive(Debug, Default)]
+struct Latch {
+    active: bool,
+    calm_streak: u64,
+    /// Raises so far.
+    raised: u64,
+}
+
+impl Latch {
+    /// Feed one observation. `raise` is consulted only while the alarm
+    /// is inactive, `calm` only while it is active.
+    fn observe(&mut self, raise: bool, calm: bool, hysteresis: u64) -> Option<Transition> {
+        if !self.active {
+            // The calm streak is already 0: it resets on every clear.
+            self.active = raise;
+            self.raised += u64::from(raise);
+            return raise.then_some(Transition::Raised);
+        }
+        if !calm {
+            self.calm_streak = 0;
+            return None;
+        }
+        self.calm_streak += 1;
+        if self.calm_streak < hysteresis {
+            return None;
+        }
+        self.active = false;
+        self.calm_streak = 0;
+        Some(Transition::Cleared)
+    }
+}
 
 /// Errors from SLO configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +144,27 @@ pub fn wilson_lower_bound(successes: u64, trials: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn latch_raises_once_and_clears_after_hysteresis() {
+        let mut latch = Latch::default();
+        assert_eq!(latch.observe(false, true, 3), None);
+        assert_eq!(latch.observe(true, false, 3), Some(Transition::Raised));
+        // Already active: a second raise condition is not a transition.
+        assert_eq!(latch.observe(true, false, 3), None);
+        assert_eq!(latch.observe(false, true, 3), None);
+        assert_eq!(latch.observe(false, true, 3), None);
+        // A non-calm observation restarts the streak.
+        assert_eq!(latch.observe(false, false, 3), None);
+        for _ in 0..2 {
+            assert_eq!(latch.observe(false, true, 3), None);
+        }
+        assert_eq!(latch.observe(false, true, 3), Some(Transition::Cleared));
+        assert!(!latch.active);
+        assert_eq!(latch.raised, 1);
+        assert_eq!(Transition::Raised.as_str(), "raised");
+        assert_eq!(Transition::Cleared.as_str(), "cleared");
+    }
 
     #[test]
     fn wilson_bound_edges() {

@@ -8,10 +8,7 @@
 //! 4. drift transitions obey the same alternation/hysteresis contract,
 //!    and PIT values below the monitored tail quantile never raise.
 
-use mzd_slo::{
-    AlertTransition, BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig,
-    DriftTransition,
-};
+use mzd_slo::{BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig, Transition};
 use proptest::prelude::*;
 
 fn burn_engine(hysteresis: u64) -> BurnRateEngine {
@@ -37,7 +34,7 @@ proptest! {
         hysteresis in 1u64..32,
     ) {
         let mut e = burn_engine(hysteresis);
-        let mut transitions: Vec<(u64, AlertTransition)> = Vec::new();
+        let mut transitions: Vec<(u64, Transition)> = Vec::new();
         for (i, &(sr, g)) in rounds.iter().enumerate() {
             if let Some(t) = e.observe_round(sr, g.min(sr)) {
                 transitions.push((i as u64, t));
@@ -45,14 +42,14 @@ proptest! {
         }
         for (i, (_, t)) in transitions.iter().enumerate() {
             let expected = if i % 2 == 0 {
-                AlertTransition::Raised
+                Transition::Raised
             } else {
-                AlertTransition::Cleared
+                Transition::Cleared
             };
             prop_assert_eq!(*t, expected, "transition {} out of order", i);
         }
         for pair in transitions.windows(2) {
-            if pair[0].1 == AlertTransition::Raised {
+            if pair[0].1 == Transition::Raised {
                 let gap = pair[1].0 - pair[0].0;
                 prop_assert!(
                     gap >= hysteresis,
@@ -64,7 +61,7 @@ proptest! {
         // Bookkeeping agrees with the log.
         let raises = transitions
             .iter()
-            .filter(|(_, t)| *t == AlertTransition::Raised)
+            .filter(|(_, t)| *t == Transition::Raised)
             .count() as u64;
         prop_assert_eq!(e.alerts_raised(), raises);
     }
@@ -114,7 +111,7 @@ proptest! {
             ..ConformanceConfig::default()
         })
         .expect("valid config");
-        let mut transitions: Vec<(u64, DriftTransition)> = Vec::new();
+        let mut transitions: Vec<(u64, Transition)> = Vec::new();
         for (i, &u) in pits.iter().enumerate() {
             if let Some(t) = c.observe(u) {
                 transitions.push((i as u64, t));
@@ -122,14 +119,14 @@ proptest! {
         }
         for (i, (_, t)) in transitions.iter().enumerate() {
             let expected = if i % 2 == 0 {
-                DriftTransition::Raised
+                Transition::Raised
             } else {
-                DriftTransition::Cleared
+                Transition::Cleared
             };
             prop_assert_eq!(*t, expected, "transition {} out of order", i);
         }
         for pair in transitions.windows(2) {
-            if pair[0].1 == DriftTransition::Raised {
+            if pair[0].1 == Transition::Raised {
                 prop_assert!(pair[1].0 - pair[0].0 >= hysteresis);
             }
         }
