@@ -1212,6 +1212,24 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             );
         },
     );
+    {
+        // The fleet benchmark's `steady` solve: eq. 3.3.6 at 8-s rounds
+        // (N_max = 270). Linear in N_max with the running glitch sum; a
+        // return to re-summing b_late per probe costs ~100x.
+        mzd_par::set_jobs(1);
+        core.push(BenchEntry {
+            name: "n_max_error_t8",
+            jobs: 1,
+            ns_per_op: median_ns_per_op(if budget.quick { 8 } else { 40 }, || {
+                black_box(
+                    model
+                        .n_max_error(black_box(8.0), 1200, 12, 0.01)
+                        .expect("valid"),
+                );
+            }),
+        });
+        mzd_par::set_jobs(0);
+    }
     timed_pair(&mut core, "cdf_build_n28_257pt", cdf_iters, || {
         black_box(
             mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(28), 257).expect("builds"),

@@ -183,31 +183,123 @@ const BOOLEAN_FLAGS: [&str; 6] = [
     "health",
 ];
 
+/// Flags every command accepts: the worker pool and the telemetry
+/// sinks, which `run` and the telemetry setup read for any command.
+const SHARED_FLAGS: [&str; 6] = [
+    "jobs",
+    "metrics-out",
+    "events-out",
+    "prom-out",
+    "verbose",
+    "quiet",
+];
+
+/// Each command word, its command, and the flags it reads beyond
+/// [`SHARED_FLAGS`] — the one list [`parse`] checks a command line
+/// against.
+const COMMANDS: [(&str, Command, &[&str]); 12] = [
+    (
+        "nmax",
+        Command::Nmax,
+        &["disk", "mean", "sd", "round", "delta", "m", "g", "epsilon"],
+    ),
+    (
+        "plate",
+        Command::PLate,
+        &["disk", "mean", "sd", "round", "n"],
+    ),
+    (
+        "table",
+        Command::Table,
+        &["disk", "mean", "sd", "round", "thresholds"],
+    ),
+    (
+        "simulate",
+        Command::Simulate,
+        &[
+            "disk", "mean", "sd", "round", "n", "rounds", "seed", "reps", "faults",
+        ],
+    ),
+    (
+        "serve",
+        Command::Serve,
+        &[
+            "disk",
+            "mean",
+            "sd",
+            "round",
+            "disks",
+            "streams",
+            "rounds",
+            "seed",
+            "objects",
+            "object-rounds",
+            "zipf",
+            "nodes",
+            "lease-rounds",
+            "health",
+            "gray-node",
+            "cache-bytes",
+            "cache-policy",
+            "cache-safety",
+            "slo",
+            "trace-out",
+            "fault-profile",
+            "work-ahead",
+            "degrade",
+            "postmortem-dir",
+            "recorder-capacity",
+            "dump-on-exit",
+            "profile-out",
+        ],
+    ),
+    (
+        "plan",
+        Command::Plan,
+        &[
+            "disk",
+            "mean",
+            "sd",
+            "round",
+            "population",
+            "m",
+            "g",
+            "epsilon",
+        ],
+    ),
+    (
+        "worstcase",
+        Command::WorstCase,
+        &["disk", "mean", "sd", "round"],
+    ),
+    ("disks", Command::Disks, &[]),
+    (
+        "analyze-trace",
+        Command::AnalyzeTrace,
+        &["disk", "file", "delta"],
+    ),
+    (
+        "report",
+        Command::Report,
+        &["events", "metrics", "profile", "out"],
+    ),
+    ("postmortem", Command::Postmortem, &["bundle", "fleet"]),
+    ("help", Command::Help, &[]),
+];
+
 /// Parse an argument vector (without the program name).
 ///
 /// # Errors
-/// [`CliError::Usage`] for unknown commands, dangling flags or non-flag
-/// positional arguments.
+/// [`CliError::Usage`] for unknown commands, flags the command does not
+/// read (naming the nearest one it does, within two edits), dangling
+/// flags or non-flag positional arguments.
 pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
     let mut it = args.iter();
-    let command = match it.next().map(String::as_str) {
-        Some("nmax") => Command::Nmax,
-        Some("plate") => Command::PLate,
-        Some("table") => Command::Table,
-        Some("simulate") => Command::Simulate,
-        Some("serve") => Command::Serve,
-        Some("plan") => Command::Plan,
-        Some("worstcase") => Command::WorstCase,
-        Some("disks") => Command::Disks,
-        Some("analyze-trace") => Command::AnalyzeTrace,
-        Some("report") => Command::Report,
-        Some("postmortem") => Command::Postmortem,
-        Some("help") | None => Command::Help,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "unknown command `{other}`\n\n{USAGE}"
-            )))
-        }
+    let word = it.next().map_or("help", String::as_str);
+    let Some(&(word, command, own)) = COMMANDS.iter().find(|(name, ..)| *name == word) else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{word}`\n\n{USAGE}"
+        )));
     };
     let mut flags = BTreeMap::new();
     while let Some(key) = it.next() {
@@ -223,6 +315,19 @@ pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
                 }
             },
         };
+        let accepted = SHARED_FLAGS.iter().chain(own);
+        if !accepted.clone().any(|&flag| flag == name) {
+            let nearest = accepted
+                .map(|&flag| (edit_distance(name, flag), flag))
+                .filter(|&(d, _)| d <= 2)
+                .min_by_key(|&(d, _)| d);
+            let hint = nearest.map_or(String::new(), |(_, flag)| {
+                format!(" (did you mean --{flag}?)")
+            });
+            return Err(CliError::Usage(format!(
+                "`{word}` does not take --{name}{hint}; see `mzd help`"
+            )));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             flags.insert(name.to_string(), "true".to_string());
             continue;
@@ -235,6 +340,22 @@ pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
         flags.insert(name.to_string(), value.clone());
     }
     Ok(Parsed { command, flags })
+}
+
+/// Levenshtein distance between two flag names (insertions, deletions
+/// and substitutions of one byte each).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b = b.as_bytes();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.as_bytes().iter().enumerate() {
+        let mut cur = vec![i + 1; b.len() + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            let substitute = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = substitute.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        prev = cur;
+    }
+    prev[b.len()]
 }
 
 impl Parsed {
@@ -434,6 +555,116 @@ mod tests {
         assert!(matches!(e, CliError::Usage(_)));
         assert!(e.to_string().contains("frobnicate"));
         assert!(e.to_string().contains("usage:"));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_nearest() {
+        let e = parse(&v(&["serve", "--rounds", "20", "--metrics-outt", "m.json"])).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)));
+        let msg = e.to_string();
+        assert!(msg.contains("--metrics-outt"), "{msg}");
+        assert!(msg.contains("did you mean --metrics-out?"), "{msg}");
+        // A flag another command reads is still foreign here.
+        let msg = parse(&v(&["report", "--disk", "viking"]))
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("`report` does not take --disk"), "{msg}");
+        // Nothing within two edits: no guess.
+        let msg = parse(&v(&["nmax", "--frobnicate", "1"]))
+            .unwrap_err()
+            .to_string();
+        assert!(!msg.contains("did you mean"), "{msg}");
+        assert_eq!(edit_distance("seed", "seed"), 0);
+        assert_eq!(edit_distance("sed", "seed"), 1);
+        assert_eq!(edit_distance("rond", "round"), 1);
+        assert_eq!(edit_distance("", "abc"), 3);
+    }
+
+    /// `(command word, flag)` for every `--flag` USAGE lists in a
+    /// command's entry, skipping bracketed prose (`[same grammar as
+    /// --faults; …]`) but not bracketed optional flags (`[--delta P]`).
+    fn usage_flags() -> Vec<(String, String)> {
+        let commands = USAGE
+            .split("commands:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\ncommon flags:").next())
+            .unwrap();
+        let mut sections: Vec<(String, String)> = Vec::new();
+        for line in commands.lines() {
+            let word = line.strip_prefix("  ").and_then(|l| l.split(' ').next());
+            match word.filter(|w| !w.is_empty()) {
+                Some(word) => sections.push((word.to_string(), line.to_string())),
+                None => sections.last_mut().unwrap().1.push_str(line),
+            }
+        }
+        let mut out = Vec::new();
+        for (word, text) in sections {
+            let mut prose = 0;
+            let mut rest = text.as_str();
+            while let Some(c) = rest.chars().next() {
+                if c == '[' && !rest[1..].starts_with("--") {
+                    prose += 1;
+                } else if c == ']' && prose > 0 {
+                    prose -= 1;
+                } else if prose == 0 && rest.starts_with("--") {
+                    let flag: String = rest[2..]
+                        .chars()
+                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                        .collect();
+                    out.push((word.clone(), flag));
+                }
+                rest = &rest[c.len_utf8()..];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_command_accepts_the_flags_usage_lists_for_it() {
+        let args = |word: &str, flag: &str| {
+            let mut line = vec![word.to_string(), format!("--{flag}")];
+            if !BOOLEAN_FLAGS.contains(&flag) {
+                line.push("1".into());
+            }
+            line
+        };
+        let listed = usage_flags();
+        assert!(listed.len() > 40, "USAGE parse found only {listed:?}");
+        for (word, flag) in &listed {
+            assert!(
+                parse(&args(word, flag)).is_ok(),
+                "`{word} --{flag}` rejected"
+            );
+        }
+        // The execution and observability sections apply to every
+        // command, the common model flags to every command that builds
+        // a model.
+        for &(word, ..) in &COMMANDS {
+            for flag in SHARED_FLAGS {
+                assert!(
+                    parse(&args(word, flag)).is_ok(),
+                    "`{word} --{flag}` rejected"
+                );
+            }
+        }
+        for word in [
+            "nmax",
+            "plate",
+            "table",
+            "simulate",
+            "serve",
+            "plan",
+            "worstcase",
+        ] {
+            for flag in ["disk", "mean", "sd", "round"] {
+                assert!(
+                    parse(&args(word, flag)).is_ok(),
+                    "`{word} --{flag}` rejected"
+                );
+            }
+        }
+        assert!(parse(&args("analyze-trace", "disk")).is_ok());
+        assert!(parse(&v(&["serve", "-v", "-q"])).is_ok());
     }
 
     #[test]

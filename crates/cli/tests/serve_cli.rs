@@ -1,6 +1,6 @@
 //! Subprocess tests for `serve`'s two paths: a flag only one path reads
-//! fails loudly on the other, and the flags both paths share work on
-//! the fleet too.
+//! fails loudly on the other, the flags both paths share work on the
+//! fleet too, and a flag neither reads fails before anything runs.
 
 use std::process::{Command, Output};
 
@@ -82,4 +82,23 @@ fn lease_rounds_without_a_fleet_is_a_usage_error() {
         &["serve", "--rounds", "1", "--lease-rounds", "9"],
         "--lease-rounds",
     );
+}
+
+#[test]
+fn a_misspelled_flag_is_a_usage_error_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("mzd-serve-typo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let metrics = dir.join("m.json");
+    let args = [
+        "serve",
+        "--rounds",
+        "20",
+        "--seed",
+        "7",
+        "--metrics-outt",
+        metrics.to_str().unwrap(),
+    ];
+    assert_usage_error(&args, "did you mean --metrics-out?");
+    assert!(!metrics.exists(), "a misspelled --metrics-out wrote a file");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,12 +30,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use mzd_fault::{ChaosScenario, GrayDegradation};
 use mzd_health::{HealthConfig, HealthDetector, RecomposedGuarantee};
 use mzd_obs::SketchFleet;
 use mzd_prof::{DumpTrigger, Recorder, RecorderSettings};
-use mzd_server::{AdmissionController, AdmissionDecision, ServerConfig};
+use mzd_server::{AdmissionController, AdmissionDecision, ModelTables, ServerConfig};
 use mzd_slo::Tracer;
 use mzd_telemetry::SpanContext;
 use mzd_workload::ObjectSpec;
@@ -392,15 +393,12 @@ impl Cluster {
             .faults
             .as_ref()
             .is_some_and(|fc| fc.profile.gray != GrayDegradation::None);
-        let model = cfg.node.model()?;
-        let guarantee = ClusterGuarantee::compose(
-            &model,
-            cfg.node.round_length,
-            cfg.node.target,
-            cfg.nodes,
-            cfg.node.disks,
-            cfg.lease_rounds,
-        )?;
+        // One solve for the whole fleet: the composition and every
+        // node's admission read its limit, and the nodes share its
+        // predicted-CDF tables.
+        let tables = Arc::new(ModelTables::for_config(&cfg.node)?);
+        let guarantee =
+            ClusterGuarantee::compose(&tables, cfg.nodes, cfg.node.disks, cfg.lease_rounds)?;
         let admission = AdmissionController::with_limit(
             guarantee.n_star,
             cfg.node.round_length,
@@ -414,7 +412,8 @@ impl Cluster {
                         fc.profile = fc.profile.without_gray();
                     }
                 }
-                ServerNode::new(i, node_cfg, mzd_par::derive_seed(seed, u64::from(i)))
+                let seed = mzd_par::derive_seed(seed, u64::from(i));
+                ServerNode::new(i, node_cfg, seed, Arc::clone(&tables))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let placement = Placement::new(cfg.nodes)?;
@@ -1324,6 +1323,26 @@ mod tests {
     }
 
     #[test]
+    fn nodes_share_one_model_solve() {
+        // A gray fault profile makes the per-node configs differ (only
+        // the gray node keeps its shape); the model they imply does not.
+        let mut cfg = ClusterConfig::paper_reference(4, 2).unwrap();
+        cfg.node.faults = Some(mzd_fault::FaultConfig::preset("graynode").unwrap());
+        let fleet = Cluster::new(cfg, 3).unwrap();
+        let tables = fleet.node(0).server().tables();
+        for i in 0..4 {
+            let server = fleet.node(i).server();
+            assert!(Arc::ptr_eq(tables, server.tables()), "node {i}");
+            assert_eq!(server.admission().per_disk_limit(), tables.per_disk_limit());
+        }
+        // One tables object, held by the nodes alone: no node solved a
+        // copy of its own, and the composition read the same limit.
+        assert_eq!(Arc::strong_count(tables), 4);
+        assert_eq!(fleet.guarantee().n_max_single, tables.per_disk_limit());
+        assert_eq!(tables.per_disk_limit(), 28);
+    }
+
+    #[test]
     fn submit_round_trip_admits_and_completes() {
         let cfg = ClusterConfig::paper_reference(4, 2).unwrap();
         let mut fleet = Cluster::new(cfg, 11).unwrap();
@@ -1605,17 +1624,9 @@ mod tests {
         // ℓ = 10 + 2 = 12 consumes the whole g = 12 budget.
         let mut cfg = ClusterConfig::paper_reference(2, 1).unwrap();
         cfg.lease_rounds = 10;
-        let model = cfg.node.model().unwrap();
+        let tables = ModelTables::for_config(&cfg.node).unwrap();
         // Direct composition.
-        let err = ClusterGuarantee::compose(
-            &model,
-            cfg.node.round_length,
-            cfg.node.target,
-            2,
-            1,
-            cfg.lease_rounds,
-        )
-        .unwrap_err();
+        let err = ClusterGuarantee::compose(&tables, 2, 1, cfg.lease_rounds).unwrap_err();
         assert!(
             err.to_string().contains("consumes the glitch budget"),
             "{err}"

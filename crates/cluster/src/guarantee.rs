@@ -53,8 +53,7 @@
 //! one node) so a single failure never leaves admitted streams without
 //! a host.
 
-use mzd_core::GuaranteeModel;
-use mzd_server::QualityTarget;
+use mzd_server::{ModelTables, QualityTarget};
 
 use crate::ClusterError;
 
@@ -105,8 +104,10 @@ pub struct ClusterGuarantee {
 
 impl ClusterGuarantee {
     /// Compose the fleet guarantee for `nodes` members of
-    /// `disks_per_node` disks each, all running the same `model` at
-    /// round length `round_length`, with lease timeout `lease_rounds`.
+    /// `disks_per_node` disks each, all running the model `tables` were
+    /// solved from, with lease timeout `lease_rounds`. The single-node
+    /// cap is the tables' per-disk limit, so the fleet solves eq. 3.3.6
+    /// once for the composition and every node's admission controller.
     ///
     /// # Errors
     /// [`ClusterError::Invalid`] when the target is not a glitch-rate
@@ -115,14 +116,12 @@ impl ClusterGuarantee {
     /// alone consumes the glitch budget (`ℓ/m` too close to `g/m`),
     /// which is fixed by shortening the lease or loosening the target.
     pub fn compose(
-        model: &GuaranteeModel,
-        round_length: f64,
-        target: QualityTarget,
+        tables: &ModelTables,
         nodes: u32,
         disks_per_node: u32,
         lease_rounds: u32,
     ) -> Result<Self, ClusterError> {
-        let QualityTarget::GlitchRate { m, g, epsilon } = target else {
+        let QualityTarget::GlitchRate { m, g, epsilon } = tables.target() else {
             return Err(ClusterError::Invalid(
                 "cluster guarantees compose glitch-rate targets; \
                  a round-overrun target has no fleet-wide binomial form"
@@ -134,7 +133,7 @@ impl ClusterGuarantee {
                 "fleet needs at least one node and one disk per node".into(),
             ));
         }
-        let n_max_single = model.n_max_error(round_length, m, g, epsilon)?;
+        let n_max_single = tables.per_disk_limit();
         let ell = u64::from(lease_rounds) + u64::from(REQUEUE_SLACK_ROUNDS);
         if ell >= g {
             return Err(ClusterError::Invalid(format!(
@@ -148,18 +147,16 @@ impl ClusterGuarantee {
 
         // Largest n whose host-glitch tail still fits the debited
         // budget. The debit only tightens the bound, so start from the
-        // single-node cap and walk down.
-        let mut found = None;
-        let mut n = n_max_single;
-        while n >= 1 {
-            let p_glitch = model.p_glitch_bound(n, round_length)?;
+        // single-node cap and walk down, over b_glitch(1..=cap) from one
+        // running sum.
+        let b_glitch = tables
+            .model()
+            .p_glitch_bounds(n_max_single, tables.round_length())?;
+        let found = (1..=n_max_single).rev().find_map(|n| {
+            let p_glitch = b_glitch[n as usize - 1];
             let p_error = mzd_core::glitch::stream_error_bound(p_glitch, m, g_effective);
-            if p_error <= epsilon {
-                found = Some((n, p_glitch, p_error));
-                break;
-            }
-            n -= 1;
-        }
+            (p_error <= epsilon).then_some((n, p_glitch, p_error))
+        });
         let Some((n_star, p_glitch_round, p_error_stream)) = found else {
             return Err(ClusterError::Invalid(format!(
                 "no admission level satisfies the composed bound even at one \
@@ -196,23 +193,23 @@ impl ClusterGuarantee {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mzd_core::GuaranteeModel;
     use mzd_server::ServerConfig;
 
-    fn model() -> GuaranteeModel {
-        ServerConfig::paper_reference(1).unwrap().model().unwrap()
+    /// The paper's reference node solved at round length `t`.
+    fn tables_at(t: f64) -> ModelTables {
+        let mut cfg = ServerConfig::paper_reference(1).unwrap();
+        cfg.round_length = t;
+        ModelTables::for_config(&cfg).unwrap()
     }
 
-    fn target() -> QualityTarget {
-        QualityTarget::GlitchRate {
-            m: 1200,
-            g: 12,
-            epsilon: 0.01,
-        }
+    fn tables() -> ModelTables {
+        tables_at(1.0)
     }
 
     #[test]
     fn composed_cap_pays_for_failover_but_stays_near_the_anchor() {
-        let g = ClusterGuarantee::compose(&model(), 1.0, target(), 4, 2, 3).unwrap();
+        let g = ClusterGuarantee::compose(&tables(), 4, 2, 3).unwrap();
         // Paper anchor: one isolated node admits 28 streams/disk.
         assert_eq!(g.n_max_single, 28);
         assert_eq!(g.outage_rounds, 5); // lease 3 + 2 slack
@@ -229,11 +226,11 @@ mod tests {
 
     #[test]
     fn longer_leases_never_admit_more() {
-        let m = model();
+        let tables = tables();
         let mut prev = u32::MAX;
         // ℓ = lease + 2 runs from 3 to 11 against the budget g = 12.
         for lease in [1u32, 2, 3, 5, 9] {
-            let g = ClusterGuarantee::compose(&m, 1.0, target(), 4, 2, lease).unwrap();
+            let g = ClusterGuarantee::compose(&tables, 4, 2, lease).unwrap();
             assert!(g.n_star <= prev, "lease {lease} admitted more");
             assert!(g.p_error_stream <= 0.01);
             prev = g.n_star;
@@ -242,7 +239,7 @@ mod tests {
 
     #[test]
     fn single_node_fleet_keeps_no_spare() {
-        let g = ClusterGuarantee::compose(&model(), 1.0, target(), 1, 8, 3).unwrap();
+        let g = ClusterGuarantee::compose(&tables(), 1, 8, 3).unwrap();
         assert_eq!(g.spares, 0);
         assert_eq!(g.fleet_capacity, u64::from(g.n_star) * 8);
     }
@@ -251,24 +248,68 @@ mod tests {
     fn lease_consuming_the_budget_is_infeasible() {
         // ℓ = 10 + 2 = 12 ⇒ one failure alone spends the whole g = 12
         // budget; no admission level can help.
-        let err = ClusterGuarantee::compose(&model(), 1.0, target(), 4, 2, 10).unwrap_err();
+        let err = ClusterGuarantee::compose(&tables(), 4, 2, 10).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("lease"), "unhelpful error: {msg}");
         // The boundary case ℓ = g − 1 still composes.
-        assert!(ClusterGuarantee::compose(&model(), 1.0, target(), 4, 2, 9).is_ok());
+        assert!(ClusterGuarantee::compose(&tables(), 4, 2, 9).is_ok());
     }
 
     #[test]
     fn round_overrun_target_is_rejected() {
-        let err = ClusterGuarantee::compose(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-            4,
-            2,
-            3,
-        )
-        .unwrap_err();
+        let model = GuaranteeModel::paper_reference().unwrap();
+        let overrun =
+            ModelTables::solve(model, 1.0, QualityTarget::RoundOverrun { delta: 0.01 }).unwrap();
+        let err = ClusterGuarantee::compose(&overrun, 4, 2, 3).unwrap_err();
         assert!(err.to_string().contains("glitch-rate"));
+    }
+
+    #[test]
+    fn composition_matches_the_per_n_walk_down() {
+        // The running-sum walk-down against the per-n form: every field,
+        // f64s by bits, on the 4×2 and 16×1 shapes at 1-s rounds and
+        // 16×4 at 8-s rounds (fleetbench's `steady`).
+        for (t, nodes, disks, lease) in [(1.0, 4, 2, 3), (1.0, 16, 1, 3), (8.0, 16, 4, 3)] {
+            let tables = tables_at(t);
+            let got = ClusterGuarantee::compose(&tables, nodes, disks, lease).unwrap();
+            let model = tables.model();
+            let n_max_single = model.n_max_error(t, 1200, 12, 0.01).unwrap();
+            let ell = u64::from(lease + REQUEUE_SLACK_ROUNDS);
+            let g_effective = 12 - ell;
+            let mut n = n_max_single;
+            let (n_star, p_glitch, p_error) = loop {
+                let p_glitch = model.p_glitch_bound(n, t).unwrap();
+                let p_error = mzd_core::glitch::stream_error_bound(p_glitch, 1200, g_effective);
+                if p_error <= 0.01 {
+                    break (n, p_glitch, p_error);
+                }
+                n -= 1;
+            };
+            let spares = u32::from(nodes > 1);
+            let fleet_capacity = u64::from(nodes - spares) * u64::from(n_star * disks);
+            let want = ClusterGuarantee {
+                n_star,
+                n_max_single,
+                node_capacity: n_star * disks,
+                fleet_capacity,
+                spares,
+                p_glitch_round: p_glitch,
+                outage_rounds: ell,
+                g_effective,
+                p_error_stream: p_error,
+                p_error_any: (fleet_capacity as f64 * p_error).min(1.0),
+                m: 1200,
+                g: 12,
+                epsilon: 0.01,
+            };
+            assert_eq!(got, want, "{nodes}x{disks} @ {t} s");
+            for (a, b) in [
+                (got.p_glitch_round, want.p_glitch_round),
+                (got.p_error_stream, want.p_error_stream),
+                (got.p_error_any, want.p_error_any),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits(), "{nodes}x{disks} @ {t} s");
+            }
+        }
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! Both `N_max` definitions are maxima of a monotone predicate — the
 //! quality bound degrades as `N` grows — so a linear upward scan with a
-//! hard cap is exact, simple and fast (each probe costs one Chernoff
-//! optimization, microseconds). §5 suggests precomputing a lookup table of
-//! `N_max` per tolerance threshold so the run-time admission decision is a
-//! table lookup; [`AdmissionTable`] is that table.
+//! hard cap is exact, simple and fast. Each probe costs one Chernoff
+//! optimization (microseconds): for `p_late` directly, and for `p_error`
+//! because eq. 3.3.3's `b_glitch(N)` is a running mean of `b_late(k)`,
+//! which the scan folds one term per probe ([`n_max_fold_par`]). §5
+//! suggests precomputing a lookup table of `N_max` per tolerance
+//! threshold so the run-time admission decision is a table lookup;
+//! [`AdmissionTable`] is that table.
 
 use crate::CoreError;
 
@@ -18,7 +21,8 @@ pub const N_SEARCH_CAP: u32 = 100_000;
 /// Returns 0 if even `n = 1` violates the threshold.
 ///
 /// The scan is linear from 1 but exits as soon as the (monotone) bound
-/// crosses the threshold; for realistic parameters that is < 100 probes.
+/// crosses the threshold: `N_max + 1` probes, a few dozen at 1-s rounds
+/// and a few hundred at 8-s rounds.
 pub fn n_max<F: FnMut(u32) -> f64>(mut quality: F, threshold: f64) -> u32 {
     let mut best = 0;
     for n in 1..=N_SEARCH_CAP {
@@ -34,8 +38,31 @@ pub fn n_max<F: FnMut(u32) -> f64>(mut quality: F, threshold: f64) -> u32 {
 /// Candidate block evaluated per parallel round of the admission scans:
 /// wide enough to keep every worker busy past the ramp-up, narrow enough
 /// that the overshoot past the first violation stays a handful of probes.
-fn scan_block(jobs: usize) -> usize {
+pub(crate) fn scan_block(jobs: usize) -> usize {
     (jobs * 8).max(32)
+}
+
+/// Evaluate `term(1), term(2), …, term(cap)` in blocks fanned out across
+/// the worker pool, handing each value to `consume(k, term(k))` serially
+/// in `k` order until it returns `false`. Terms past that point in the
+/// last block are computed and dropped; `consume` never sees them, so
+/// scheduling cannot change what it computes.
+pub(crate) fn scan_par<T, C>(term: T, cap: u32, mut consume: C)
+where
+    T: Fn(u32) -> f64 + Sync,
+    C: FnMut(u32, f64) -> bool,
+{
+    let mut from = 0u32;
+    while from < cap {
+        let block = scan_block(mzd_par::jobs()).min((cap - from) as usize);
+        let terms = mzd_par::par_map_indexed(block, |i| term(from + 1 + i as u32));
+        for (k, value) in (from + 1..).zip(terms) {
+            if !consume(k, value) {
+                return;
+            }
+        }
+        from += block as u32;
+    }
 }
 
 /// [`n_max`] with the candidate probes fanned out across the worker
@@ -48,18 +75,30 @@ fn scan_block(jobs: usize) -> usize {
 /// Worth it when one probe costs a Chernoff optimization (µs–ms);
 /// pointless for trivially cheap bounds.
 pub fn n_max_par<F: Fn(u32) -> f64 + Sync>(quality: F, threshold: f64) -> u32 {
-    let mut from = 0u32;
-    while from < N_SEARCH_CAP {
-        let block = scan_block(mzd_par::jobs()).min((N_SEARCH_CAP - from) as usize);
-        let probes = mzd_par::par_map_indexed(block, |k| quality(from + 1 + k as u32));
+    n_max_fold_par(quality, |q| q, threshold)
+}
+
+/// [`n_max_par`] for a quality that folds every term up to `n`:
+/// `quality(n) = fold(term(n))`, with `fold` called once per `n` in
+/// increasing order, so it may carry state — eq. 3.3.6's `p_error(n)`
+/// folds `b_late(k)` into the running mean of eq. 3.3.3. The terms are
+/// evaluated in parallel, one per candidate `n`; the fold runs serially.
+pub fn n_max_fold_par<T, Q>(term: T, mut fold: Q, threshold: f64) -> u32
+where
+    T: Fn(u32) -> f64 + Sync,
+    Q: FnMut(f64) -> f64,
+{
+    let mut best = 0;
+    scan_par(term, N_SEARCH_CAP, |n, value| {
         // NaN counts as a violation, exactly like the serial scan's
         // `quality(n) <= threshold` failing.
-        if let Some(k) = probes.iter().position(|&q| !(q <= threshold)) {
-            return from + k as u32;
+        let holds = fold(value) <= threshold;
+        if holds {
+            best = n;
         }
-        from += block as u32;
-    }
-    N_SEARCH_CAP
+        holds
+    });
+    best
 }
 
 /// A precomputed tolerance → `N_max` lookup table (§5: "a lookup table
@@ -103,11 +142,12 @@ impl AdmissionTable {
     }
 
     /// [`Self::build`] with the quality probes fanned out across the
-    /// worker pool. Candidates are evaluated in blocks until one fails
-    /// the *largest* threshold, caching every probe; the serial resumed
-    /// scan then replays over the cache. Since the serial scan never
-    /// probes past the largest threshold's first violation, the cache
-    /// covers everything it reads and the resulting table is identical.
+    /// worker pool. Candidates are evaluated in blocks, caching every
+    /// probe up to the first that fails the *largest* threshold; the
+    /// serial resumed scan then replays over the cache. Since the serial
+    /// scan never probes past the largest threshold's first violation,
+    /// the cache covers everything it reads and the resulting table is
+    /// identical.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for an empty, unsorted or out-of-range
@@ -116,17 +156,31 @@ impl AdmissionTable {
         thresholds: &[f64],
         quality: F,
     ) -> Result<Self, CoreError> {
+        Self::build_fold_par(thresholds, quality, |q| q)
+    }
+
+    /// [`Self::build_par`] for a quality that folds every term up to
+    /// `n`, as in [`n_max_fold_par`]: the terms are evaluated in
+    /// parallel, `fold` runs once per `n` in increasing order, and the
+    /// scan stops at the first `n` whose quality fails the largest
+    /// threshold.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for an empty, unsorted or out-of-range
+    /// threshold list.
+    pub fn build_fold_par<T, Q>(thresholds: &[f64], term: T, mut fold: Q) -> Result<Self, CoreError>
+    where
+        T: Fn(u32) -> f64 + Sync,
+        Q: FnMut(f64) -> f64,
+    {
         Self::validate(thresholds)?;
         let thr_max = *thresholds.last().expect("validated non-empty");
         let mut cache: Vec<f64> = Vec::new();
-        let mut crossed = false;
-        while !crossed && (cache.len() as u32) < N_SEARCH_CAP {
-            let from = cache.len() as u32;
-            let block = scan_block(mzd_par::jobs()).min((N_SEARCH_CAP - from) as usize);
-            let probes = mzd_par::par_map_indexed(block, |k| quality(from + 1 + k as u32));
-            crossed = probes.iter().any(|&q| !(q <= thr_max));
-            cache.extend(probes);
-        }
+        scan_par(term, N_SEARCH_CAP, |_, value| {
+            let q = fold(value);
+            cache.push(q);
+            q <= thr_max
+        });
         let mut n_max_col = Vec::with_capacity(thresholds.len());
         let mut n = 0u32;
         for &thr in thresholds {

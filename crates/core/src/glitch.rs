@@ -22,11 +22,51 @@ use mzd_numerics::special::ln_choose;
 /// `k` requests misses the deadline; it is evaluated for `k = 1..=n`.
 /// Returns 0 for `n == 0`.
 pub fn glitch_probability_bound<F: FnMut(u32) -> f64>(n: u32, mut p_late: F) -> f64 {
-    if n == 0 {
-        return 0.0;
+    let mut sum = GlitchSum::default();
+    for k in 1..=n {
+        sum.push(p_late(k));
     }
-    let sum: f64 = (1..=n).map(|k| p_late(k).clamp(0.0, 1.0)).sum();
-    (sum / f64::from(n)).min(1.0)
+    sum.bound()
+}
+
+/// The running form of [`glitch_probability_bound`]: push `b_late(k, t)`
+/// for `k = 1, 2, …` in order and read `b_glitch(k, t)` after each push.
+/// It is the same left fold, so every partial bound is bit-identical to
+/// a fresh [`glitch_probability_bound`] at that `k`. An `N_max` scan over
+/// eq. 3.3.6 therefore pays one Chernoff solve per probe, not `N`.
+#[derive(Debug, Clone, Copy)]
+pub struct GlitchSum {
+    terms: u32,
+    sum: f64,
+}
+
+impl Default for GlitchSum {
+    fn default() -> Self {
+        // -0.0 is the identity `Iterator::sum` folds f64s from.
+        Self {
+            terms: 0,
+            sum: -0.0,
+        }
+    }
+}
+
+impl GlitchSum {
+    /// Add the next term `b_late(k, t)`, `k` one past the terms so far,
+    /// and return `b_glitch(k, t)`.
+    pub fn push(&mut self, p_late: f64) -> f64 {
+        self.terms += 1;
+        self.sum += p_late.clamp(0.0, 1.0);
+        self.bound()
+    }
+
+    /// `b_glitch` over the terms pushed so far; 0 before the first.
+    #[must_use]
+    pub fn bound(&self) -> f64 {
+        if self.terms == 0 {
+            return 0.0;
+        }
+        (self.sum / f64::from(self.terms)).min(1.0)
+    }
 }
 
 /// The Hagerup–Rüb Chernoff bound on the upper binomial tail
@@ -131,6 +171,20 @@ mod tests {
             0.0
         });
         assert_eq!(calls, vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn running_sum_is_the_iterator_sum_fold_at_every_prefix() {
+        // Bit-identical to re-summing each prefix with `Iterator::sum`,
+        // the form every bound was computed with before the running sum.
+        let p_late = |k: u32| (f64::from(k) * 0.37).sin().abs() * 1e-3 * f64::from(k);
+        let mut sum = GlitchSum::default();
+        assert_eq!(sum.bound(), 0.0);
+        for n in 1..=300 {
+            let folded: f64 = (1..=n).map(|k| p_late(k).clamp(0.0, 1.0)).sum();
+            let want = (folded / f64::from(n)).min(1.0);
+            assert_eq!(sum.push(p_late(n)).to_bits(), want.to_bits(), "n = {n}");
+        }
     }
 
     #[test]

@@ -261,11 +261,37 @@ impl GuaranteeModel {
     /// [`CoreError::Invalid`] for a non-positive round length.
     pub fn p_glitch_bound(&self, n: u32, t: f64) -> Result<f64, CoreError> {
         validate_round_length(t)?;
-        Ok(glitch::glitch_probability_bound(n, |k| {
-            self.round_service(k)
-                .map(|r| r.p_late_bound(t).probability)
-                .unwrap_or(1.0)
-        }))
+        Ok(glitch::glitch_probability_bound(n, |k| self.b_late(k, t)))
+    }
+
+    /// `b_glitch(k, t)` for every `k = 1..=n`, in order — one Chernoff
+    /// solve per `k`, fanned out across the worker pool, folded by
+    /// [`glitch::GlitchSum`]. Entry `k − 1` is bit-identical to
+    /// [`Self::p_glitch_bound`]`(k, t)`.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for a non-positive round length.
+    pub fn p_glitch_bounds(&self, n: u32, t: f64) -> Result<Vec<f64>, CoreError> {
+        validate_round_length(t)?;
+        let mut sum = glitch::GlitchSum::default();
+        let mut bounds = Vec::with_capacity(n as usize);
+        admission::scan_par(
+            |k| self.b_late(k, t),
+            n,
+            |_, p_late| {
+                bounds.push(sum.push(p_late));
+                true
+            },
+        );
+        Ok(bounds)
+    }
+
+    /// `b_late(k, t)` for a validated `t`, the term eq. 3.3.3 averages;
+    /// a round that cannot be modelled counts as certainly late.
+    fn b_late(&self, k: u32, t: f64) -> f64 {
+        self.round_service(k)
+            .map(|r| r.p_late_bound(t).probability)
+            .unwrap_or(1.0)
     }
 
     /// Bound on `P[stream of m rounds suffers ≥ g glitches]` — `p_error`
@@ -315,31 +341,21 @@ impl GuaranteeModel {
     pub fn n_max_late(&self, t: f64, delta: f64) -> Result<u32, CoreError> {
         validate_threshold(delta)?;
         validate_round_length(t)?;
-        Ok(admission::n_max_par(
-            |n| {
-                self.round_service(n)
-                    .map(|r| r.p_late_bound(t).probability)
-                    .unwrap_or(1.0)
-            },
-            delta,
-        ))
+        Ok(admission::n_max_par(|n| self.b_late(n, t), delta))
     }
 
     /// `N_max` under the per-stream glitch-rate criterion (eq. 3.3.6):
-    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon`.
+    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon`. The scan
+    /// keeps eq. 3.3.3's running sum, so probe `N` costs one Chernoff
+    /// solve, `b_late(N, t)`, and every probe's `p_error` is
+    /// bit-identical to [`Self::p_error_bound`].
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for invalid `t` or `epsilon`.
     pub fn n_max_error(&self, t: f64, m: u64, g: u64, epsilon: f64) -> Result<u32, CoreError> {
         validate_threshold(epsilon)?;
         validate_round_length(t)?;
-        Ok(admission::n_max_par(
-            |n| {
-                self.p_error_bound(n, t, m, g)
-                    .expect("round length validated above")
-            },
-            epsilon,
-        ))
+        Ok(n_max_error_scan(|k| self.b_late(k, t), m, g, epsilon))
     }
 
     /// Precompute the §5 admission lookup table over per-round overrun
@@ -359,7 +375,8 @@ impl GuaranteeModel {
     }
 
     /// Precompute the §5 admission lookup table over per-stream `p_error`
-    /// tolerances.
+    /// tolerances, one Chernoff solve per probe as in
+    /// [`Self::n_max_error`].
     ///
     /// # Errors
     /// Propagates threshold-validation errors.
@@ -371,9 +388,12 @@ impl GuaranteeModel {
         thresholds: &[f64],
     ) -> Result<AdmissionTable, CoreError> {
         validate_round_length(t)?;
-        AdmissionTable::build_par(thresholds, |n| {
-            self.p_error_bound(n, t, m, g).expect("validated above")
-        })
+        let mut sum = glitch::GlitchSum::default();
+        AdmissionTable::build_fold_par(
+            thresholds,
+            |k| self.b_late(k, t),
+            |p_late| glitch::stream_error_bound(sum.push(p_late), m, g),
+        )
     }
 
     /// The deterministic worst-case admission limit (eq. 4.1) for this
@@ -392,6 +412,18 @@ impl GuaranteeModel {
         let inputs = worstcase::worst_case_inputs(&self.disk, &sizes, size_percentile, rate)?;
         worstcase::n_max_worst_case(t, &inputs)
     }
+}
+
+/// The eq. 3.3.6 scan behind [`GuaranteeModel::n_max_error`], over any
+/// `b_late` term: one evaluation per candidate `N`, folded into the
+/// running mean of eq. 3.3.3 and priced by eq. 3.3.5.
+fn n_max_error_scan<F: Fn(u32) -> f64 + Sync>(b_late: F, m: u64, g: u64, epsilon: f64) -> u32 {
+    let mut sum = glitch::GlitchSum::default();
+    admission::n_max_fold_par(
+        b_late,
+        |p_late| glitch::stream_error_bound(sum.push(p_late), m, g),
+        epsilon,
+    )
 }
 
 fn validate_threshold(x: f64) -> Result<(), CoreError> {
@@ -500,6 +532,48 @@ mod tests {
     fn paper_33_n_max_error() {
         // §4: "The analytic bound according to (3.3.6) would be 28".
         assert_eq!(model().n_max_error(1.0, 1200, 12, 0.01).unwrap(), 28);
+    }
+
+    #[test]
+    fn n_max_error_solves_each_k_once_at_the_8s_anchor() {
+        // The `steady` shape: 8-s rounds, M = 1200, g = 12, ε = 1%.
+        let m = model();
+        let calls = std::sync::Mutex::new(Vec::new());
+        let n = n_max_error_scan(
+            |k| {
+                calls.lock().unwrap().push(k);
+                m.b_late(k, 8.0)
+            },
+            1200,
+            12,
+            0.01,
+        );
+        assert_eq!(n, 270);
+        assert_eq!(m.n_max_error(8.0, 1200, 12, 0.01).unwrap(), 270);
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_unstable();
+        let evals = calls.len() as u32;
+        // One b_late per k up to the first violation (271), rounded up
+        // to whole scan blocks — never the quadratic re-sum.
+        assert!(calls.iter().copied().eq(1..=evals), "a k was solved twice");
+        let block = admission::scan_block(mzd_par::jobs()) as u32;
+        assert!(evals >= 271 && evals < 271 + block, "{evals} solves");
+    }
+
+    #[test]
+    fn p_glitch_bounds_match_the_per_n_bound() {
+        let m = model();
+        let bounds = m.p_glitch_bounds(40, 1.0).unwrap();
+        assert_eq!(bounds.len(), 40);
+        for (n, b) in (1..).zip(&bounds) {
+            assert_eq!(
+                b.to_bits(),
+                m.p_glitch_bound(n, 1.0).unwrap().to_bits(),
+                "n = {n}"
+            );
+        }
+        assert!(m.p_glitch_bounds(0, 1.0).unwrap().is_empty());
+        assert!(m.p_glitch_bounds(3, 0.0).is_err());
     }
 
     #[test]

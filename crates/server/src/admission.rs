@@ -10,6 +10,11 @@
 use crate::ServerError;
 use mzd_core::GuaranteeModel;
 
+/// Ceiling on cache-aware inflation: the enforced limit never exceeds
+/// this multiple of the analytic `N_max`, whatever the measured hit
+/// ratio.
+pub const MAX_CACHE_INFLATION: u32 = 8;
+
 /// The service-quality target the operator guarantees to clients.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityTarget {
@@ -33,6 +38,22 @@ pub enum QualityTarget {
 }
 
 impl QualityTarget {
+    /// The per-disk `N_max` this target admits under `model` at
+    /// `round_length`: eq. 3.1.7 for a round-overrun target, eq. 3.3.6
+    /// for a glitch-rate target. One admission scan, one Chernoff
+    /// solve per probe.
+    ///
+    /// # Errors
+    /// Propagates model-evaluation errors (invalid `t` or thresholds).
+    pub fn n_max(&self, model: &GuaranteeModel, round_length: f64) -> Result<u32, ServerError> {
+        Ok(match *self {
+            QualityTarget::RoundOverrun { delta } => model.n_max_late(round_length, delta)?,
+            QualityTarget::GlitchRate { m, g, epsilon } => {
+                model.n_max_error(round_length, m, g, epsilon)?
+            }
+        })
+    }
+
     /// The per-stream-round glitch budget `p` this target admits — the
     /// denominator of the SLO burn rate. For a round-overrun target a
     /// glitch is tolerated with probability `delta` each round; for the
@@ -86,8 +107,10 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// Derive the per-disk limit from the analytic model for the given
-    /// target and round length. This is the only expensive call (a few
-    /// dozen Chernoff optimizations); store the controller and decide in
+    /// target and round length. This is the only expensive call (one
+    /// admission scan, [`QualityTarget::n_max`]: one Chernoff
+    /// optimization per candidate `N`, a few dozen at 1-s rounds and a
+    /// few hundred at 8-s rounds); store the controller and decide in
     /// O(1) afterwards.
     ///
     /// # Errors
@@ -97,26 +120,18 @@ impl AdmissionController {
         round_length: f64,
         target: QualityTarget,
     ) -> Result<Self, ServerError> {
-        let per_disk_limit = match target {
-            QualityTarget::RoundOverrun { delta } => model.n_max_late(round_length, delta)?,
-            QualityTarget::GlitchRate { m, g, epsilon } => {
-                model.n_max_error(round_length, m, g, epsilon)?
-            }
-        };
-        Ok(Self {
-            target,
+        Ok(Self::with_limit(
+            target.n_max(model, round_length)?,
             round_length,
-            per_disk_limit,
-            cache_safety: None,
-            hit_ratio_lower_bound: 0.0,
-            over_admission_frozen: false,
-        })
+            target,
+        ))
     }
 
     /// Build a controller enforcing an explicitly supplied per-disk
-    /// limit instead of deriving it from the model. Used by layers whose
-    /// limit folds in effects the single-node model cannot see — e.g. a
-    /// cluster's composed guarantee, which charges the glitch budget for
+    /// limit instead of deriving it from the model. Used where the limit
+    /// is already solved — a server's [`crate::ModelTables`] — or folds
+    /// in effects the single-node model cannot see — e.g. a cluster's
+    /// composed guarantee, which charges the glitch budget for
     /// lease-timeout outage and migration latency before solving for the
     /// feasible per-disk stream count.
     #[must_use]
@@ -209,7 +224,7 @@ impl AdmissionController {
         let inflated = f64::from(self.per_disk_limit) / discount;
         // Cap the inflation so a pathological measurement cannot admit
         // unboundedly; 8× already implies h ≳ 0.88 sustained.
-        let cap = f64::from(self.per_disk_limit) * 8.0;
+        let cap = f64::from(self.per_disk_limit) * f64::from(MAX_CACHE_INFLATION);
         inflated.min(cap).floor() as u32
     }
 
@@ -246,22 +261,15 @@ impl AdmissionController {
         }
     }
 
-    /// Recompute the limit after a configuration or workload change (§5:
-    /// "the table has to be updated … only if the disk configuration or
-    /// general data characteristics change").
-    ///
-    /// # Errors
-    /// Propagates model-evaluation errors.
-    pub fn retarget(&mut self, model: &GuaranteeModel) -> Result<(), ServerError> {
-        let mut fresh = Self::from_model(model, self.round_length, self.target)?;
+    /// Adopt the limit re-solved after a configuration or workload
+    /// change (§5: "the table has to be updated … only if the disk
+    /// configuration or general data characteristics change"), e.g.
+    /// [`QualityTarget::n_max`] under the new model.
+    pub fn retarget(&mut self, per_disk_limit: u32) {
         // Cache-aware state survives a workload retarget: the measured hit
         // ratio describes the traffic, not the disk model. Likewise an
         // active SLO freeze: the alert clears on evidence, not on retune.
-        fresh.cache_safety = self.cache_safety;
-        fresh.hit_ratio_lower_bound = self.hit_ratio_lower_bound;
-        fresh.over_admission_frozen = self.over_admission_frozen;
-        *self = fresh;
-        Ok(())
+        self.per_disk_limit = per_disk_limit;
     }
 }
 
@@ -331,8 +339,9 @@ mod tests {
         )
         .unwrap();
         let before = c.per_disk_limit();
+        let target = c.target();
         // Same model → same limit.
-        c.retarget(&model()).unwrap();
+        c.retarget(target.n_max(&model(), 1.0).unwrap());
         assert_eq!(c.per_disk_limit(), before);
         // A heavier workload (double mean size) lowers the limit.
         let heavy = GuaranteeModel::new(
@@ -342,7 +351,7 @@ mod tests {
             mzd_core::ZoneHandling::Discrete,
         )
         .unwrap();
-        c.retarget(&heavy).unwrap();
+        c.retarget(target.n_max(&heavy, 1.0).unwrap());
         assert!(c.per_disk_limit() < before);
     }
 
@@ -406,7 +415,7 @@ mod tests {
         c.enable_cache_aware(0.2).unwrap();
         c.set_hit_ratio_lower_bound(0.5);
         let effective_before = c.effective_per_disk_limit();
-        c.retarget(&model()).unwrap();
+        c.retarget(c.target().n_max(&model(), 1.0).unwrap());
         assert!(c.is_cache_aware());
         assert_eq!(c.effective_per_disk_limit(), effective_before);
     }
@@ -530,7 +539,7 @@ mod tests {
         c.set_hit_ratio_lower_bound(0.8);
         assert_eq!(c.effective_per_disk_limit(), base);
         // A retarget does not silently thaw.
-        c.retarget(&model()).unwrap();
+        c.retarget(c.target().n_max(&model(), 1.0).unwrap());
         assert!(c.over_admission_frozen());
         assert_eq!(c.effective_per_disk_limit(), base);
 

@@ -50,6 +50,7 @@ pub mod degrade;
 pub mod server;
 pub mod slo;
 pub mod striping;
+pub mod tables;
 
 pub use admission::{AdmissionController, AdmissionDecision, QualityTarget};
 pub use buffer::BufferTracker;
@@ -59,6 +60,7 @@ pub use server::{
 };
 pub use slo::{SloSettings, SloStatus};
 pub use striping::StripingLayout;
+pub use tables::ModelTables;
 
 /// Errors from server configuration and operation.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,6 +17,7 @@ use crate::degrade::{
 };
 use crate::slo::{SloSettings, SloState, SloStatus};
 use crate::striping::StripingLayout;
+use crate::tables::ModelTables;
 use crate::ServerError;
 use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
 use mzd_core::{GuaranteeModel, ZoneHandling};
@@ -28,6 +29,7 @@ use mzd_workload::{ObjectSpec, SizeDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Rounds of cache-lookup history the hit-ratio measurement window spans.
 const HIT_WINDOW_ROUNDS: usize = 64;
@@ -340,6 +342,9 @@ impl RoundScratch {
 pub struct VideoServer {
     cfg: ServerConfig,
     layout: StripingLayout,
+    /// The solved model behind admission and SLO conformance, shared
+    /// with every fleet peer on the same configuration.
+    tables: Arc<ModelTables>,
     admission: AdmissionController,
     disks: Vec<RoundSimulator>,
     sessions: Vec<Session>,
@@ -375,15 +380,41 @@ pub struct VideoServer {
 }
 
 impl VideoServer {
-    /// Bring up a server: derives the admission limit from the analytic
-    /// model and initializes one round simulator per disk.
+    /// Bring up a server: solves the analytic model for its own
+    /// [`ModelTables`] (the admission limit) and initializes one round
+    /// simulator per disk.
     ///
     /// # Errors
     /// Propagates configuration and model errors.
     pub fn new(cfg: ServerConfig, seed: u64) -> Result<Self, ServerError> {
+        let tables = ModelTables::for_config(&cfg)?;
+        Self::build(cfg, seed, Arc::new(tables))
+    }
+
+    /// [`Self::new`] on tables already solved for this configuration —
+    /// how a fleet's nodes share one admission solve and one set of
+    /// predicted-CDF tables.
+    ///
+    /// # Errors
+    /// [`ServerError::Invalid`] if `tables` were solved for a different
+    /// model, round length or target; otherwise as [`Self::new`].
+    pub fn with_tables(
+        cfg: ServerConfig,
+        seed: u64,
+        tables: Arc<ModelTables>,
+    ) -> Result<Self, ServerError> {
+        if !tables.fits(&cfg)? {
+            return Err(ServerError::Invalid(
+                "model tables were solved for a different model, round length or target".into(),
+            ));
+        }
+        Self::build(cfg, seed, tables)
+    }
+
+    fn build(cfg: ServerConfig, seed: u64, tables: Arc<ModelTables>) -> Result<Self, ServerError> {
         let layout = StripingLayout::new(cfg.disks)?;
-        let model = cfg.model()?;
-        let mut admission = AdmissionController::from_model(&model, cfg.round_length, cfg.target)?;
+        let mut admission =
+            AdmissionController::with_limit(tables.per_disk_limit(), cfg.round_length, cfg.target);
         let cache = match &cfg.cache {
             Some(settings) if settings.capacity_bytes > 0.0 => Some(
                 FragmentCache::new(CacheConfig {
@@ -451,6 +482,7 @@ impl VideoServer {
         Ok(Self {
             cfg,
             layout,
+            tables,
             admission,
             disks,
             sessions: Vec::new(),
@@ -496,8 +528,7 @@ impl VideoServer {
     /// [`ServerError::Invalid`] for degenerate burn or conformance
     /// configuration.
     pub fn enable_slo(&mut self, settings: SloSettings) -> Result<(), ServerError> {
-        let model = self.cfg.model()?;
-        self.slo = Some(SloState::new(settings, model)?);
+        self.slo = Some(SloState::new(settings)?);
         Ok(())
     }
 
@@ -552,6 +583,13 @@ impl VideoServer {
     /// index × round length) — the tracer's clock.
     fn trace_now_us(&self) -> u64 {
         (self.rounds_run as f64 * self.cfg.round_length * 1e6) as u64
+    }
+
+    /// The solved model in effect: shared with fleet peers built on the
+    /// same tables, this server's own after [`Self::reconfigure_workload`].
+    #[must_use]
+    pub fn tables(&self) -> &Arc<ModelTables> {
+        &self.tables
     }
 
     /// The configuration in effect.
@@ -880,6 +918,11 @@ impl VideoServer {
     /// are not evicted; if the new limit is lower, admission simply stays
     /// closed until enough streams finish.
     ///
+    /// The server moves to fresh [`ModelTables`] of its own: conformance
+    /// must judge observations against the model now in force (stale CDF
+    /// tables would flag spurious drift), while fleet peers that shared
+    /// the old tables keep them.
+    ///
     /// # Errors
     /// Propagates model-construction errors for invalid moments.
     pub fn reconfigure_workload(
@@ -890,13 +933,9 @@ impl VideoServer {
         let mut cfg = self.cfg.clone();
         cfg.admission_size_mean = size_mean;
         cfg.admission_size_variance = size_variance;
-        let model = cfg.model()?;
-        self.admission.retarget(&model)?;
-        if let Some(slo) = self.slo.as_mut() {
-            // Conformance must judge observations against the model now
-            // in force; stale CDF tables would flag spurious drift.
-            slo.set_model(model);
-        }
+        let tables = ModelTables::for_config(&cfg)?;
+        self.admission.retarget(tables.per_disk_limit());
+        self.tables = Arc::new(tables);
         self.cfg = cfg;
         Ok(())
     }
@@ -1294,7 +1333,8 @@ impl VideoServer {
         }
         if slo.conformance.is_some() {
             for ds in disks.iter().filter(|ds| ds.requests > 0) {
-                let Some(drift) = slo.observe_sweep(ds.requests, ds.service_time) else {
+                let Some(drift) = slo.observe_sweep(&self.tables, ds.requests, ds.service_time)
+                else {
                     continue;
                 };
                 if drift == Transition::Raised {

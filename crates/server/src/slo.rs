@@ -23,17 +23,12 @@
 //!   as Chrome trace-event JSON.
 
 use crate::admission::QualityTarget;
-use mzd_core::{GuaranteeModel, ServiceTimeCdf};
+use crate::tables::ModelTables;
 use mzd_slo::{
     BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig, Tracer, Transition,
 };
 use mzd_telemetry::SpanContext;
 use std::collections::HashMap;
-
-/// Grid resolution of the per-`n` predicted-CDF tables built for online
-/// conformance: coarse enough to build lazily mid-run, fine enough that
-/// interpolation error is far below the checker's tail tolerance.
-const CDF_GRID_POINTS: usize = 65;
 
 /// Disk-sweep spans get trace ids in a reserved high range so they never
 /// collide with stream trace ids (raw stream ids).
@@ -131,16 +126,15 @@ impl SloMetrics {
 }
 
 /// The server's attached SLO machinery (crate-internal; summarized for
-/// callers by [`SloStatus`]).
+/// callers by [`SloStatus`]). The predicted-CDF tables conformance reads
+/// are not here: they belong to the server's [`ModelTables`], shared
+/// with its fleet peers and swapped on workload reconfiguration.
 #[derive(Debug)]
 pub(crate) struct SloState {
     pub burn: BurnRateEngine,
+    /// The PIT window over each busy disk's sweep; `None` when
+    /// conformance is off.
     pub conformance: Option<ConformanceChecker>,
-    /// The analytic model the conformance CDFs are derived from; kept in
-    /// lockstep with workload reconfiguration.
-    pub model: GuaranteeModel,
-    /// Lazily built predicted-CDF tables, one per observed batch size.
-    cdfs: HashMap<u32, ServiceTimeCdf>,
     pub tracer: Option<Tracer>,
     /// Root span per live stream (tracing only).
     stream_roots: HashMap<u64, SpanContext>,
@@ -148,10 +142,7 @@ pub(crate) struct SloState {
 }
 
 impl SloState {
-    pub(crate) fn new(
-        settings: SloSettings,
-        model: GuaranteeModel,
-    ) -> Result<Self, mzd_slo::SloError> {
+    pub(crate) fn new(settings: SloSettings) -> Result<Self, mzd_slo::SloError> {
         let burn = BurnRateEngine::new(settings.burn)?;
         let conformance = settings
             .conformance
@@ -160,38 +151,28 @@ impl SloState {
         Ok(Self {
             burn,
             conformance,
-            model,
-            cdfs: HashMap::new(),
             tracer: settings.tracing.then(Tracer::new),
             stream_roots: HashMap::new(),
             metrics: SloMetrics::new(),
         })
     }
 
-    /// The predicted CDF `F_n`, tabulating it on first use for this `n`.
-    /// `None` if the grid build fails (degenerate `n`).
-    pub(crate) fn cdf_for(&mut self, n: u32) -> Option<&ServiceTimeCdf> {
-        if n == 0 {
-            return None;
-        }
-        if !self.cdfs.contains_key(&n) {
-            let built = ServiceTimeCdf::with_resolution(&self.model, n, CDF_GRID_POINTS).ok()?;
-            self.cdfs.insert(n, built);
-        }
-        self.cdfs.get(&n)
-    }
-
     /// Feed one busy disk's sweep to the conformance checker: its
-    /// observed service time pushed through the predicted CDF for its
-    /// batch size (the PIT). An unbuildable table maps to NaN, which the
-    /// checker counts as an exceedance rather than silently dropping.
+    /// observed service time pushed through `tables`' predicted CDF for
+    /// its batch size (the PIT). An unbuildable table maps to NaN, which
+    /// the checker counts as an exceedance rather than silently dropping.
     /// `None` when conformance is off or its state did not change.
-    pub(crate) fn observe_sweep(&mut self, requests: u32, service_time: f64) -> Option<Transition> {
-        self.conformance.as_ref()?;
-        let u = self
+    pub(crate) fn observe_sweep(
+        &mut self,
+        tables: &ModelTables,
+        requests: u32,
+        service_time: f64,
+    ) -> Option<Transition> {
+        let conformance = self.conformance.as_mut()?;
+        let u = tables
             .cdf_for(requests)
             .map_or(f64::NAN, |c| c.evaluate(service_time));
-        self.conformance.as_mut()?.observe(u)
+        conformance.observe(u)
     }
 
     /// KS statistic and tail exceedance of the conformance window, both
@@ -200,12 +181,6 @@ impl SloState {
         self.conformance
             .as_ref()
             .map_or((0.0, 0.0), |c| (c.ks_statistic(), c.tail_exceedance()))
-    }
-
-    /// Invalidate the CDF tables after a model change.
-    pub(crate) fn set_model(&mut self, model: GuaranteeModel) {
-        self.model = model;
-        self.cdfs.clear();
     }
 
     /// The root span context of a stream, minted on first sight unless
@@ -342,10 +317,9 @@ mod tests {
 
     #[test]
     fn state_builds_and_reports_idle_status() {
-        let model = GuaranteeModel::paper_reference().unwrap();
         let settings =
             SloSettings::for_target(QualityTarget::RoundOverrun { delta: 0.01 }).with_tracing(true);
-        let mut st = SloState::new(settings, model).unwrap();
+        let mut st = SloState::new(settings).unwrap();
         let status = st.status(false);
         assert!(!status.alert_active);
         assert!(!status.drift_active);
@@ -359,16 +333,5 @@ mod tests {
         st.forget_stream(1);
         let d = st.stream_root(1).unwrap();
         assert_ne!(a.span, d.span);
-    }
-
-    #[test]
-    fn cdf_tables_are_cached_per_n_and_reject_zero() {
-        let model = GuaranteeModel::paper_reference().unwrap();
-        let settings = SloSettings::for_target(QualityTarget::RoundOverrun { delta: 0.01 });
-        let mut st = SloState::new(settings, model).unwrap();
-        assert!(st.cdf_for(0).is_none());
-        let v1 = st.cdf_for(4).unwrap().evaluate(1.0);
-        let v2 = st.cdf_for(4).unwrap().evaluate(1.0);
-        assert_eq!(v1, v2);
     }
 }

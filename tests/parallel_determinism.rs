@@ -175,6 +175,24 @@ fn fleet_observability_is_identical_across_job_counts() {
         for _ in 0..12 {
             fleet.run_round();
         }
+        // Every node's conformance state: the nodes share one set of
+        // predicted-CDF tables and, stepping in parallel, race to build
+        // the same cell in round 0.
+        let slo: Vec<_> = (0..3)
+            .map(|i| {
+                let s = fleet
+                    .node(i)
+                    .server()
+                    .slo_status()
+                    .expect("tracing enables SLO");
+                (
+                    s.ks_statistic.to_bits(),
+                    s.tail_exceedance.to_bits(),
+                    s.drifts_raised,
+                    s.drift_active,
+                )
+            })
+            .collect();
         (
             fleet.trace_chrome_json().expect("tracing enabled"),
             fleet.sketches().render_prom(),
@@ -183,6 +201,7 @@ fn fleet_observability_is_identical_across_job_counts() {
                 .merged(mzd_cluster::SKETCH_SERVICE_TIME)
                 .bucket_counts()
                 .to_vec(),
+            slo,
         )
     };
     let reference = with_jobs(1, run);
@@ -192,6 +211,7 @@ fn fleet_observability_is_identical_across_job_counts() {
         assert_eq!(reference.0, other.0, "trace JSON, jobs = {jobs}");
         assert_eq!(reference.1, other.1, "prom text, jobs = {jobs}");
         assert_eq!(reference.2, other.2, "bucket counts, jobs = {jobs}");
+        assert_eq!(reference.3, other.3, "node SLO status, jobs = {jobs}");
     }
 }
 
@@ -342,21 +362,19 @@ fn gray_fleet_health_is_identical_across_job_counts() {
 fn admission_limits_are_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     let model = GuaranteeModel::paper_reference().unwrap();
-    let reference = with_jobs(1, || {
+    let limits = || {
         (
             model.n_max_late(1.0, 0.01).unwrap(),
             model.n_max_error(1.0, 1200, 12, 0.01).unwrap(),
+            model.n_max_error(8.0, 1200, 12, 0.01).unwrap(),
         )
-    });
-    // The paper's anchors: the parallel scan must preserve them exactly.
-    assert_eq!(reference, (26, 28));
+    };
+    let reference = with_jobs(1, limits);
+    // The paper's anchors, plus the 8-s shape fleetbench's `steady`
+    // serves: the parallel scan must preserve them exactly.
+    assert_eq!(reference, (26, 28, 270));
     for jobs in JOB_COUNTS {
-        let other = with_jobs(jobs, || {
-            (
-                model.n_max_late(1.0, 0.01).unwrap(),
-                model.n_max_error(1.0, 1200, 12, 0.01).unwrap(),
-            )
-        });
+        let other = with_jobs(jobs, limits);
         assert_eq!(reference, other, "jobs = {jobs}");
     }
 }
