@@ -1091,10 +1091,11 @@ struct BenchEntry {
     ns_per_op: f64,
 }
 
-/// Median of several timed batches (one warmup batch first). The vendored
-/// criterion shim has no JSON output, so the summary measures with plain
-/// `Instant` loops — coarser than criterion, but stable enough for the
-/// jobs=1 vs jobs=4 speedup ratios CI tracks.
+/// Median of five timed batches of `iters` calls, after one warmup
+/// batch of a quarter as many: the workspace's one micro-benchmark
+/// engine, behind both `bench-summary` and `bench-check`. Plain
+/// `Instant` loops, so an op of a few ns also pays the loop and
+/// `black_box` around it.
 fn median_ns_per_op(iters: u32, mut op: impl FnMut()) -> f64 {
     let iters = iters.max(1);
     for _ in 0..iters.div_ceil(4) {
@@ -1146,9 +1147,21 @@ fn write_summary(path: &str, suite: &str, entries: &[BenchEntry]) {
     println!("  wrote {path}");
 }
 
-/// Run a named operation at jobs = 1 and jobs = 4 and push both timings.
-fn timed_pair(entries: &mut Vec<BenchEntry>, name: &'static str, iters: u32, mut op: impl FnMut()) {
-    for jobs in [1usize, 4] {
+/// Worker-pool widths of an entry timed serially only.
+const SERIAL: &[usize] = &[1];
+/// Widths of a parallelized path: the serial baseline and four workers.
+const PAIR: &[usize] = &[1, 4];
+
+/// Time a named operation at each pool width in `widths` and push one
+/// entry per width.
+fn timed(
+    entries: &mut Vec<BenchEntry>,
+    name: &'static str,
+    widths: &[usize],
+    iters: u32,
+    mut op: impl FnMut(),
+) {
+    for &jobs in widths {
         mzd_par::set_jobs(jobs);
         entries.push(BenchEntry {
             name,
@@ -1161,7 +1174,8 @@ fn timed_pair(entries: &mut Vec<BenchEntry>, name: &'static str, iters: u32, mut
 
 /// Measure every summary entry under `budget`. Shared by `bench-summary`
 /// (artifact generation) and `bench-check` (regression gate) so the two
-/// commands can never drift apart in what they time.
+/// commands can never drift apart in what they time. Every micro-cost
+/// the docs cite is one of these entries.
 ///
 /// The first core entry is `calibration_p_late_bound` — a fixed, purely
 /// CPU-bound Chernoff evaluation with no allocation or parallelism. Its
@@ -1171,27 +1185,29 @@ fn timed_pair(entries: &mut Vec<BenchEntry>, name: &'static str, iters: u32, mut
 /// regressions.
 fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
     use std::hint::black_box;
+    let iters = |quick: u32, full: u32| if budget.quick { quick } else { full };
     let model = GuaranteeModel::paper_reference().expect("reference model");
     let thresholds = [0.0001, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25];
-    let table_iters = if budget.quick { 2 } else { 8 };
-    let cdf_iters = if budget.quick { 2 } else { 8 };
 
     let mut core = Vec::new();
-    core.push(BenchEntry {
-        name: "calibration_p_late_bound",
-        jobs: 1,
-        ns_per_op: median_ns_per_op(if budget.quick { 400 } else { 4000 }, || {
+    timed(
+        &mut core,
+        "calibration_p_late_bound",
+        SERIAL,
+        iters(400, 4000),
+        || {
             black_box(
                 model
                     .p_late_bound(black_box(27), black_box(1.0))
                     .expect("valid t"),
             );
-        }),
-    });
-    timed_pair(
+        },
+    );
+    timed(
         &mut core,
         "admission_table_late_8_thresholds",
-        table_iters,
+        PAIR,
+        iters(2, 8),
         || {
             black_box(
                 model
@@ -1200,10 +1216,11 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             );
         },
     );
-    timed_pair(
+    timed(
         &mut core,
         "admission_table_error_8_thresholds",
-        table_iters,
+        PAIR,
+        iters(2, 8),
         || {
             black_box(
                 model
@@ -1212,81 +1229,112 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             );
         },
     );
-    {
-        // The fleet benchmark's `steady` solve: eq. 3.3.6 at 8-s rounds
-        // (N_max = 270). Linear in N_max with the running glitch sum; a
-        // return to re-summing b_late per probe costs ~100x.
-        mzd_par::set_jobs(1);
-        core.push(BenchEntry {
-            name: "n_max_error_t8",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 8 } else { 40 }, || {
-                black_box(
-                    model
-                        .n_max_error(black_box(8.0), 1200, 12, 0.01)
-                        .expect("valid"),
-                );
-            }),
-        });
-        mzd_par::set_jobs(0);
-    }
-    timed_pair(&mut core, "cdf_build_n28_257pt", cdf_iters, || {
+    // The fleet benchmark's `steady` solve: eq. 3.3.6 at 8-s rounds
+    // (N_max = 270). Linear in N_max with the running glitch sum; a
+    // return to re-summing b_late per probe costs ~100x.
+    timed(&mut core, "n_max_error_t8", SERIAL, iters(8, 40), || {
+        black_box(
+            model
+                .n_max_error(black_box(8.0), 1200, 12, 0.01)
+                .expect("valid"),
+        );
+    });
+    timed(&mut core, "cdf_build_n28_257pt", PAIR, iters(2, 8), || {
         black_box(
             mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(28), 257).expect("builds"),
         );
+    });
+    // The §5 tiers at the paper's 1-s anchor: one eq. 3.3.3 bound, the
+    // two N_max searches an operator re-runs per configuration, and the
+    // table lookup that sits on the request path. Batches of ~10 ms, so
+    // a short stall of a shared host moves one batch, not the median.
+    timed(
+        &mut core,
+        "p_glitch_bound_n28",
+        SERIAL,
+        iters(100, 1000),
+        || {
+            black_box(model.p_glitch_bound(black_box(28), 1.0).expect("valid"));
+        },
+    );
+    timed(&mut core, "n_max_late_t1", SERIAL, iters(100, 1000), || {
+        black_box(model.n_max_late(black_box(1.0), 0.01).expect("valid"));
+    });
+    timed(
+        &mut core,
+        "n_max_error_t1",
+        SERIAL,
+        iters(100, 1000),
+        || {
+            black_box(
+                model
+                    .n_max_error(black_box(1.0), 1200, 12, 0.01)
+                    .expect("valid"),
+            );
+        },
+    );
+    let table = model
+        .admission_table_late(1.0, &[0.001, 0.005, 0.01, 0.05, 0.1])
+        .expect("valid table");
+    timed(&mut core, "admission_table_lookup", SERIAL, 100_000, || {
+        black_box(table.lookup(black_box(0.013)));
+    });
+    // The N = 28 tail by saddlepoint and by exact inversion, beside the
+    // Chernoff bound the calibration entry times.
+    timed(
+        &mut core,
+        "saddlepoint_p_late_n28",
+        SERIAL,
+        iters(400, 4000),
+        || {
+            black_box(model.p_late_estimate(black_box(28), 1.0).expect("valid"));
+        },
+    );
+    timed(&mut core, "exact_p_late_n28", SERIAL, iters(8, 40), || {
+        black_box(model.p_late_exact(black_box(28), 1.0).expect("valid"));
     });
 
     let cfg = SimConfig::paper_reference().expect("reference sim");
     let rep_rounds = budget.scale(1600);
     let mut sim = Vec::new();
-    timed_pair(&mut sim, "replicated_p_late_16_reps", 1, || {
+    timed(&mut sim, "replicated_p_late_16_reps", PAIR, 1, || {
         black_box(
             mzd_sim::estimate_p_late_par(&cfg, black_box(27), rep_rounds, 16, 42)
                 .expect("valid sim"),
         );
     });
-    {
-        // Event-engine hot path: one N = 27 round with the request
-        // arena and draw buffer preallocated to the round size
-        // (`with_capacity`), so the steady state is allocation-free —
-        // the contract asserted by crates/sim/tests/alloc_steady_state.rs.
-        let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
-        sim.push(BenchEntry {
-            name: "engine_round_n27",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
-                black_box(one.run_round(27));
-            }),
-        });
-    }
+    // Event-engine hot path: one N = 27 round with the request arena and
+    // draw buffer preallocated to the round size (`with_capacity`), so
+    // the steady state is allocation-free — the contract asserted by
+    // crates/sim/tests/alloc_steady_state.rs.
+    let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
+    timed(
+        &mut sim,
+        "engine_round_n27",
+        SERIAL,
+        iters(200, 2000),
+        || {
+            black_box(one.run_round(27));
+        },
+    );
     {
         use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey};
+        let key = |f: u32| FragmentKey {
+            object: u64::from(f % 32),
+            fragment: f / 32,
+        };
         let mut cache = FragmentCache::new(CacheConfig {
             capacity_bytes: 4096.0 * 200_000.0,
             policy: CachePolicy::Lru,
         })
         .expect("valid config");
         for f in 0..4096u32 {
-            cache.insert(
-                FragmentKey {
-                    object: u64::from(f % 32),
-                    fragment: f / 32,
-                },
-                200_000.0,
-                0.02,
-            );
+            cache.insert(key(f), 200_000.0, 0.02);
         }
         let mut f = 0u32;
-        sim.push(BenchEntry {
-            name: "cache_hit_lookup",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(100_000, || {
-                f = (f + 1) % 128;
-                black_box(cache.lookup(FragmentKey {
-                    object: u64::from(f % 32),
-                    fragment: f / 32,
-                }));
-            }),
+        timed(&mut sim, "cache_hit_lookup", SERIAL, 100_000, || {
+            f = (f + 1) % 128;
+            black_box(cache.lookup(key(f)));
         });
     }
     {
@@ -1303,16 +1351,52 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         for _ in 0..fleet.guarantee().fleet_capacity {
             fleet.submit(object.clone()).expect("submit");
         }
-        mzd_par::set_jobs(1); // run_round parallelizes node steps internally
-        sim.push(BenchEntry {
-            name: "engine_fleet_dispatch_4n",
-            jobs: 1,
-            ns_per_op: median_ns_per_op(if budget.quick { 200 } else { 2000 }, || {
+        timed(
+            &mut sim,
+            "engine_fleet_dispatch_4n",
+            SERIAL,
+            iters(200, 2000),
+            || {
                 black_box(fleet.run_round());
-            }),
-        });
-        mzd_par::set_jobs(0);
+            },
+        );
     }
+    // What every round pays for instrumentation nobody reads: a metric
+    // update, an event guard with no sink, a phase guard with profiling
+    // off.
+    let registry = mzd_telemetry::Registry::new();
+    let counter = registry.counter("bench.counter");
+    let histogram = registry.histogram("bench.histogram");
+    timed(&mut sim, "telemetry_counter_inc", SERIAL, 100_000, || {
+        counter.inc()
+    });
+    timed(
+        &mut sim,
+        "telemetry_histogram_record",
+        SERIAL,
+        100_000,
+        || {
+            histogram.record(black_box(0.0123));
+        },
+    );
+    // The binary installs no sink and never turns profiling on; pin both
+    // so these rows keep timing the disabled paths.
+    mzd_telemetry::set_sink(std::sync::Arc::new(mzd_telemetry::event::NullSink));
+    mzd_prof::set_profiling(false);
+    timed(
+        &mut sim,
+        "telemetry_event_emit_disabled",
+        SERIAL,
+        100_000,
+        || {
+            if mzd_telemetry::events_enabled() {
+                mzd_telemetry::emit(mzd_telemetry::Event::new("bench.round").u64("round", 7));
+            }
+        },
+    );
+    timed(&mut sim, "prof_phase_disabled", SERIAL, 100_000, || {
+        let _guard = mzd_prof::phase(black_box("server.round"));
+    });
     (core, sim)
 }
 
@@ -1358,8 +1442,10 @@ pub fn bench_summary(budget: Budget) {
 /// mis-measured calibration cannot silence the gate entirely. An entry
 /// fails when `fresh > scaled_baseline * 1.25 + 500 ns` — 25% headroom
 /// for measurement noise plus an absolute slack that keeps sub-µs ops
-/// from tripping on scheduler jitter. Exits non-zero on any regression
-/// or on a catalog mismatch (entry measured but absent from the golden).
+/// from tripping on scheduler jitter, so an entry under ~2 µs fails only
+/// on a gross regression. Exits non-zero on any regression or on a
+/// catalog mismatch either way: an entry measured but absent from the
+/// golden, or a golden row nothing measures.
 ///
 /// Only `jobs = 1` entries gate. Multi-worker timings on a host with
 /// fewer free cores than workers measure the OS scheduler, not the
@@ -1409,17 +1495,6 @@ pub fn bench_check(_: Budget) {
     let (core, sim) = measure_entries(budget);
     let fresh: Vec<&BenchEntry> = core.iter().chain(&sim).collect();
 
-    // The event-engine entries are load-bearing: they are the only
-    // timings of the post-rewrite hot path, so the catalog must always
-    // measure them at jobs = 1 (and the golden must carry them — a
-    // missing golden row fails below as MISSING).
-    for required in ["engine_round_n27", "engine_fleet_dispatch_4n"] {
-        assert!(
-            fresh.iter().any(|e| e.name == required && e.jobs == 1),
-            "bench catalog no longer measures {required} at jobs = 1"
-        );
-    }
-
     let cal_fresh = fresh
         .iter()
         .find(|e| e.name == "calibration_p_late_bound")
@@ -1448,9 +1523,7 @@ pub fn bench_check(_: Budget) {
                 "  {:<38}    {}  {:>12} {:>12} {:>12.0}  MISSING from golden",
                 e.name, e.jobs, "-", "-", e.ns_per_op
             );
-            if gated {
-                failures += 1;
-            }
+            failures += 1;
             continue;
         };
         let allowed = base * ratio * 1.25 + 500.0;
@@ -1474,10 +1547,20 @@ pub fn bench_check(_: Budget) {
             }
         );
     }
+    for (name, jobs, base) in &baseline {
+        if !fresh.iter().any(|e| e.name == name && e.jobs == *jobs) {
+            println!(
+                "  {name:<38}    {jobs}  {base:>12.0} {:>12} {:>12}  STALE: nothing measures it",
+                "-", "-"
+            );
+            failures += 1;
+        }
+    }
     if failures > 0 {
         eprintln!(
             "\nbench-check FAILED: {failures} entr{} regressed beyond 25% (+500 ns) of the \
-             host-scaled baseline.\nIf the slowdown is intended, refresh the golden:\n  \
+             host-scaled baseline or missing from one side of the catalog.\nIf the change \
+             is intended, refresh the golden:\n  \
              cargo run --release -p mzd-bench --bin experiments -- bench-summary --quick\n  \
              cp BENCH_baseline.json crates/bench/golden/BENCH_baseline.json",
             if failures == 1 { "y" } else { "ies" }

@@ -98,7 +98,7 @@ fn main() {
                  BENCH_baseline.json (ns/op, jobs=1 vs jobs=4 speedups)\n  \
                  bench-check  perf-regression gate: fresh --quick measurement vs\n               \
                  crates/bench/golden/BENCH_baseline.json (exit 1 on >25%\n               \
-                 host-scaled regression)\n  \
+                 host-scaled regression or a row on one side only)\n  \
                  all          everything, in order\n\n\
                  --jobs N     worker threads for parallel phases\n               \
                  (results are byte-identical for any N)"

@@ -75,7 +75,9 @@ commands:
                               graynode|flappy|creep)
                              or key=value pairs, e.g.
                              media=0.01:1,stall=0.002:0.05,retries=4,
-                             gray=slow:1.6|flap:2:40:20|creep:40:400:2.5])
+                             gray=slow:1.6|flap:2:40:20|creep:40:400:2.5]
+             --prom-out PATH  [Prometheus text exposition of the
+                               metrics registry, written at exit])
   serve      round-based server on a Zipf catalog
              (flags: --disks D --streams N --rounds R --seed S
               --objects K --object-rounds M --zipf SKEW
@@ -103,7 +105,8 @@ commands:
                                    members run it stripped; default 0;
                                    needs --nodes N]
               --cache-bytes B --cache-policy lru|interval|cost
-              --cache-safety S    [enables cache-aware admission]
+              --cache-safety S    [enables cache-aware admission;
+                                   single server only]
               --slo               [burn-rate + model-conformance monitor;
                                    single server only: with --nodes N
                                    each node runs it under --degrade
@@ -185,14 +188,9 @@ const BOOLEAN_FLAGS: [&str; 6] = [
 
 /// Flags every command accepts: the worker pool and the telemetry
 /// sinks, which `run` and the telemetry setup read for any command.
-const SHARED_FLAGS: [&str; 6] = [
-    "jobs",
-    "metrics-out",
-    "events-out",
-    "prom-out",
-    "verbose",
-    "quiet",
-];
+/// `--prom-out` is not one of them: only `simulate` and `serve` register
+/// the run-scoped series its exposition renders.
+const SHARED_FLAGS: [&str; 5] = ["jobs", "metrics-out", "events-out", "verbose", "quiet"];
 
 /// Each command word, its command, and the flags it reads beyond
 /// [`SHARED_FLAGS`] — the one list [`parse`] checks a command line
@@ -217,7 +215,7 @@ const COMMANDS: [(&str, Command, &[&str]); 12] = [
         "simulate",
         Command::Simulate,
         &[
-            "disk", "mean", "sd", "round", "n", "rounds", "seed", "reps", "faults",
+            "disk", "mean", "sd", "round", "n", "rounds", "seed", "reps", "faults", "prom-out",
         ],
     ),
     (
@@ -251,6 +249,7 @@ const COMMANDS: [(&str, Command, &[&str]); 12] = [
             "recorder-capacity",
             "dump-on-exit",
             "profile-out",
+            "prom-out",
         ],
     ),
     (

@@ -560,14 +560,15 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
     let fleet = nodes > 1;
     // A flag only the other path reads is a usage error, not a no-op.
     let foreign: &[&str] = if fleet {
-        &["slo"]
+        &["slo", "cache-safety"]
     } else {
         &["health", "gray-node", "lease-rounds"]
     };
     if let Some(flag) = foreign.iter().find(|flag| parsed.has(flag)) {
         return Err(CliError::Usage(if fleet {
             format!(
-                "--{flag} is single-server only; fleet nodes run SLO via --degrade or --trace-out"
+                "--{flag} is single-server only; fleet nodes admit at the composed cap \
+                 (never cache-aware) and run SLO via --degrade or --trace-out"
             )
         } else {
             format!("--{flag} needs a fleet: add --nodes N with N > 1")

@@ -1,7 +1,7 @@
 //! CLI-side telemetry wiring: install event sinks from the observability
 //! flags before a command runs, dump the metrics snapshot after.
 //!
-//! The flags (shared by every command):
+//! The flags (shared by every command, except `--prom-out`):
 //!
 //! * `--events-out PATH` — stream per-round / per-admission events to
 //!   `PATH` as JSONL, one object per line.
@@ -9,9 +9,10 @@
 //!   (ignored when `--events-out` is given; the file wins).
 //! * `--metrics-out PATH` — at exit, write the global registry snapshot
 //!   (counters, gauges, histogram quantiles) to `PATH` as JSON.
-//! * `--prom-out PATH` — at exit, write the global registry in
-//!   Prometheus text exposition format (`serve` additionally rewrites
-//!   the file every round, so a scraper sees live state).
+//! * `--prom-out PATH` (`simulate` and `serve` only: the other commands
+//!   register no series it renders) — at exit, write the global
+//!   registry in Prometheus text exposition format (`serve` additionally
+//!   rewrites the file every round, so a scraper sees live state).
 
 use crate::args::Parsed;
 use crate::CliError;

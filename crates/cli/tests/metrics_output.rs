@@ -1,7 +1,8 @@
 //! End-to-end observability test: run the real `mzd` binary with
 //! `--metrics-out` / `--events-out` and check both artifacts parse and
 //! carry what the docs promise — a metrics snapshot with round
-//! service-time quantiles and a JSONL stream with one record per round.
+//! service-time quantiles and a JSONL stream with one record per round
+//! — and that `--prom-out` is refused where it would write nothing.
 
 use mzd_telemetry::json::{parse, Value};
 use std::process::Command;
@@ -151,4 +152,29 @@ fn verbose_flag_streams_events_to_stderr() {
         stderr.contains("\"event\":\"sim.round\""),
         "-v must stream round events to stderr, got: {stderr}"
     );
+}
+
+#[test]
+fn prom_out_on_a_command_without_series_is_a_usage_error() {
+    // Only `simulate` and `serve` register run-scoped series; a solver's
+    // exposition would be an empty file.
+    let dir = std::env::temp_dir().join(format!("mzd-prom-scope-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let prom = dir.join("p.prom");
+    let output = Command::new(env!("CARGO_BIN_EXE_mzd"))
+        .args([
+            "nmax",
+            "--delta",
+            "0.01",
+            "--prom-out",
+            prom.to_str().unwrap(),
+        ])
+        .output()
+        .expect("failed to spawn mzd");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--prom-out"), "{stderr}");
+    assert!(output.stdout.is_empty(), "nmax printed a report");
+    assert!(!prom.exists(), "a rejected --prom-out wrote a file");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -60,6 +60,25 @@ fn slo_with_a_fleet_is_a_usage_error() {
 }
 
 #[test]
+fn cache_safety_with_a_fleet_is_a_usage_error() {
+    // The fleet admits through its composed cap, never cache-aware.
+    assert_usage_error(
+        &[
+            "serve",
+            "--nodes",
+            "2",
+            "--rounds",
+            "1",
+            "--cache-bytes",
+            "40000000",
+            "--cache-safety",
+            "0.0",
+        ],
+        "--cache-safety",
+    );
+}
+
+#[test]
 fn health_without_a_fleet_is_a_usage_error() {
     assert_usage_error(&["serve", "--rounds", "1", "--health"], "--health");
     assert_usage_error(

@@ -147,11 +147,9 @@ impl ClusterGuarantee {
 
         // Largest n whose host-glitch tail still fits the debited
         // budget. The debit only tightens the bound, so start from the
-        // single-node cap and walk down, over b_glitch(1..=cap) from one
-        // running sum.
-        let b_glitch = tables
-            .model()
-            .p_glitch_bounds(n_max_single, tables.round_length())?;
+        // single-node cap and walk down, over the b_glitch(1..=cap) the
+        // cap's own scan folded.
+        let b_glitch = tables.glitch_bounds();
         let found = (1..=n_max_single).rev().find_map(|n| {
             let p_glitch = b_glitch[n as usize - 1];
             let p_error = mzd_core::glitch::stream_error_bound(p_glitch, m, g_effective);
@@ -168,21 +166,20 @@ impl ClusterGuarantee {
             )));
         };
 
-        let spares = u32::from(nodes > 1);
+        // The spare rule, as a fleet with nothing ejected.
         let node_capacity = n_star * disks_per_node;
-        let fleet_capacity = u64::from(nodes - spares) * u64::from(node_capacity);
-        let p_error_any = (fleet_capacity as f64 * p_error_stream).min(1.0);
+        let fleet = mzd_health::recompose(nodes, u64::from(node_capacity), p_error_stream, 0, 0);
         Ok(Self {
             n_star,
             n_max_single,
             node_capacity,
-            fleet_capacity,
-            spares,
+            fleet_capacity: fleet.effective_capacity,
+            spares: fleet.spares,
             p_glitch_round,
             outage_rounds: ell,
             g_effective,
             p_error_stream,
-            p_error_any,
+            p_error_any: fleet.p_error_any,
             m,
             g,
             epsilon,

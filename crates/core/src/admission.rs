@@ -42,19 +42,19 @@ pub(crate) fn scan_block(jobs: usize) -> usize {
     (jobs * 8).max(32)
 }
 
-/// Evaluate `term(1), term(2), …, term(cap)` in blocks fanned out across
-/// the worker pool, handing each value to `consume(k, term(k))` serially
-/// in `k` order until it returns `false`. Terms past that point in the
-/// last block are computed and dropped; `consume` never sees them, so
-/// scheduling cannot change what it computes.
-pub(crate) fn scan_par<T, C>(term: T, cap: u32, mut consume: C)
+/// Evaluate `term(1), term(2), …, term(N_SEARCH_CAP)` in blocks fanned
+/// out across the worker pool, handing each value to `consume(k,
+/// term(k))` serially in `k` order until it returns `false`. Terms past
+/// that point in the last block are computed and dropped; `consume`
+/// never sees them, so scheduling cannot change what it computes.
+fn scan_par<T, C>(term: T, mut consume: C)
 where
     T: Fn(u32) -> f64 + Sync,
     C: FnMut(u32, f64) -> bool,
 {
     let mut from = 0u32;
-    while from < cap {
-        let block = scan_block(mzd_par::jobs()).min((cap - from) as usize);
+    while from < N_SEARCH_CAP {
+        let block = scan_block(mzd_par::jobs()).min((N_SEARCH_CAP - from) as usize);
         let terms = mzd_par::par_map_indexed(block, |i| term(from + 1 + i as u32));
         for (k, value) in (from + 1..).zip(terms) {
             if !consume(k, value) {
@@ -89,7 +89,7 @@ where
     Q: FnMut(f64) -> f64,
 {
     let mut best = 0;
-    scan_par(term, N_SEARCH_CAP, |n, value| {
+    scan_par(term, |n, value| {
         // NaN counts as a violation, exactly like the serial scan's
         // `quality(n) <= threshold` failing.
         let holds = fold(value) <= threshold;
@@ -176,7 +176,7 @@ impl AdmissionTable {
         Self::validate(thresholds)?;
         let thr_max = *thresholds.last().expect("validated non-empty");
         let mut cache: Vec<f64> = Vec::new();
-        scan_par(term, N_SEARCH_CAP, |_, value| {
+        scan_par(term, |_, value| {
             let q = fold(value);
             cache.push(q);
             q <= thr_max

@@ -120,8 +120,10 @@ const CF_CHUNK: usize = 512;
 /// cheap rotation `e^{−iωt}` does. When one model is inverted at many
 /// points (the [`crate::ServiceTimeCdf`] grid), evaluating `φ` once per
 /// node and reusing it turns each additional grid point into a
-/// multiply-accumulate sweep: ~20× cheaper per point than the
-/// from-scratch inversion (see the `slo_overhead` bench notes).
+/// multiply-accumulate sweep, several times cheaper than a from-scratch
+/// inversion: compare the `cdf_build_n28_257pt` row of
+/// `experiments -- bench-summary` (257 points) with `exact_p_late_n28`
+/// (one).
 ///
 /// The quadrature is sized for the largest `t` the caller will query
 /// (`t_max` sets the fastest `e^{−iωt}` oscillation), so accuracy at

@@ -264,28 +264,6 @@ impl GuaranteeModel {
         Ok(glitch::glitch_probability_bound(n, |k| self.b_late(k, t)))
     }
 
-    /// `b_glitch(k, t)` for every `k = 1..=n`, in order — one Chernoff
-    /// solve per `k`, fanned out across the worker pool, folded by
-    /// [`glitch::GlitchSum`]. Entry `k − 1` is bit-identical to
-    /// [`Self::p_glitch_bound`]`(k, t)`.
-    ///
-    /// # Errors
-    /// [`CoreError::Invalid`] for a non-positive round length.
-    pub fn p_glitch_bounds(&self, n: u32, t: f64) -> Result<Vec<f64>, CoreError> {
-        validate_round_length(t)?;
-        let mut sum = glitch::GlitchSum::default();
-        let mut bounds = Vec::with_capacity(n as usize);
-        admission::scan_par(
-            |k| self.b_late(k, t),
-            n,
-            |_, p_late| {
-                bounds.push(sum.push(p_late));
-                true
-            },
-        );
-        Ok(bounds)
-    }
-
     /// `b_late(k, t)` for a validated `t`, the term eq. 3.3.3 averages;
     /// a round that cannot be modelled counts as certainly late.
     fn b_late(&self, k: u32, t: f64) -> f64 {
@@ -345,14 +323,31 @@ impl GuaranteeModel {
     }
 
     /// `N_max` under the per-stream glitch-rate criterion (eq. 3.3.6):
-    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon`. The scan
-    /// keeps eq. 3.3.3's running sum, so probe `N` costs one Chernoff
-    /// solve, `b_late(N, t)`, and every probe's `p_error` is
-    /// bit-identical to [`Self::p_error_bound`].
+    /// the largest `N` with `p_error(N, t, m, g) ≤ epsilon` — the length
+    /// of [`Self::p_glitch_prefix`].
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for invalid `t` or `epsilon`.
     pub fn n_max_error(&self, t: f64, m: u64, g: u64, epsilon: f64) -> Result<u32, CoreError> {
+        Ok(self.p_glitch_prefix(t, m, g, epsilon)?.len() as u32)
+    }
+
+    /// The eq. 3.3.6 scan with what it folds kept: `b_glitch(k, t)` for
+    /// every `k = 1..=N_max`, in order, where `N_max` is
+    /// [`Self::n_max_error`]. The scan keeps eq. 3.3.3's running sum, so
+    /// probe `k` costs one Chernoff solve, `b_late(k, t)`; entry `k − 1`
+    /// is bit-identical to [`Self::p_glitch_bound`]`(k, t)`, so every
+    /// probe's `p_error` is bit-identical to [`Self::p_error_bound`].
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for invalid `t` or `epsilon`.
+    pub fn p_glitch_prefix(
+        &self,
+        t: f64,
+        m: u64,
+        g: u64,
+        epsilon: f64,
+    ) -> Result<Vec<f64>, CoreError> {
         validate_threshold(epsilon)?;
         validate_round_length(t)?;
         Ok(n_max_error_scan(|k| self.b_late(k, t), m, g, epsilon))
@@ -414,16 +409,25 @@ impl GuaranteeModel {
     }
 }
 
-/// The eq. 3.3.6 scan behind [`GuaranteeModel::n_max_error`], over any
-/// `b_late` term: one evaluation per candidate `N`, folded into the
-/// running mean of eq. 3.3.3 and priced by eq. 3.3.5.
-fn n_max_error_scan<F: Fn(u32) -> f64 + Sync>(b_late: F, m: u64, g: u64, epsilon: f64) -> u32 {
+/// The eq. 3.3.6 scan behind [`GuaranteeModel::p_glitch_prefix`], over
+/// any `b_late` term: one evaluation per candidate `N`, folded into the
+/// running mean of eq. 3.3.3 and priced by eq. 3.3.5. Returns the
+/// running means up to `N_max`.
+fn n_max_error_scan<F: Fn(u32) -> f64 + Sync>(b_late: F, m: u64, g: u64, epsilon: f64) -> Vec<f64> {
     let mut sum = glitch::GlitchSum::default();
-    admission::n_max_fold_par(
+    let mut prefix = Vec::new();
+    let n_max = admission::n_max_fold_par(
         b_late,
-        |p_late| glitch::stream_error_bound(sum.push(p_late), m, g),
+        |p_late| {
+            let b_glitch = sum.push(p_late);
+            prefix.push(b_glitch);
+            glitch::stream_error_bound(b_glitch, m, g)
+        },
         epsilon,
-    )
+    );
+    // The fold also saw the first violation.
+    prefix.truncate(n_max as usize);
+    prefix
 }
 
 fn validate_threshold(x: f64) -> Result<(), CoreError> {
@@ -547,7 +551,8 @@ mod tests {
             1200,
             12,
             0.01,
-        );
+        )
+        .len();
         assert_eq!(n, 270);
         assert_eq!(m.n_max_error(8.0, 1200, 12, 0.01).unwrap(), 270);
         let mut calls = calls.into_inner().unwrap();
@@ -561,19 +566,21 @@ mod tests {
     }
 
     #[test]
-    fn p_glitch_bounds_match_the_per_n_bound() {
+    fn p_glitch_prefix_matches_the_per_n_bound() {
         let m = model();
-        let bounds = m.p_glitch_bounds(40, 1.0).unwrap();
-        assert_eq!(bounds.len(), 40);
-        for (n, b) in (1..).zip(&bounds) {
+        let prefix = m.p_glitch_prefix(1.0, 1200, 12, 0.01).unwrap();
+        assert_eq!(prefix.len(), 28);
+        for (n, b) in (1..).zip(&prefix) {
             assert_eq!(
                 b.to_bits(),
                 m.p_glitch_bound(n, 1.0).unwrap().to_bits(),
                 "n = {n}"
             );
         }
-        assert!(m.p_glitch_bounds(0, 1.0).unwrap().is_empty());
-        assert!(m.p_glitch_bounds(3, 0.0).is_err());
+        // No glitch budget: not even one stream meets it.
+        assert!(m.p_glitch_prefix(1.0, 1200, 0, 0.01).unwrap().is_empty());
+        assert!(m.p_glitch_prefix(0.0, 1200, 12, 0.01).is_err());
+        assert!(m.p_glitch_prefix(1.0, 1200, 12, 0.0).is_err());
     }
 
     #[test]

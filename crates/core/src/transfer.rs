@@ -224,8 +224,8 @@ impl TransferTimeModel {
 /// `f_trans(t) = ∫ f_rate(r) · r · f_size(t·r) dr`
 /// (or the exact finite-`Z` mixture `Σ_i p_i · R_i · f_size(t·R_i)`).
 ///
-/// Used to validate the 2%-error claim for the Gamma approximation and by
-/// the density benchmarks; not on the admission-control fast path.
+/// Used to validate the 2%-error claim for the Gamma approximation
+/// (`experiments -- approx`); not on the admission-control fast path.
 #[derive(Debug, Clone)]
 pub struct TransferTimeDensity {
     size: Gamma,

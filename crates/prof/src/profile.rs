@@ -8,8 +8,8 @@
 //! the round the time went*, with parent/child attribution (a parent's
 //! self time excludes its children). Disabled by default; a disabled
 //! [`phase`] call costs one relaxed atomic load and returns an inert
-//! guard, so instrumentation can stay in the hot loop permanently (see
-//! the `prof_overhead` bench in `mzd-bench`).
+//! guard, so instrumentation can stay in the hot loop permanently (the
+//! `prof_phase_disabled` row of `experiments -- bench-summary`).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

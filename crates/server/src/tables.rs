@@ -33,6 +33,9 @@ pub struct ModelTables {
     round_length: f64,
     target: QualityTarget,
     per_disk_limit: u32,
+    /// `b_glitch(k)` at index `k − 1` for `k` up to the limit, kept from
+    /// a glitch-rate target's scan; empty for a round-overrun target.
+    glitch_bounds: Vec<f64>,
     /// `F_n` at index `n − 1`, for every `n` a disk batch can reach under
     /// the limit (cache-aware inflation included). `None` inside a set
     /// cell marks a grid build that failed. Boxed so the cells a fleet
@@ -42,7 +45,8 @@ pub struct ModelTables {
 
 impl ModelTables {
     /// Solve `model` for `target` at `round_length`: the per-disk limit
-    /// now (one admission scan), the CDF tables on demand.
+    /// now (one admission scan, whose glitch bounds are kept), the CDF
+    /// tables on demand.
     ///
     /// # Errors
     /// Propagates model-evaluation errors (invalid `t` or thresholds).
@@ -51,13 +55,20 @@ impl ModelTables {
         round_length: f64,
         target: QualityTarget,
     ) -> Result<Self, ServerError> {
-        let per_disk_limit = target.n_max(&model, round_length)?;
+        let (per_disk_limit, glitch_bounds) = match target {
+            QualityTarget::GlitchRate { m, g, epsilon } => {
+                let prefix = model.p_glitch_prefix(round_length, m, g, epsilon)?;
+                (prefix.len() as u32, prefix)
+            }
+            QualityTarget::RoundOverrun { .. } => (target.n_max(&model, round_length)?, Vec::new()),
+        };
         let cells = per_disk_limit as usize * MAX_CACHE_INFLATION as usize;
         Ok(Self {
             model,
             round_length,
             target,
             per_disk_limit,
+            glitch_bounds,
             cdfs: (0..cells).map(|_| OnceLock::new()).collect(),
         })
     }
@@ -104,6 +115,16 @@ impl ModelTables {
     #[must_use]
     pub fn per_disk_limit(&self) -> u32 {
         self.per_disk_limit
+    }
+
+    /// The per-round glitch bounds `b_glitch(k, t)` of eq. 3.3.3 for
+    /// `k = 1..=`[`Self::per_disk_limit`], kept from the eq. 3.3.6 scan
+    /// that solved a glitch-rate target's limit
+    /// ([`GuaranteeModel::p_glitch_prefix`]); empty for a round-overrun
+    /// target.
+    #[must_use]
+    pub fn glitch_bounds(&self) -> &[f64] {
+        &self.glitch_bounds
     }
 
     /// The predicted CDF `F_n`, tabulated on first use for this `n`;

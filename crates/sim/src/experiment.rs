@@ -141,61 +141,6 @@ pub fn estimate_p_error(
     })
 }
 
-/// [`estimate_p_error`] with the `batches` independent windows executed
-/// across the worker pool, one engine per batch seeded
-/// `derive_seed(seed, batch)`. Byte-identical for any worker count;
-/// like [`estimate_p_late_par`], a different (equally valid) sample than
-/// the serial estimator at the same seed.
-///
-/// # Errors
-/// Propagates configuration validation.
-pub fn estimate_p_error_par(
-    cfg: &SimConfig,
-    n: u32,
-    m: u64,
-    g: u64,
-    batches: u32,
-    seed: u64,
-) -> Result<PErrorEstimate, SimError> {
-    let batches = batches.max(1);
-    let parts = mzd_par::par_map_indexed(batches as usize, |i| {
-        let mut engine = SimulationEngine::new(cfg.clone(), mzd_par::derive_seed(seed, i as u64))?;
-        Ok::<_, SimError>(engine.run_window(n, m))
-    });
-    let mut acc = crate::engine::GlitchAccounting {
-        rounds: 0,
-        late_rounds: 0,
-        glitches_per_stream: Vec::with_capacity(batches as usize * n as usize),
-        service_time: mzd_numerics::stats::OnlineStats::new(),
-        seek_time: mzd_numerics::stats::OnlineStats::new(),
-    };
-    for part in parts {
-        let w = part?;
-        acc.rounds += w.rounds;
-        acc.late_rounds += w.late_rounds;
-        acc.glitches_per_stream.extend(w.glitches_per_stream);
-        acc.service_time.merge(&w.service_time);
-        acc.seek_time.merge(&w.seek_time);
-    }
-    let samples = acc.glitches_per_stream.len() as u64;
-    let failures = acc.glitches_per_stream.iter().filter(|&&c| c >= g).count() as u64;
-    Ok(PErrorEstimate {
-        n,
-        m,
-        g,
-        stream_samples: samples,
-        failures,
-        p_error: if samples == 0 {
-            0.0
-        } else {
-            failures as f64 / samples as f64
-        },
-        ci: wilson_interval(failures, samples, 0.95),
-        mean_glitches: acc.mean_glitches_per_stream(),
-        p_late: acc.p_late(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,16 +214,6 @@ mod tests {
         // Uneven split still accounts every round.
         let odd = estimate_p_late_par(&cfg(), 27, 1001, 4, 11).unwrap();
         assert_eq!(odd.rounds, 1001);
-    }
-
-    #[test]
-    fn replicated_p_error_is_deterministic_and_consistent() {
-        let a = estimate_p_error_par(&cfg(), 31, 300, 3, 8, 14).unwrap();
-        let b = estimate_p_error_par(&cfg(), 31, 300, 3, 8, 14).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.stream_samples, 31 * 8);
-        assert!(a.failures <= a.stream_samples);
-        assert!(a.ci.contains(a.p_error));
     }
 
     #[test]

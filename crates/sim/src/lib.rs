@@ -47,8 +47,7 @@ pub use drift::{run_drift_scenario, DriftScenarioConfig, DriftScenarioReport};
 pub use engine::{run_replicated_windows, GlitchAccounting, SimulationEngine};
 pub use event::{DrawBuffer, Event, EventKind, EventQueue};
 pub use experiment::{
-    estimate_p_error, estimate_p_error_par, estimate_p_late, estimate_p_late_par, PErrorEstimate,
-    PLateEstimate,
+    estimate_p_error, estimate_p_late, estimate_p_late_par, PErrorEstimate, PLateEstimate,
 };
 pub use mixed::{MixedConfig, MixedRunStats, MixedSimulator};
 pub use round::{OverrunPolicy, RoundOutcome, RoundSimulator, SeekPolicy, SimConfig};

@@ -43,8 +43,8 @@
 //! `Arc`s: look them up once (`global().counter("x")`), store the clone,
 //! and increment lock-free on the hot path. A counter increment is one
 //! relaxed atomic add; a histogram record is an atomic add plus a handful
-//! of atomic updates (< 50 ns — see the `telemetry_overhead` bench in
-//! `mzd-bench`).
+//! of atomic updates. Both are timed, with an event emit against no sink,
+//! by the `telemetry_*` rows of `experiments -- bench-summary`.
 //!
 //! # Naming convention
 //!

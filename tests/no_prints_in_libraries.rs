@@ -5,8 +5,8 @@
 //!
 //! Binary targets (`src/bin/**`, `src/main.rs`) are exempt — printing a
 //! finished report is exactly their job. The vendored dependency shims
-//! under `vendor/` are exempt too: the criterion and proptest harnesses
-//! report to the terminal by design.
+//! under `vendor/` are exempt too: the proptest harness reports to the
+//! terminal by design.
 
 use std::path::{Path, PathBuf};
 
