@@ -1379,6 +1379,26 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             histogram.record(black_box(0.0123));
         },
     );
+    // One node's Prometheus histogram series, as `obs` renders every
+    // sketch every round: the cumulative walk reads every slot's bound.
+    // 1 000 sweep times spread over 0.80–0.95 s fill one bucket, so the
+    // series is four lines. Batches of ~10 ms.
+    let mut sketch = mzd_telemetry::QuantileSketch::new();
+    for i in 0..1000 {
+        sketch.record(0.80 + 0.15 * f64::from(i) / 1000.0);
+    }
+    let labels = mzd_telemetry::prom::LabelSet::new().with("node", "3");
+    let mut series = String::new();
+    timed(&mut sim, "sketch_render_series", SERIAL, 12_000, || {
+        series.clear();
+        mzd_telemetry::prom::render_sketch_series(
+            &mut series,
+            "mzd_slo_service_time_seconds",
+            &labels,
+            black_box(&sketch),
+        );
+        black_box(&series);
+    });
     // The binary installs no sink and never turns profiling on; pin both
     // so these rows keep timing the disabled paths.
     mzd_telemetry::set_sink(std::sync::Arc::new(mzd_telemetry::event::NullSink));

@@ -14,6 +14,13 @@ fn main() {
         std::process::exit(2);
     }
     let result = mzd_cli::commands::run(&parsed);
+    if let Err(e @ mzd_cli::CliError::Usage(_)) = &result {
+        // A usage error found inside the command is still a usage
+        // error: like one the parser finds, it leaves no file behind.
+        mzd_cli::telemetry::discard(&parsed);
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     // Flush events and dump metrics even when the command failed: a
     // partial run's telemetry is still diagnostic.
     let telemetry_result = mzd_cli::telemetry::finish(&parsed);

@@ -55,9 +55,17 @@ pub fn init(parsed: &Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Undo [`init`] for a command that failed with a usage error: remove
+/// the `--events-out` file it created. Call instead of [`finish`].
+pub fn discard(parsed: &Parsed) {
+    if let Some(path) = parsed.str_opt("events-out") {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// Flush the event sink and write the metrics snapshot if requested.
-/// Call once, after the command executes (on success or failure — a
-/// failed run's partial metrics are still useful).
+/// Call once, after the command executes (on success or an execution
+/// failure — a failed run's partial metrics are still useful).
 ///
 /// # Errors
 /// [`CliError::Execution`] when the `--metrics-out` file cannot be

@@ -3,6 +3,7 @@
 //! fleet too, and a flag neither reads fails before anything runs.
 
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn mzd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mzd"))
@@ -11,13 +12,38 @@ fn mzd(args: &[&str]) -> Output {
         .expect("failed to spawn mzd")
 }
 
-/// `serve` with `args` must exit with a usage error that names `flag`.
+/// `serve` with `args` must exit with a usage error that names `flag`,
+/// and leave none of the files its output flags name: a usage error
+/// found inside the command writes no more than one the parser finds.
 fn assert_usage_error(args: &[&str], flag: &str) {
-    let output = mzd(args);
+    static CALL: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "mzd-serve-usage-{}-{}",
+        std::process::id(),
+        CALL.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let outputs = [
+        ("--metrics-out", dir.join("m.json")),
+        ("--events-out", dir.join("e.jsonl")),
+        ("--prom-out", dir.join("p.prom")),
+    ];
+    let mut full: Vec<&str> = args.to_vec();
+    for (name, path) in &outputs {
+        full.extend([*name, path.to_str().unwrap()]);
+    }
+    let output = mzd(&full);
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(flag), "{args:?}: {stderr}");
     assert!(output.stdout.is_empty(), "{args:?} printed a report");
+    for (name, path) in &outputs {
+        assert!(
+            !path.exists(),
+            "{args:?}: the usage error left {name}'s file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -76,6 +102,11 @@ fn cache_safety_with_a_fleet_is_a_usage_error() {
         ],
         "--cache-safety",
     );
+}
+
+#[test]
+fn a_malformed_number_is_a_usage_error() {
+    assert_usage_error(&["serve", "--rounds", "abc"], "--rounds");
 }
 
 #[test]

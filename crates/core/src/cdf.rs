@@ -23,6 +23,13 @@
 use crate::chernoff::RoundService;
 use crate::{exact, saddlepoint, CoreError, GuaranteeModel};
 
+/// Grid points per rotation sweep: long enough that a sweep's two
+/// `sin`/`cos` pairs per quadrature node are a small share of its
+/// per-point multiply-adds, short enough that the default 257-point
+/// grid still splits four ways across the worker pool. Never derived
+/// from the worker count, so grids stay byte-identical at any `--jobs`.
+const CDF_RUN: usize = 65;
+
 /// A tabulated predicted CDF `F_n(t) = P[T_n ≤ t]` for a fixed round
 /// population `n`.
 #[derive(Debug, Clone)]
@@ -73,25 +80,27 @@ impl ServiceTimeCdf {
         let lo = service.seek_constant();
         let hi = service.mean() + 10.0 * service.variance().sqrt();
         // The expensive t-independent factor φ(ω) is tabulated once and
-        // shared by every grid point; the per-point work is then a cheap
-        // rotation sweep, fanned out across the worker pool. Each grid
-        // point is a pure function of its index, and the running-maximum
-        // clamp runs serially afterwards, so the table is byte-identical
-        // for any worker count.
+        // shared by every grid point. The grid is then inverted in runs
+        // of CDF_RUN consecutive points, each one rotation sweep
+        // (`CfQuadrature::p_late_run`), fanned out across the worker
+        // pool. The run length is a constant, so each grid point is a
+        // pure function of its index, and the running-maximum clamp runs
+        // serially afterwards: the table is byte-identical for any
+        // worker count.
         let quad = exact::CfQuadrature::new(&service, hi)?;
-        let raw = mzd_par::par_map_indexed(points, |i| {
-            let t = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-            if t > 0.0 {
-                quad.p_late(t).map(|p| (1.0 - p).clamp(0.0, 1.0))
-            } else {
-                Ok(0.0)
-            }
+        let cells = (points - 1) as f64;
+        let runs = mzd_par::par_map_indexed(points.div_ceil(CDF_RUN), |r| {
+            let first = r * CDF_RUN;
+            let t0 = lo + (hi - lo) * first as f64 / cells;
+            quad.p_late_run(t0, (hi - lo) / cells, CDF_RUN.min(points - first))
         });
         let mut values = Vec::with_capacity(points);
         let mut running = 0.0f64;
-        for cdf in raw {
-            running = running.max(cdf?);
-            values.push(running);
+        for run in runs {
+            for p_late in run? {
+                running = running.max((1.0 - p_late).clamp(0.0, 1.0));
+                values.push(running);
+            }
         }
         Ok(Self {
             service,

@@ -21,9 +21,12 @@
 //! (up to quadrature), against which both the Chernoff bound and the
 //! saddlepoint estimate can be judged without simulation noise.
 //!
-//! Cost: a few thousand complex evaluations (~tens of microseconds) —
-//! fine for studies, heavier than the closed-form bound the admission
-//! path uses.
+//! Cost: one CF evaluation and one `sin`/`cos` pair for each of several
+//! thousand quadrature nodes — milliseconds (the `exact_p_late_n28` row
+//! of `experiments -- bench-summary`: 1.23 ms at `N = 28` in
+//! EXPERIMENTS.md's recorded run). Fine for studies, far heavier than
+//! the closed-form bound the admission path uses; [`CfQuadrature`]
+//! shares that work across many inversion points.
 
 use crate::chernoff::RoundService;
 use crate::CoreError;
@@ -113,23 +116,34 @@ pub fn p_late_exact(model: &RoundService, t: f64) -> Result<f64, CoreError> {
 /// evaluations, fine enough to split across any sane worker count.
 const CF_CHUNK: usize = 512;
 
+/// Nodes a run sweep advances side by side: their rotation recurrences
+/// are independent, so the multiplies of one overlap the latency of
+/// the next.
+const RUN_LANES: usize = 4;
+
 /// A characteristic-function table shared across many inversion points.
 ///
 /// [`p_late_exact`] re-evaluates `φ(ω)` over the whole quadrature grid
 /// for every `t` — but `φ` does not depend on `t` at all; only the
-/// cheap rotation `e^{−iωt}` does. When one model is inverted at many
-/// points (the [`crate::ServiceTimeCdf`] grid), evaluating `φ` once per
-/// node and reusing it turns each additional grid point into a
-/// multiply-accumulate sweep, several times cheaper than a from-scratch
-/// inversion: compare the `cdf_build_n28_257pt` row of
-/// `experiments -- bench-summary` (257 points) with `exact_p_late_n28`
-/// (one).
+/// rotation `e^{−iωt}` does. When one model is inverted at many points
+/// (the [`crate::ServiceTimeCdf`] grid), `φ` is evaluated once per node
+/// and shared by every point.
+///
+/// [`Self::p_late_run`] inverts a run of evenly spaced points
+/// `t_j = t0 + j·Δ` without a `sin`/`cos` per point: each node pays one
+/// pair for `e^{−iω·t0}` and one for the step `e^{−iω·Δ}`, and a
+/// complex multiply advances the rotation from point to point, so each
+/// further point costs a few multiply-adds per node. Compare the
+/// `cdf_build_n28_257pt` row of `experiments -- bench-summary` (257
+/// points) with `exact_p_late_n28` (one). [`Self::p_late`] rotates
+/// each node from scratch for one point; it is the per-point reference
+/// the run sweep is held to.
 ///
 /// The quadrature is sized for the largest `t` the caller will query
 /// (`t_max` sets the fastest `e^{−iωt}` oscillation), so accuracy at
 /// any `t ∈ (0, t_max]` matches or exceeds the per-point rule. The
-/// node set is fixed at construction: [`Self::p_late`] is a pure
-/// function of `t`, byte-identical for any worker count.
+/// node set is fixed at construction, and both inversions are pure
+/// functions of their arguments, byte-identical for any worker count.
 #[derive(Debug, Clone)]
 pub struct CfQuadrature {
     /// `(ω_k, w_k)` in evaluation order.
@@ -203,6 +217,60 @@ impl CfQuadrature {
         }
         let cdf = 0.5 - integral / std::f64::consts::PI;
         Ok((1.0 - cdf).clamp(0.0, 1.0))
+    }
+
+    /// `P[T ≥ t0 + j·step]` for `j = 0..count`: [`Self::p_late`] over a
+    /// run of evenly spaced points, with the rotation advanced by
+    /// recurrence instead of a `sin`/`cos` per point. Each point's
+    /// integral is accumulated in node order, as in [`Self::p_late`];
+    /// over the 65-point runs [`crate::ServiceTimeCdf`] makes, the two
+    /// agree within 5e-15 absolute on every catalog disk. A point at
+    /// `t ≤ 0` reports exactly 1 (a round never takes negative time).
+    /// Valid for points up to `t_max`; clamped to `[0, 1]`.
+    ///
+    /// # Errors
+    /// [`CoreError::Invalid`] for a non-finite `t0` or `step`.
+    pub fn p_late_run(&self, t0: f64, step: f64, count: usize) -> Result<Vec<f64>, CoreError> {
+        if !t0.is_finite() || !step.is_finite() {
+            return Err(CoreError::Invalid(format!(
+                "inversion run needs a finite start and step, got {t0} and {step}"
+            )));
+        }
+        let mut integrals = vec![0.0f64; count];
+        for (nodes, phis) in self
+            .points
+            .chunks(RUN_LANES)
+            .zip(self.phi.chunks(RUN_LANES))
+        {
+            // A lane past the last node keeps a zero weight and a zero
+            // rotation: it adds +0.0, which leaves every sum unchanged.
+            let mut rotated = [Complex::ZERO; RUN_LANES];
+            let mut advance = [Complex::ONE; RUN_LANES];
+            let mut weight = [0.0; RUN_LANES];
+            for (lane, (&(omega, w), &phi)) in nodes.iter().zip(phis).enumerate() {
+                rotated[lane] = Complex::from_polar(1.0, -omega * t0) * phi;
+                advance[lane] = Complex::from_polar(1.0, -omega * step);
+                weight[lane] = w / omega;
+            }
+            for integral in &mut integrals {
+                for lane in 0..RUN_LANES {
+                    *integral += weight[lane] * rotated[lane].im;
+                    rotated[lane] = rotated[lane] * advance[lane];
+                }
+            }
+        }
+        Ok(integrals
+            .into_iter()
+            .enumerate()
+            .map(|(j, integral)| {
+                if t0 + step * j as f64 > 0.0 {
+                    let cdf = 0.5 - integral / std::f64::consts::PI;
+                    (1.0 - cdf).clamp(0.0, 1.0)
+                } else {
+                    1.0
+                }
+            })
+            .collect())
     }
 
     /// Number of quadrature nodes (diagnostic; sizes the build cost).

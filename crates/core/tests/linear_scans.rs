@@ -4,36 +4,13 @@
 //! [`GuaranteeModel::p_error_bound`] — on every catalog disk, clean and
 //! fault-inflated, over a spread of round lengths and targets.
 
+mod common;
+
+use common::models;
 use mzd_core::admission::{self, AdmissionTable};
-use mzd_core::{GuaranteeModel, ZoneHandling};
-use mzd_disk::profiles;
+use mzd_core::GuaranteeModel;
 
 const THRESHOLDS: [f64; 5] = [1e-4, 1e-3, 0.01, 0.05, 0.2];
-
-/// Every catalog disk under the paper's Gamma(200 KB, (100 KB)²)
-/// fragments, plain and inflated by the `flaky` fault preset.
-fn models() -> Vec<(String, GuaranteeModel)> {
-    let flaky = mzd_fault::FaultModel::from_config(
-        &mzd_fault::FaultConfig::preset("flaky").expect("known preset"),
-    );
-    let catalog = [
-        ("viking", profiles::quantum_viking_2_1()),
-        ("single75", profiles::single_zone_75kb()),
-        ("legacy", profiles::legacy_single_zone()),
-        ("nextgen", profiles::next_generation()),
-        ("synthetic2to1", profiles::synthetic_two_to_one()),
-    ];
-    let mut out = Vec::new();
-    for (name, profile) in catalog {
-        let disk = profile.build().expect("catalog disk builds");
-        let plain = GuaranteeModel::new(disk, 200_000.0, 1e10, ZoneHandling::Discrete)
-            .expect("valid model");
-        let faulty = plain.with_faults(&flaky).expect("valid fault model");
-        out.push((name.to_string(), plain));
-        out.push((format!("{name}+flaky"), faulty));
-    }
-    out
-}
 
 /// The quadratic oracle's probes: `p_error_bound(n)` for `n = 1, 2, …`
 /// up to and including the first that fails `max_threshold`, each

@@ -86,6 +86,8 @@ impl Gauge {
 /// bucket-wise addition, in any order, which is what makes fleet-level
 /// quantiles byte-stable at any `--jobs` width.
 pub mod geometry {
+    use std::sync::OnceLock;
+
     /// Log-spaced buckets per factor of 10.
     pub const BUCKETS_PER_DECADE: usize = 9;
     /// Decades spanned by the regular buckets.
@@ -120,26 +122,51 @@ pub mod geometry {
     /// underflow slot reports `LOW`.
     #[must_use]
     pub fn bucket_value(index: usize) -> f64 {
-        if index == 0 {
-            return LOW;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let exp = (index - 1) as f64 + 0.5;
-        LOW * 10f64.powf(exp / BUCKETS_PER_DECADE as f64)
+        slots()
+            .value
+            .get(index)
+            .copied()
+            .unwrap_or_else(|| midpoint(index))
     }
 
     /// Upper edge of the slot at `index`: `LOW` for the underflow slot,
     /// `+∞` for the overflow slot.
     #[must_use]
     pub fn bucket_bound(index: usize) -> f64 {
-        if index == 0 {
-            return LOW;
-        }
-        if index > BUCKET_COUNT {
-            return f64::INFINITY;
-        }
+        slots().bound.get(index).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// Every slot's upper edge and representative value, computed once:
+    /// a sketch read walks all [`SLOT_COUNT`] slots, and a `powf` per
+    /// slot per read cost more than the rest of a Prometheus series.
+    struct SlotTables {
+        bound: [f64; SLOT_COUNT],
+        value: [f64; SLOT_COUNT],
+    }
+
+    fn slots() -> &'static SlotTables {
+        static SLOTS: OnceLock<SlotTables> = OnceLock::new();
+        SLOTS.get_or_init(|| SlotTables {
+            bound: std::array::from_fn(|index| match index {
+                0 => LOW,
+                i if i > BUCKET_COUNT => f64::INFINITY,
+                i => edge(i),
+            }),
+            value: std::array::from_fn(|index| if index == 0 { LOW } else { midpoint(index) }),
+        })
+    }
+
+    /// Upper edge of regular slot `index ∈ 1..=BUCKET_COUNT`.
+    fn edge(index: usize) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         let exp = index as f64;
+        LOW * 10f64.powf(exp / BUCKETS_PER_DECADE as f64)
+    }
+
+    /// Geometric midpoint of regular slot `index ≥ 1`.
+    fn midpoint(index: usize) -> f64 {
+        #[allow(clippy::cast_precision_loss)]
+        let exp = (index - 1) as f64 + 0.5;
         LOW * 10f64.powf(exp / BUCKETS_PER_DECADE as f64)
     }
 }
@@ -573,6 +600,42 @@ mod tests {
         assert_eq!(bucket_index(-3.0), 0);
         assert_eq!(bucket_index(f64::INFINITY), BUCKET_COUNT + 1);
         assert_eq!(bucket_index(1e9), BUCKET_COUNT + 1);
+    }
+
+    #[test]
+    fn tabulated_geometry_is_bit_identical_to_the_closed_form() {
+        use geometry::{bucket_bound, BUCKETS_PER_DECADE, LOW, SLOT_COUNT};
+        // The per-call expressions the slot tables replace, verbatim.
+        let value = |index: usize| {
+            if index == 0 {
+                return LOW;
+            }
+            let exp = (index - 1) as f64 + 0.5;
+            LOW * 10f64.powf(exp / BUCKETS_PER_DECADE as f64)
+        };
+        let bound = |index: usize| {
+            if index == 0 {
+                return LOW;
+            }
+            if index > BUCKET_COUNT {
+                return f64::INFINITY;
+            }
+            let exp = index as f64;
+            LOW * 10f64.powf(exp / BUCKETS_PER_DECADE as f64)
+        };
+        // Every slot, then indices past the overflow slot.
+        for index in (0..SLOT_COUNT).chain([SLOT_COUNT, SLOT_COUNT + 1, 500, usize::MAX]) {
+            assert_eq!(
+                bucket_value(index).to_bits(),
+                value(index).to_bits(),
+                "bucket_value({index})"
+            );
+            assert_eq!(
+                bucket_bound(index).to_bits(),
+                bound(index).to_bits(),
+                "bucket_bound({index})"
+            );
+        }
     }
 
     #[test]
