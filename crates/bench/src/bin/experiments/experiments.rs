@@ -1463,9 +1463,14 @@ pub fn bench_summary(budget: Budget) {
 /// fails when `fresh > scaled_baseline * 1.25 + 500 ns` — 25% headroom
 /// for measurement noise plus an absolute slack that keeps sub-µs ops
 /// from tripping on scheduler jitter, so an entry under ~2 µs fails only
-/// on a gross regression. Exits non-zero on any regression or on a
-/// catalog mismatch either way: an entry measured but absent from the
-/// golden, or a golden row nothing measures.
+/// on a gross regression. A gated entry over its allowance is measured
+/// once more, together with the calibration, in a second full pass: a
+/// stall of a shared host can cover most of one row's five batches, and
+/// only a row that also exceeds the allowance scaled by the second
+/// calibration is a regression. Both readings are printed. Exits
+/// non-zero on any regression or on a catalog mismatch either way: an
+/// entry measured but absent from the golden, or a golden row nothing
+/// measures.
 ///
 /// Only `jobs = 1` entries gate. Multi-worker timings on a host with
 /// fewer free cores than workers measure the OS scheduler, not the
@@ -1512,27 +1517,34 @@ pub fn bench_check(_: Budget) {
             .map(|(_, _, ns)| *ns)
     };
 
-    let (core, sim) = measure_entries(budget);
-    let fresh: Vec<&BenchEntry> = core.iter().chain(&sim).collect();
-
-    let cal_fresh = fresh
-        .iter()
-        .find(|e| e.name == "calibration_p_late_bound")
-        .expect("calibration entry measured")
-        .ns_per_op;
     let cal_base = lookup("calibration_p_late_bound", 1)
         .expect("baseline has calibration_p_late_bound — refresh the golden with bench-summary");
-    let ratio = (cal_fresh / cal_base).clamp(0.25, 4.0);
-    println!(
-        "  host calibration: fresh {cal_fresh:.0} ns vs baseline {cal_base:.0} ns \
-         -> threshold scale {ratio:.2}x\n"
-    );
+    // One full pass and its threshold scale, clamped to [0.25, 4].
+    let measure = || {
+        let (core, sim) = measure_entries(budget);
+        let fresh: Vec<BenchEntry> = core.into_iter().chain(sim).collect();
+        let cal_fresh = fresh
+            .iter()
+            .find(|e| e.name == "calibration_p_late_bound")
+            .expect("calibration entry measured")
+            .ns_per_op;
+        let ratio = (cal_fresh / cal_base).clamp(0.25, 4.0);
+        println!(
+            "  host calibration: fresh {cal_fresh:.0} ns vs baseline {cal_base:.0} ns \
+             -> threshold scale {ratio:.2}x\n"
+        );
+        (fresh, ratio)
+    };
+    let (fresh, ratio) = measure();
 
     println!(
         "  {:<38} jobs {:>12} {:>12} {:>12}  status",
         "entry", "baseline", "allowed", "fresh"
     );
     let mut failures = 0u32;
+    // Gated rows over their allowance on the first pass:
+    // (name, baseline, first reading).
+    let mut over: Vec<(&'static str, f64, f64)> = Vec::new();
     for e in &fresh {
         if e.name == "calibration_p_late_bound" {
             continue;
@@ -1547,9 +1559,9 @@ pub fn bench_check(_: Budget) {
             continue;
         };
         let allowed = base * ratio * 1.25 + 500.0;
-        let regressed = gated && e.ns_per_op > allowed;
-        if regressed {
-            failures += 1;
+        let exceeded = gated && e.ns_per_op > allowed;
+        if exceeded {
+            over.push((e.name, base, e.ns_per_op));
         }
         println!(
             "  {:<38}    {}  {:>12.0} {:>12.0} {:>12.0}  {}",
@@ -1558,14 +1570,45 @@ pub fn bench_check(_: Budget) {
             base,
             allowed,
             e.ns_per_op,
-            if regressed {
-                "REGRESSED"
+            if exceeded {
+                "over: re-measuring"
             } else if gated {
                 "ok"
             } else {
                 "info (jobs>1 not gated)"
             }
         );
+    }
+    if !over.is_empty() {
+        println!(
+            "\n  {} row(s) over the allowance; second pass to tell a host stall from a \
+             regression:\n",
+            over.len()
+        );
+        let (second, ratio2) = measure();
+        for &(name, base, first) in &over {
+            let again = second
+                .iter()
+                .find(|e| e.name == name && e.jobs == 1)
+                .map_or(f64::INFINITY, |e| e.ns_per_op);
+            let allowed = base * ratio * 1.25 + 500.0;
+            let allowed2 = base * ratio2 * 1.25 + 500.0;
+            let regressed = again > allowed2;
+            if regressed {
+                failures += 1;
+            }
+            println!(
+                "  {name:<38} first {:>12.0} (allowed {allowed:.0}), second {:>12.0} \
+                 (allowed {allowed2:.0})  {}",
+                first,
+                again,
+                if regressed {
+                    "REGRESSED"
+                } else {
+                    "ok (host stall)"
+                }
+            );
+        }
     }
     for (name, jobs, base) in &baseline {
         if !fresh.iter().any(|e| e.name == name && e.jobs == *jobs) {

@@ -234,19 +234,6 @@ impl FragmentCache {
         true
     }
 
-    /// Evict `key` explicitly (e.g. invalidation). Returns whether it was
-    /// resident.
-    pub fn evict(&mut self, key: FragmentKey) -> bool {
-        match self.map.get(&key).copied() {
-            Some(idx) => {
-                self.remove_slot(idx);
-                self.stats.evictions += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Move `reader` (an opaque id — the server uses stream ids) to
     /// `position` within `object`, for interval protection. Call on every
     /// sequential request the reader makes.
@@ -603,21 +590,19 @@ mod tests {
     }
 
     #[test]
-    fn explicit_evict_and_keys() {
-        let mut c = cache(300.0, CachePolicy::Lru);
+    fn keys_list_residents_and_evictions_free_their_slots() {
+        let mut c = cache(200.0, CachePolicy::Lru);
         c.insert(key(1, 0), 100.0, 0.01);
         c.insert(key(2, 0), 100.0, 0.01);
         let keys: Vec<_> = c.keys().collect();
         assert_eq!(keys, vec![key(1, 0), key(2, 0)]);
-        assert!(c.evict(key(1, 0)));
-        assert!(!c.evict(key(1, 0)));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.occupancy_bytes(), 100.0);
-        // The freed slot is reused (slab does not grow).
+        // A third fill evicts the LRU entry, and the freed slot is reused
+        // (the slab does not grow): keys come back in slot order.
         c.insert(key(3, 0), 100.0, 0.01);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.occupancy_bytes(), 200.0);
         let keys: Vec<_> = c.keys().collect();
-        assert_eq!(keys.len(), 2);
-        assert!(keys.contains(&key(3, 0)));
+        assert_eq!(keys, vec![key(3, 0), key(2, 0)]);
     }
 
     #[test]

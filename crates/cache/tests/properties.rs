@@ -32,10 +32,6 @@ enum Op {
         fragment: u32,
         bytes: u32,
     },
-    Evict {
-        object: u64,
-        fragment: u32,
-    },
     MoveReader {
         reader: u64,
         object: u64,
@@ -72,10 +68,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             fragment: f,
             bytes: b
         }),
-        (0u64..4, 0u32..8).prop_map(|(o, f)| Op::Evict {
-            object: o,
-            fragment: f
-        }),
         (0u64..3, 0u64..4, 0u32..8).prop_map(|(r, o, p)| Op::MoveReader {
             reader: r,
             object: o,
@@ -108,9 +100,6 @@ fn apply(cache: &mut FragmentCache, op: &Op) {
             bytes,
         } => {
             cache.insert(key(object, fragment), f64::from(bytes), 0.01);
-        }
-        Op::Evict { object, fragment } => {
-            cache.evict(key(object, fragment));
         }
         Op::MoveReader {
             reader,

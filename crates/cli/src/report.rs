@@ -12,6 +12,7 @@
 //! metrics file just omits that section. It never fails on content —
 //! only on I/O.
 
+use mzd_prof::escape_html;
 use mzd_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -198,20 +199,6 @@ fn fmt_num(x: f64) -> String {
     }
 }
 
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 /// Dotted-name prefixes the report attributes to a core subsystem.
 /// Anything else rolls up under "other families" — by design, so a
 /// freshly added subsystem (or a misspelled name) is conspicuous
@@ -259,7 +246,7 @@ fn metrics_section(out: &mut String, metrics_text: &str) {
             let _ = writeln!(
                 out,
                 "<tr><td><code>{}</code></td><td>{count}</td></tr>",
-                esc(family)
+                escape_html(family)
             );
         }
         let _ = writeln!(out, "</table>");
@@ -274,7 +261,7 @@ fn metrics_section(out: &mut String, metrics_text: &str) {
             let _ = writeln!(
                 out,
                 "<tr><td><code>{}</code></td><td>{count}</td></tr>",
-                esc(family)
+                escape_html(family)
             );
         }
         let _ = writeln!(out, "</table>");
@@ -292,7 +279,7 @@ fn metrics_section(out: &mut String, metrics_text: &str) {
                 let _ = writeln!(
                     out,
                     "<tr><td><code>{}</code></td><td>{}</td></tr>",
-                    esc(name),
+                    escape_html(name),
                     fmt_num(value.as_f64().unwrap_or(f64::NAN))
                 );
             }
@@ -312,7 +299,7 @@ fn metrics_section(out: &mut String, metrics_text: &str) {
                 let _ = writeln!(
                     out,
                     "<tr><td><code>{}</code></td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                    esc(name),
+                    escape_html(name),
                     cell("count"),
                     cell("mean"),
                     cell("p50"),
@@ -359,7 +346,7 @@ pub fn render(
     let _ = writeln!(
         out,
         "<p>source: <code>{}</code> &mdash; {} events, {} kinds{}</p>",
-        esc(source_label),
+        escape_html(source_label),
         d.events,
         d.kinds.len(),
         if d.skipped > 0 {
@@ -381,7 +368,7 @@ pub fn render(
             let _ = writeln!(
                 out,
                 "<tr><td><code>{}</code></td><td>{count}</td></tr>",
-                esc(kind)
+                escape_html(kind)
             );
         }
         let _ = writeln!(out, "</table>");
@@ -402,9 +389,9 @@ pub fn render(
                 out,
                 "<div class=\"spark\"><span class=\"label\">{} <br>\
                  <code class=\"dim\">{}.{}</code></span>{}<span class=\"dim\">{}</span></div>",
-                esc(label),
-                esc(event),
-                esc(field),
+                escape_html(label),
+                escape_html(event),
+                escape_html(field),
                 sparkline(values),
                 stats_row(values)
             );
@@ -427,10 +414,10 @@ pub fn render(
                 out,
                 "<tr><td>{round}</td><td><code>{}</code></td>\
                  <td class=\"{}\">{}</td><td>{}</td></tr>",
-                esc(kind),
-                esc(transition),
-                esc(transition),
-                esc(detail)
+                escape_html(kind),
+                escape_html(transition),
+                escape_html(transition),
+                escape_html(detail)
             );
         }
         let _ = writeln!(out, "</table>");
@@ -458,7 +445,7 @@ pub fn render(
                     out,
                     "<tr><td>{round}</td><td class=\"{}\">{}</td><td>{rung}</td><td>{shed}</td></tr>",
                     if action.starts_with("escalate") { "raised" } else { "cleared" },
-                    esc(action),
+                    escape_html(action),
                 );
             }
             let _ = writeln!(out, "</table>");

@@ -215,12 +215,6 @@ impl LeaseTable {
         }
     }
 
-    /// The configured lease length, in rounds.
-    #[must_use]
-    pub fn lease_rounds(&self) -> u32 {
-        self.lease_rounds
-    }
-
     /// Whether `node` currently holds a live lease.
     #[must_use]
     pub fn is_live(&self, node: u32) -> bool {

@@ -208,73 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn reconfiguring_one_node_leaves_its_peers_tables_alone() {
-        // Three nodes on one set of tables, SLO conformance on, loaded
-        // alike; node 0 is reconfigured mid-run in one of two otherwise
-        // identical fleets. Its peers must not notice.
-        let run = |reconfigure: bool| {
-            let cfg = ServerConfig::paper_reference(1).unwrap();
-            let tables = Arc::new(ModelTables::for_config(&cfg).unwrap());
-            let mut nodes: Vec<ServerNode> = (0..3)
-                .map(|i| {
-                    let mut n =
-                        ServerNode::new(i, cfg.clone(), 40 + u64::from(i), Arc::clone(&tables))
-                            .unwrap();
-                    n.server
-                        .enable_slo(SloSettings::for_target(cfg.target))
-                        .unwrap();
-                    for _ in 0..20 {
-                        n.try_open_traced(obj(60), None, false).unwrap();
-                    }
-                    n
-                })
-                .collect();
-            for round in 0..30 {
-                if reconfigure && round == 10 {
-                    nodes[0]
-                        .server
-                        .reconfigure_workload(400_000.0, 4e10)
-                        .unwrap();
-                }
-                for n in &mut nodes {
-                    n.step_round();
-                }
-            }
-            (tables, nodes)
-        };
-        let (control_tables, control) = run(false);
-        let (tables, nodes) = run(true);
-        assert!(!Arc::ptr_eq(&tables, nodes[0].server().tables()));
-        assert!(nodes[0].server().tables().per_disk_limit() < tables.per_disk_limit());
-        for i in 1..3 {
-            assert!(Arc::ptr_eq(&tables, nodes[i].server().tables()), "node {i}");
-            let (got, want) = (
-                nodes[i].server().slo_status().unwrap(),
-                control[i].server().slo_status().unwrap(),
-            );
-            assert_eq!(got.ks_statistic.to_bits(), want.ks_statistic.to_bits());
-            assert_eq!(
-                got.tail_exceedance.to_bits(),
-                want.tail_exceedance.to_bits()
-            );
-            assert_eq!(got.drifts_raised, want.drifts_raised);
-            assert_eq!(got, want, "node {i}");
-        }
-        // The shared tables still hold the unreconfigured model's values.
-        for n in [19, 20] {
-            let (a, b) = (
-                tables.cdf_for(n).unwrap(),
-                control_tables.cdf_for(n).unwrap(),
-            );
-            assert_eq!(
-                a.evaluate(0.8).to_bits(),
-                b.evaluate(0.8).to_bits(),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
     fn try_open_respects_node_admission() {
         let mut n = node(1, 7);
         let limit = n.server().admission().per_disk_limit();

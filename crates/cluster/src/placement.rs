@@ -70,12 +70,6 @@ impl Placement {
         Ok(Self { nodes, ring })
     }
 
-    /// Fleet size.
-    #[must_use]
-    pub fn nodes(&self) -> u32 {
-        self.nodes
-    }
-
     /// The placement key for cluster stream `seq` — fixed for the
     /// stream's whole life, so re-placement after a node failure starts
     /// from the same key with a smaller available set.

@@ -135,12 +135,6 @@ impl BaselineTail {
         self.mean
     }
 
-    /// Variance of the modeled round service time.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.variance
-    }
-
     /// The baseline's estimate/bound of `P[T_N ≥ t]`.
     #[must_use]
     pub fn p_late(&self, t: f64) -> f64 {

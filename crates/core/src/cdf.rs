@@ -237,16 +237,4 @@ mod tests {
         assert!(c.evaluate(f64::NAN).is_nan());
         assert_eq!(c.n(), 8);
     }
-
-    #[test]
-    fn model_method_agrees_with_exact() {
-        let m = model();
-        let service = m.round_service(8).unwrap();
-        let t = service.mean();
-        let via_method = m.service_time_cdf(8, t).unwrap();
-        let via_exact = 1.0 - m.p_late_exact(8, t).unwrap();
-        assert!((via_method - via_exact).abs() < 1e-12);
-        assert_eq!(m.service_time_cdf(8, 0.0).unwrap(), 0.0);
-        assert_eq!(m.service_time_cdf(8, -1.0).unwrap(), 0.0);
-    }
 }

@@ -272,12 +272,6 @@ impl CfQuadrature {
             })
             .collect())
     }
-
-    /// Number of quadrature nodes (diagnostic; sizes the build cost).
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.points.len()
-    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub use cdf::ServiceTimeCdf;
 pub use chernoff::{ChernoffBound, RoundService};
 pub use exact::p_late_exact;
 pub use mixed::MixedRoundModel;
-pub use planning::{disks_for_population, min_round_length, round_length_sweep, RoundLengthPlan};
+pub use planning::disks_for_population;
 pub use saddlepoint::{p_late_saddlepoint, SaddlepointTail};
 pub use transfer::{TransferTimeDensity, TransferTimeModel, ZoneHandling};
 pub use worstcase::{WorstCaseInputs, WorstCaseRate};
@@ -236,22 +236,6 @@ impl GuaranteeModel {
     pub fn p_late_exact(&self, n: u32, t: f64) -> Result<f64, CoreError> {
         validate_round_length(t)?;
         exact::p_late_exact(&self.round_service(n)?, t)
-    }
-
-    /// The predicted CDF `F_n(t) = P[T_n ≤ t]` at a single point, by the
-    /// exact inversion — the complement of [`Self::p_late_exact`], with
-    /// `t ≤ 0` mapping to 0. This is the probability-integral-transform
-    /// primitive for online conformance checking; for repeated
-    /// evaluation at a fixed `n` prefer the tabulated
-    /// [`cdf::ServiceTimeCdf`].
-    ///
-    /// # Errors
-    /// Numeric errors propagated from the exact inversion.
-    pub fn service_time_cdf(&self, n: u32, t: f64) -> Result<f64, CoreError> {
-        if !(t > 0.0) {
-            return Ok(0.0);
-        }
-        Ok((1.0 - exact::p_late_exact(&self.round_service(n)?, t)?).clamp(0.0, 1.0))
     }
 
     /// Bound on the per-round glitch probability of one stream among `n` —

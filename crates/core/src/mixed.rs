@@ -201,83 +201,6 @@ pub fn discrete_capacity<F: Fn(u32) -> f64>(
     Ok(k)
 }
 
-/// A class in a heterogeneous stream population (e.g. "70% video at
-/// 4 Mbit/s, 30% audio at 256 kbit/s").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamClass {
-    /// Per-request transfer-time Gamma for this class.
-    pub transfer: TransferTimeModel,
-    /// Fraction of the stream population in this class (fractions should
-    /// sum to 1).
-    pub fraction: f64,
-}
-
-/// `N_max` for a heterogeneous stream population: the largest total `n`
-/// such that a round serving `round(fraction_c · n)` streams of each
-/// class keeps `p_late ≤ delta`. Uses the multi-class MGF, so classes
-/// with different bandwidths are modeled exactly rather than pooled into
-/// inflated Gamma moments.
-///
-/// `seek_for_total` maps the total request count to the round's SEEK
-/// constant (normally the Oyang bound).
-///
-/// # Errors
-/// [`CoreError::Invalid`] for invalid fractions, `t`, or `delta`.
-pub fn n_max_heterogeneous<F: Fn(u32) -> f64 + Sync>(
-    classes: &[StreamClass],
-    t: f64,
-    delta: f64,
-    rot: f64,
-    seek_for_total: F,
-) -> Result<u32, CoreError> {
-    if classes.is_empty() {
-        return Err(CoreError::Invalid("need at least one stream class".into()));
-    }
-    let total_fraction: f64 = classes.iter().map(|c| c.fraction).sum();
-    if classes.iter().any(|c| !(c.fraction >= 0.0)) || !((0.99..=1.01).contains(&total_fraction)) {
-        return Err(CoreError::Invalid(format!(
-            "class fractions must be nonnegative and sum to 1, got sum {total_fraction}"
-        )));
-    }
-    if !(t > 0.0) || !t.is_finite() || !(delta > 0.0) || delta > 1.0 {
-        return Err(CoreError::Invalid(format!(
-            "require t > 0 and delta in (0, 1], got t = {t}, delta = {delta}"
-        )));
-    }
-    let split = |n: u32| -> Vec<RequestClass> {
-        // Largest-remainder apportionment so counts sum exactly to n.
-        let nf = f64::from(n);
-        let mut counts: Vec<u32> = classes
-            .iter()
-            .map(|c| (c.fraction * nf).floor() as u32)
-            .collect();
-        let mut remainder: Vec<(usize, f64)> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.fraction * nf - (c.fraction * nf).floor()))
-            .collect();
-        remainder.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let assigned: u32 = counts.iter().sum();
-        for &(i, _) in remainder.iter().take((n - assigned) as usize) {
-            counts[i] += 1;
-        }
-        classes
-            .iter()
-            .zip(counts)
-            .map(|(c, count)| RequestClass {
-                transfer: c.transfer,
-                count,
-            })
-            .collect()
-    };
-    let bound_for = |n: u32| -> f64 {
-        MixedRoundModel::new(seek_for_total(n), rot, split(n))
-            .map(|m| m.p_late_bound(t).probability)
-            .unwrap_or(1.0)
-    };
-    Ok(crate::admission::n_max_par(bound_for, delta))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,99 +368,6 @@ mod tests {
         .unwrap();
         assert_eq!(m.total_requests(), 0);
         assert_eq!(m.p_late_bound(1.0).probability, 0.0);
-    }
-
-    #[test]
-    fn heterogeneous_n_max_interpolates_between_pure_classes() {
-        // Pure video, pure audio, and a 50/50 mix: the mixed N_max must
-        // lie between the pure ones (audio is far cheaper).
-        let video = continuous_transfer();
-        let audio = TransferTimeModel::from_moments(0.0035, 2e-7).unwrap(); // ~32 KB
-        let n_max_for = |classes: &[StreamClass]| {
-            n_max_heterogeneous(classes, 1.0, 0.01, 0.00834, viking_seek).unwrap()
-        };
-        let pure_video = n_max_for(&[StreamClass {
-            transfer: video,
-            fraction: 1.0,
-        }]);
-        let pure_audio = n_max_for(&[StreamClass {
-            transfer: audio,
-            fraction: 1.0,
-        }]);
-        let mix = n_max_for(&[
-            StreamClass {
-                transfer: video,
-                fraction: 0.5,
-            },
-            StreamClass {
-                transfer: audio,
-                fraction: 0.5,
-            },
-        ]);
-        assert_eq!(pure_video, 26); // the paper's number
-        assert!(pure_audio > 70, "pure audio N_max = {pure_audio}");
-        assert!(
-            mix > pure_video && mix < pure_audio,
-            "mix {mix} not between {pure_video} and {pure_audio}"
-        );
-    }
-
-    #[test]
-    fn heterogeneous_beats_pooled_moments() {
-        // Pooling a bimodal mix into one Gamma inflates the variance and
-        // understates capacity; the multi-class model recovers streams.
-        let video = continuous_transfer();
-        let audio = TransferTimeModel::from_moments(0.0035, 2e-7).unwrap();
-        let mix = n_max_heterogeneous(
-            &[
-                StreamClass {
-                    transfer: video,
-                    fraction: 0.5,
-                },
-                StreamClass {
-                    transfer: audio,
-                    fraction: 0.5,
-                },
-            ],
-            1.0,
-            0.01,
-            0.00834,
-            viking_seek,
-        )
-        .unwrap();
-        // Pooled: mean/var of a 50/50 mixture of the two Gammas.
-        let m = 0.5 * (0.02165 + 0.0035);
-        let second = 0.5 * (1.308e-4 + 0.02165f64.powi(2)) + 0.5 * (2e-7 + 0.0035f64.powi(2));
-        let pooled_tm = TransferTimeModel::from_moments(m, second - m * m).unwrap();
-        let pooled = crate::admission::n_max(
-            |n| {
-                crate::chernoff::RoundService::new(viking_seek(n), 0.00834, pooled_tm, n)
-                    .map(|r| r.p_late_bound(1.0).probability)
-                    .unwrap_or(1.0)
-            },
-            0.01,
-        );
-        assert!(
-            mix >= pooled,
-            "multi-class {mix} below pooled-moment {pooled}"
-        );
-    }
-
-    #[test]
-    fn heterogeneous_validation() {
-        let video = continuous_transfer();
-        assert!(n_max_heterogeneous(&[], 1.0, 0.01, 0.00834, viking_seek).is_err());
-        let bad_fraction = [StreamClass {
-            transfer: video,
-            fraction: 0.5,
-        }];
-        assert!(n_max_heterogeneous(&bad_fraction, 1.0, 0.01, 0.00834, viking_seek).is_err());
-        let ok = [StreamClass {
-            transfer: video,
-            fraction: 1.0,
-        }];
-        assert!(n_max_heterogeneous(&ok, 0.0, 0.01, 0.00834, viking_seek).is_err());
-        assert!(n_max_heterogeneous(&ok, 1.0, 0.0, 0.00834, viking_seek).is_err());
     }
 
     #[test]

@@ -1,94 +1,11 @@
-//! Provisioning helpers: the inverse problems of the guarantee model.
+//! Provisioning helper: an inverse problem of the guarantee model.
 //!
 //! The forward question (§3) is "given a configuration, how many streams?"
-//! Operators just as often ask the inverses:
-//!
-//! * [`min_round_length`] — the shortest round that sustains `n` streams
-//!   at a target overrun probability (shorter rounds mean lower startup
-//!   latency and smaller client buffers, §2/§6);
-//! * [`disks_for_population`] — how many disks a target stream population
-//!   needs under a quality target;
-//! * [`RoundLengthPlan`] — the full latency/buffer/capacity trade-off
-//!   sweep behind choosing `t` (the round length is a configuration
-//!   parameter "changing it would require all data to be re-fragmented",
-//!   §2.3 — so it is chosen once, with care).
+//! Operators just as often ask the inverse: [`disks_for_population`] —
+//! how many disks a target stream population needs under a quality
+//! target.
 
 use crate::{CoreError, GuaranteeModel};
-
-/// One row of a round-length trade-off sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundLengthPlan {
-    /// Round length `t`, seconds.
-    pub round_length: f64,
-    /// Streams per disk sustainable at the target.
-    pub n_max: u32,
-    /// Worst-case startup delay (one round), seconds.
-    pub startup_delay: f64,
-    /// Expected client buffer (double-buffered mean fragment), bytes.
-    pub client_buffer: f64,
-    /// Per-disk guaranteed bandwidth, bytes/second.
-    pub bandwidth: f64,
-}
-
-/// The smallest round length that sustains `n` streams per disk with
-/// `p_late ≤ delta`, found by bisection over `t ∈ [t_lo, t_hi]`
-/// (`p_late` is monotone decreasing in `t`).
-///
-/// Returns `None` if even `t_hi` cannot sustain `n` streams. Fragment
-/// sizes are assumed to scale linearly with the round length around the
-/// model's configured moments at 1 s (fixed display time per fragment:
-/// doubling `t` doubles the mean and — for the variance of a sum of
-/// independent sub-second pieces — doubles the variance).
-///
-/// # Errors
-/// [`CoreError::Invalid`] for an invalid bracket or threshold.
-pub fn min_round_length(
-    model: &GuaranteeModel,
-    n: u32,
-    delta: f64,
-    t_lo: f64,
-    t_hi: f64,
-) -> Result<Option<f64>, CoreError> {
-    if !(t_lo > 0.0) || !(t_hi > t_lo) || !t_hi.is_finite() {
-        return Err(CoreError::Invalid(format!(
-            "require 0 < t_lo < t_hi finite, got [{t_lo}, {t_hi}]"
-        )));
-    }
-    if !(delta > 0.0) || delta > 1.0 {
-        return Err(CoreError::Invalid(format!(
-            "threshold must be in (0, 1], got {delta}"
-        )));
-    }
-    let p_late_at = |t: f64| -> Result<f64, CoreError> {
-        let scaled = GuaranteeModel::new(
-            model.disk().clone(),
-            model.size_mean() * t,
-            model.size_variance() * t,
-            model.zone_handling(),
-        )?;
-        scaled.p_late_bound(n, t)
-    };
-    if p_late_at(t_hi)? > delta {
-        return Ok(None);
-    }
-    if p_late_at(t_lo)? <= delta {
-        return Ok(Some(t_lo));
-    }
-    let mut lo = t_lo;
-    let mut hi = t_hi;
-    for _ in 0..80 {
-        let mid = 0.5 * (lo + hi);
-        if p_late_at(mid)? <= delta {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-        if hi - lo < 1e-6 * hi {
-            break;
-        }
-    }
-    Ok(Some(hi))
-}
 
 /// Number of disks needed to guarantee `population` concurrent streams
 /// under the per-stream glitch-rate target (`m`, `g`, `epsilon`).
@@ -113,95 +30,12 @@ pub fn disks_for_population(
     Ok(population.div_ceil(per_disk))
 }
 
-/// Sweep round lengths and report the latency/buffer/capacity trade-off
-/// for each (fragment moments scaled linearly with `t` as in
-/// [`min_round_length`]).
-///
-/// # Errors
-/// Propagates model-evaluation errors.
-pub fn round_length_sweep(
-    model: &GuaranteeModel,
-    round_lengths: &[f64],
-    delta: f64,
-) -> Result<Vec<RoundLengthPlan>, CoreError> {
-    let mut plans = Vec::with_capacity(round_lengths.len());
-    for &t in round_lengths {
-        let scaled = GuaranteeModel::new(
-            model.disk().clone(),
-            model.size_mean() * t,
-            model.size_variance() * t,
-            model.zone_handling(),
-        )?;
-        let n_max = scaled.n_max_late(t, delta)?;
-        plans.push(RoundLengthPlan {
-            round_length: t,
-            n_max,
-            startup_delay: t,
-            client_buffer: 2.0 * model.size_mean() * t,
-            bandwidth: f64::from(n_max) * model.size_mean(),
-        });
-    }
-    Ok(plans)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn model() -> GuaranteeModel {
         GuaranteeModel::paper_reference().unwrap()
-    }
-
-    #[test]
-    fn min_round_length_brackets_the_answer() {
-        let m = model();
-        // 26 streams fit at t = 1 s (paper); the minimum must be <= 1 s
-        // and the bound at the found t must satisfy the target while a
-        // slightly smaller t must not.
-        let t = min_round_length(&m, 26, 0.01, 0.05, 4.0).unwrap().unwrap();
-        assert!(t <= 1.0, "min t = {t}");
-        let check = |tt: f64| {
-            GuaranteeModel::new(
-                m.disk().clone(),
-                m.size_mean() * tt,
-                m.size_variance() * tt,
-                m.zone_handling(),
-            )
-            .unwrap()
-            .p_late_bound(26, tt)
-            .unwrap()
-        };
-        assert!(check(t) <= 0.01);
-        assert!(check(t * 0.98) > 0.01, "t not minimal: {t}");
-    }
-
-    #[test]
-    fn min_round_length_monotone_in_n() {
-        let m = model();
-        let t20 = min_round_length(&m, 20, 0.01, 0.05, 8.0).unwrap().unwrap();
-        let t26 = min_round_length(&m, 26, 0.01, 0.05, 8.0).unwrap().unwrap();
-        let t30 = min_round_length(&m, 30, 0.01, 0.05, 8.0).unwrap().unwrap();
-        assert!(t20 < t26 && t26 < t30, "t = {t20}, {t26}, {t30}");
-    }
-
-    #[test]
-    fn min_round_length_unreachable_targets() {
-        let m = model();
-        // Far more streams than the disk's bandwidth supports: even long
-        // rounds fail (utilization > 1: demand per second exceeds rate).
-        let r = min_round_length(&m, 60, 0.01, 0.1, 16.0).unwrap();
-        assert_eq!(r, None);
-        // t_lo already sufficient.
-        let r = min_round_length(&m, 5, 0.01, 1.0, 4.0).unwrap();
-        assert_eq!(r, Some(1.0));
-    }
-
-    #[test]
-    fn min_round_length_validation() {
-        let m = model();
-        assert!(min_round_length(&m, 26, 0.01, 1.0, 0.5).is_err());
-        assert!(min_round_length(&m, 26, 0.0, 0.5, 1.0).is_err());
-        assert!(min_round_length(&m, 26, 1.5, 0.5, 1.0).is_err());
     }
 
     #[test]
@@ -233,22 +67,5 @@ mod tests {
         )
         .unwrap();
         assert!(disks_for_population(&m, 1.0, 1200, 12, 0.01, 10).is_err());
-    }
-
-    #[test]
-    fn sweep_shows_the_expected_trade_off() {
-        let m = model();
-        let plans = round_length_sweep(&m, &[0.5, 1.0, 2.0, 4.0], 0.01).unwrap();
-        assert_eq!(plans.len(), 4);
-        for w in plans.windows(2) {
-            // Longer rounds: more streams, more bandwidth, bigger buffers,
-            // longer startup.
-            assert!(w[1].n_max >= w[0].n_max);
-            assert!(w[1].bandwidth >= w[0].bandwidth);
-            assert!(w[1].client_buffer > w[0].client_buffer);
-            assert!(w[1].startup_delay > w[0].startup_delay);
-        }
-        // The t = 1 plan reproduces the paper's 26.
-        assert_eq!(plans[1].n_max, 26);
     }
 }

@@ -128,12 +128,6 @@ impl ZoneModel {
         *self.capacities.last().expect("non-empty by construction")
     }
 
-    /// Total per-track capacity across zones, `C = Σ C_i`.
-    #[must_use]
-    pub fn total_capacity_per_track(&self) -> f64 {
-        self.total
-    }
-
     /// Probability that a uniformly-placed request hits `zone`
     /// (eq. 3.2.1: `C_i / C`).
     ///

@@ -186,12 +186,6 @@ impl FaultInjector {
         self.gray_factor
     }
 
-    /// The round index fixed by the last [`Self::begin_round`].
-    #[must_use]
-    pub fn round(&self) -> u64 {
-        self.current_round
-    }
-
     /// Cumulative tallies so far.
     #[must_use]
     pub fn counters(&self) -> FaultCounters {

@@ -15,7 +15,7 @@
 //!   — Brent's methods, used to find the optimal Chernoff parameter θ that
 //!   minimizes `e^{-θt} M(θ)` (eq. 3.1.5 / 3.2.12).
 //! * **Random variates** ([`rng`]) — Gamma, lognormal, Pareto, normal and
-//!   exponential samplers built on [`rand`], because the sanctioned offline
+//!   Poisson samplers built on [`rand`], because the sanctioned offline
 //!   crate set does not include `rand_distr`. Used by the simulator and the
 //!   workload generators.
 //! * **Statistics** ([`stats`]) — streaming moments, quantiles and
@@ -34,10 +34,6 @@ pub mod rng;
 pub mod roots;
 pub mod special;
 pub mod stats;
-
-/// Machine-epsilon-scaled default tolerance used across the crate where a
-/// caller does not provide one.
-pub const DEFAULT_TOL: f64 = 1e-12;
 
 /// Errors produced by the numerical routines in this crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,8 @@
 //! * [`Gamma`] — Marsaglia–Tsang squeeze method (with the `α < 1` boost),
 //! * [`LogNormal`] — exponentiated normal,
 //! * [`Pareto`] — inverse-CDF (Lomax-style heavy tail, type I),
-//! * [`Exponential`] — inverse-CDF.
+//! * [`Poisson`] — Knuth's product method (normal approximation for
+//!   large means).
 //!
 //! All samplers are parameter-validated at construction and pure at sample
 //! time; determinism is inherited from the caller's RNG (the workspace uses
@@ -243,21 +244,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Create from the underlying normal parameters (`mu` = log-scale mean,
-    /// `sigma > 0` = log-scale standard deviation).
-    ///
-    /// # Errors
-    /// [`NumericsError::Domain`] unless `sigma > 0` and both finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self> {
-        if !mu.is_finite() || !(sigma > 0.0) || !sigma.is_finite() {
-            return Err(NumericsError::Domain {
-                what: "LogNormal::new",
-                detail: format!("require finite mu and sigma > 0, got ({mu}, {sigma})"),
-            });
-        }
-        Ok(Self { mu, sigma })
-    }
-
     /// Moment-match the lognormal to a target mean and variance
     /// (both on the linear scale).
     ///
@@ -439,43 +425,6 @@ impl Sample for Poisson {
     }
 }
 
-/// Exponential distribution with rate `lambda > 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Create from rate `λ > 0`.
-    ///
-    /// # Errors
-    /// [`NumericsError::Domain`] unless `lambda` is positive finite.
-    pub fn new(lambda: f64) -> Result<Self> {
-        if !(lambda > 0.0) || !lambda.is_finite() {
-            return Err(NumericsError::Domain {
-                what: "Exponential::new",
-                detail: format!("require lambda > 0, got {lambda}"),
-            });
-        }
-        Ok(Self { lambda })
-    }
-}
-
-impl Sample for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        -u.ln() / self.lambda
-    }
-
-    fn mean(&self) -> f64 {
-        1.0 / self.lambda
-    }
-
-    fn variance(&self) -> f64 {
-        1.0 / (self.lambda * self.lambda)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,15 +553,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) >= 5.0);
         }
-    }
-
-    #[test]
-    fn exponential_moments() {
-        let d = Exponential::new(0.25).unwrap();
-        let (m, v) = sample_stats(&d, 200_000, 7);
-        assert!((m - 4.0).abs() < 0.05, "mean {m}");
-        assert!((v - 16.0).abs() < 0.5, "var {v}");
-        assert!(Exponential::new(0.0).is_err());
     }
 
     #[test]

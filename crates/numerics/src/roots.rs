@@ -153,50 +153,6 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> Result<f64> {
     })
 }
 
-/// Expand a bracket geometrically to the right from `a` until `f` changes
-/// sign, then locate the root with [`brent`].
-///
-/// Useful for monotone functions with unknown scale (e.g. finding where a
-/// Chernoff bound crosses a threshold as `t` grows).
-///
-/// # Errors
-/// Propagates bracket/convergence failures; errors if no sign change is
-/// found before `hi_limit`.
-pub fn brent_expand_right<F: Fn(f64) -> f64>(
-    f: F,
-    a: f64,
-    initial_step: f64,
-    hi_limit: f64,
-    tol: f64,
-) -> Result<f64> {
-    let fa = f(a);
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    let mut step = initial_step.abs().max(1e-300);
-    let mut lo = a;
-    let mut flo = fa;
-    loop {
-        let hi = (lo + step).min(hi_limit);
-        let fhi = f(hi);
-        if fhi == 0.0 {
-            return Ok(hi);
-        }
-        if flo.signum() != fhi.signum() {
-            return brent(f, lo, hi, tol);
-        }
-        if hi >= hi_limit {
-            return Err(NumericsError::BadBracket {
-                what: "brent_expand_right",
-                detail: format!("no sign change found in [{a}, {hi_limit}]"),
-            });
-        }
-        lo = hi;
-        flo = fhi;
-        step *= 2.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,24 +197,5 @@ mod tests {
     #[test]
     fn brent_rejects_bad_bracket() {
         assert!(brent(|x| x * x + 1.0, -1.0, 1.0, 1e-9).is_err());
-    }
-
-    #[test]
-    fn expand_right_finds_distant_root() {
-        let r = brent_expand_right(|x| x - 1000.0, 0.0, 1.0, 1e9, 1e-10).unwrap();
-        assert_close(r, 1000.0, 1e-6);
-    }
-
-    #[test]
-    fn expand_right_respects_limit() {
-        assert!(brent_expand_right(|x| x - 1000.0, 0.0, 1.0, 10.0, 1e-10).is_err());
-    }
-
-    #[test]
-    fn expand_right_root_at_start() {
-        assert_eq!(
-            brent_expand_right(|x| x, 0.0, 1.0, 10.0, 1e-10).unwrap(),
-            0.0
-        );
     }
 }

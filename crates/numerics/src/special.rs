@@ -54,12 +54,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (xm1 + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// The gamma function `Γ(x)` for `x > 0`.
-#[must_use]
-pub fn gamma(x: f64) -> f64 {
-    ln_gamma(x).exp()
-}
-
 /// Maximum iterations for the incomplete-gamma series / continued fraction.
 const IG_MAX_ITER: usize = 600;
 /// Convergence tolerance for incomplete-gamma evaluation.

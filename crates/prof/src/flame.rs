@@ -63,7 +63,10 @@ fn color(name: &str) -> &'static str {
     PALETTE[crate::fnv1a64(name.as_bytes()) as usize % PALETTE.len()]
 }
 
-fn esc(text: &str) -> String {
+/// Escape text for HTML/SVG element content and attribute values: `&`,
+/// `<`, `>` and `"` become entities, everything else passes through.
+#[must_use]
+pub fn escape_html(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for c in text.chars() {
         match c {
@@ -90,7 +93,7 @@ fn emit(out: &mut String, name: &str, node: &Node, x: f64, depth: usize, scale: 
         "<g><title>{} ({} ns, {:.1}%)</title>\
          <rect x=\"{:.2}\" y=\"{y:.1}\" width=\"{:.2}\" height=\"{:.1}\" \
          fill=\"{}\" stroke=\"#fff\" stroke-width=\"0.5\"/>",
-        esc(name),
+        escape_html(name),
         node.total(),
         pct,
         x,
@@ -105,7 +108,7 @@ fn emit(out: &mut String, name: &str, node: &Node, x: f64, depth: usize, scale: 
              font-family=\"monospace\">{}</text>",
             x + 3.0,
             y + ROW - 5.0,
-            esc(name)
+            escape_html(name)
         );
     }
     out.push_str("</g>");

@@ -33,7 +33,7 @@ mod fleet;
 mod profile;
 mod recorder;
 
-pub use flame::render_flame_svg;
+pub use flame::{escape_html, render_flame_svg};
 pub use fleet::{
     read_fleet_bundle, write_fleet_manifest, FleetBundle, FleetNodeEntry, FLEET_SCHEMA,
 };

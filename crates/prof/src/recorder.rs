@@ -61,22 +61,6 @@ impl DumpTrigger {
             DumpTrigger::Manual => "manual",
         }
     }
-
-    /// Parse the manifest form back.
-    #[must_use]
-    pub fn parse(text: &str) -> Option<Self> {
-        Some(match text {
-            "slo.fast_burn" => DumpTrigger::SloFastBurn,
-            "degrade.escalated" => DumpTrigger::DegradeEscalation,
-            "round.overrun" => DumpTrigger::RoundOverrun,
-            "panic" => DumpTrigger::Panic,
-            "lease.expiry_storm" => DumpTrigger::LeaseExpiryStorm,
-            "budget.breach" => DumpTrigger::BudgetBreach,
-            "health.ejection" => DumpTrigger::HealthEjection,
-            "manual" => DumpTrigger::Manual,
-            _ => return None,
-        })
-    }
 }
 
 /// One disk's phase decomposition for one round — a copy of the
@@ -798,17 +782,32 @@ mod tests {
 
     #[test]
     fn trigger_names_round_trip() {
-        for t in [
+        // The manifest spellings are a stable format: bundle directory
+        // names and `MANIFEST.json` readers match on them.
+        let names: Vec<&str> = [
             DumpTrigger::SloFastBurn,
             DumpTrigger::DegradeEscalation,
             DumpTrigger::RoundOverrun,
             DumpTrigger::Panic,
             DumpTrigger::LeaseExpiryStorm,
             DumpTrigger::BudgetBreach,
+            DumpTrigger::HealthEjection,
             DumpTrigger::Manual,
-        ] {
-            assert_eq!(DumpTrigger::parse(t.as_str()), Some(t));
-        }
-        assert_eq!(DumpTrigger::parse("nope"), None);
+        ]
+        .map(DumpTrigger::as_str)
+        .to_vec();
+        assert_eq!(
+            names,
+            [
+                "slo.fast_burn",
+                "degrade.escalated",
+                "round.overrun",
+                "panic",
+                "lease.expiry_storm",
+                "budget.breach",
+                "health.ejection",
+                "manual",
+            ]
+        );
     }
 }

@@ -4,8 +4,7 @@
 //! per-disk `N_max` from the analytic model **once**, and thereafter
 //! decides admissions with a comparison — the paper's §5 design ("a lookup
 //! table with precomputed values of N_max … incurs almost no run-time
-//! overhead"). Re-evaluation is only needed when the disk configuration or
-//! the workload statistics change ([`AdmissionController::retarget`]).
+//! overhead").
 
 use crate::ServerError;
 use mzd_core::GuaranteeModel;
@@ -228,12 +227,6 @@ impl AdmissionController {
         inflated.min(cap).floor() as u32
     }
 
-    /// The quality target in force.
-    #[must_use]
-    pub fn target(&self) -> QualityTarget {
-        self.target
-    }
-
     /// The round length the limit was computed for, seconds.
     #[must_use]
     pub fn round_length(&self) -> f64 {
@@ -259,17 +252,6 @@ impl AdmissionController {
                 per_disk_limit: limit,
             }
         }
-    }
-
-    /// Adopt the limit re-solved after a configuration or workload
-    /// change (§5: "the table has to be updated … only if the disk
-    /// configuration or general data characteristics change"), e.g.
-    /// [`QualityTarget::n_max`] under the new model.
-    pub fn retarget(&mut self, per_disk_limit: u32) {
-        // Cache-aware state survives a workload retarget: the measured hit
-        // ratio describes the traffic, not the disk model. Likewise an
-        // active SLO freeze: the alert clears on evidence, not on retune.
-        self.per_disk_limit = per_disk_limit;
     }
 }
 
@@ -331,31 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn retarget_tracks_new_model() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
-        let before = c.per_disk_limit();
-        let target = c.target();
-        // Same model → same limit.
-        c.retarget(target.n_max(&model(), 1.0).unwrap());
-        assert_eq!(c.per_disk_limit(), before);
-        // A heavier workload (double mean size) lowers the limit.
-        let heavy = GuaranteeModel::new(
-            model().disk().clone(),
-            400_000.0,
-            4e10,
-            mzd_core::ZoneHandling::Discrete,
-        )
-        .unwrap();
-        c.retarget(target.n_max(&heavy, 1.0).unwrap());
-        assert!(c.per_disk_limit() < before);
-    }
-
-    #[test]
     fn cache_aware_mode_inflates_conservatively() {
         let mut c = AdmissionController::from_model(
             &model(),
@@ -402,22 +359,6 @@ mod tests {
         // Invalid safety rejected.
         assert!(c.enable_cache_aware(-0.1).is_err());
         assert!(c.enable_cache_aware(1.1).is_err());
-    }
-
-    #[test]
-    fn retarget_preserves_cache_aware_state() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
-        c.enable_cache_aware(0.2).unwrap();
-        c.set_hit_ratio_lower_bound(0.5);
-        let effective_before = c.effective_per_disk_limit();
-        c.retarget(c.target().n_max(&model(), 1.0).unwrap());
-        assert!(c.is_cache_aware());
-        assert_eq!(c.effective_per_disk_limit(), effective_before);
     }
 
     #[test]
@@ -537,10 +478,6 @@ mod tests {
         );
         // Measurements fed while frozen are retained, not applied.
         c.set_hit_ratio_lower_bound(0.8);
-        assert_eq!(c.effective_per_disk_limit(), base);
-        // A retarget does not silently thaw.
-        c.retarget(c.target().n_max(&model(), 1.0).unwrap());
-        assert!(c.over_admission_frozen());
         assert_eq!(c.effective_per_disk_limit(), base);
 
         c.set_over_admission_frozen(false);

@@ -58,13 +58,6 @@ impl BufferTracker {
     }
 }
 
-/// The provisioning rule of thumb implied by double buffering: twice the
-/// maximum fragment size (e.g. twice a high percentile of the size law).
-#[must_use]
-pub fn double_buffer_requirement(max_fragment_bytes: f64) -> f64 {
-    2.0 * max_fragment_bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,10 +91,5 @@ mod tests {
         // Two largest adjacent: 450 + 470 = 920; global two largest 970.
         assert!(b.high_water() <= 970.0);
         assert!(b.high_water() >= 500.0);
-    }
-
-    #[test]
-    fn provisioning_rule() {
-        assert_eq!(double_buffer_requirement(500_000.0), 1_000_000.0);
     }
 }

@@ -23,7 +23,7 @@ use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
 use mzd_core::{GuaranteeModel, ZoneHandling};
 use mzd_disk::Disk;
 use mzd_fault::FaultConfig;
-use mzd_sim::round::{OverrunPolicy, RoundSimulator, SeekPolicy, SimConfig};
+use mzd_sim::round::{RoundSimulator, SeekPolicy, SimConfig};
 use mzd_slo::{Tracer, Transition};
 use mzd_workload::{ObjectSpec, SizeDistribution};
 use rand::rngs::StdRng;
@@ -211,8 +211,9 @@ struct Session {
     start_disk: u32,
     glitches: u64,
     buffer: BufferTracker,
-    /// Paused streams hold their admission reservation but request no
-    /// fragments (VCR pause with guaranteed resumption).
+    /// Streams the degradation ladder shed at rung 4 hold their
+    /// admission reservation but request no fragments, and resume from
+    /// where they stopped when the ladder recovers.
     paused: bool,
     /// Degradable streams accept a reduced fragment size at degradation
     /// rung 3+ (a lower-bitrate rendition).
@@ -232,7 +233,7 @@ pub struct ActiveStreamInfo {
     pub fragments_consumed: u32,
     /// Glitches suffered so far on this server.
     pub glitches: u64,
-    /// Whether the stream is currently paused.
+    /// Whether the degradation ladder has shed (paused) the stream.
     pub paused: bool,
 }
 
@@ -449,7 +450,6 @@ impl VideoServer {
                 .map_err(|e| ServerError::Invalid(e.to_string()))?,
             round_length: cfg.round_length,
             seek_policy: SeekPolicy::Scan,
-            overrun: OverrunPolicy::CompleteAll,
             placement: mzd_disk::PlacementPolicy::UniformByCapacity,
             recalibration: None,
             faults: None,
@@ -585,8 +585,8 @@ impl VideoServer {
         (self.rounds_run as f64 * self.cfg.round_length * 1e6) as u64
     }
 
-    /// The solved model in effect: shared with fleet peers built on the
-    /// same tables, this server's own after [`Self::reconfigure_workload`].
+    /// The solved model in effect, shared with fleet peers built on the
+    /// same tables.
     #[must_use]
     pub fn tables(&self) -> &Arc<ModelTables> {
         &self.tables
@@ -909,65 +909,6 @@ impl VideoServer {
             .iter()
             .position(|s| s.id == handle.0)
             .ok_or(ServerError::UnknownStream(handle.0))
-    }
-
-    /// Update the workload statistics behind admission control and
-    /// recompute the per-disk limit (§5: "the table has to be updated by
-    /// re-evaluating the analytic model only if the disk configuration or
-    /// general data characteristics change"). Already-admitted streams
-    /// are not evicted; if the new limit is lower, admission simply stays
-    /// closed until enough streams finish.
-    ///
-    /// The server moves to fresh [`ModelTables`] of its own: conformance
-    /// must judge observations against the model now in force (stale CDF
-    /// tables would flag spurious drift), while fleet peers that shared
-    /// the old tables keep them.
-    ///
-    /// # Errors
-    /// Propagates model-construction errors for invalid moments.
-    pub fn reconfigure_workload(
-        &mut self,
-        size_mean: f64,
-        size_variance: f64,
-    ) -> Result<(), ServerError> {
-        let mut cfg = self.cfg.clone();
-        cfg.admission_size_mean = size_mean;
-        cfg.admission_size_variance = size_variance;
-        let tables = ModelTables::for_config(&cfg)?;
-        self.admission.retarget(tables.per_disk_limit());
-        self.tables = Arc::new(tables);
-        self.cfg = cfg;
-        Ok(())
-    }
-
-    /// Pause an active stream (VCR pause): it requests no fragments but
-    /// keeps its admission reservation, so [`Self::resume_stream`] always
-    /// succeeds. Idempotent.
-    ///
-    /// # Errors
-    /// [`ServerError::UnknownStream`] if the handle is not active.
-    pub fn pause_stream(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
-        let i = self.session_index(handle)?;
-        self.sessions[i].paused = true;
-        Ok(())
-    }
-
-    /// Resume a paused stream from where it stopped. Idempotent.
-    ///
-    /// # Errors
-    /// [`ServerError::UnknownStream`] if the handle is not active.
-    pub fn resume_stream(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
-        let i = self.session_index(handle)?;
-        self.sessions[i].paused = false;
-        Ok(())
-    }
-
-    /// Whether a stream is currently paused.
-    ///
-    /// # Errors
-    /// [`ServerError::UnknownStream`] if the handle is not active.
-    pub fn is_paused(&self, handle: StreamHandle) -> Result<bool, ServerError> {
-        Ok(self.sessions[self.session_index(handle)?].paused)
     }
 
     /// Mark a stream degradable: at degradation rung 3+ it is served a
@@ -1593,8 +1534,8 @@ impl VideoServer {
 }
 
 /// Rung 4: pause the newest `fraction` of unpaused sessions, recording
-/// their ids in `shed`. They hold their admission reservation (exactly
-/// like a VCR pause) and resume when the ladder steps back below rung 4.
+/// their ids in `shed`. They hold their admission reservation and resume
+/// when the ladder steps back below rung 4.
 fn shed_newest(sessions: &mut [Session], shed: &mut Vec<u64>, fraction: f64) {
     let mut candidates: Vec<(u64, usize)> = sessions
         .iter()
@@ -1790,15 +1731,14 @@ mod tests {
         let b = s.open_stream(short_object(40)).unwrap();
         s.run_round();
         s.run_round();
-        s.pause_stream(b).unwrap();
         let info = s.active_session_info();
         assert_eq!(info.len(), 2);
         assert_eq!(info[0].handle, a);
         assert_eq!(info[1].handle, b);
         assert_eq!(info[0].fragments_consumed, 2);
-        assert!(!info[0].paused);
-        assert!(info[1].paused);
+        assert!(info.iter().all(|i| !i.paused));
         assert_eq!(info[0].object.rounds, 30);
+        assert_eq!(info[1].object.rounds, 40);
     }
 
     #[test]
@@ -1822,73 +1762,6 @@ mod tests {
         let admitted = s.drain_wait_queue();
         assert_eq!(admitted.len(), 1);
         assert_eq!(s.waiting_streams(), 0);
-    }
-
-    #[test]
-    fn pause_holds_position_and_reservation() {
-        let mut s = server(1, 11);
-        let h = s.open_stream(short_object(10)).unwrap();
-        s.run_round();
-        s.run_round();
-        s.pause_stream(h).unwrap();
-        assert!(s.is_paused(h).unwrap());
-        // Paused rounds do not consume fragments.
-        for _ in 0..5 {
-            let report = s.run_round();
-            assert!(report.completed_streams.is_empty());
-            let served: u32 = report.disks.iter().map(|d| d.requests).sum();
-            assert_eq!(served, 0);
-        }
-        s.resume_stream(h).unwrap();
-        assert!(!s.is_paused(h).unwrap());
-        // 8 fragments remain.
-        for r in 0..8 {
-            assert_eq!(s.active_streams(), 1, "round {r}");
-            s.run_round();
-        }
-        assert_eq!(s.active_streams(), 0);
-        assert_eq!(s.completed_streams()[0].rounds_played, 10);
-        // Unknown handles error.
-        assert!(s.pause_stream(h).is_err());
-        assert!(s.resume_stream(h).is_err());
-        assert!(s.is_paused(h).is_err());
-    }
-
-    #[test]
-    fn paused_streams_still_block_admission() {
-        let mut s = server(1, 12);
-        let mut handles = Vec::new();
-        while let Ok(h) = s.open_stream(short_object(100)) {
-            handles.push(h);
-        }
-        // Pause half the house: admission must stay closed (reservations
-        // are held for guaranteed resumption).
-        for h in handles.iter().take(handles.len() / 2) {
-            s.pause_stream(*h).unwrap();
-        }
-        assert!(s.open_stream(short_object(100)).is_err());
-    }
-
-    #[test]
-    fn reconfigure_workload_moves_the_limit_without_evicting() {
-        let mut s = server(1, 9);
-        let before = s.admission().per_disk_limit();
-        for _ in 0..before {
-            s.open_stream(short_object(100)).unwrap();
-        }
-        // Heavier fragments → lower limit; active streams stay.
-        s.reconfigure_workload(400_000.0, 4e10).unwrap();
-        let after = s.admission().per_disk_limit();
-        assert!(after < before, "limit {after} not below {before}");
-        assert_eq!(s.active_streams(), before as usize);
-        // Admission is closed while over the new limit.
-        assert!(s.open_stream(short_object(100)).is_err());
-        // Lighter fragments → higher limit, admission reopens.
-        s.reconfigure_workload(50_000.0, 2.5e9).unwrap();
-        assert!(s.admission().per_disk_limit() > before);
-        assert!(s.open_stream(short_object(100)).is_ok());
-        // Invalid moments rejected, state unchanged.
-        assert!(s.reconfigure_workload(-1.0, 1.0).is_err());
     }
 
     #[test]
@@ -1999,16 +1872,6 @@ mod tests {
                 2 => {
                     if let Some(h) = handles.pop() {
                         let _ = s.close_stream(h);
-                    }
-                }
-                3 => {
-                    if let Some(h) = handles.first() {
-                        let _ = s.pause_stream(*h);
-                    }
-                }
-                5 => {
-                    if let Some(h) = handles.first() {
-                        let _ = s.resume_stream(*h);
                     }
                 }
                 _ => {
@@ -2209,13 +2072,109 @@ mod tests {
         let shed = status.shed_streams as usize;
         let active = s.active_streams();
         assert_eq!(active, handles.len(), "shedding keeps reservations");
-        let paused: usize = handles.iter().filter(|h| s.is_paused(**h).unwrap()).count();
-        assert_eq!(paused, shed);
-        for h in handles.iter().rev().take(shed) {
-            assert!(s.is_paused(*h).unwrap(), "newest streams shed first");
+        let info = s.active_session_info();
+        let paused: Vec<StreamHandle> =
+            info.iter().filter(|i| i.paused).map(|i| i.handle).collect();
+        assert_eq!(paused.len(), shed);
+        let mut newest: Vec<StreamHandle> = handles.iter().rev().take(shed).copied().collect();
+        newest.reverse();
+        assert_eq!(paused, newest, "newest streams shed first");
+        // Shed sessions keep their per-disk load slot but serve no
+        // fragment: each round's disk requests cover only the others.
+        for _ in 0..5 {
+            let load: u32 = s.per_disk_load().iter().sum();
+            assert_eq!(load as usize, active, "shed sessions keep their slot");
+            let report = s.run_round();
+            let served: u32 = report.disks.iter().map(|d| d.requests).sum();
+            assert_eq!(served as usize, active - shed);
+        }
+        let after = s.active_session_info();
+        for (before, now) in info.iter().zip(&after) {
+            assert_eq!(before.handle, now.handle);
+            if before.paused {
+                assert_eq!(now.fragments_consumed, before.fragments_consumed);
+            } else {
+                assert_eq!(now.fragments_consumed, before.fragments_consumed + 5);
+            }
         }
         // Admission stays frozen at rung 1+.
         assert!(s.slo_status().unwrap().over_admission_frozen);
+    }
+
+    #[test]
+    fn ladder_recovery_resumes_shed_streams_where_they_stopped() {
+        // A media-error storm confined to rounds 0..120 drives the ladder
+        // to rung 4; once the fast burn clears, stepping back to rung 3
+        // resumes every shed stream from the fragment it stopped at.
+        let mut cfg = ServerConfig::paper_reference(1).unwrap();
+        cfg.faults = Some(mzd_fault::FaultConfig {
+            profile: mzd_fault::FaultProfile {
+                p_media: 0.0003,
+                scenario: mzd_fault::ChaosScenario::Burst {
+                    start: 0,
+                    rounds: 120,
+                    factor: 1000.0,
+                },
+                ..mzd_fault::FaultProfile::default()
+            },
+            ..mzd_fault::FaultConfig::default()
+        });
+        cfg.degrade = Some(crate::degrade::DegradeSettings {
+            escalate_rounds: 4,
+            recover_rounds: 16,
+            ..crate::degrade::DegradeSettings::default()
+        });
+        let mut s = VideoServer::new(cfg, 65).unwrap();
+        s.enable_slo(crate::slo::SloSettings::for_target(s.config().target))
+            .unwrap();
+        while s.open_stream(short_object(10_000)).is_ok() {}
+        let mut rounds = 0;
+        while s.degrade_status().unwrap().rung < 4 {
+            s.run_round();
+            rounds += 1;
+            assert!(rounds < 120, "the storm never maxed the ladder");
+        }
+        let at_shed = s.active_session_info();
+        let shed: Vec<&ActiveStreamInfo> = at_shed.iter().filter(|i| i.paused).collect();
+        assert!(!shed.is_empty(), "rung 4 must shed streams");
+        let stopped_at = |info: &[ActiveStreamInfo], h: StreamHandle| {
+            info.iter()
+                .find(|i| i.handle == h)
+                .unwrap()
+                .fragments_consumed
+        };
+        while s.degrade_status().unwrap().rung >= 4 {
+            // Paused: no shed stream moves while the ladder holds rung 4.
+            let now = s.active_session_info();
+            for before in &shed {
+                assert_eq!(stopped_at(&now, before.handle), before.fragments_consumed);
+            }
+            s.run_round();
+            rounds += 1;
+            assert!(rounds < 400, "the ladder never recovered after the storm");
+        }
+        assert_eq!(s.degrade_status().unwrap().shed_streams, 0);
+        let resumed = s.active_session_info();
+        assert!(resumed.iter().all(|i| !i.paused));
+        // The shed round's fragment was delivered before the ladder
+        // paused the stream; the recovery round credits it, and the
+        // stream then requests the next fragment like any other.
+        for before in &shed {
+            assert_eq!(
+                stopped_at(&resumed, before.handle),
+                before.fragments_consumed + 1
+            );
+        }
+        let report = s.run_round();
+        let served: u32 = report.disks.iter().map(|d| d.requests).sum();
+        assert_eq!(served as usize, s.active_streams());
+        let next = s.active_session_info();
+        for before in &shed {
+            assert_eq!(
+                stopped_at(&next, before.handle),
+                before.fragments_consumed + 2
+            );
+        }
     }
 
     #[test]

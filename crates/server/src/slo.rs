@@ -128,7 +128,7 @@ impl SloMetrics {
 /// The server's attached SLO machinery (crate-internal; summarized for
 /// callers by [`SloStatus`]). The predicted-CDF tables conformance reads
 /// are not here: they belong to the server's [`ModelTables`], shared
-/// with its fleet peers and swapped on workload reconfiguration.
+/// with its fleet peers.
 #[derive(Debug)]
 pub(crate) struct SloState {
     pub burn: BurnRateEngine,

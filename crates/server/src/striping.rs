@@ -88,13 +88,6 @@ impl StripingLayout {
         let step = (segment * u64::from(self.stride)) % u64::from(self.disks);
         (start_disk + step as u32) % self.disks
     }
-
-    /// A balanced start disk for the `i`-th admitted stream (simple
-    /// round-robin stagger).
-    #[must_use]
-    pub fn stagger_start(&self, stream_index: u64) -> u32 {
-        (stream_index % u64::from(self.disks)) as u32
-    }
 }
 
 /// Greatest common divisor (Euclid).
@@ -180,26 +173,19 @@ mod tests {
         for k in 0..5 {
             assert_eq!(s.disk_of_fragment(0, k), 0);
         }
-        assert_eq!(s.stagger_start(17), 0);
-    }
-
-    #[test]
-    fn stagger_balances_start_disks() {
-        let s = StripingLayout::new(3).unwrap();
-        let starts: Vec<u32> = (0..9).map(|i| s.stagger_start(i)).collect();
-        assert_eq!(starts, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn per_round_load_is_balanced_for_staggered_streams() {
-        // With S staggered streams all playing in lockstep, every round
-        // puts exactly ceil/floor(S/D) requests on each disk.
+        // With S streams started round-robin over the disks and playing
+        // in lockstep, every round puts exactly ceil/floor(S/D) requests
+        // on each disk.
         let s = StripingLayout::new(4).unwrap();
         let streams = 10u64;
         for round in 0..12u32 {
             let mut load = [0u32; 4];
             for i in 0..streams {
-                let d = s.disk_of_fragment(s.stagger_start(i), round);
+                let d = s.disk_of_fragment((i % 4) as u32, round);
                 load[d as usize] += 1;
             }
             let (min, max) = (*load.iter().min().unwrap(), *load.iter().max().unwrap());

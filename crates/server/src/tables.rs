@@ -7,8 +7,7 @@
 //! quality target. A fleet whose nodes share one configuration solves
 //! it once: `Cluster::new` builds one `ModelTables` and hands every node
 //! the same `Arc` ([`crate::VideoServer::with_tables`]). A standalone
-//! server ([`crate::VideoServer::new`]) builds its own, and a server
-//! whose workload is reconfigured moves to fresh tables of its own.
+//! server ([`crate::VideoServer::new`]) builds its own.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -131,9 +130,8 @@ impl ModelTables {
     /// `None` for `n = 0` or a failed grid build. Concurrent first users
     /// may each build the table — no lock is held while building — and
     /// one result is kept; a table is a pure function of `(model, n)`,
-    /// so which one does not matter. A batch beyond the limit's reach —
-    /// streams admitted before a reconfiguration lowered the limit —
-    /// gets an uncached table.
+    /// so which one does not matter. A batch beyond the limit's
+    /// [`MAX_CACHE_INFLATION`]-fold reach gets an uncached table.
     #[must_use]
     pub fn cdf_for(&self, n: u32) -> Option<Cow<'_, ServiceTimeCdf>> {
         if n == 0 {

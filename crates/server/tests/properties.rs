@@ -1,5 +1,5 @@
 //! Property-based tests for the server layer: conservation and balance
-//! invariants under randomized churn (opens, closes, pauses, rounds).
+//! invariants under randomized churn (opens, closes, rounds).
 
 use mzd_server::{ServerConfig, StreamHandle, VideoServer};
 use mzd_workload::{ObjectSpec, SizeDistribution};
@@ -10,8 +10,6 @@ use proptest::prelude::*;
 enum Op {
     Open(u32),
     CloseOldest,
-    PauseNewest,
-    ResumeAll,
     Round,
 }
 
@@ -19,8 +17,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (2u32..60).prop_map(Op::Open),
         Just(Op::CloseOldest),
-        Just(Op::PauseNewest),
-        Just(Op::ResumeAll),
         Just(Op::Round),
         Just(Op::Round), // weight rounds higher
     ]
@@ -57,16 +53,6 @@ proptest! {
                         if server.close_stream(h).is_ok() {
                             handles.remove(0);
                         }
-                    }
-                }
-                Op::PauseNewest => {
-                    if let Some(h) = handles.last().copied() {
-                        let _ = server.pause_stream(h);
-                    }
-                }
-                Op::ResumeAll => {
-                    for &h in &handles {
-                        let _ = server.resume_stream(h);
                     }
                 }
                 Op::Round => {

@@ -13,7 +13,7 @@
 //! per-stream glitch rate falls as the cache grows, and how strongly that
 //! depends on the Zipf skew.
 
-use crate::round::{OverrunPolicy, RoundSimulator, SeekPolicy, SimConfig};
+use crate::round::{RoundSimulator, SeekPolicy, SimConfig};
 use crate::SimError;
 use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
 use mzd_disk::Disk;
@@ -138,7 +138,6 @@ pub fn run_point(cfg: &CacheSweepConfig, seed: u64) -> Result<CacheSweepPoint, S
         sizes: cfg.sizes.clone(),
         round_length: cfg.round_length,
         seek_policy: SeekPolicy::Scan,
-        overrun: OverrunPolicy::CompleteAll,
         placement: mzd_disk::PlacementPolicy::UniformByCapacity,
         recalibration: None,
         faults: None,

@@ -74,12 +74,6 @@ impl SimulationEngine {
         })
     }
 
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        self.sim.config()
-    }
-
     /// Run `rounds` rounds with `n` concurrent streams, accounting
     /// glitches per stream (stream ids are stable across the window —
     /// this models `n` streams whose lifetime spans the window, as in the

@@ -1,21 +1,21 @@
-//! Discrete-event round core: logical-time event ordering,
-//! struct-of-arrays round state, and batched RNG draws.
+//! Discrete-event round core: the fused serve loop, struct-of-arrays
+//! round state, and batched RNG draws.
 //!
 //! This module is the hot path of the whole stack — every experiment
 //! (`engine`, `cache_sweep`, `drift`, the server's per-disk rounds, the
 //! cluster fleet) bottoms out in the crate-private `EventCore::round`.
 //! Three ideas:
 //!
-//! 1. **Logical-time events with a fixed total order.** A round is a
-//!    merged stream of [`Event`]s — request issues, seek completions,
-//!    transfer completions, fault retries, the round boundary — ordered
-//!    by the tiebreak `(time, kind_rank, seq)` ([`EventQueue`]). On a
-//!    single-armed disk the sweep serves requests one at a time, so the
-//!    heap would pop each request's seek → transfer → retry events
-//!    consecutively; the serve loop therefore *fuses* those phases
-//!    inline and only materialises the event stream when a trace sink
-//!    is supplied ([`RoundSimulator::run_round_traced`] proves the
-//!    fused order equals the heap order).
+//! 1. **One fused serve order.** On a single-armed disk the sweep
+//!    serves requests one at a time, so a request's seek, rotational
+//!    latency, transfer and fault detour happen back to back on one
+//!    logical clock. The serve loop walks the sweep once and advances
+//!    the clock through those phases in that order — the round's
+//!    service time is SEEK + Σ T_rot,i + Σ T_trans,i (eq. 3.1.1) plus
+//!    the stall and fault terms. Debug builds assert that every phase
+//!    time is finite and non-negative (the clock never runs backwards)
+//!    and that the service time equals stall + seek + rotational +
+//!    transfer + fault on every round.
 //! 2. **Struct-of-arrays state.** Per-request fields live in parallel
 //!    preallocated arrays (`cylinder[]`, `zone[]`, `bytes[]`,
 //!    `rotational[]`) reused across rounds; SCAN ordering sorts a
@@ -31,10 +31,8 @@
 //!    recalibration) is bit-identical to drawing from the base RNG
 //!    directly, which keeps all seeded anchors byte-stable across the
 //!    rewrite.
-//!
-//! [`RoundSimulator::run_round_traced`]: crate::RoundSimulator::run_round_traced
 
-use crate::round::{OverrunPolicy, RoundOutcome, SeekPolicy, SimConfig};
+use crate::round::{RoundOutcome, SeekPolicy, SimConfig};
 use mzd_disk::scan::SweepDirection;
 use mzd_disk::Disk;
 use mzd_fault::FaultInjector;
@@ -139,147 +137,6 @@ impl<R: Rng + ?Sized> Rng for BufferedRng<'_, R> {
     }
 }
 
-/// Kind of a simulation event, in tiebreak-rank order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A stream's per-round request enters the queue (round start).
-    RequestIssue,
-    /// The arm reached the request's cylinder.
-    SeekComplete,
-    /// The fragment finished transferring (includes rotational latency).
-    TransferComplete,
-    /// An injected fault finished its retry/backoff detour.
-    FaultRetry,
-    /// The round deadline.
-    RoundBoundary,
-}
-
-impl EventKind {
-    /// Rank used by the `(time, kind_rank, seq)` total order: at equal
-    /// logical times, issues sort before completions and the round
-    /// boundary sorts last.
-    #[must_use]
-    pub fn rank(self) -> u8 {
-        match self {
-            EventKind::RequestIssue => 0,
-            EventKind::SeekComplete => 1,
-            EventKind::TransferComplete => 2,
-            EventKind::FaultRetry => 3,
-            EventKind::RoundBoundary => 4,
-        }
-    }
-}
-
-/// One logical-time simulation event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
-    /// Logical time within the round, seconds from the round start.
-    pub time: f64,
-    /// What happened.
-    pub kind: EventKind,
-    /// Emission sequence number — the final component of the total
-    /// order, so two events never compare equal.
-    pub seq: u32,
-    /// The stream concerned (`u32::MAX` for [`EventKind::RoundBoundary`]).
-    pub stream: u32,
-}
-
-impl Event {
-    /// Strict total order `(time, kind_rank, seq)`; `time` compares via
-    /// `total_cmp` so the order is well-defined for every bit pattern.
-    #[must_use]
-    pub fn precedes(&self, other: &Event) -> bool {
-        match self.time.total_cmp(&other.time) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                (self.kind.rank(), self.seq) < (other.kind.rank(), other.seq)
-            }
-        }
-    }
-}
-
-/// Binary min-heap of [`Event`]s under the `(time, kind_rank, seq)`
-/// total order.
-///
-/// A hand-rolled heap rather than `std::collections::BinaryHeap` so the
-/// comparator can use `f64::total_cmp` without wrapping events in an
-/// `Ord` newtype, and so the backing storage is reusable across rounds.
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: Vec<Event>,
-}
-
-impl EventQueue {
-    /// An empty queue with room for `n` events.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            heap: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all queued events, keeping the storage.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Insert an event.
-    pub fn push(&mut self, e: Event) {
-        self.heap.push(e);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].precedes(&self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Remove and return the earliest event under the total order.
-    pub fn pop(&mut self) -> Option<Event> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let out = self.heap.pop();
-        let n = self.heap.len();
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut least = i;
-            if l < n && self.heap[l].precedes(&self.heap[least]) {
-                least = l;
-            }
-            if r < n && self.heap[r].precedes(&self.heap[least]) {
-                least = r;
-            }
-            if least == i {
-                break;
-            }
-            self.heap.swap(i, least);
-            i = least;
-        }
-        out
-    }
-}
-
 /// Struct-of-arrays per-round request state, reused across rounds.
 #[derive(Debug, Default)]
 struct Arena {
@@ -373,17 +230,14 @@ impl RoundSizes<'_> {
     }
 }
 
-/// The discrete-event round core: batched draws, arena state, event
-/// ordering. One per [`crate::RoundSimulator`]; all round entry points
-/// funnel through [`EventCore::round`].
+/// The discrete-event round core: batched draws, arena state, the
+/// fused serve loop. One per [`crate::RoundSimulator`]; all round entry
+/// points funnel through [`EventCore::round`].
 #[derive(Debug)]
 pub(crate) struct EventCore {
     draws: DrawBuffer,
     arena: Arena,
     tables: PlacementTables,
-    queue: EventQueue,
-    /// Event emission counter within the current traced round.
-    seq: u32,
     /// Cached disk constants (pure functions of the immutable disk).
     rot: f64,
     full_seek: f64,
@@ -408,8 +262,6 @@ impl EventCore {
             draws: DrawBuffer::with_capacity(capacity * DRAWS_PER_REQ_LAW + 1),
             arena,
             tables: PlacementTables::new(disk, weights),
-            queue: EventQueue::default(),
-            seq: 0,
             rot: disk.rotation_time(),
             full_seek: disk.seek_curve().max_seek_time(disk.cylinders()),
         }
@@ -455,31 +307,16 @@ impl EventCore {
         bytes / self.tables.rate[zone]
     }
 
-    #[inline]
-    fn emit(&mut self, kind: EventKind, time: f64, stream: u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event {
-            time,
-            kind,
-            seq,
-            stream,
-        });
-    }
-
     /// Run one round: generate requests (batched draws, arena state),
     /// order the sweep, and serve it against the logical clock.
     ///
     /// `arm` and `direction` are the cross-round elevator state, owned
-    /// by the caller. When `trace` is supplied, the round's full event
-    /// stream is heap-ordered under `(time, kind_rank, seq)` and
-    /// drained into it (replacing its contents).
+    /// by the caller.
     ///
     /// The draw schedule is exactly the legacy per-request sequence —
     /// zone, cylinder, [size when drawn from a law,] rotational latency
     /// per request in stream order, then the recalibration draw — so a
     /// seeded run is byte-identical to the pre-event-core simulator.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn round<R: Rng + ?Sized>(
         &mut self,
         cfg: &SimConfig,
@@ -488,7 +325,6 @@ impl EventCore {
         mut injector: Option<&mut FaultInjector>,
         arm: &mut u32,
         direction: &mut SweepDirection,
-        trace: Option<&mut Vec<Event>>,
     ) -> RoundOutcome {
         let n = sizes.len();
         self.arena.ensure(n);
@@ -545,15 +381,6 @@ impl EventCore {
             }
         }
 
-        let tracing = trace.is_some();
-        if tracing {
-            self.queue.clear();
-            self.seq = 0;
-            for i in 0..n {
-                self.emit(EventKind::RequestIssue, 0.0, i as u32);
-            }
-        }
-
         let curve = cfg.disk.seek_curve();
         let deadline = cfg.round_length;
         if let Some(inj) = injector.as_deref_mut() {
@@ -568,17 +395,18 @@ impl EventCore {
         let mut pos = *arm;
         for k in 0..n {
             let i = (self.arena.order[k] & 0xffff_ffff) as usize;
-            if cfg.overrun == OverrunPolicy::AbortAtDeadline && clock > deadline {
-                glitched.push(self.arena.stream[i]);
-                continue;
-            }
             let cylinder = self.arena.cylinder[i];
             let zone = self.arena.zone[i] as usize;
             let dist = pos.abs_diff(cylinder);
             let seek = curve.seek_time_cyl(dist);
             let rotational = self.arena.rotational[i];
             let transfer = self.arena.bytes[i] / self.tables.rate[zone];
-            let issue_clock = clock;
+            debug_assert!(
+                [seek, rotational, transfer]
+                    .iter()
+                    .all(|t| t.is_finite() && *t >= 0.0),
+                "clock would run backwards: seek {seek}, rot {rotational}, transfer {transfer}"
+            );
             // One expression: the addition order is load-bearing for
             // bit-identity with the legacy loop.
             clock += seek + rotational + transfer;
@@ -586,9 +414,7 @@ impl EventCore {
             rot_total += rotational;
             trans_total += transfer;
             pos = cylinder;
-            let served_clock = clock;
             let mut failed = false;
-            let mut extra = 0.0;
             if let Some(inj) = injector.as_deref_mut() {
                 let pert = inj.perturb_read(
                     zone as u32,
@@ -597,32 +423,27 @@ impl EventCore {
                     self.full_seek,
                     deadline - clock,
                 );
+                debug_assert!(
+                    pert.extra_time.is_finite() && pert.extra_time >= 0.0,
+                    "clock would run backwards: fault time {}",
+                    pert.extra_time
+                );
                 clock += pert.extra_time;
                 fault_total += pert.extra_time;
                 failed = pert.failed;
-                extra = pert.extra_time;
             }
             if failed || clock > deadline {
                 glitched.push(self.arena.stream[i]);
             }
-            if tracing {
-                let stream = self.arena.stream[i];
-                self.emit(EventKind::SeekComplete, issue_clock + seek, stream);
-                self.emit(EventKind::TransferComplete, served_clock, stream);
-                if extra > 0.0 {
-                    self.emit(EventKind::FaultRetry, clock, stream);
-                }
-            }
         }
         *arm = pos;
         *direction = direction.reversed();
-        if let Some(out) = trace {
-            self.emit(EventKind::RoundBoundary, deadline, u32::MAX);
-            out.clear();
-            while let Some(e) = self.queue.pop() {
-                out.push(e);
-            }
-        }
+        debug_assert!(
+            (clock - (stall + seek_total + rot_total + trans_total + fault_total)).abs()
+                <= 1e-9 * clock.max(1.0),
+            "service time {clock} != stall {stall} + seek {seek_total} + rot {rot_total} \
+             + transfer {trans_total} + fault {fault_total}"
+        );
         RoundOutcome {
             service_time: clock,
             late: clock > deadline,
@@ -730,68 +551,5 @@ mod tests {
                 "zone selection diverged at u = {u:?}"
             );
         }
-    }
-
-    #[test]
-    fn queue_orders_by_time_rank_seq() {
-        let mut q = EventQueue::with_capacity(8);
-        let e = |time, kind, seq| Event {
-            time,
-            kind,
-            seq,
-            stream: 0,
-        };
-        // Pushed deliberately out of order, with time ties broken by
-        // rank and a full (time, rank) tie broken by seq.
-        let expect = [
-            e(0.0, EventKind::RequestIssue, 0),
-            e(0.0, EventKind::RequestIssue, 1),
-            e(0.25, EventKind::SeekComplete, 2),
-            e(0.25, EventKind::TransferComplete, 3),
-            e(0.25, EventKind::FaultRetry, 4),
-            e(0.25, EventKind::FaultRetry, 5),
-            e(1.0, EventKind::TransferComplete, 6),
-            e(1.0, EventKind::RoundBoundary, 7),
-        ];
-        for i in [5usize, 0, 7, 3, 6, 1, 4, 2] {
-            q.push(expect[i]);
-        }
-        let mut got = Vec::new();
-        while let Some(ev) = q.pop() {
-            got.push(ev);
-        }
-        assert_eq!(got.as_slice(), expect.as_slice());
-    }
-
-    #[test]
-    fn queue_drains_random_events_in_total_order() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let kinds = [
-            EventKind::RequestIssue,
-            EventKind::SeekComplete,
-            EventKind::TransferComplete,
-            EventKind::FaultRetry,
-            EventKind::RoundBoundary,
-        ];
-        let mut q = EventQueue::default();
-        for seq in 0..500u32 {
-            q.push(Event {
-                // Coarse times force plenty of ties.
-                time: f64::from(rng.random_range(0..8u32)) * 0.125,
-                kind: kinds[rng.random_range(0..kinds.len() as u32) as usize],
-                seq,
-                stream: seq,
-            });
-        }
-        let mut prev: Option<Event> = None;
-        let mut count = 0;
-        while let Some(ev) = q.pop() {
-            if let Some(p) = prev {
-                assert!(p.precedes(&ev), "heap violated the total order");
-            }
-            prev = Some(ev);
-            count += 1;
-        }
-        assert_eq!(count, 500);
     }
 }

@@ -12,10 +12,10 @@
 //!
 //! * [`round`] — the mechanics of a single round (request generation,
 //!   sweep ordering, completion times);
-//! * [`event`] — the discrete-event core underneath every round:
-//!   logical-time event ordering with a fixed `(time, kind_rank, seq)`
-//!   tiebreak, struct-of-arrays request state in preallocated arenas,
-//!   and batched RNG draws bit-identical to per-request draws;
+//! * [`event`] — the discrete-event core underneath every round: one
+//!   fused serve loop with its per-round identities debug-asserted,
+//!   struct-of-arrays request state in preallocated arenas, and batched
+//!   RNG draws bit-identical to per-request draws;
 //! * [`engine`] — multi-round simulation with per-stream glitch accounting;
 //! * [`experiment`] — estimators for the paper's measured quantities:
 //!   `p_late` (Figure 1) and `p_error` (Table 2), with Wilson confidence
@@ -45,12 +45,12 @@ pub mod workahead;
 pub use cache_sweep::{run_point as run_cache_sweep_point, CacheSweepConfig, CacheSweepPoint};
 pub use drift::{run_drift_scenario, DriftScenarioConfig, DriftScenarioReport};
 pub use engine::{run_replicated_windows, GlitchAccounting, SimulationEngine};
-pub use event::{DrawBuffer, Event, EventKind, EventQueue};
+pub use event::DrawBuffer;
 pub use experiment::{
     estimate_p_error, estimate_p_late, estimate_p_late_par, PErrorEstimate, PLateEstimate,
 };
 pub use mixed::{MixedConfig, MixedRunStats, MixedSimulator};
-pub use round::{OverrunPolicy, RoundOutcome, RoundSimulator, SeekPolicy, SimConfig};
+pub use round::{RoundOutcome, RoundSimulator, SeekPolicy, SimConfig};
 pub use workahead::{WorkAheadConfig, WorkAheadSimulator, WorkAheadStats};
 
 /// Errors from simulator configuration.

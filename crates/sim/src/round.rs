@@ -14,13 +14,13 @@
 //! after the round deadline.
 //!
 //! Since the event-core rewrite, every entry point here is a thin wrapper
-//! over the crate-private `event::EventCore` — batched RNG draws, struct-of-arrays
-//! round state and logical-time event ordering — with a draw schedule
+//! over the crate-private `event::EventCore` — batched RNG draws,
+//! struct-of-arrays round state and one fused serve loop — with a draw schedule
 //! bit-identical to the original per-request loop (the test-only `legacy`
 //! module below keeps the original loop verbatim as the equivalence
 //! oracle).
 
-use crate::event::{Event, EventCore, RoundSizes};
+use crate::event::{EventCore, RoundSizes};
 use crate::SimError;
 use mzd_disk::placement::PlacementPolicy;
 use mzd_disk::scan::SweepDirection;
@@ -120,19 +120,6 @@ pub enum SeekPolicy {
     Fcfs,
 }
 
-/// What happens to requests still unserved at the round deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverrunPolicy {
-    /// The round runs to completion; late streams glitch but the next
-    /// round starts on schedule (server-push with per-round deadlines —
-    /// the paper's model, where rounds are independent).
-    #[default]
-    CompleteAll,
-    /// The sweep is aborted at the deadline: unserved requests glitch and
-    /// are dropped, and the arm stays where the deadline caught it.
-    AbortAtDeadline,
-}
-
 /// Configuration of a per-disk round simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -144,8 +131,6 @@ pub struct SimConfig {
     pub round_length: f64,
     /// Arm scheduling policy.
     pub seek_policy: SeekPolicy,
-    /// Deadline-overrun handling.
-    pub overrun: OverrunPolicy,
     /// Where fragments live on the disk.
     pub placement: PlacementPolicy,
     /// Optional thermal-recalibration model (\[RW94\]: drives of the era
@@ -189,7 +174,6 @@ impl SimConfig {
             sizes: SizeDistribution::paper_default(),
             round_length: 1.0,
             seek_policy: SeekPolicy::Scan,
-            overrun: OverrunPolicy::CompleteAll,
             placement: PlacementPolicy::UniformByCapacity,
             recalibration: None,
             faults: None,
@@ -265,8 +249,7 @@ pub struct DiscreteOutcome {
 /// Holds the arm state (position + sweep direction) across rounds; the
 /// RNG is owned so runs are reproducible from the seed. All rounds run
 /// through the discrete-event core ([`crate::event`]): batched draws,
-/// preallocated struct-of-arrays state, and (in traced mode) the
-/// `(time, kind_rank, seq)`-ordered event stream.
+/// preallocated struct-of-arrays state and one fused serve loop.
 ///
 /// ```
 /// use mzd_sim::{RoundSimulator, SimConfig};
@@ -282,7 +265,7 @@ pub struct RoundSimulator {
     arm_position: u32,
     direction: SweepDirection,
     /// The discrete-event round core: draw buffer, arenas, placement
-    /// tables, event queue.
+    /// tables.
     core: EventCore,
     /// Rounds served so far — the logical round id of emitted events.
     rounds_run: u64,
@@ -397,30 +380,6 @@ impl RoundSimulator {
             self.injector.as_mut(),
             &mut self.arm_position,
             &mut self.direction,
-            None,
-        );
-        self.observe_round(&outcome, n as usize);
-        outcome
-    }
-
-    /// Like [`Self::run_round`], additionally draining the round's full
-    /// logical-time event stream — request issues, seek and transfer
-    /// completions, fault retries, the round boundary — into `events`
-    /// (replacing its contents), ordered by the `(time, kind_rank, seq)`
-    /// total order. The outcome is byte-identical to the untraced round
-    /// for the same seed and round index.
-    pub fn run_round_traced(&mut self, n: u32, events: &mut Vec<Event>) -> RoundOutcome {
-        let outcome = self.core.round(
-            &self.cfg,
-            RoundSizes::Law {
-                n,
-                law: &self.cfg.sizes,
-            },
-            &mut self.rng,
-            self.injector.as_mut(),
-            &mut self.arm_position,
-            &mut self.direction,
-            Some(events),
         );
         self.observe_round(&outcome, n as usize);
         outcome
@@ -438,7 +397,6 @@ impl RoundSimulator {
             self.injector.as_mut(),
             &mut self.arm_position,
             &mut self.direction,
-            None,
         );
         self.observe_round(&outcome, sizes.len());
         outcome
@@ -729,10 +687,6 @@ mod legacy {
             let mut glitched = Vec::new();
             let mut pos = self.arm_position;
             for req in &self.requests {
-                if self.cfg.overrun == OverrunPolicy::AbortAtDeadline && clock > deadline {
-                    glitched.push(req.stream);
-                    continue;
-                }
                 let dist = pos.abs_diff(req.cylinder);
                 let seek = curve.seek_time_cyl(dist);
                 let transfer = disk.transfer_time(req.zone, req.bytes);
@@ -777,7 +731,6 @@ mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
     use mzd_disk::oyang;
     use rand::RngExt as _;
 
@@ -883,11 +836,6 @@ mod tests {
             },
             {
                 let mut c = SimConfig::paper_reference().unwrap();
-                c.overrun = OverrunPolicy::AbortAtDeadline;
-                ("abort", c)
-            },
-            {
-                let mut c = SimConfig::paper_reference().unwrap();
                 c.faults = Some(mzd_fault::FaultConfig::preset("flaky").unwrap());
                 ("flaky", c)
             },
@@ -895,7 +843,7 @@ mod tests {
         for (name, cfg) in variants {
             let mut new = RoundSimulator::new(cfg.clone(), 77).unwrap();
             let mut old = legacy::LegacySimulator::new(cfg, 77);
-            // Overload some rounds so Abort/late paths are exercised.
+            // Overload some rounds so the late paths are exercised.
             for (round, n) in [26u32, 34, 200, 27, 40, 26]
                 .iter()
                 .cycle()
@@ -932,49 +880,6 @@ mod tests {
                 bx.time_used.to_bits(),
                 "extras time, round={round}"
             );
-        }
-    }
-
-    #[test]
-    fn traced_round_is_byte_identical_to_untraced() {
-        let mut plain = sim(606);
-        let mut traced = sim(606);
-        let mut events = Vec::new();
-        for round in 0..50 {
-            let a = plain.run_round(27);
-            let b = traced.run_round_traced(27, &mut events);
-            assert_bit_identical(&a, &b, &format!("traced round={round}"));
-        }
-    }
-
-    #[test]
-    fn traced_event_stream_is_heap_ordered_and_complete() {
-        let mut s = sim(607);
-        let mut events = Vec::new();
-        for _ in 0..20 {
-            let n = 27u32;
-            let out = s.run_round_traced(n, &mut events);
-            // Fused serve order == heap order: the drained stream must be
-            // sorted under the (time, kind_rank, seq) total order.
-            for pair in events.windows(2) {
-                assert!(
-                    pair[0].precedes(&pair[1]),
-                    "event stream out of order: {:?} then {:?}",
-                    pair[0],
-                    pair[1]
-                );
-            }
-            let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
-            assert_eq!(count(EventKind::RequestIssue), n as usize);
-            assert_eq!(count(EventKind::SeekComplete), n as usize);
-            assert_eq!(count(EventKind::TransferComplete), n as usize);
-            assert_eq!(count(EventKind::RoundBoundary), 1);
-            // The last transfer completion is the sweep's service time.
-            let last_transfer = events
-                .iter()
-                .rfind(|e| e.kind == EventKind::TransferComplete)
-                .unwrap();
-            assert_eq!(last_transfer.time.to_bits(), out.service_time.to_bits());
         }
     }
 
@@ -1239,19 +1144,6 @@ mod tests {
             t_fcfs > t_scan * 1.05,
             "FCFS {t_fcfs} not clearly slower than SCAN {t_scan}"
         );
-    }
-
-    #[test]
-    fn abort_policy_caps_measured_work() {
-        let mut cfg = SimConfig::paper_reference().unwrap();
-        cfg.overrun = OverrunPolicy::AbortAtDeadline;
-        // Overload grossly so the deadline always hits mid-sweep.
-        let mut s = RoundSimulator::new(cfg, 8).unwrap();
-        let out = s.run_round(200);
-        assert!(out.late);
-        assert!(!out.glitched_streams.is_empty());
-        // Service time stops within one request of the deadline.
-        assert!(out.service_time < 1.0 + 0.2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use mzd_disk::PlacementPolicy;
 use mzd_sim::round::Recalibration;
-use mzd_sim::{MixedConfig, MixedSimulator, OverrunPolicy, RoundSimulator, SeekPolicy, SimConfig};
+use mzd_sim::{MixedConfig, MixedSimulator, RoundSimulator, SeekPolicy, SimConfig};
 use mzd_workload::SizeDistribution;
 use proptest::prelude::*;
 
@@ -11,10 +11,6 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
         0.25f64..3.0,
         prop_oneof![Just(SeekPolicy::Scan), Just(SeekPolicy::Fcfs)],
-        prop_oneof![
-            Just(OverrunPolicy::CompleteAll),
-            Just(OverrunPolicy::AbortAtDeadline)
-        ],
         prop_oneof![
             Just(PlacementPolicy::UniformByCapacity),
             Just(PlacementPolicy::UniformByCylinder),
@@ -25,21 +21,18 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
         50_000.0f64..600_000.0,
         0.1f64..1.2,
     )
-        .prop_map(
-            |(round_length, seek_policy, overrun, placement, recal, mean, cv)| {
-                let mut cfg = SimConfig::paper_reference().expect("valid");
-                cfg.round_length = round_length;
-                cfg.seek_policy = seek_policy;
-                cfg.overrun = overrun;
-                cfg.placement = placement;
-                cfg.recalibration = recal.map(|(interval, duration)| Recalibration {
-                    mean_interval_rounds: interval,
-                    duration,
-                });
-                cfg.sizes = SizeDistribution::gamma(mean, (mean * cv).powi(2)).expect("valid");
-                cfg
-            },
-        )
+        .prop_map(|(round_length, seek_policy, placement, recal, mean, cv)| {
+            let mut cfg = SimConfig::paper_reference().expect("valid");
+            cfg.round_length = round_length;
+            cfg.seek_policy = seek_policy;
+            cfg.placement = placement;
+            cfg.recalibration = recal.map(|(interval, duration)| Recalibration {
+                mean_interval_rounds: interval,
+                duration,
+            });
+            cfg.sizes = SizeDistribution::gamma(mean, (mean * cv).powi(2)).expect("valid");
+            cfg
+        })
 }
 
 proptest! {
@@ -64,20 +57,16 @@ proptest! {
             for &g in &out.glitched_streams {
                 prop_assert!(g < n);
             }
-            if cfg.overrun == OverrunPolicy::CompleteAll {
-                let sum = out.seek_time
-                    + out.rotational_time
-                    + out.transfer_time
-                    + out.stall_time;
-                prop_assert!((out.service_time - sum).abs() < 1e-9);
-            }
+            let sum = out.seek_time
+                + out.rotational_time
+                + out.transfer_time
+                + out.stall_time;
+            prop_assert!((out.service_time - sum).abs() < 1e-9);
             // Rotational latency per request is bounded by one revolution.
-            if n > 0 && cfg.overrun == OverrunPolicy::CompleteAll {
-                prop_assert!(
-                    out.rotational_time
-                        <= f64::from(n) * cfg.disk.rotation_time() + 1e-12
-                );
-            }
+            prop_assert!(
+                out.rotational_time
+                    <= f64::from(n) * cfg.disk.rotation_time() + 1e-12
+            );
         }
     }
 
@@ -88,8 +77,6 @@ proptest! {
         seed in 0u64..100,
     ) {
         // Transfer time must lie between all-outer and all-inner service.
-        let mut cfg = cfg;
-        cfg.overrun = OverrunPolicy::CompleteAll;
         let mut sim = RoundSimulator::new(cfg.clone(), seed).expect("valid");
         let out = sim.run_round_sized(&sizes);
         let total: f64 = sizes.iter().sum();

@@ -207,12 +207,6 @@ impl ConformanceChecker {
     pub fn drifts_raised(&self) -> u64 {
         self.drift.raised
     }
-
-    /// The configuration in effect.
-    #[must_use]
-    pub fn config(&self) -> &ConformanceConfig {
-        &self.cfg
-    }
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 #[derive(Debug, Clone, PartialEq)]
 enum Field {
     U64(u64),
-    I64(i64),
     F64(f64),
     Bool(bool),
     Str(String),
@@ -56,23 +55,10 @@ impl Event {
         }
     }
 
-    /// The event name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Attach an unsigned integer field.
     #[must_use]
     pub fn u64(mut self, key: &'static str, value: u64) -> Self {
         self.fields.push((key, Field::U64(value)));
-        self
-    }
-
-    /// Attach a signed integer field.
-    #[must_use]
-    pub fn i64(mut self, key: &'static str, value: i64) -> Self {
-        self.fields.push((key, Field::I64(value)));
         self
     }
 
@@ -117,7 +103,6 @@ impl Event {
             out.push(':');
             match value {
                 Field::U64(v) => out.push_str(&v.to_string()),
-                Field::I64(v) => out.push_str(&v.to_string()),
                 Field::F64(v) => json::write_f64(&mut out, *v),
                 Field::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
                 Field::Str(v) => json::write_escaped(&mut out, v),
@@ -304,7 +289,6 @@ mod tests {
     fn event_serializes_all_field_types() {
         let e = Event::new("test.kinds")
             .u64("u", 42)
-            .i64("i", -7)
             .f64("f", 0.5)
             .f64("nan", f64::NAN)
             .bool("b", true)
@@ -315,7 +299,6 @@ mod tests {
         let doc = json::parse(&line).expect("valid JSON");
         assert_eq!(doc.get("event").unwrap().as_str(), Some("test.kinds"));
         assert_eq!(doc.get("u").unwrap().as_f64(), Some(42.0));
-        assert_eq!(doc.get("i").unwrap().as_f64(), Some(-7.0));
         assert_eq!(doc.get("f").unwrap().as_f64(), Some(0.5));
         assert_eq!(doc.get("nan").unwrap(), &json::Value::Null);
         assert_eq!(doc.get("b").unwrap(), &json::Value::Bool(true));

@@ -95,9 +95,12 @@ mod tests {
     fn label_sets_sort_and_escape() {
         let l = LabelSet::new().with("node", "3").with("disk", "0");
         assert_eq!(l.render(), "{disk=\"0\",node=\"3\"}");
-        assert_eq!(
-            l.render_with("le", "+Inf"),
-            "{disk=\"0\",node=\"3\",le=\"+Inf\"}"
+        // Bucket lines append `le` after the sorted scope labels.
+        let mut out = String::new();
+        crate::prom::render_sketch_series(&mut out, "x", &l, &QuantileSketch::new());
+        assert!(
+            out.starts_with("x_bucket{disk=\"0\",node=\"3\",le=\"+Inf\"} 0\n"),
+            "{out}"
         );
         let l = LabelSet::new().with("zone", "a\"b\\c\nd");
         assert_eq!(l.render(), "{zone=\"a\\\"b\\\\c\\nd\"}");

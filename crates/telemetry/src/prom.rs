@@ -45,13 +45,6 @@ pub fn sanitize_name(name: &str) -> String {
 /// Escape a label *value* for the exposition format: backslash, double
 /// quote and newline are the three characters the format reserves
 /// (`\\`, `\"`, `\n`); everything else passes through verbatim.
-#[must_use]
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    write_escaped_label_value(&mut out, value);
-    out
-}
-
 fn write_escaped_label_value(out: &mut String, value: &str) {
     for c in value.chars() {
         match c {
@@ -63,18 +56,9 @@ fn write_escaped_label_value(out: &mut String, value: &str) {
     }
 }
 
-/// Render a label set as `{k="v",...}` with values escaped, or an
-/// empty string for no labels. Label *names* are sanitized to the
-/// exposition alphabet; pairs are emitted in the order given (callers
-/// keep them sorted for byte-stable output).
-#[must_use]
-pub fn render_label_set(labels: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    write_label_set(&mut out, labels.iter().copied());
-    out
-}
-
-/// [`render_label_set`] appending to `out` (nothing for no pairs).
+/// Append a label set as `{k="v",...}` with values escaped (nothing
+/// for no pairs). Label *names* are sanitized to the exposition
+/// alphabet; pairs are emitted in the order given.
 fn write_label_set<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a str, &'a str)>) {
     let mut first = true;
     for (k, v) in pairs {
@@ -97,7 +81,7 @@ fn write_label_set<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a st
 /// Keys are held sorted so rendering — and therefore every exposition
 /// byte — is independent of insertion order. Values may contain any
 /// characters; rendering escapes the three the exposition format
-/// reserves (see [`escape_label_value`]).
+/// reserves (backslash, double quote, newline).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LabelSet {
     pairs: Vec<(String, String)>,
@@ -129,15 +113,8 @@ impl LabelSet {
         out
     }
 
-    /// Render with one extra trailing pair appended, the way `_bucket`
-    /// lines append `le` to the scope labels.
-    #[must_use]
-    pub fn render_with(&self, key: &str, value: &str) -> String {
-        let mut out = String::new();
-        self.write_with(&mut out, Some((key, value)));
-        out
-    }
-
+    /// Append the labels with one optional extra trailing pair, the
+    /// way `_bucket` lines append `le` to the scope labels.
     fn write_with(&self, out: &mut String, extra: Option<(&str, &str)>) {
         let pairs = self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
         write_label_set(out, pairs.chain(extra));
@@ -366,30 +343,31 @@ mod tests {
 
     #[test]
     fn escapes_label_values() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("a\nb"), "a\\nb");
+        let render = |v: &str| LabelSet::new().with("k", v).render();
+        assert_eq!(render("plain"), "{k=\"plain\"}");
+        assert_eq!(render("a\"b"), "{k=\"a\\\"b\"}");
+        assert_eq!(render("a\\b"), "{k=\"a\\\\b\"}");
+        assert_eq!(render("a\nb"), "{k=\"a\\nb\"}");
         // All three at once, in the order backslash-first escaping must
         // preserve: `\` then `"` then newline.
-        assert_eq!(escape_label_value("\\\"\n"), "\\\\\\\"\\n");
+        assert_eq!(render("\\\"\n"), "{k=\"\\\\\\\"\\n\"}");
         // Idempotence does NOT hold (escaping escapes the escapes) —
         // exactly one pass is applied on the way out.
-        assert_eq!(escape_label_value("a\\nb"), "a\\\\nb");
+        assert_eq!(render("a\\nb"), "{k=\"a\\\\nb\"}");
     }
 
     #[test]
     fn renders_label_sets() {
-        assert_eq!(render_label_set(&[]), "");
-        assert_eq!(render_label_set(&[("node", "3")]), "{node=\"3\"}");
+        assert_eq!(LabelSet::new().render(), "");
+        assert_eq!(LabelSet::new().with("node", "3").render(), "{node=\"3\"}");
         assert_eq!(
-            render_label_set(&[("node", "0"), ("disk", "2")]),
-            "{node=\"0\",disk=\"2\"}"
+            LabelSet::new().with("node", "0").with("disk", "2").render(),
+            "{disk=\"2\",node=\"0\"}"
         );
         // Values with reserved characters survive a round through the
         // exposition grammar; names are forced into the alphabet.
         assert_eq!(
-            render_label_set(&[("zone.id", "a\"b\\c\nd")]),
+            LabelSet::new().with("zone.id", "a\"b\\c\nd").render(),
             "{zone_id=\"a\\\"b\\\\c\\nd\"}"
         );
     }

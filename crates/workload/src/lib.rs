@@ -8,8 +8,8 @@
 //! derivation also supports ("other heavy-tailed distributions such as
 //! Pareto or Lognormal"):
 //!
-//! * [`size::SizeDistribution`] — Gamma / lognormal / Pareto / constant /
-//!   empirical fragment-size laws with a common interface;
+//! * [`size::SizeDistribution`] — Gamma / lognormal / Pareto / constant
+//!   fragment-size laws with a common interface;
 //! * [`gop`] — a synthetic MPEG-like GOP (group-of-pictures) frame-size
 //!   generator producing VBR traces with I/P/B structure and scene-level
 //!   correlation, standing in for the proprietary traces behind \[Ros95\];
@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use popularity::Zipf;
 pub use size::SizeDistribution;
-pub use stream::{ObjectCatalog, ObjectSpec, StreamSpec};
+pub use stream::{ObjectCatalog, ObjectSpec};
 pub use trace::Trace;
 
 /// Errors from workload construction.

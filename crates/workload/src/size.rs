@@ -26,8 +26,6 @@ pub enum SizeDistribution {
     Pareto(Pareto),
     /// Constant size (the CBR assumption of most prior work).
     Constant(f64),
-    /// Empirical sizes drawn uniformly from a recorded trace.
-    Empirical(EmpiricalSizes),
 }
 
 impl SizeDistribution {
@@ -84,32 +82,6 @@ impl SizeDistribution {
         Ok(Self::Constant(bytes))
     }
 
-    /// Empirical sizes from a trace (sampled i.i.d. uniformly — matching
-    /// the paper's independence assumption across rounds and streams).
-    ///
-    /// # Errors
-    /// [`WorkloadError::Invalid`] if the trace is empty or contains
-    /// non-positive sizes.
-    pub fn empirical(sizes: Vec<f64>) -> Result<Self, WorkloadError> {
-        Ok(Self::Empirical(EmpiricalSizes::new(sizes)?))
-    }
-
-    /// Empirical sizes backed by a recorded [`crate::Trace`].
-    ///
-    /// ```
-    /// use mzd_workload::{SizeDistribution, Trace};
-    /// let trace = Trace::new(vec![100.0, 200.0, 300.0], 1.0).unwrap();
-    /// let law = SizeDistribution::from_trace(&trace);
-    /// assert_eq!(law.mean(), 200.0);
-    /// ```
-    #[must_use]
-    pub fn from_trace(trace: &crate::Trace) -> Self {
-        Self::Empirical(
-            EmpiricalSizes::new(trace.sizes().to_vec())
-                .expect("a constructed Trace is non-empty and positive"),
-        )
-    }
-
     /// Mean fragment size, bytes.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -118,7 +90,6 @@ impl SizeDistribution {
             Self::LogNormal(d) => d.mean(),
             Self::Pareto(d) => d.mean(),
             Self::Constant(c) => *c,
-            Self::Empirical(e) => e.mean,
         }
     }
 
@@ -130,7 +101,6 @@ impl SizeDistribution {
             Self::LogNormal(d) => d.variance(),
             Self::Pareto(d) => d.variance(),
             Self::Constant(_) => 0.0,
-            Self::Empirical(e) => e.variance,
         }
     }
 
@@ -148,7 +118,6 @@ impl SizeDistribution {
             Self::LogNormal(d) => d.sample(rng),
             Self::Pareto(d) => d.sample(rng),
             Self::Constant(c) => *c,
-            Self::Empirical(e) => e.sample(rng),
         }
     }
 
@@ -177,8 +146,8 @@ impl SizeDistribution {
     }
 
     /// Quantile of the size law at `p ∈ [0, 1)` where analytically
-    /// available (`None` for empirical — use the trace directly — and for
-    /// lognormal, which the worst-case bound does not need).
+    /// available (`None` for lognormal, which the worst-case bound does
+    /// not need).
     ///
     /// # Errors
     /// Propagates numeric domain errors for out-of-range `p`.
@@ -194,7 +163,7 @@ impl SizeDistribution {
                 }
                 Ok(Some(d.x_min() / (1.0 - p).powf(1.0 / d.alpha())))
             }
-            Self::LogNormal(_) | Self::Empirical(_) => Ok(None),
+            Self::LogNormal(_) => Ok(None),
         }
     }
 
@@ -206,61 +175,7 @@ impl SizeDistribution {
             Self::LogNormal(_) => "lognormal",
             Self::Pareto(_) => "pareto",
             Self::Constant(_) => "constant",
-            Self::Empirical(_) => "empirical",
         }
-    }
-}
-
-/// Empirical size law: i.i.d. uniform draws from a recorded trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmpiricalSizes {
-    sizes: Vec<f64>,
-    mean: f64,
-    variance: f64,
-}
-
-impl EmpiricalSizes {
-    /// Build from recorded sizes.
-    ///
-    /// # Errors
-    /// [`WorkloadError::Invalid`] if empty or any size is non-positive.
-    pub fn new(sizes: Vec<f64>) -> Result<Self, WorkloadError> {
-        if sizes.is_empty() {
-            return Err(WorkloadError::Invalid("empirical trace is empty".into()));
-        }
-        if let Some(&bad) = sizes.iter().find(|&&s| !(s > 0.0) || !s.is_finite()) {
-            return Err(WorkloadError::Invalid(format!(
-                "empirical trace contains non-positive size {bad}"
-            )));
-        }
-        let mean = mzd_numerics::stats::mean(&sizes);
-        let variance = if sizes.len() > 1 {
-            mzd_numerics::stats::variance(&sizes)
-        } else {
-            0.0
-        };
-        Ok(Self {
-            sizes,
-            mean,
-            variance,
-        })
-    }
-
-    /// Number of recorded fragments.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Whether the trace is empty (never true after construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        use rand::RngExt as _;
-        self.sizes[rng.random_range(0..self.sizes.len())]
     }
 }
 
@@ -307,20 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn empirical_law_stats_and_sampling() {
-        let d = SizeDistribution::empirical(vec![100.0, 200.0, 300.0]).unwrap();
-        assert_eq!(d.mean(), 200.0);
-        assert_eq!(d.variance(), 10_000.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let s = d.sample(&mut rng);
-            assert!([100.0, 200.0, 300.0].contains(&s));
-        }
-        assert!(SizeDistribution::empirical(vec![]).is_err());
-        assert!(SizeDistribution::empirical(vec![1.0, -2.0]).is_err());
-    }
-
-    #[test]
     fn gamma_quantile_matches_paper_worst_case_inputs() {
         // 99th percentile of Gamma(mean 200 KB, sd 100 KB) ≈ 502.26 KB —
         // the size behind the paper's T_trans^max = 71.7 ms.
@@ -341,10 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_and_empirical_have_no_analytic_quantile() {
+    fn lognormal_has_no_analytic_quantile() {
         let d = SizeDistribution::log_normal(200_000.0, 1e10).unwrap();
-        assert_eq!(d.quantile(0.99).unwrap(), None);
-        let d = SizeDistribution::empirical(vec![1.0, 2.0]).unwrap();
         assert_eq!(d.quantile(0.99).unwrap(), None);
     }
 

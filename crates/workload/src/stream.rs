@@ -86,29 +86,6 @@ impl ObjectSpec {
     }
 }
 
-/// Specification of one active stream: which object, and a label.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamSpec {
-    /// Stream identifier (unique within a run).
-    pub id: u64,
-    /// The object being played.
-    pub object: ObjectSpec,
-}
-
-impl StreamSpec {
-    /// Create a stream playing `object`.
-    #[must_use]
-    pub fn new(id: u64, object: ObjectSpec) -> Self {
-        Self { id, object }
-    }
-
-    /// Stream length in rounds.
-    #[must_use]
-    pub fn rounds(&self) -> u32 {
-        self.object.rounds
-    }
-}
-
 /// A catalog of stored objects, from which streams are opened.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectCatalog {
@@ -239,13 +216,6 @@ mod tests {
     #[test]
     fn object_requires_positive_rounds() {
         assert!(ObjectSpec::new("x", SizeDistribution::paper_default(), 0).is_err());
-    }
-
-    #[test]
-    fn stream_wraps_object() {
-        let s = StreamSpec::new(7, ObjectSpec::paper_default());
-        assert_eq!(s.id, 7);
-        assert_eq!(s.rounds(), 1200);
     }
 
     #[test]

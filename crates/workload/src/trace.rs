@@ -181,28 +181,6 @@ impl Trace {
         }
         out
     }
-
-    /// Re-fragment the trace to a new display time that is an integral
-    /// multiple of the current one (changing the round length requires all
-    /// data to be re-fragmented, §2.3). A trailing partial group is
-    /// dropped.
-    ///
-    /// # Errors
-    /// [`WorkloadError::Invalid`] unless `factor ≥ 1` and the regrouped
-    /// trace is non-empty.
-    pub fn regroup(&self, factor: usize) -> Result<Trace, WorkloadError> {
-        if factor == 0 {
-            return Err(WorkloadError::Invalid(
-                "regroup factor must be at least 1".into(),
-            ));
-        }
-        let sizes: Vec<f64> = self
-            .sizes
-            .chunks_exact(factor)
-            .map(|c| c.iter().sum())
-            .collect();
-        Trace::new(sizes, self.display_time * factor as f64)
-    }
 }
 
 #[cfg(test)]
@@ -233,18 +211,6 @@ mod tests {
         assert!(Trace::new(vec![1.0], 0.0).is_err());
         assert!(Trace::new(vec![1.0, 0.0], 1.0).is_err());
         assert!(Trace::new(vec![1.0, f64::NAN], 1.0).is_err());
-    }
-
-    #[test]
-    fn regroup_sums_and_extends_display_time() {
-        let tr = t().regroup(2).unwrap();
-        assert_eq!(tr.sizes(), &[300.0, 700.0]);
-        assert_eq!(tr.display_time(), 2.0);
-        // Dropping the trailing partial group.
-        let tr = t().regroup(3).unwrap();
-        assert_eq!(tr.sizes(), &[600.0]);
-        assert!(t().regroup(0).is_err());
-        assert!(t().regroup(5).is_err()); // would be empty
     }
 
     #[test]

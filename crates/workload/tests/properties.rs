@@ -46,25 +46,6 @@ proptest! {
     }
 
     #[test]
-    fn trace_regroup_conserves_bytes(
-        sizes in prop::collection::vec(1.0f64..1e6, 2..120),
-        factor in 1usize..10,
-    ) {
-        let t = Trace::new(sizes.clone(), 1.0).unwrap();
-        if let Ok(grouped) = t.regroup(factor) {
-            let kept = sizes.len() - sizes.len() % factor;
-            let expected: f64 = sizes[..kept].iter().sum();
-            let got: f64 = grouped.sizes().iter().sum();
-            prop_assert!((got - expected).abs() < 1e-6 * expected.max(1.0));
-            prop_assert!((grouped.display_time() - factor as f64).abs() < 1e-12);
-            prop_assert!((grouped.duration() - kept as f64).abs() < 1e-9);
-        } else {
-            // Regroup only fails when the result would be empty.
-            prop_assert!(factor > sizes.len());
-        }
-    }
-
-    #[test]
     fn trace_statistics_are_consistent(sizes in prop::collection::vec(1.0f64..1e6, 2..120)) {
         let t = Trace::new(sizes.clone(), 2.0).unwrap();
         prop_assert!(t.peak() >= t.mean());
@@ -91,18 +72,5 @@ proptest! {
             (measured / (mbit * 1e6) - 1.0).abs() < 0.1,
             "requested {mbit} Mbit/s, measured {measured}"
         );
-    }
-
-    #[test]
-    fn empirical_distribution_round_trips_trace(
-        sizes in prop::collection::vec(1.0f64..1e6, 1..80),
-        seed in 0u64..20,
-    ) {
-        let d = SizeDistribution::empirical(sizes.clone()).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..50 {
-            let s = d.sample(&mut rng);
-            prop_assert!(sizes.contains(&s));
-        }
     }
 }

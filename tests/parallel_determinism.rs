@@ -219,9 +219,9 @@ fn fleet_observability_is_identical_across_job_counts() {
 fn event_engine_rounds_are_identical_across_job_counts() {
     let _guard = JOBS_LOCK.lock().unwrap();
     // Event-engine anchors: fan a batch of independent event-core
-    // simulators — clean and faulted, plain and traced rounds — across
-    // the pool and fingerprint every outcome and event stream. The
-    // fingerprints must be bit-identical at any job count.
+    // simulators — clean and faulted — across the pool and fingerprint
+    // every outcome. The fingerprints must be bit-identical at any job
+    // count.
     let run = || {
         let seeds: Vec<u64> = (0..12).map(|i| mzd_par::derive_seed(9000, i)).collect();
         mzd_par::par_map(&seeds, |&seed| {
@@ -230,24 +230,15 @@ fn event_engine_rounds_are_identical_across_job_counts() {
                 cfg.faults = Some(mzd_fault::FaultConfig::preset("zonefail").unwrap());
             }
             let mut sim = mzd_sim::RoundSimulator::new(cfg, seed).unwrap();
-            let mut events: Vec<mzd_sim::Event> = Vec::new();
             let mut fingerprint: Vec<u64> = Vec::new();
-            for round in 0..60u64 {
-                let out = if round % 2 == 0 {
-                    sim.run_round(27)
-                } else {
-                    sim.run_round_traced(27, &mut events)
-                };
+            for _ in 0..60 {
+                let out = sim.run_round(27);
                 fingerprint.push(out.service_time.to_bits());
                 fingerprint.push(out.seek_time.to_bits());
                 fingerprint.push(out.rotational_time.to_bits());
                 fingerprint.push(out.transfer_time.to_bits());
                 fingerprint.push(out.fault_time.to_bits());
                 fingerprint.extend(out.glitched_streams.iter().map(|&g| u64::from(g)));
-                if round % 2 != 0 {
-                    fingerprint.push(events.len() as u64);
-                    fingerprint.extend(events.iter().map(|e| e.time.to_bits()));
-                }
             }
             fingerprint
         })
