@@ -1399,6 +1399,47 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         );
         black_box(&series);
     });
+    // Span recording as a traced server round does it, per stream: a
+    // `stream.round` span with three arguments under the stream's root,
+    // then its disposition under that. One op is 1 000 stream-rounds
+    // over 16 streams into a fresh tracer, so it includes the chunk
+    // allocations and first touches a real run pays. Batches of ~10 ms.
+    timed(
+        &mut sim,
+        "trace_record_1k_stream_rounds",
+        SERIAL,
+        200,
+        || {
+            let mut tracer = mzd_slo::Tracer::new();
+            let roots: [_; 16] = std::array::from_fn(|s| tracer.root(s as u64));
+            for i in 0..1000u64 {
+                let (stream, round) = (i % 16, i / 16);
+                let ctx = tracer.child(&roots[stream as usize]);
+                tracer.record(
+                    "stream.round",
+                    "stream",
+                    1,
+                    stream,
+                    round * 1_000_000,
+                    1_000_000,
+                    ctx,
+                    &[("round", round), ("disk", stream % 4), ("fragment", round)],
+                );
+                let disposition = tracer.child(&ctx);
+                tracer.record(
+                    "disk.fetch",
+                    "disk",
+                    1,
+                    stream,
+                    round * 1_000_000,
+                    1_000_000,
+                    disposition,
+                    &[],
+                );
+            }
+            black_box(&tracer);
+        },
+    );
     // The binary installs no sink and never turns profiling on; pin both
     // so these rows keep timing the disabled paths.
     mzd_telemetry::set_sink(std::sync::Arc::new(mzd_telemetry::event::NullSink));

@@ -655,20 +655,14 @@ impl Cluster {
 
     /// Merged fleet trace: the dispatcher tracer's spans followed by
     /// every node's, in node order, rendered as one Chrome
-    /// trace-event JSON object. `None` until
-    /// [`Cluster::enable_tracing`].
+    /// trace-event JSON object straight from each tracer's store. `None`
+    /// until [`Cluster::enable_tracing`].
     #[must_use]
     pub fn trace_chrome_json(&self) -> Option<String> {
-        let tracer = self.tracer.as_ref()?;
-        let mut events: Vec<mzd_slo::TraceEvent> = tracer.events().to_vec();
-        let mut dropped = tracer.dropped();
-        for node in &self.nodes {
-            if let Some(node_events) = node.server().trace_events() {
-                events.extend_from_slice(node_events);
-            }
-            dropped += node.server().trace_dropped();
-        }
-        Some(mzd_slo::render_chrome_json(&events, dropped))
+        let mut tracers = Vec::with_capacity(self.nodes.len() + 1);
+        tracers.push(self.tracer.as_ref()?);
+        tracers.extend(self.nodes.iter().filter_map(|node| node.server().tracer()));
+        Some(mzd_slo::render_chrome_json(&tracers))
     }
 
     /// The composed fleet guarantee this cluster enforces.
@@ -1537,9 +1531,9 @@ mod tests {
             fleet
                 .node(node)
                 .server()
-                .trace_events()
+                .tracer()
                 .unwrap()
-                .iter()
+                .spans()
                 .filter(|e| e.ctx.trace == m.seq)
                 .map(|e| e.ctx.span)
                 .filter(|&s| s > base && s <= base + (1 << NODE_SPAN_BASE_SHIFT))
@@ -1551,8 +1545,7 @@ mod tests {
             .tracer
             .as_ref()
             .unwrap()
-            .events()
-            .iter()
+            .spans()
             .filter(|e| e.ctx.trace == m.seq)
             .count();
         assert!(fleet_spans >= 4, "submit/queue/expire/requeue spans");

@@ -562,11 +562,12 @@ impl VideoServer {
         }
     }
 
-    /// The raw recorded spans, `None` unless tracing is enabled — what
-    /// a fleet reads to stitch per-node traces into one file.
+    /// The span tracer, `None` unless tracing is enabled — what a fleet
+    /// hands [`mzd_slo::render_chrome_json`] to stitch per-node traces
+    /// into one file.
     #[must_use]
-    pub fn trace_events(&self) -> Option<&[mzd_slo::TraceEvent]> {
-        self.slo.as_ref()?.tracer.as_ref().map(|t| t.events())
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.slo.as_ref()?.tracer.as_ref()
     }
 
     /// Spans dropped after the tracer's capacity was reached (0 when

@@ -12,14 +12,111 @@
 //! wall-clock time (seeded replays must be byte-identical), so callers
 //! supply microseconds derived from `round index × round length`.
 
-use mzd_telemetry::json::{write_escaped, write_f64};
+use mzd_telemetry::json::{write_escaped, write_f64, write_u64};
 use mzd_telemetry::SpanContext;
+use std::ptr;
 
-/// One complete span (a Chrome `ph: "X"` duration event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
+/// Spans per record chunk: one 224 KiB allocation of 56-byte records.
+pub const SPANS_PER_CHUNK: usize = 4096;
+/// Arguments per argument chunk: one 128 KiB allocation of 16-byte
+/// pairs.
+pub const ARGS_PER_CHUNK: usize = 8192;
+
+/// One stored span: 56 bytes. Name, category and process lane are
+/// interned per tracer as a kind; the arguments are the next `args`
+/// pairs of the tracer's argument arena.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    tid: u64,
+    ts_us: u64,
+    dur_us: u64,
+    trace: u64,
+    span: u64,
+    /// The parent span id, 0 for a root: span ids start at 1.
+    parent: u64,
+    kind: u32,
+    args: u32,
+}
+
+/// One numeric argument: an interned key and its value, 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Arg {
+    key: u32,
+    value: u64,
+}
+
+/// What a tracer interns per distinct `(name, cat, pid)`.
+#[derive(Debug, Clone, Copy)]
+struct Kind {
+    name: &'static str,
+    cat: &'static str,
+    pid: u32,
+}
+
+/// Append-only storage in fixed-size chunks: an append never moves
+/// what is already stored, and each chunk is one allocation.
+#[derive(Debug)]
+struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Chunks<T> {
+    fn new() -> Self {
+        Self { chunks: Vec::new() }
+    }
+
+    /// The chunk with room for `n` more items: the last one, or a new
+    /// one of `max(size, n)` when the last lacks room, so `n` items
+    /// appended together stay contiguous.
+    fn room_for(&mut self, n: usize, size: usize) -> &mut Vec<T> {
+        let full = self
+            .chunks
+            .last()
+            .map_or(true, |c| c.capacity() - c.len() < n);
+        if full {
+            self.chunks.push(Vec::with_capacity(size.max(n)));
+        }
+        let last = self.chunks.len() - 1;
+        &mut self.chunks[last]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flatten()
+    }
+}
+
+/// Reads a span's arguments back: the position in the argument arena
+/// just past the previous span's.
+#[derive(Default)]
+struct ArgCursor {
+    chunk: usize,
+    offset: usize,
+}
+
+impl ArgCursor {
+    /// The next `n` arguments. They share one chunk: [`Chunks::room_for`]
+    /// opened a new one exactly when the rest of the current chunk could
+    /// not hold them.
+    fn take<'a>(&mut self, arena: &'a Chunks<Arg>, n: usize) -> &'a [Arg] {
+        if n == 0 {
+            return &[];
+        }
+        if self.offset + n > arena.chunks[self.chunk].len() {
+            self.chunk += 1;
+            self.offset = 0;
+        }
+        let args = &arena.chunks[self.chunk][self.offset..self.offset + n];
+        self.offset += n;
+        args
+    }
+}
+
+/// One recorded span (a Chrome `ph: "X"` duration event), read back
+/// from a [`Tracer`].
+#[derive(Debug, Clone, Copy)]
+pub struct TraceEvent<'a> {
     /// Span name (e.g. `stream.round`, `disk.sweep`).
-    pub name: String,
+    pub name: &'static str,
     /// Category, used by trace viewers for filtering.
     pub cat: &'static str,
     /// Process lane (1 = streams, 2 = disks by convention).
@@ -32,17 +129,29 @@ pub struct TraceEvent {
     pub dur_us: u64,
     /// Causal identity: trace, span and parent ids.
     pub ctx: SpanContext,
-    /// Extra numeric arguments rendered into `args`.
-    pub args: Vec<(&'static str, u64)>,
+    kind: u32,
+    args: &'a [Arg],
 }
 
 /// Collects spans and renders Chrome trace-event JSON.
+///
+/// Spans go to a compact append-only store: a 56-byte record per span
+/// and a 16-byte pair per numeric argument, each appended in
+/// fixed-size chunks ([`SPANS_PER_CHUNK`], [`ARGS_PER_CHUNK`]), so a
+/// span allocates nothing of its own and nothing is copied as the
+/// store grows. Names, categories, process lanes and argument keys are
+/// `&'static str`s interned per tracer by address: the same text at two
+/// addresses gets two entries, which render alike.
 ///
 /// Bounded: beyond `capacity` spans new records are counted as dropped
 /// instead of stored, so a long run cannot exhaust memory.
 #[derive(Debug)]
 pub struct Tracer {
-    events: Vec<TraceEvent>,
+    records: Chunks<Record>,
+    args: Chunks<Arg>,
+    kinds: Vec<Kind>,
+    keys: Vec<&'static str>,
+    len: usize,
     next_span: u64,
     capacity: usize,
     dropped: u64,
@@ -65,7 +174,11 @@ impl Tracer {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            events: Vec::new(),
+            records: Chunks::new(),
+            args: Chunks::new(),
+            kinds: Vec::new(),
+            keys: Vec::new(),
+            len: 0,
             next_span: 1,
             capacity,
             dropped: 0,
@@ -106,11 +219,12 @@ impl Tracer {
     }
 
     /// Record one complete span. `dur_us` is clamped up to 1 so zero-
-    /// length spans stay visible in viewers.
+    /// length spans stay visible in viewers. A `ctx` whose parent is
+    /// span 0 records as a root (the tracer never mints span 0).
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
-        name: impl Into<String>,
+        name: &'static str,
         cat: &'static str,
         pid: u32,
         tid: u64,
@@ -119,32 +233,43 @@ impl Tracer {
         ctx: SpanContext,
         args: &[(&'static str, u64)],
     ) {
-        if self.events.len() >= self.capacity {
+        if self.len >= self.capacity {
             self.dropped += 1;
             return;
         }
-        self.events.push(TraceEvent {
-            name: name.into(),
-            cat,
-            pid,
+        let kind = intern(&mut self.kinds, Kind { name, cat, pid }, |k| {
+            ptr::eq(k.name, name) && ptr::eq(k.cat, cat) && k.pid == pid
+        });
+        if !args.is_empty() {
+            let stored = self.args.room_for(args.len(), ARGS_PER_CHUNK);
+            for &(key, value) in args {
+                let key = intern(&mut self.keys, key, |&k| ptr::eq(k, key));
+                stored.push(Arg { key, value });
+            }
+        }
+        self.records.room_for(1, SPANS_PER_CHUNK).push(Record {
             tid,
             ts_us,
             dur_us: dur_us.max(1),
-            ctx,
-            args: args.to_vec(),
+            trace: ctx.trace,
+            span: ctx.span,
+            parent: ctx.parent.unwrap_or(0),
+            kind,
+            args: args.len() as u32,
         });
+        self.len += 1;
     }
 
     /// Spans recorded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.len
     }
 
     /// Whether no span has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len == 0
     }
 
     /// Spans discarded after the capacity was reached.
@@ -154,68 +279,124 @@ impl Tracer {
     }
 
     /// The recorded spans, in recording order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    pub fn spans(&self) -> impl Iterator<Item = TraceEvent<'_>> {
+        let mut cursor = ArgCursor::default();
+        self.records.iter().map(move |r| {
+            let kind = self.kinds[r.kind as usize];
+            TraceEvent {
+                name: kind.name,
+                cat: kind.cat,
+                pid: kind.pid,
+                tid: r.tid,
+                ts_us: r.ts_us,
+                dur_us: r.dur_us,
+                ctx: SpanContext {
+                    trace: r.trace,
+                    span: r.span,
+                    parent: (r.parent != 0).then_some(r.parent),
+                },
+                kind: r.kind,
+                args: cursor.take(&self.args, r.args as usize),
+            }
+        })
     }
 
     /// Render the Chrome trace-event JSON object
     /// (`{"traceEvents": [...], ...}`).
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        render_chrome_json(&self.events, self.dropped)
+        render_chrome_json(&[self])
+    }
+
+    /// Append this tracer's spans as trace-event objects, each preceded
+    /// by a comma unless `first`. Each kind's and key's fixed text is
+    /// escaped once per call.
+    fn write_events(&self, out: &mut String, first: &mut bool) {
+        let heads: Vec<(String, String)> = self
+            .kinds
+            .iter()
+            .map(|k| {
+                let mut head = String::from("{\"name\":");
+                write_escaped(&mut head, k.name);
+                head.push_str(",\"cat\":");
+                write_escaped(&mut head, k.cat);
+                head.push_str(",\"ph\":\"X\",\"ts\":");
+                (head, format!(",\"pid\":{},\"tid\":", k.pid))
+            })
+            .collect();
+        let keys: Vec<String> = self
+            .keys
+            .iter()
+            .map(|k| {
+                let mut text = String::from(",");
+                write_escaped(&mut text, k);
+                text.push(':');
+                text
+            })
+            .collect();
+        for e in self.spans() {
+            if !std::mem::take(first) {
+                out.push(',');
+            }
+            let (head, lane) = &heads[e.kind as usize];
+            out.push_str(head);
+            write_u64(out, e.ts_us);
+            out.push_str(",\"dur\":");
+            write_u64(out, e.dur_us);
+            out.push_str(lane);
+            write_u64(out, e.tid);
+            out.push_str(",\"args\":{\"trace\":");
+            write_u64(out, e.ctx.trace);
+            out.push_str(",\"span\":");
+            write_u64(out, e.ctx.span);
+            if let Some(parent) = e.ctx.parent {
+                out.push_str(",\"parent\":");
+                write_u64(out, parent);
+            }
+            for a in e.args {
+                out.push_str(&keys[a.key as usize]);
+                // u64 args are written through the f64 path only when
+                // needed; integers render exactly.
+                if a.value <= (1u64 << 53) {
+                    write_u64(out, a.value);
+                } else {
+                    write_f64(out, a.value as f64);
+                }
+            }
+            out.push_str("}}");
+        }
     }
 }
 
-/// Render an arbitrary span collection as one Chrome trace-event JSON
-/// object — the shared exporter behind [`Tracer::to_chrome_json`], and
-/// what a fleet uses to stitch several tracers' events (dispatcher +
-/// every node) into a single trace file. Events render in slice order;
-/// callers control that order for byte-stable output.
+/// The index of the entry of `table` that `is` picks, appending `entry`
+/// when none does. Tracers intern by address (`ptr::eq`): comparing a
+/// pointer and a length is cheaper than comparing text.
+fn intern<T>(table: &mut Vec<T>, entry: T, is: impl FnMut(&T) -> bool) -> u32 {
+    let index = table.iter().position(is).unwrap_or_else(|| {
+        table.push(entry);
+        table.len() - 1
+    });
+    index as u32
+}
+
+/// Render the spans of `tracers` as one Chrome trace-event JSON object:
+/// each tracer's spans in recording order, tracers in slice order, and
+/// the spans they dropped summed. This is the exporter behind
+/// [`Tracer::to_chrome_json`], and how a fleet stitches its tracers
+/// (dispatcher, then every node) into a single trace file without
+/// copying their spans; callers fix the order for byte-stable output.
 #[must_use]
-pub fn render_chrome_json(events: &[TraceEvent], dropped: u64) -> String {
-    let mut out = String::with_capacity(events.len() * 160 + 64);
+pub fn render_chrome_json(tracers: &[&Tracer]) -> String {
+    let spans: usize = tracers.iter().map(|t| t.len()).sum();
+    let mut out = String::with_capacity(spans * 160 + 64);
     out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_escaped(&mut out, &e.name);
-        out.push_str(",\"cat\":");
-        write_escaped(&mut out, e.cat);
-        out.push_str(",\"ph\":\"X\",\"ts\":");
-        out.push_str(&e.ts_us.to_string());
-        out.push_str(",\"dur\":");
-        out.push_str(&e.dur_us.to_string());
-        out.push_str(",\"pid\":");
-        out.push_str(&e.pid.to_string());
-        out.push_str(",\"tid\":");
-        out.push_str(&e.tid.to_string());
-        out.push_str(",\"args\":{\"trace\":");
-        out.push_str(&e.ctx.trace.to_string());
-        out.push_str(",\"span\":");
-        out.push_str(&e.ctx.span.to_string());
-        if let Some(parent) = e.ctx.parent {
-            out.push_str(",\"parent\":");
-            out.push_str(&parent.to_string());
-        }
-        for &(k, v) in &e.args {
-            out.push(',');
-            write_escaped(&mut out, k);
-            out.push(':');
-            // u64 args are written through the f64 path only when
-            // needed; integers render exactly.
-            if v <= (1u64 << 53) {
-                out.push_str(&v.to_string());
-            } else {
-                write_f64(&mut out, v as f64);
-            }
-        }
-        out.push_str("}}");
+    let mut first = true;
+    for tracer in tracers {
+        tracer.write_events(&mut out, &mut first);
     }
+    let dropped: u64 = tracers.iter().map(|t| t.dropped).sum();
     out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":");
-    out.push_str(&dropped.to_string());
+    write_u64(&mut out, dropped);
     out.push_str("}}");
     out
 }
@@ -326,9 +507,7 @@ mod tests {
         fleet.record("fleet.submit", "cluster", 0, 5, 0, 1, root, &[]);
         let admit = node.child(&root);
         node.record("admit", "admission", 1, 5, 10, 1, admit, &[]);
-        let mut merged: Vec<TraceEvent> = fleet.events().to_vec();
-        merged.extend_from_slice(node.events());
-        let text = render_chrome_json(&merged, fleet.dropped() + node.dropped());
+        let text = render_chrome_json(&[&fleet, &node]);
         let parsed = json::parse(&text).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         assert_eq!(events.len(), 2);
@@ -351,10 +530,34 @@ mod tests {
     }
 
     #[test]
+    fn spans_read_back_across_chunk_boundaries() {
+        // 0–3 arguments per span: three record chunks, and argument
+        // chunks that close with a tail too short for the next span.
+        let mut t = Tracer::new();
+        let n = 3 * SPANS_PER_CHUNK as u64;
+        for i in 0..n {
+            let ctx = t.root(i);
+            let args = [("a", i), ("b", i), ("c", i)];
+            t.record("s", "c", 1, i, i, 1, ctx, &args[..(i % 4) as usize]);
+        }
+        assert_eq!(t.records.chunks.len(), 3);
+        assert!(t.args.chunks.len() > 2);
+        let mut read = 0;
+        for (i, e) in (0..).zip(t.spans()) {
+            assert_eq!((e.tid, e.ctx.trace, e.ctx.parent), (i, i, None));
+            let keys: Vec<&str> = e.args.iter().map(|a| t.keys[a.key as usize]).collect();
+            assert_eq!(keys, ["a", "b", "c"][..(i % 4) as usize]);
+            assert!(e.args.iter().all(|a| a.value == i));
+            read += 1;
+        }
+        assert_eq!(read, n);
+    }
+
+    #[test]
     fn zero_duration_clamped_to_one_microsecond() {
         let mut t = Tracer::new();
         let ctx = t.root(1);
         t.record("hit", "cache", 1, 1, 5, 0, ctx, &[]);
-        assert_eq!(t.events()[0].dur_us, 1);
+        assert_eq!(t.spans().next().unwrap().dur_us, 1);
     }
 }

@@ -261,6 +261,22 @@ pub fn write_escaped(out: &mut String, text: &str) {
     out.push('"');
 }
 
+/// Append `v` in decimal, the digits `v.to_string()` spells, without
+/// going through the formatting machinery.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 /// Append a float as valid JSON (`null` for non-finite values).
 pub fn write_f64(out: &mut String, x: f64) {
     if x.is_finite() {
@@ -292,6 +308,15 @@ mod tests {
         let mut s = String::new();
         write_f64(&mut s, f64::NAN);
         assert_eq!(parse(&s).unwrap(), Value::Null);
+    }
+
+    #[test]
+    fn write_u64_spells_what_to_string_does() {
+        for v in [0, 7, 10, 99, 1_000_000, (1 << 53) + 1, u64::MAX] {
+            let mut s = String::from("x");
+            write_u64(&mut s, v);
+            assert_eq!(s, format!("x{v}"));
+        }
     }
 
     #[test]

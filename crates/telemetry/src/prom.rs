@@ -22,7 +22,9 @@
 //! histograms here, node-labeled fleet sketches elsewhere — is written
 //! by one function, [`render_sketch_series`], under a [`LabelSet`].
 
-use crate::registry::Registry;
+use crate::json::write_u64;
+use crate::registry::geometry::{bucket_le, BUCKET_COUNT};
+use crate::registry::{Metric, Registry};
 use crate::sketch::QuantileSketch;
 use std::fmt::Write as _;
 
@@ -31,15 +33,16 @@ use std::fmt::Write as _;
 #[must_use]
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
+    write_sanitized(&mut out, name);
+    out
+}
+
+/// Append [`sanitize_name`]`(name)`.
+fn write_sanitized(out: &mut String, name: &str) {
     out.push_str("mzd_");
     for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
+        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
     }
-    out
 }
 
 /// Escape a label *value* for the exposition format: backslash, double
@@ -53,26 +56,6 @@ fn write_escaped_label_value(out: &mut String, value: &str) {
             '\n' => out.push_str("\\n"),
             _ => out.push(c),
         }
-    }
-}
-
-/// Append a label set as `{k="v",...}` with values escaped (nothing
-/// for no pairs). Label *names* are sanitized to the exposition
-/// alphabet; pairs are emitted in the order given.
-fn write_label_set<'a>(out: &mut String, pairs: impl IntoIterator<Item = (&'a str, &'a str)>) {
-    let mut first = true;
-    for (k, v) in pairs {
-        out.push(if first { '{' } else { ',' });
-        first = false;
-        for c in k.chars() {
-            out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-        }
-        out.push_str("=\"");
-        write_escaped_label_value(out, v);
-        out.push('"');
-    }
-    if !first {
-        out.push('}');
     }
 }
 
@@ -109,15 +92,26 @@ impl LabelSet {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write_with(&mut out, None);
+        self.write_block(&mut out);
         out
     }
 
-    /// Append the labels with one optional extra trailing pair, the
-    /// way `_bucket` lines append `le` to the scope labels.
-    fn write_with(&self, out: &mut String, extra: Option<(&str, &str)>) {
-        let pairs = self.pairs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        write_label_set(out, pairs.chain(extra));
+    /// Append the labels as `{k="v",...}` (nothing for no pairs). Label
+    /// *names* are sanitized to the exposition alphabet; values are
+    /// escaped.
+    fn write_block(&self, out: &mut String) {
+        for (i, (k, v)) in self.pairs.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            for c in k.chars() {
+                out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
+            }
+            out.push_str("=\"");
+            write_escaped_label_value(out, v);
+            out.push('"');
+        }
+        if !self.pairs.is_empty() {
+            out.push('}');
+        }
     }
 }
 
@@ -151,6 +145,9 @@ pub fn format_value(v: f64) -> String {
 /// Bounds whose bucket is empty are elided — the cumulative value at
 /// any retained bound is exact — and the mandatory `le="+Inf"` bucket
 /// always closes the series at the total count.
+///
+/// The labels are escaped once per call, and each bound's `le` text
+/// comes from the geometry's table ([`crate::geometry::bucket_le`]).
 pub fn render_sketch_series(
     out: &mut String,
     sanitized_name: &str,
@@ -158,70 +155,91 @@ pub fn render_sketch_series(
     sketch: &QuantileSketch,
 ) {
     let n = sanitized_name;
-    let mut le = String::new();
+    let mut block = String::new();
+    labels.write_block(&mut block);
+    // Every `_bucket` line up to its bound: `{n}_bucket{k="v",...,le="`.
+    let mut bucket = String::with_capacity(n.len() + block.len() + 16);
+    bucket.push_str(n);
+    bucket.push_str("_bucket");
+    match block.strip_suffix('}') {
+        Some(open) => {
+            bucket.push_str(open);
+            bucket.push(',');
+        }
+        None => bucket.push('{'),
+    }
+    bucket.push_str("le=\"");
+    let line = |out: &mut String, le: &str, cumulative: u64| {
+        out.push_str(&bucket);
+        out.push_str(le);
+        out.push_str("\"} ");
+        write_u64(out, cumulative);
+        out.push('\n');
+    };
     let mut previous = 0u64;
-    for (bound, cumulative) in sketch.cumulative() {
-        if !bound.is_finite() || cumulative == previous {
+    for (slot, cumulative) in sketch.cumulative() {
+        // The overflow slot is the `+Inf` bucket, written last.
+        if slot > BUCKET_COUNT || cumulative == previous {
             continue;
         }
         previous = cumulative;
-        le.clear();
-        write_value(&mut le, bound);
-        let _ = write!(out, "{n}_bucket");
-        labels.write_with(out, Some(("le", &le)));
-        let _ = writeln!(out, " {cumulative}");
+        line(out, bucket_le(slot), cumulative);
     }
     let count = sketch.count();
-    let _ = write!(out, "{n}_bucket");
-    labels.write_with(out, Some(("le", "+Inf")));
-    let _ = writeln!(out, " {count}");
-    let _ = write!(out, "{n}_sum");
-    labels.write_with(out, None);
+    line(out, "+Inf", count);
+    out.push_str(n);
+    out.push_str("_sum");
+    out.push_str(&block);
     out.push(' ');
     write_value(out, sketch.sum());
     out.push('\n');
-    let _ = write!(out, "{n}_count");
-    labels.write_with(out, None);
-    let _ = writeln!(out, " {count}");
+    out.push_str(n);
+    out.push_str("_count");
+    out.push_str(&block);
+    out.push(' ');
+    write_u64(out, count);
+    out.push('\n');
 }
 
-/// Render `registry` in Prometheus text exposition format; histograms
-/// go through [`render_sketch_series`] with no labels.
+/// Render `registry` in Prometheus text exposition format, reading its
+/// counters, gauges and histograms in place; histograms go through
+/// [`render_sketch_series`] with no labels.
 #[must_use]
 pub fn render(registry: &Registry) -> String {
-    let snapshot = registry.snapshot();
     let mut out = String::with_capacity(4096);
-    for (name, value) in &snapshot.counters {
-        if registry.is_execution_scoped(name) {
-            // Scheduler-effort counts vary with the `--jobs` width;
-            // emitting them would break the exposition's byte-identity
-            // across job counts.
-            continue;
-        }
-        let n = sanitize_name(name);
-        let _ = writeln!(out, "# TYPE {n} counter");
-        let _ = writeln!(out, "{n} {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let n = sanitize_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        let _ = write!(out, "{n} ");
-        write_value(&mut out, *value);
-        out.push('\n');
-    }
+    let mut name = String::new();
     let no_labels = LabelSet::new();
-    for (name, histogram) in registry.histogram_entries() {
-        if registry.is_execution_scoped(&name) {
-            // Span timers carry real elapsed time and solver iteration
-            // tallies vary with parallel range splitting; emitting them
-            // would break the exposition's byte-identity across reruns
-            // and job counts.
-            continue;
+    registry.visit_exposed(|metric_name, metric| {
+        name.clear();
+        write_sanitized(&mut name, metric_name);
+        let kind = match metric {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram(_) => "histogram",
+        };
+        out.push_str("# TYPE ");
+        out.push_str(&name);
+        out.push(' ');
+        out.push_str(kind);
+        out.push('\n');
+        match metric {
+            Metric::Counter(value) => {
+                out.push_str(&name);
+                out.push(' ');
+                write_u64(&mut out, value);
+                out.push('\n');
+            }
+            Metric::Gauge(value) => {
+                out.push_str(&name);
+                out.push(' ');
+                write_value(&mut out, value);
+                out.push('\n');
+            }
+            Metric::Histogram(histogram) => {
+                render_sketch_series(&mut out, &name, &no_labels, &histogram.sketch());
+            }
         }
-        let n = sanitize_name(&name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        render_sketch_series(&mut out, &n, &no_labels, &histogram.sketch());
-    }
+    });
     out
 }
 

@@ -136,23 +136,37 @@ pub mod geometry {
         slots().bound.get(index).copied().unwrap_or(f64::INFINITY)
     }
 
-    /// Every slot's upper edge and representative value, computed once:
-    /// a sketch read walks all [`SLOT_COUNT`] slots, and a `powf` per
-    /// slot per read cost more than the rest of a Prometheus series.
+    /// The upper edge of the slot at `index` as a Prometheus `le`
+    /// label spells it ([`crate::prom::format_value`] of
+    /// [`bucket_bound`]): `+Inf` for the overflow slot.
+    #[must_use]
+    pub fn bucket_le(index: usize) -> &'static str {
+        slots().le.get(index).map_or("+Inf", |le| le)
+    }
+
+    /// Every slot's upper edge, its `le` text and its representative
+    /// value, computed once: a sketch read walks all [`SLOT_COUNT`]
+    /// slots, and a `powf` per slot per read cost more than the rest of
+    /// a Prometheus series, as did formatting each bound per line.
     struct SlotTables {
         bound: [f64; SLOT_COUNT],
+        le: [Box<str>; SLOT_COUNT],
         value: [f64; SLOT_COUNT],
     }
 
     fn slots() -> &'static SlotTables {
         static SLOTS: OnceLock<SlotTables> = OnceLock::new();
-        SLOTS.get_or_init(|| SlotTables {
-            bound: std::array::from_fn(|index| match index {
+        SLOTS.get_or_init(|| {
+            let bound: [f64; SLOT_COUNT] = std::array::from_fn(|index| match index {
                 0 => LOW,
                 i if i > BUCKET_COUNT => f64::INFINITY,
                 i => edge(i),
-            }),
-            value: std::array::from_fn(|index| if index == 0 { LOW } else { midpoint(index) }),
+            });
+            SlotTables {
+                bound,
+                le: bound.map(|b| crate::prom::format_value(b).into_boxed_str()),
+                value: std::array::from_fn(|index| if index == 0 { LOW } else { midpoint(index) }),
+            }
         })
     }
 
@@ -443,20 +457,36 @@ impl Registry {
         self.execution.read().expect("metrics lock").contains(name)
     }
 
-    /// Handles to every registered histogram, sorted by name — for
-    /// exporters (e.g. Prometheus exposition) that need raw bucket
-    /// counts rather than the quantile summary a [`Snapshot`] carries.
-    #[must_use]
-    pub fn histogram_entries(&self) -> Vec<(String, Histogram)> {
-        let mut entries: Vec<(String, Histogram)> = self
-            .histograms
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
+    /// Visit every metric an exporter exposes, read in place: counters,
+    /// then gauges, then histograms, each family sorted by name, with
+    /// execution-scoped counters and histograms left out. Names are
+    /// borrowed under each map's read lock, not copied, and histograms
+    /// are handed over as handles instead of summarized.
+    pub(crate) fn visit_exposed(&self, mut visit: impl FnMut(&str, Metric<'_>)) {
+        fn sorted<T>(map: &HashMap<String, T>) -> Vec<(&str, &T)> {
+            let mut entries: Vec<(&str, &T)> = map.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            entries
+        }
+        let execution = self.execution.read().expect("metrics lock");
+        let counters = self.counters.read().expect("metrics lock");
+        for (name, counter) in sorted(&counters) {
+            if !execution.contains(name) {
+                visit(name, Metric::Counter(counter.get()));
+            }
+        }
+        drop(counters);
+        let gauges = self.gauges.read().expect("metrics lock");
+        for (name, gauge) in sorted(&gauges) {
+            visit(name, Metric::Gauge(gauge.get()));
+        }
+        drop(gauges);
+        let histograms = self.histograms.read().expect("metrics lock");
+        for (name, histogram) in sorted(&histograms) {
+            if !execution.contains(name) {
+                visit(name, Metric::Histogram(histogram));
+            }
+        }
     }
 
     /// A point-in-time copy of every metric.
@@ -486,6 +516,13 @@ impl Registry {
                 .collect(),
         }
     }
+}
+
+/// One metric as [`Registry::visit_exposed`] hands it to an exporter.
+pub(crate) enum Metric<'a> {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(&'a Histogram),
 }
 
 /// A point-in-time copy of a whole [`Registry`].
@@ -634,6 +671,11 @@ mod tests {
                 bucket_bound(index).to_bits(),
                 bound(index).to_bits(),
                 "bucket_bound({index})"
+            );
+            assert_eq!(
+                geometry::bucket_le(index),
+                crate::prom::format_value(bound(index)),
+                "bucket_le({index})"
             );
         }
     }

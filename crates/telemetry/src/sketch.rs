@@ -133,17 +133,20 @@ impl QuantileSketch {
     /// the first regular bound.
     #[must_use]
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        self.cumulative().collect()
+        self.cumulative()
+            .map(|(slot, count)| (bucket_bound(slot), count))
+            .collect()
     }
 
     /// The cumulative walk behind [`QuantileSketch::cumulative_buckets`],
-    /// without collecting it.
-    pub(crate) fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    /// without collecting it: `(slot, count_le)` for every slot past the
+    /// underflow one, whose observations merge into the first regular
+    /// bound.
+    pub(crate) fn cumulative(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let mut cumulative = 0u64;
         self.buckets.iter().enumerate().filter_map(move |(i, &n)| {
             cumulative += n;
-            // Underflow merges into the first regular bound.
-            (i > 0).then(|| (bucket_bound(i), cumulative))
+            (i > 0).then_some((i, cumulative))
         })
     }
 }

@@ -67,9 +67,9 @@ fn migrated_stream_is_one_causal_chain_across_nodes() {
         let spans = fleet
             .node(node)
             .server()
-            .trace_events()
+            .tracer()
             .expect("node tracing enabled")
-            .iter()
+            .spans()
             .filter(|e| e.ctx.trace == m.seq && e.ctx.span > lo && e.ctx.span < hi)
             .count();
         assert!(spans > 0, "no spans for stream {} on node {node}", m.seq);
@@ -185,4 +185,55 @@ fn fleet_observability_output_is_byte_identical_across_reruns() {
     assert_eq!(prom_a, prom_b);
     assert!(prom_a.contains("mzd_cluster_node_service_time_bucket{node=\"0\""));
     assert!(prom_a.contains("mzd_cluster_node_service_time_fleet{quantile=\"0.99\"}"));
+}
+
+/// Pins every byte of a stitched fleet trace. The fleet is the CI fleet
+/// observability smoke's `serve --nodes 4 --disks 1 --lease-rounds 3
+/// --rounds 80 --seed 7 --object-rounds 60 --fault-profile
+/// "media=0.005:1,scenario=zonefail:1:10:15:20"`, driven in-process the
+/// way `serve` drives it (offer the fleet capacity, then redraw one
+/// request per play-out completion). Its trace holds a zone failure's
+/// node outage, lease expiries and requeues; the FNV-1a digest of
+/// `Cluster::trace_chrome_json()` moves if any span, id, argument or
+/// byte of the rendering does, even where reruns and `--jobs` widths
+/// would still agree with each other. The pinned pair is also the
+/// length and digest of that command's `--trace-out` file.
+#[test]
+fn stitched_fleet_trace_is_pinned() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let seed = 7;
+    let mut node = mzd_server::ServerConfig::paper_reference(1).unwrap();
+    node.faults =
+        Some(mzd_fault::FaultConfig::parse("media=0.005:1,scenario=zonefail:1:10:15:20").unwrap());
+    let mut cfg = ClusterConfig::paper_reference(4, 1).unwrap();
+    cfg.node = node;
+    cfg.lease_rounds = 3;
+    let mut fleet = Cluster::new(cfg, seed).unwrap();
+    fleet.enable_tracing().unwrap();
+    let sizes = SizeDistribution::gamma(200_000.0, 1e10).unwrap();
+    let catalog: Vec<ObjectSpec> = (0..16u64)
+        .map(|i| {
+            ObjectSpec::new(format!("obj-{i}"), sizes.clone(), 60)
+                .unwrap()
+                .with_content_id(i + 1)
+        })
+        .collect();
+    let zipf = mzd_workload::Zipf::new(catalog.len(), 0.0).unwrap();
+    let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
+    let mut draw = || catalog[zipf.sample(&mut arrivals)].clone();
+    for _ in 0..fleet.guarantee().fleet_capacity {
+        fleet.submit(draw()).unwrap();
+    }
+    for _ in 0..80 {
+        for _ in 0..fleet.run_round().completed.len() {
+            fleet.submit(draw()).unwrap();
+        }
+    }
+    let trace = fleet.trace_chrome_json().expect("tracing enabled");
+    assert!(trace.contains("fleet.requeue"), "the outage must requeue");
+    assert_eq!(
+        (trace.len(), mzd_prof::fnv1a64(trace.as_bytes())),
+        (2_249_737, 0xe958_1f59_09f0_ed41),
+        "stitched fleet trace moved"
+    );
 }
