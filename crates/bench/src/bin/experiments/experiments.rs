@@ -1318,7 +1318,7 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         },
     );
     {
-        use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey};
+        use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
         let key = |f: u32| FragmentKey {
             object: u64::from(f % 32),
             fragment: f / 32,
@@ -1335,6 +1335,23 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         timed(&mut sim, "cache_hit_lookup", SERIAL, 100_000, || {
             f = (f + 1) % 128;
             black_box(cache.lookup(key(f)));
+        });
+        // The miss path on the same cache, still at capacity: a stream
+        // moves on, misses, fetches, and the fill evicts the LRU tail.
+        // Keys only grow, so every lookup misses. One op is 1 000 miss
+        // cycles, so a per-cycle regression clears the gate's 500 ns
+        // floor. Batches of ~10 ms.
+        let mut f = 4096u32;
+        timed(&mut sim, "cache_miss_fill", SERIAL, 100, || {
+            for _ in 0..1000 {
+                let k = key(f);
+                cache.update_reader(u64::from(f % 64), k.object, k.fragment);
+                if cache.lookup(black_box(k)) == Lookup::Miss {
+                    cache.begin_fetch(k);
+                    black_box(cache.complete_fetch(k, 200_000.0, 0.02));
+                }
+                f += 1;
+            }
         });
     }
     {

@@ -7,17 +7,25 @@
 //!
 //! * [`FragmentCache`] — a fragment-granular store keyed by
 //!   [`FragmentKey`] (`(object, fragment_index)`) under a byte-capacity
-//!   budget, with pluggable replacement ([`CachePolicy`]):
-//!   * **LRU** — classic recency order, `O(1)` on every path;
+//!   budget, with pluggable replacement ([`CachePolicy`]). Each policy
+//!   pays only for the state it reads:
+//!   * **LRU** — classic recency order, `O(1)` on every path: a lookup,
+//!     fetch or fill is a few hash-table operations and list relinks,
+//!     and [`FragmentCache::update_reader`] is a no-op;
 //!   * **interval caching** — for sequential streams, never evict a
 //!     fragment lying between two active readers of the same object (the
 //!     trailing reader is guaranteed to want it; Dan & Sitaram's interval
-//!     caching adapted to the paper's round/fragment vocabulary);
+//!     caching adapted to the paper's round/fragment vocabulary). Only
+//!     this policy tracks reader positions: each
+//!     [`FragmentCache::update_reader`] moves the reader in a per-object
+//!     ordered set, `O(log readers)`, and a victim scan walks the LRU
+//!     list past protected fragments;
 //!   * **cost-aware** — rank entries by expected disk-service-time saved
 //!     per unit of time-to-next-access (the LRU-MAD idea from Atre et
 //!     al.'s "Caches with Delayed Hits"), using the per-fragment
 //!     `E[T_rot] + E[T_trans]` the caller computes from the `mzd-core`
-//!     analytic model.
+//!     analytic model. `O(1)` per request like LRU, `O(resident
+//!     entries)` per eviction.
 //! * **Delayed-hit accounting** — a request for a fragment *currently
 //!   being fetched* is neither a hit nor a full miss: it coalesces onto
 //!   the outstanding fetch ([`FragmentCache::begin_fetch`] /
@@ -29,6 +37,15 @@
 //! hash-map iteration order ever influences an eviction decision (victim
 //! scans walk the insertion-ordered slab), so a seeded simulation using
 //! the cache replays byte-identically.
+//!
+//! Its tables hash with a small deterministic integer hasher (a
+//! rotate-and-xor fold finished by the SplitMix64 finalizer) instead of
+//! the standard library's keyed SipHash, whose rounds a request would
+//! otherwise pay on every table operation. SipHash's per-process key
+//! defends a table against keys crafted to collide; the cache needs no
+//! such defence, because every key it hashes is assigned by the program
+//! — catalog content ids, fragment indices and stream ids — never read
+//! from outside it.
 //!
 //! # Example
 //!

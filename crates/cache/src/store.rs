@@ -1,5 +1,5 @@
-//! The cache store: slab-backed LRU list, in-flight fetch table and
-//! reader-interval tracking.
+//! The cache store: slab-backed LRU list, in-flight fetch table and,
+//! for the interval policy only, reader-position tracking.
 //!
 //! All structures are designed so that no `HashMap` iteration order ever
 //! reaches an eviction decision: the LRU order is an intrusive doubly
@@ -9,9 +9,53 @@
 
 use crate::{CacheConfig, CacheError, CachePolicy, CacheStats, FragmentKey};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel for "no slab slot".
 const NIL: usize = usize::MAX;
+
+/// A hash map keyed by program-assigned integers, hashed by [`KeyHasher`].
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// Deterministic integer hasher for the cache's tables. Words are folded
+/// in by rotate-and-xor, so a [`FragmentKey`]'s object id and fragment
+/// index land in opposite halves of the state, and [`Hasher::finish`]
+/// mixes the state with the SplitMix64 finalizer (the constants of
+/// `mzd_par::derive_seed`, copied here to keep the crate std-only). The
+/// finalizer is a bijection, so keys that fold to distinct states —
+/// every key whose object id fits in 32 bits — never collide, and every
+/// output bit depends on every input bit.
+///
+/// It has no per-process key, so unlike the default SipHash it does not
+/// resist keys crafted to collide. Every key hashed here is assigned by
+/// the program — catalog content ids, fragment indices, stream ids —
+/// never read from outside it.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    /// Byte-wise fallback; the cache's keys write whole words.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(32) ^ word;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
 
 /// Outcome of a [`FragmentCache::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,16 +96,15 @@ pub struct FragmentCache {
     slab: Vec<Option<Entry>>,
     free: Vec<usize>,
     /// Key → slab index of resident entries.
-    map: HashMap<FragmentKey, usize>,
+    map: KeyMap<FragmentKey, usize>,
     /// LRU list: `head` is most recent, `tail` least recent.
     head: usize,
     tail: usize,
     /// Outstanding fetches → number of coalesced waiters.
-    in_flight: HashMap<FragmentKey, u32>,
-    /// Reader id → current position, for interval protection.
-    readers: HashMap<u64, (u64, u32)>,
-    /// Object → multiset of reader positions (position → reader count).
-    positions: HashMap<u64, BTreeMap<u32, u32>>,
+    in_flight: KeyMap<FragmentKey, u32>,
+    /// Reader positions, held only under [`CachePolicy::Interval`] — the
+    /// one policy that reads them.
+    readers: Option<Readers>,
     occupancy: f64,
     clock: u64,
     stats: CacheStats,
@@ -83,12 +126,11 @@ impl FragmentCache {
             cfg,
             slab: Vec::new(),
             free: Vec::new(),
-            map: HashMap::new(),
+            map: KeyMap::default(),
             head: NIL,
             tail: NIL,
-            in_flight: HashMap::new(),
-            readers: HashMap::new(),
-            positions: HashMap::new(),
+            in_flight: KeyMap::default(),
+            readers: (cfg.policy == CachePolicy::Interval).then(Readers::default),
             occupancy: 0.0,
             clock: 0,
             stats: CacheStats::default(),
@@ -236,49 +278,32 @@ impl FragmentCache {
 
     /// Move `reader` (an opaque id — the server uses stream ids) to
     /// `position` within `object`, for interval protection. Call on every
-    /// sequential request the reader makes.
+    /// sequential request the reader makes. A no-op for LRU and
+    /// cost-aware caches, which track no readers.
     pub fn update_reader(&mut self, reader: u64, object: u64, position: u32) {
-        self.remove_reader(reader);
-        self.readers.insert(reader, (object, position));
-        *self
-            .positions
-            .entry(object)
-            .or_default()
-            .entry(position)
-            .or_insert(0) += 1;
+        if let Some(readers) = &mut self.readers {
+            readers.update(reader, object, position);
+        }
     }
 
-    /// Forget `reader` (stream closed or finished). Idempotent.
+    /// Forget `reader` (stream closed or finished). Idempotent; a no-op
+    /// for LRU and cost-aware caches.
     pub fn remove_reader(&mut self, reader: u64) {
-        if let Some((object, position)) = self.readers.remove(&reader) {
-            if let Some(set) = self.positions.get_mut(&object) {
-                if let Some(count) = set.get_mut(&position) {
-                    *count -= 1;
-                    if *count == 0 {
-                        set.remove(&position);
-                    }
-                }
-                if set.is_empty() {
-                    self.positions.remove(&object);
-                }
-            }
+        if let Some(readers) = &mut self.readers {
+            readers.remove(reader);
         }
     }
 
     /// Whether fragment `fragment` of `object` lies between two active
     /// readers: some reader is strictly before it (will consume it) and
     /// some reader is at or past it (has produced it). Interval caching
-    /// never evicts protected fragments.
+    /// never evicts protected fragments. Always `false` for LRU and
+    /// cost-aware caches, which track no readers.
     #[must_use]
     pub fn protected(&self, object: u64, fragment: u32) -> bool {
-        match self.positions.get(&object) {
-            None => false,
-            Some(set) => {
-                let trailing = set.range(..fragment).next().is_some();
-                let leading = set.range(fragment..).next().is_some();
-                trailing && leading
-            }
-        }
+        self.readers
+            .as_ref()
+            .is_some_and(|readers| readers.straddle(object, fragment))
     }
 
     /// Free at least `bytes` of headroom by policy-chosen evictions.
@@ -393,6 +418,52 @@ impl FragmentCache {
         if self.tail == NIL {
             self.tail = idx;
         }
+    }
+}
+
+/// The interval policy's view of its sequential readers.
+#[derive(Debug, Default)]
+struct Readers {
+    /// Reader id → current `(object, position)`.
+    at: KeyMap<u64, (u64, u32)>,
+    /// Object → multiset of reader positions (position → reader count).
+    positions: KeyMap<u64, BTreeMap<u32, u32>>,
+}
+
+impl Readers {
+    fn update(&mut self, reader: u64, object: u64, position: u32) {
+        self.remove(reader);
+        self.at.insert(reader, (object, position));
+        *self
+            .positions
+            .entry(object)
+            .or_default()
+            .entry(position)
+            .or_insert(0) += 1;
+    }
+
+    fn remove(&mut self, reader: u64) {
+        let Some((object, position)) = self.at.remove(&reader) else {
+            return;
+        };
+        if let Some(set) = self.positions.get_mut(&object) {
+            if let Some(count) = set.get_mut(&position) {
+                *count -= 1;
+                if *count == 0 {
+                    set.remove(&position);
+                }
+            }
+            if set.is_empty() {
+                self.positions.remove(&object);
+            }
+        }
+    }
+
+    /// Some reader strictly before `fragment` and some at or past it.
+    fn straddle(&self, object: u64, fragment: u32) -> bool {
+        self.positions.get(&object).is_some_and(|set| {
+            set.range(..fragment).next().is_some() && set.range(fragment..).next().is_some()
+        })
     }
 }
 
@@ -542,6 +613,43 @@ mod tests {
         // A reader switching objects clears its old position.
         c.update_reader(3, 6, 0);
         assert!(!c.protected(5, 17));
+    }
+
+    #[test]
+    fn only_the_interval_policy_tracks_readers() {
+        for policy in [CachePolicy::Lru, CachePolicy::CostAware] {
+            let mut c = cache(300.0, policy);
+            c.update_reader(100, 3, 5);
+            c.update_reader(101, 3, 1);
+            assert!(!c.protected(3, 3), "{policy:?} tracks no readers");
+            c.remove_reader(101);
+            c.remove_reader(7);
+        }
+    }
+
+    #[test]
+    fn key_hasher_is_deterministic_and_separates_fragment_keys() {
+        use std::hash::BuildHasher;
+        let hash = |k: FragmentKey| BuildHasherDefault::<KeyHasher>::default().hash_one(k);
+        assert_eq!(hash(key(7, 3)), hash(key(7, 3)));
+        let mut hashes: Vec<u64> = (0..64)
+            .flat_map(|o| (0..64).map(move |f| key(o, f)))
+            .map(hash)
+            .collect();
+        // The table indexes buckets by the low bits and tags slots with
+        // the top seven: both must spread like random draws (4 096 keys
+        // into 4 096 buckets fill ~63 %, into 128 tags ~100 %).
+        let distinct = |bits: fn(u64) -> u64| {
+            let mut seen: Vec<u64> = hashes.iter().map(|&h| bits(h)).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len()
+        };
+        assert!(distinct(|h| h & 0xFFF) > 2_400);
+        assert_eq!(distinct(|h| h >> 57), 128);
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), 64 * 64);
     }
 
     #[test]

@@ -53,12 +53,15 @@ impl NodeScope {
     }
 
     /// Record one observation into the named sketch (created on first
-    /// use).
+    /// use; only then is the name copied).
     pub fn record(&mut self, name: &str, value: f64) {
-        self.sketches
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        if let Some(sketch) = self.sketches.get_mut(name) {
+            sketch.record(value);
+        } else {
+            let mut sketch = QuantileSketch::new();
+            sketch.record(value);
+            self.sketches.insert(name.to_string(), sketch);
+        }
     }
 
     /// Pre-register a sketch so it is exposed (empty) from round zero —

@@ -1205,7 +1205,11 @@ impl VideoServer {
                 let (Some(key), Some(cache)) = (keys[slot], self.cache.as_mut()) else {
                     continue;
                 };
-                cache.complete_fetch(key, bytes, rot_half + bytes * inv_rate);
+                // The cache counts exactly the delayed hits the partition
+                // stage queued here, so a fetch nobody joined has no entry.
+                if cache.complete_fetch(key, bytes, rot_half + bytes * inv_rate) == 0 {
+                    continue;
+                }
                 if let Some(waiters) = scratch.waiters.remove(&key) {
                     // Waiters receive the fragment when the sweep
                     // finishes: a partial-round latency, not a disk

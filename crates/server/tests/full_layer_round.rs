@@ -11,19 +11,36 @@
 //!
 //! and folds every round report, the causal trace and the final layer
 //! summaries into one FNV-1a digest. Any change to RNG draw order, stage
-//! order or bookkeeping moves the digest. This file holds a single test
-//! so the process-global `server.prefetch.fetched` counter is this run's
-//! alone.
+//! order or bookkeeping moves the digest. The run is pinned under each
+//! cache policy (`--cache-policy lru|interval|cost`): the interval
+//! policy's digest also pins the reader positions its evictions depend
+//! on. The tests take turns on one lock, so each reads the
+//! process-global `server.prefetch.fetched` counter as a delta of its
+//! own run.
 
+use mzd_cache::CachePolicy;
 use mzd_server::{
     CacheSettings, DegradeSettings, RoundReport, ServerConfig, SloSettings, VideoServer,
 };
 use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
 
-/// Digest of the run, captured before the round was split into stages.
-const PINNED_DIGEST: u64 = 0xea7f_f8aa_a9f9_9ecb;
+/// Serializes the runs, so the prefetch counter's delta is one run's.
+static RUNS: Mutex<()> = Mutex::new(());
+
+/// What one run pins besides its digest.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    prefetched: u64,
+    delayed_hits: u64,
+    dequeued: usize,
+    completions: usize,
+    alerts_and_drifts: (u64, u64),
+    rung_and_shed: (u8, u64),
+    digest: u64,
+}
 
 /// Byte sink folded into one `mzd_prof::fnv1a64` digest at the end.
 #[derive(Default)]
@@ -69,12 +86,27 @@ impl Fold {
     }
 }
 
-#[test]
-fn full_layer_round_is_pinned() {
+/// The process-global prefetch counter (0 before any server registers
+/// it).
+fn prefetched_so_far() -> u64 {
+    mzd_telemetry::global()
+        .snapshot()
+        .counters
+        .get("server.prefetch.fetched")
+        .copied()
+        .unwrap_or(0)
+}
+
+fn run(policy: CachePolicy) -> Pinned {
+    let _turn = RUNS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let prefetched_before = prefetched_so_far();
     let seed = 13;
     let mut cfg = ServerConfig::paper_reference(2).unwrap();
     cfg.cache = Some(CacheSettings {
         admission_safety: Some(0.2),
+        policy,
         ..CacheSettings::lru(4_000_000.0)
     });
     cfg.faults = Some(mzd_fault::FaultConfig::parse("media=0.25,retries=2,timeout=0.005").unwrap());
@@ -158,17 +190,78 @@ fn full_layer_round_is_pinned() {
     }
     fold.f64(cache.occupancy_bytes());
 
-    // Every stage did work: prefetch and coalescing (partition, sweep,
-    // cache), queue drains and completions (advance), an alert and a
-    // drift (slo), and the ladder's top rung (degrade).
-    let prefetched = mzd_telemetry::global().snapshot().counters["server.prefetch.fetched"];
-    assert_eq!(prefetched, 1_421);
-    assert_eq!(stats.delayed_hits, 7_044);
-    assert_eq!(dequeued, 28);
-    assert_eq!(completions, 90);
-    assert_eq!((slo.alerts_raised, slo.drifts_raised), (1, 1));
-    assert_eq!((degrade.rung, degrade.shed_streams), (4, 18));
+    Pinned {
+        prefetched: prefetched_so_far() - prefetched_before,
+        delayed_hits: stats.delayed_hits,
+        dequeued,
+        completions,
+        alerts_and_drifts: (slo.alerts_raised, slo.drifts_raised),
+        rung_and_shed: (degrade.rung, degrade.shed_streams),
+        digest: mzd_prof::fnv1a64(&fold.0),
+    }
+}
 
-    let digest = mzd_prof::fnv1a64(&fold.0);
-    assert_eq!(digest, PINNED_DIGEST, "digest {digest:#018x}");
+/// Every stage did work: prefetch and coalescing (partition, sweep,
+/// cache), queue drains and completions (advance), an alert and a drift
+/// (slo), and the ladder's top rung (degrade). The digest was captured
+/// before the round was split into stages.
+#[test]
+fn full_layer_round_is_pinned() {
+    let got = run(CachePolicy::Lru);
+    assert_eq!(
+        got,
+        Pinned {
+            prefetched: 1_421,
+            delayed_hits: 7_044,
+            dequeued: 28,
+            completions: 90,
+            alerts_and_drifts: (1, 1),
+            rung_and_shed: (4, 18),
+            digest: 0xea7f_f8aa_a9f9_9ecb,
+        },
+        "digest {:#018x}",
+        got.digest
+    );
+}
+
+/// The same run under interval caching, whose evictions skip fragments
+/// straddled by two readers of one object.
+#[test]
+fn full_layer_round_is_pinned_under_interval_caching() {
+    let got = run(CachePolicy::Interval);
+    assert_eq!(
+        got,
+        Pinned {
+            prefetched: 1_627,
+            delayed_hits: 6_703,
+            dequeued: 28,
+            completions: 90,
+            alerts_and_drifts: (1, 1),
+            rung_and_shed: (4, 18),
+            digest: 0x51aa_c8c5_f7b0_7f40,
+        },
+        "digest {:#018x}",
+        got.digest
+    );
+}
+
+/// The same run under cost-aware replacement. It climbs no rung and
+/// raises no alert: the digest still pins every stage's bookkeeping.
+#[test]
+fn full_layer_round_is_pinned_under_cost_aware_caching() {
+    let got = run(CachePolicy::CostAware);
+    assert_eq!(
+        got,
+        Pinned {
+            prefetched: 5_524,
+            delayed_hits: 9_705,
+            dequeued: 14,
+            completions: 140,
+            alerts_and_drifts: (0, 1),
+            rung_and_shed: (0, 0),
+            digest: 0xe94e_d109_c016_8c49,
+        },
+        "digest {:#018x}",
+        got.digest
+    );
 }

@@ -185,8 +185,8 @@ pub mod geometry {
     }
 }
 
-use crate::sketch::QuantileSketch;
-use geometry::{bucket_index, SLOT_COUNT};
+use crate::sketch::{rank, QuantileSketch};
+use geometry::{bucket_index, bucket_value, SLOT_COUNT};
 
 /// A fixed-bucket log-scale histogram with atomic recording and
 /// quantile estimation.
@@ -198,9 +198,9 @@ use geometry::{bucket_index, SLOT_COUNT};
 /// underflow bucket, values above `1e4` into an overflow bucket; exact
 /// `min`/`max`/`sum` are tracked separately, and NaNs are dropped.
 ///
-/// Recording is lock-free; every read (quantiles, cumulative buckets,
-/// snapshots) goes through one copy of the atomics into a
-/// [`QuantileSketch`].
+/// Recording is lock-free. Quantile and bucket reads go through one
+/// copy of the atomics into a [`QuantileSketch`]; a snapshot walks the
+/// atomics once in place.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -303,22 +303,46 @@ impl Histogram {
         self.sketch().cumulative_buckets()
     }
 
-    /// An immutable copy of the current state.
+    /// An immutable copy of the current state. The four
+    /// [`QUANTILE_LABELS`] estimates come from one walk over the bucket
+    /// atomics (their ranks ascend with `q`), equal to what
+    /// [`QuantileSketch::quantile`] reports for each.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let sketch = self.sketch();
-        let count = sketch.count();
+        let inner = &*self.0;
+        let count = inner.count.load(Ordering::Relaxed);
+        let sum = f64::from_bits(inner.sum.load(Ordering::Relaxed));
+        let min = f64::from_bits(inner.min.load(Ordering::Relaxed));
+        let max = f64::from_bits(inner.max.load(Ordering::Relaxed));
+        let mut quantiles = [f64::NAN; QUANTILE_LABELS.len()];
+        if count > 0 {
+            let ranks = QUANTILE_LABELS.map(|(_, q)| rank(q, count));
+            let mut next = 0;
+            let mut cumulative = 0u64;
+            for (i, bucket) in inner.buckets.iter().enumerate() {
+                cumulative += bucket.load(Ordering::Relaxed);
+                while next < ranks.len() && cumulative >= ranks[next] {
+                    quantiles[next] = bucket_value(i).clamp(min, max);
+                    next += 1;
+                }
+                if next == ranks.len() {
+                    break;
+                }
+            }
+            // Ranks past the buckets' total (a record in progress).
+            quantiles[next..].fill(max);
+        }
         HistogramSnapshot {
             count,
-            sum: sketch.sum(),
+            sum,
             mean: if count == 0 {
                 f64::NAN
             } else {
-                sketch.sum() / count as f64
+                sum / count as f64
             },
-            min: sketch.min(),
-            max: sketch.max(),
-            quantiles: QUANTILE_LABELS.map(|(_, q)| sketch.quantile(q)),
+            min,
+            max,
+            quantiles,
         }
     }
 
@@ -561,7 +585,7 @@ impl Snapshot {
             out.push_str("    ");
             json::write_escaped(&mut out, name);
             out.push_str(": ");
-            out.push_str(&value.to_string());
+            json::write_u64(&mut out, *value);
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
@@ -576,7 +600,9 @@ impl Snapshot {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
             json::write_escaped(&mut out, name);
-            out.push_str(&format!(": {{\"count\": {}, \"sum\": ", h.count));
+            out.push_str(": {\"count\": ");
+            json::write_u64(&mut out, h.count);
+            out.push_str(", \"sum\": ");
             json::write_f64(&mut out, h.sum);
             out.push_str(", \"mean\": ");
             json::write_f64(&mut out, h.mean);
@@ -585,7 +611,9 @@ impl Snapshot {
             out.push_str(", \"max\": ");
             json::write_f64(&mut out, h.max);
             for ((label, _), estimate) in QUANTILE_LABELS.iter().zip(h.quantiles) {
-                out.push_str(&format!(", \"{label}\": "));
+                out.push_str(", \"");
+                out.push_str(label);
+                out.push_str("\": ");
                 json::write_f64(&mut out, estimate);
             }
             out.push('}');
@@ -688,6 +716,36 @@ mod tests {
         let s = h.snapshot();
         assert!(s.mean.is_nan());
         assert_eq!(s.min, f64::INFINITY);
+    }
+
+    #[test]
+    fn snapshot_quantiles_equal_the_sketch_walks() {
+        let fills: [&[f64]; 6] = [
+            &[],
+            &[0.25],
+            &[1e-12, 3.0, 1e12],
+            &[0.5, 0.5, 0.5, 0.5],
+            &[1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2],
+            &[0.8, 0.85, 0.9, 0.95, 7.0, 7.5],
+        ];
+        let exponential: Vec<f64> = (0..5_000)
+            .map(|i| -(1.0 - (f64::from(i) + 0.5) / 5_000.0).ln())
+            .collect();
+        for values in fills.iter().copied().chain([exponential.as_slice()]) {
+            let h = Histogram::default();
+            for &v in values {
+                h.record(v);
+            }
+            let s = h.snapshot();
+            let sketch = h.sketch();
+            for ((label, q), got) in QUANTILE_LABELS.iter().zip(s.quantiles) {
+                let want = sketch.quantile(*q);
+                assert_eq!(got.to_bits(), want.to_bits(), "{label} of {values:?}");
+            }
+            assert_eq!(s.count, sketch.count());
+            assert_eq!(s.sum.to_bits(), sketch.sum().to_bits());
+            assert_eq!((s.min, s.max), (sketch.min(), sketch.max()));
+        }
     }
 
     #[test]

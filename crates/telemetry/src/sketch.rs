@@ -29,6 +29,12 @@ pub struct QuantileSketch {
     pub(crate) max: f64,
 }
 
+/// 1-based rank `ceil(q·count)` of the `q`-quantile's observation
+/// (`q` clamped into `[0, 1]`, the rank at least 1).
+pub(crate) fn rank(q: f64, count: u64) -> u64 {
+    ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1)
+}
+
 impl Default for QuantileSketch {
     fn default() -> Self {
         Self::new()
@@ -114,9 +120,7 @@ impl QuantileSketch {
         if self.count == 0 {
             return f64::NAN;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target observation, 1-based ceil(q·count).
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let rank = rank(q, self.count);
         let mut cumulative = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
             cumulative += bucket;
