@@ -102,9 +102,8 @@ impl Dispatcher {
         placement: &crate::Placement,
     ) -> Result<u32, Pending> {
         debug_assert_eq!(views.len(), self.queues.len());
-        let available: Vec<bool> = views.iter().map(|v| v.available).collect();
         let key = crate::Placement::key_for(pending.seq);
-        let Some(primary) = placement.primary(key, &available) else {
+        let Some(primary) = placement.primary(key, |n| views[n as usize].available) else {
             return Err(pending);
         };
         let target = if views[primary as usize].headroom > 0 {
@@ -295,9 +294,7 @@ mod tests {
         let mut d = Dispatcher::new(4);
         let v = views(&[10, 10, 10, 10]);
         let p = pending(42);
-        let expect = placement
-            .primary(Placement::key_for(42), &[true; 4])
-            .unwrap();
+        let expect = placement.primary(Placement::key_for(42), |_| true).unwrap();
         let got = d.route(p, &v, &placement).unwrap();
         assert_eq!(got, expect);
         assert_eq!(d.queue_len(got), 1);
@@ -308,7 +305,7 @@ mod tests {
         let placement = Placement::new(4).unwrap();
         let mut d = Dispatcher::new(4);
         let key = Placement::key_for(7);
-        let primary = placement.primary(key, &[true; 4]).unwrap();
+        let primary = placement.primary(key, |_| true).unwrap();
         let mut v = views(&[5, 5, 5, 5]);
         v[primary as usize].headroom = 0; // primary full
                                           // Give distinct disk loads; the fallback should pick the
@@ -332,9 +329,7 @@ mod tests {
         let placement = Placement::new(3).unwrap();
         let mut d = Dispatcher::new(3);
         let v = views(&[0, 0, 0]);
-        let primary = placement
-            .primary(Placement::key_for(9), &[true; 3])
-            .unwrap();
+        let primary = placement.primary(Placement::key_for(9), |_| true).unwrap();
         let got = d.route(pending(9), &v, &placement).unwrap();
         assert_eq!(got, primary);
     }

@@ -128,7 +128,7 @@ impl ServerNode {
     /// cluster-level admission controller decides on, and whose minimum
     /// the striping-aware placement fallback ranks by.
     #[must_use]
-    pub fn per_disk_load(&self) -> Vec<u32> {
+    pub fn per_disk_load(&self) -> &[u32] {
         self.server.per_disk_load()
     }
 

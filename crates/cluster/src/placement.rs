@@ -78,19 +78,18 @@ impl Placement {
         mzd_par::derive_seed(KEY_SALT, seq)
     }
 
-    /// The primary node for `key`: the first available node clockwise
-    /// from the key's ring position. `None` if no node is available.
+    /// The primary node for `key`: the first node clockwise from the
+    /// key's ring position for which `available(node)` holds. `None` if
+    /// no node is available.
     #[must_use]
-    pub fn primary(&self, key: u64, available: &[bool]) -> Option<u32> {
-        debug_assert_eq!(available.len(), self.nodes as usize);
+    pub fn primary(&self, key: u64, available: impl Fn(u32) -> bool) -> Option<u32> {
         let start = self.ring.partition_point(|&(p, _)| p < key);
-        for i in 0..self.ring.len() {
-            let (_, node) = self.ring[(start + i) % self.ring.len()];
-            if available[node as usize] {
-                return Some(node);
-            }
-        }
-        None
+        let (wrapped, clockwise) = self.ring.split_at(start);
+        clockwise
+            .iter()
+            .chain(wrapped)
+            .map(|&(_, node)| node)
+            .find(|&node| available(node))
     }
 
     /// All nodes ranked by rendezvous (highest-random-weight) score for
@@ -119,28 +118,23 @@ mod tests {
     #[test]
     fn primary_is_deterministic_and_respects_availability() {
         let p = Placement::new(8).unwrap();
-        let all = vec![true; 8];
         for seq in 0..200 {
             let key = Placement::key_for(seq);
-            let a = p.primary(key, &all).unwrap();
-            let b = p.primary(key, &all).unwrap();
+            let a = p.primary(key, |_| true).unwrap();
+            let b = p.primary(key, |_| true).unwrap();
             assert_eq!(a, b);
-            let mut without = all.clone();
-            without[a as usize] = false;
-            let c = p.primary(key, &without).unwrap();
+            let c = p.primary(key, |n| n != a).unwrap();
             assert_ne!(c, a);
         }
-        let none = vec![false; 8];
-        assert_eq!(p.primary(Placement::key_for(1), &none), None);
+        assert_eq!(p.primary(Placement::key_for(1), |_| false), None);
     }
 
     #[test]
     fn ring_spreads_keys_roughly_uniformly() {
         let p = Placement::new(16).unwrap();
-        let all = vec![true; 16];
         let mut counts = [0u32; 16];
         for seq in 0..16_000 {
-            let n = p.primary(Placement::key_for(seq), &all).unwrap();
+            let n = p.primary(Placement::key_for(seq), |_| true).unwrap();
             counts[n as usize] += 1;
         }
         // Perfect balance would be 1000 per node; virtual nodes keep the
@@ -153,15 +147,12 @@ mod tests {
     #[test]
     fn losing_one_node_only_moves_its_streams() {
         let p = Placement::new(10).unwrap();
-        let all = vec![true; 10];
         let dead = 4u32;
-        let mut without = all.clone();
-        without[dead as usize] = false;
         let mut moved = 0u32;
         for seq in 0..5000 {
             let key = Placement::key_for(seq);
-            let before = p.primary(key, &all).unwrap();
-            let after = p.primary(key, &without).unwrap();
+            let before = p.primary(key, |_| true).unwrap();
+            let after = p.primary(key, |n| n != dead).unwrap();
             if before != dead {
                 // Consistent hashing: survivors' assignments never move.
                 assert_eq!(before, after, "seq {seq}");

@@ -660,30 +660,36 @@ impl VideoServer {
     /// sessions are counted: they hold their admission reservation so
     /// resumption is always possible without re-admission.
     ///
-    /// O(D): the counts are maintained incrementally on every open, close,
-    /// queue drain and round advance rather than rescanned per call.
+    /// O(1) and allocation-free: the counts are maintained incrementally
+    /// on every open, close, queue drain and round advance rather than
+    /// rescanned per call.
     #[must_use]
-    pub fn per_disk_load(&self) -> Vec<u32> {
-        debug_assert_eq!(
-            self.load,
-            self.recompute_per_disk_load(),
+    pub fn per_disk_load(&self) -> &[u32] {
+        debug_assert!(
+            self.load_matches_sessions(),
             "incremental per-disk load out of sync with sessions"
         );
-        self.load.clone()
+        &self.load
     }
 
-    /// Reference recomputation of the load vector by scanning sessions —
-    /// the pre-incremental O(active streams) definition, retained to
-    /// cross-check the incremental counts in debug builds and tests.
-    fn recompute_per_disk_load(&self) -> Vec<u32> {
-        let mut load = vec![0u32; self.cfg.disks as usize];
-        for s in &self.sessions {
-            let d = self
-                .layout
-                .disk_of_fragment(s.start_disk, s.fragments_consumed);
-            load[d as usize] += 1;
-        }
-        load
+    /// Reference recount of the load vector by scanning sessions — the
+    /// pre-incremental definition, retained to cross-check the
+    /// incremental counts in debug builds and tests. One pass per disk,
+    /// so the check allocates nothing either.
+    fn load_matches_sessions(&self) -> bool {
+        self.load.iter().enumerate().all(|(d, &load)| {
+            let counted = self
+                .sessions
+                .iter()
+                .filter(|s| {
+                    self.layout
+                        .disk_of_fragment(s.start_disk, s.fragments_consumed)
+                        as usize
+                        == d
+                })
+                .count();
+            counted == load as usize
+        })
     }
 
     /// Open session `id` on `object` — the one admission path behind

@@ -76,7 +76,7 @@ proptest! {
             let load = server.per_disk_load();
             let total: u32 = load.iter().sum();
             prop_assert_eq!(total as usize, server.active_streams());
-            for &l in &load {
+            for &l in load {
                 prop_assert!(
                     l <= server.admission().per_disk_limit(),
                     "disk over limit: {l}"
