@@ -334,16 +334,21 @@ mod tests {
 
     #[test]
     fn trace_fragment_counts_and_means() {
+        // One 600-s trace's mean fragment size spreads 16% from seed to
+        // seed (the scene modulation is slow), so a single trace cannot
+        // pin the target. The grand mean of 40 independent traces has a
+        // standard error of 2.7%; the 12% band is 4.4 of them.
+        const TRACES: usize = 40;
         let m = GopModel::mpeg2_default();
         let mut rng = StdRng::seed_from_u64(14);
-        let trace = m.generate_trace(600.0, 1.0, &mut rng).unwrap();
-        assert_eq!(trace.len(), 600);
+        let mut grand = 0.0;
+        for _ in 0..TRACES {
+            let trace = m.generate_trace(600.0, 1.0, &mut rng).unwrap();
+            assert_eq!(trace.len(), 600);
+            grand += trace.mean() / TRACES as f64;
+        }
         // 1-second fragments of 4 Mbit/s video ≈ 500 KB each.
-        assert!(
-            (trace.mean() / 500_000.0 - 1.0).abs() < 0.15,
-            "mean {}",
-            trace.mean()
-        );
+        assert!((grand / 500_000.0 - 1.0).abs() < 0.12, "grand mean {grand}");
     }
 
     #[test]
