@@ -1317,6 +1317,19 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             black_box(one.run_round(27));
         },
     );
+    // The fleet's per-stream-round size draw: seed a generator from
+    // (content, fragment), then one Marsaglia–Tsang Gamma on the
+    // ziggurat normal. One op is 1 000 draws of the paper law, so a
+    // per-draw regression clears the gate's 500 ns floor. Batches of
+    // ~10 ms.
+    let paper = SizeDistribution::paper_default();
+    let mut fragment = 0u32;
+    timed(&mut sim, "sample_at_gamma_1k", SERIAL, 400, || {
+        for _ in 0..1000 {
+            black_box(paper.sample_at(black_box(7), fragment));
+            fragment = fragment.wrapping_add(1);
+        }
+    });
     {
         use mzd_cache::{CacheConfig, CachePolicy, FragmentCache, FragmentKey, Lookup};
         let key = |f: u32| FragmentKey {

@@ -247,6 +247,22 @@ mod tests {
         assert_eq!(d.quantile(0.99).unwrap(), None);
     }
 
+    /// The fleet's own draw path: stored sizes of the paper law pass a
+    /// one-sample Kolmogorov–Smirnov test against the Gamma CDF.
+    #[test]
+    fn sample_at_passes_ks_against_gamma_p() {
+        const N: u32 = 200_000;
+        let d = SizeDistribution::paper_default();
+        let mut x: Vec<f64> = (0..N).map(|f| d.sample_at(1, f)).collect();
+        x.sort_by(f64::total_cmp);
+        let n = f64::from(N);
+        let ks = x.iter().enumerate().fold(0.0f64, |ks, (i, &x)| {
+            let f = mzd_numerics::special::gamma_p(4.0, x / 50_000.0).unwrap();
+            ks.max(f - i as f64 / n).max((i + 1) as f64 / n - f)
+        });
+        assert!(ks * n.sqrt() < 1.63, "D = {ks}");
+    }
+
     #[test]
     fn sample_at_is_deterministic_and_law_abiding() {
         let d = SizeDistribution::paper_default();

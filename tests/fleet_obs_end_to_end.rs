@@ -233,7 +233,7 @@ fn stitched_fleet_trace_is_pinned() {
     assert!(trace.contains("fleet.requeue"), "the outage must requeue");
     assert_eq!(
         (trace.len(), mzd_prof::fnv1a64(trace.as_bytes())),
-        (2_249_737, 0xe958_1f59_09f0_ed41),
+        (2_250_029, 0xaeca_66d1_2422_225d),
         "stitched fleet trace moved"
     );
 }
