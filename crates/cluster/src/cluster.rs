@@ -1149,7 +1149,7 @@ impl Cluster {
             for local in node_report.completed_streams {
                 let seq = self
                     .by_host
-                    .remove(&(i, local))
+                    .remove(&(i, local.id))
                     .expect("completed stream was hosted");
                 let record = self.finish_stream(seq);
                 report.completed.push(record);

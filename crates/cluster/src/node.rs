@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(n.active_streams(), 2);
         let mut completed = Vec::new();
         for _ in 0..3 {
-            completed.extend(n.step_round().completed_streams);
+            completed.extend(n.step_round().completed_streams.iter().map(|c| c.id));
         }
         // The 3-round object completed; the migrated one plays on.
         assert_eq!(completed, vec![a]);

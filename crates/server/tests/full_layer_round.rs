@@ -81,7 +81,8 @@ impl Fold {
             }
         }
         self.ids(&r.glitched_streams);
-        self.ids(&r.completed_streams);
+        let completed: Vec<u64> = r.completed_streams.iter().map(|c| c.id).collect();
+        self.ids(&completed);
         self.ids(&r.admitted_from_queue);
     }
 }

@@ -39,6 +39,7 @@ proptest! {
             VideoServer::new(ServerConfig::paper_reference(disks).expect("valid"), seed)
                 .expect("valid");
         let mut admitted: u64 = 0;
+        let mut completed: u64 = 0;
         let mut handles: Vec<StreamHandle> = Vec::new();
         for op in ops {
             match op {
@@ -50,7 +51,9 @@ proptest! {
                 }
                 Op::CloseOldest => {
                     if let Some(h) = handles.first().copied() {
-                        if server.close_stream(h).is_ok() {
+                        if let Ok(rec) = server.close_stream(h) {
+                            prop_assert_eq!(rec.id, h.id());
+                            completed += 1;
                             handles.remove(0);
                         }
                     }
@@ -58,7 +61,8 @@ proptest! {
                 Op::Round => {
                     let report = server.run_round();
                     // Completed handles leave our tracking set.
-                    handles.retain(|h| !report.completed_streams.contains(&h.id()));
+                    handles.retain(|h| report.completed_streams.iter().all(|c| c.id != h.id()));
+                    completed += report.completed_streams.len() as u64;
                     // Per-round structural checks.
                     prop_assert_eq!(report.disks.len(), disks as usize);
                     for d in &report.disks {
@@ -68,7 +72,7 @@ proptest! {
             }
             // Conservation: active + completed == admitted, always.
             prop_assert_eq!(
-                server.active_streams() as u64 + server.completed_streams().len() as u64,
+                server.active_streams() as u64 + completed,
                 admitted
             );
             // The per-disk load vector sums to the active session count
@@ -95,12 +99,14 @@ proptest! {
             VideoServer::new(ServerConfig::paper_reference(disks).expect("valid"), seed)
                 .expect("valid");
         let h = server.open_stream(obj(rounds)).expect("empty server admits");
+        let mut completed = Vec::new();
         for _ in 0..rounds {
             prop_assert_eq!(server.active_streams(), 1);
-            server.run_round();
+            completed.extend(server.run_round().completed_streams);
         }
         prop_assert_eq!(server.active_streams(), 0);
-        let rec = &server.completed_streams()[0];
+        prop_assert_eq!(completed.len(), 1);
+        let rec = &completed[0];
         prop_assert_eq!(rec.id, h.id());
         prop_assert_eq!(rec.rounds_played, rounds);
         prop_assert!(rec.glitches <= u64::from(rounds));

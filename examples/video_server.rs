@@ -50,6 +50,7 @@ fn main() {
     let mut admitted = 0u64;
     let mut rejected = 0u64;
     let mut glitch_total = 0u64;
+    let mut completed = Vec::new();
     for round in 0..rounds {
         if round % 3 == 0 {
             let obj = &catalog.objects()[(round as usize / 3) % catalog.len()];
@@ -64,17 +65,17 @@ fn main() {
         }
         let report = server.run_round();
         glitch_total += report.glitched_streams.len() as u64;
+        completed.extend(report.completed_streams);
     }
 
     println!("\nafter {rounds} rounds ({} minutes):", rounds / 60);
     println!("  admitted:        {admitted}");
     println!("  rejected:        {rejected}");
     println!("  still active:    {}", server.active_streams());
-    println!("  completed:       {}", server.completed_streams().len());
+    println!("  completed:       {}", completed.len());
     println!("  total glitches:  {glitch_total}");
 
     // Per-stream quality of the completed streams.
-    let completed = server.completed_streams();
     if !completed.is_empty() {
         let worst = completed.iter().max_by_key(|c| c.glitches).unwrap();
         let glitchy = completed

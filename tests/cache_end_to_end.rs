@@ -69,6 +69,7 @@ fn run_scenario(cache: Option<CacheSettings>, seed: u64) -> RunStats {
     let mut stream_rounds = 0u64;
     let mut tail_rounds_below_target = 0u64;
     let mut tail_rounds = 0u64;
+    let mut completed = Vec::new();
     for round in 0..ROUNDS {
         let active = server.active_streams() as u64;
         stream_rounds += active;
@@ -85,9 +86,9 @@ fn run_scenario(cache: Option<CacheSettings>, seed: u64) -> RunStats {
         for _ in &report.completed_streams {
             server.enqueue_stream(titles[zipf.sample(&mut arrivals)].clone());
         }
+        completed.extend(report.completed_streams);
     }
 
-    let completed = server.completed_streams().to_vec();
     let completed_over_budget = completed
         .iter()
         .filter(|c| c.glitches * 100 > u64::from(c.rounds_played)) // > 1% of rounds
