@@ -1304,7 +1304,7 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
         );
     });
     // Event-engine hot path: one N = 27 round with the request arena and
-    // draw buffer preallocated to the round size (`with_capacity`), so
+    // sort scratch preallocated to the round size (`with_capacity`), so
     // the steady state is allocation-free — the contract asserted by
     // crates/sim/tests/alloc_steady_state.rs.
     let mut one = mzd_sim::RoundSimulator::with_capacity(cfg.clone(), 7, 27).expect("valid");
@@ -1317,12 +1317,28 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             black_box(one.run_round(27));
         },
     );
+    // The fleet's disk batch on fleetbench's `steady`: one sized round
+    // of 267 stored fragment sizes on an 8-s round, preallocated as a
+    // server does (the admission cap plus headroom).
+    let mut batch_cfg = cfg.clone();
+    batch_cfg.round_length = 8.0;
+    let mut batch = mzd_sim::RoundSimulator::with_capacity(batch_cfg, 7, 275).expect("valid");
+    let paper = SizeDistribution::paper_default();
+    let stored: Vec<f64> = (0..267).map(|f| paper.sample_at(7, f)).collect();
+    timed(
+        &mut sim,
+        "engine_round_sized_n267",
+        SERIAL,
+        iters(200, 2000),
+        || {
+            black_box(batch.run_round_sized(black_box(&stored)));
+        },
+    );
     // The fleet's per-stream-round size draw: seed a generator from
     // (content, fragment), then one Marsaglia–Tsang Gamma on the
     // ziggurat normal. One op is 1 000 draws of the paper law, so a
     // per-draw regression clears the gate's 500 ns floor. Batches of
     // ~10 ms.
-    let paper = SizeDistribution::paper_default();
     let mut fragment = 0u32;
     timed(&mut sim, "sample_at_gamma_1k", SERIAL, 400, || {
         for _ in 0..1000 {

@@ -21,6 +21,9 @@ pub struct StripingLayout {
     disks: u32,
     cluster: u32,
     stride: u32,
+    /// `stride mod disks`: the disk step between clusters, reduced once
+    /// so [`Self::next_disk`] never divides.
+    step: u32,
 }
 
 impl StripingLayout {
@@ -52,13 +55,15 @@ impl StripingLayout {
         }
         if gcd(stride, disks) != 1 {
             return Err(ServerError::Invalid(format!(
-                "stride {stride} shares a factor with the disk count {disks}:                  objects would never touch some disks"
+                "stride {stride} shares a factor with the disk count {disks}: \
+                 objects would never touch some disks"
             )));
         }
         Ok(Self {
             disks,
             cluster,
             stride,
+            step: stride % disks,
         })
     }
 
@@ -88,6 +93,26 @@ impl StripingLayout {
         let step = (segment * u64::from(self.stride)) % u64::from(self.disks);
         (start_disk + step as u32) % self.disks
     }
+
+    /// The disk holding fragment `fragment + 1`, given `disk`, the disk
+    /// holding fragment `fragment` — how a session steps through the
+    /// layout one round at a time without re-deriving its disk. Divides
+    /// only when the layout clusters fragments.
+    #[must_use]
+    pub fn next_disk(&self, disk: u32, fragment: u32) -> u32 {
+        debug_assert!(disk < self.disks, "disk {disk} out of range");
+        if self.cluster > 1 && (u64::from(fragment) + 1) % u64::from(self.cluster) != 0 {
+            return disk;
+        }
+        // `disk + step` wraps past the last disk exactly when `disk`
+        // is at least `disks - step` (> 0, since `step < disks`).
+        let wrap = self.disks - self.step;
+        if disk >= wrap {
+            disk - wrap
+        } else {
+            disk + self.step
+        }
+    }
 }
 
 /// Greatest common divisor (Euclid).
@@ -115,7 +140,14 @@ mod tests {
         assert!(StripingLayout::with_geometry(4, 0, 1).is_err());
         assert!(StripingLayout::with_geometry(4, 1, 0).is_err());
         // stride 2 with 4 disks: objects would only see 2 disks.
-        assert!(StripingLayout::with_geometry(4, 1, 2).is_err());
+        assert_eq!(
+            StripingLayout::with_geometry(4, 1, 2),
+            Err(ServerError::Invalid(
+                "stride 2 shares a factor with the disk count 4: \
+                 objects would never touch some disks"
+                    .into()
+            ))
+        );
         // stride 3 with 4 disks is coprime: fine.
         let s = StripingLayout::with_geometry(4, 2, 3).unwrap();
         assert_eq!((s.cluster(), s.stride()), (2, 3));
@@ -148,6 +180,29 @@ mod tests {
         let general = StripingLayout::with_geometry(4, 1, 1).unwrap();
         for k in 0..16 {
             assert_eq!(s.disk_of_fragment(2, k), general.disk_of_fragment(2, k));
+        }
+    }
+
+    #[test]
+    fn next_disk_steps_match_disk_of_fragment() {
+        for disks in 1..=8u32 {
+            for cluster in 1..=4u32 {
+                for stride in (1..=2 * disks + 1).filter(|&s| gcd(s, disks) == 1) {
+                    let s = StripingLayout::with_geometry(disks, cluster, stride).unwrap();
+                    for start in 0..disks {
+                        let mut disk = start;
+                        for f in 0..40u32 {
+                            assert_eq!(
+                                disk,
+                                s.disk_of_fragment(start, f),
+                                "{disks} disks, cluster {cluster}, stride {stride}, \
+                                 start {start}, fragment {f}"
+                            );
+                            disk = s.next_disk(disk, f);
+                        }
+                    }
+                }
+            }
         }
     }
 

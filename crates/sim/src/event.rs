@@ -1,10 +1,10 @@
 //! Discrete-event round core: the fused serve loop, struct-of-arrays
-//! round state, and batched RNG draws.
+//! round state, and direct RNG draws.
 //!
 //! This module is the hot path of the whole stack — every experiment
 //! (`engine`, `cache_sweep`, `drift`, the server's per-disk rounds, the
 //! cluster fleet) bottoms out in the crate-private `EventCore::round`.
-//! Three ideas:
+//! Four ideas:
 //!
 //! 1. **One fused serve order.** On a single-armed disk the sweep
 //!    serves requests one at a time, so a request's seek, rotational
@@ -16,152 +16,107 @@
 //!    time is finite and non-negative (the clock never runs backwards)
 //!    and that the service time equals stall + seek + rotational +
 //!    transfer + fault on every round.
-//! 2. **Struct-of-arrays state.** Per-request fields live in parallel
-//!    preallocated arrays (`cylinder[]`, `zone[]`, `bytes[]`,
-//!    `rotational[]`) reused across rounds; SCAN ordering sorts a
-//!    packed `(key, index)` `u64` array with `sort_unstable` (stability
-//!    recovered from the unique index in the low bits), so steady-state
-//!    rounds allocate nothing.
-//! 3. **Batched RNG draws.** One [`DrawBuffer::refill`] per round
-//!    pre-materialises the raw `u64`s of the simulator's seeded stream;
-//!    all samplers then consume them in index order. The buffer is a
-//!    pure *window* onto the base stream — unconsumed draws carry over,
-//!    exhaustion falls through to the base generator — so every derived
-//!    draw (placement, fragment size, rotational latency,
-//!    recalibration) is bit-identical to drawing from the base RNG
-//!    directly, which keeps all seeded anchors byte-stable across the
-//!    rewrite.
+//! 2. **Struct-of-arrays state, counting-sort sweep order.** Per-request
+//!    fields live in parallel preallocated arrays (`cylinder[]`,
+//!    `zone[]`, `bytes[]`, `rotational[]`) reused across rounds. SCAN
+//!    order comes from a stable LSD counting sort on the sweep key (the
+//!    cylinder on an up sweep, its mirror on a down sweep), in as few
+//!    passes of at most 8 bits as the disk's cylinder count needs, so
+//!    ties keep stream order exactly as the legacy stable sort does and
+//!    steady-state rounds allocate nothing.
+//! 3. **Direct draws.** Placement, fragment size, rotational latency
+//!    and the recalibration draw take their words straight from the
+//!    simulator's seeded stream, in the legacy per-request order and
+//!    through the vendored `rand` recipes (top 53 bits for a unit
+//!    `f64`, `start + u·(end − start)` with its round-up guard for a
+//!    range), so every seeded anchor is byte-stable.
+//! 4. **Guide-table zone pick.** A 256-entry guide table maps a draw's
+//!    top 8 bits — exactly `⌊u·256⌋` of its unit `f64` `u` — to the
+//!    lowest zone that bucket can pick; a short forward walk over the
+//!    weight prefix sums finishes the pick. It selects the same zone as
+//!    the legacy linear scan for every draw.
 
 use crate::round::{RoundOutcome, SeekPolicy, SimConfig};
 use mzd_disk::scan::SweepDirection;
 use mzd_disk::Disk;
 use mzd_fault::FaultInjector;
 use mzd_workload::SizeDistribution;
-use rand::Rng;
-
-/// Pre-materialised window onto a raw `u64` RNG stream.
-///
-/// [`DrawBuffer::refill`] pulls a batch of raw words from the base
-/// generator; [`DrawBuffer::next`] serves them in order and falls back
-/// to the base generator when the batch is exhausted. Unconsumed words
-/// survive the next refill, so the sequence of values returned by
-/// `next` is exactly the base stream regardless of refill timing.
-#[derive(Debug, Default)]
-pub struct DrawBuffer {
-    buf: Vec<u64>,
-    pos: usize,
-}
-
-impl DrawBuffer {
-    /// An empty buffer with room for `n` raw draws.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(n),
-            pos: 0,
-        }
-    }
-
-    /// Top the buffer up to `n` unconsumed raw draws from `base`.
-    ///
-    /// Unconsumed draws are retained — the buffer is a window onto the
-    /// base stream and must never drop a word.
-    pub fn refill<R: Rng + ?Sized>(&mut self, base: &mut R, n: usize) {
-        self.buf.drain(..self.pos);
-        self.pos = 0;
-        while self.buf.len() < n {
-            self.buf.push(base.next_u64());
-        }
-    }
-
-    /// Next raw draw: buffered if available, else directly from `base`.
-    #[inline(always)]
-    pub fn next<R: Rng + ?Sized>(&mut self, base: &mut R) -> u64 {
-        if self.pos < self.buf.len() {
-            let v = self.buf[self.pos];
-            self.pos += 1;
-            v
-        } else {
-            base.next_u64()
-        }
-    }
-
-    /// Uniform `f64` in `[0, 1)` — same bit recipe as the vendored
-    /// `rand`'s `Standard` for `f64` (top 53 bits of one raw draw).
-    #[inline(always)]
-    pub fn f64_unit<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
-        (self.next(base) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform `f64` in `[start, end)` — same arithmetic (including the
-    /// round-up guard) as the vendored `rand`'s `Range<f64>` sampler.
-    #[inline(always)]
-    pub fn f64_range<R: Rng + ?Sized>(&mut self, base: &mut R, start: f64, end: f64) -> f64 {
-        let u = self.f64_unit(base);
-        let v = start + u * (end - start);
-        if v < end {
-            v
-        } else {
-            start
-        }
-    }
-}
-
-/// [`Rng`] adapter that serves raw words from a [`DrawBuffer`].
-///
-/// `next_u32` derives from `next_u64` exactly as the vendored `StdRng`
-/// does, so *every* sampler in the workspace (size laws, `random_range`,
-/// shuffles) produces bit-identical values whether it draws through
-/// this adapter or from the base generator directly.
-#[derive(Debug)]
-pub struct BufferedRng<'a, R: Rng + ?Sized> {
-    draws: &'a mut DrawBuffer,
-    base: &'a mut R,
-}
-
-impl<'a, R: Rng + ?Sized> BufferedRng<'a, R> {
-    /// Adapt `draws` over `base`.
-    pub fn new(draws: &'a mut DrawBuffer, base: &'a mut R) -> Self {
-        Self { draws, base }
-    }
-}
-
-impl<R: Rng + ?Sized> Rng for BufferedRng<'_, R> {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.draws.next(self.base)
-    }
-}
+use rand::{Rng, RngExt as _};
 
 /// Struct-of-arrays per-round request state, reused across rounds.
 #[derive(Debug, Default)]
 struct Arena {
-    stream: Vec<u32>,
     cylinder: Vec<u32>,
     zone: Vec<u32>,
     bytes: Vec<f64>,
     rotational: Vec<f64>,
-    /// Packed SCAN sort keys: `(direction_key << 32) | index`.
+    /// Serve order: `(sweep key << 32) | index`.
     order: Vec<u64>,
+    /// The counting sort's second buffer.
+    spare: Vec<u64>,
 }
 
 impl Arena {
     /// Grow every column to hold at least `n` requests.
     fn ensure(&mut self, n: usize) {
-        if self.stream.len() < n {
-            self.stream.resize(n, 0);
+        if self.cylinder.len() < n {
             self.cylinder.resize(n, 0);
             self.zone.resize(n, 0);
             self.bytes.resize(n, 0.0);
             self.rotational.resize(n, 0.0);
             self.order.resize(n, 0);
+            self.spare.resize(n, 0);
         }
     }
 }
+
+/// The LSD pass plan for sweep keys below a cylinder count: as few
+/// passes of at most 8 bits as cover the key's width, the width split
+/// evenly between them (two 7-bit passes for every catalog disk).
+#[derive(Debug, Clone, Copy)]
+struct Radix {
+    passes: u32,
+    bits: u32,
+}
+
+impl Radix {
+    fn for_keys_below(cylinders: u32) -> Self {
+        let width = u32::BITS - cylinders.saturating_sub(1).leading_zeros();
+        let passes = width.div_ceil(8);
+        let bits = width.div_ceil(passes.max(1));
+        Self { passes, bits }
+    }
+}
+
+/// Stable LSD counting sort of `order[..n]` by the key in the high 32
+/// bits of each entry; `spare` holds at least `n` entries. Entries with
+/// equal keys keep their input order.
+fn counting_sort(order: &mut Vec<u64>, spare: &mut Vec<u64>, n: usize, radix: Radix) {
+    let mask = (1u64 << radix.bits) - 1;
+    let mut shift = 32;
+    for _ in 0..radix.passes {
+        let mut start = [0u32; 256];
+        for &v in &order[..n] {
+            start[((v >> shift) & mask) as usize] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut start[..=mask as usize] {
+            let count = *slot;
+            *slot = at;
+            at += count;
+        }
+        for &v in &order[..n] {
+            let digit = ((v >> shift) & mask) as usize;
+            spare[start[digit] as usize] = v;
+            start[digit] += 1;
+        }
+        std::mem::swap(order, spare);
+        shift += radix.bits;
+    }
+}
+
+/// Guide-table buckets: a draw's top `GUIDE_BITS` bits pick one.
+const GUIDE_BITS: u32 = 8;
 
 /// Precomputed placement tables for the configured zone weights.
 #[derive(Debug)]
@@ -170,6 +125,10 @@ struct PlacementTables {
     /// the same order as the legacy linear scan (so the selected zone
     /// is identical for every draw, down to f64 rounding).
     cum: Vec<f64>,
+    /// `guide[b]`: the zone picked at `u = b/256`, the lowest zone any
+    /// draw of bucket `b` can pick. `u32` holds any zone count the disk
+    /// model admits (no more zones than `u32` cylinders).
+    guide: [u32; 1 << GUIDE_BITS],
     /// First cylinder of each zone.
     first: Vec<u32>,
     /// Cylinders in each zone.
@@ -191,6 +150,13 @@ impl PlacementTables {
             acc += w;
             cum.push(acc);
         }
+        // One merge pass over buckets and prefix sums: both ascend.
+        let mut guide = [0u32; 1 << GUIDE_BITS];
+        let mut zone = 0;
+        for (b, slot) in guide.iter_mut().enumerate() {
+            zone = walk(&cum, zone, b as f64 / f64::from(1u32 << GUIDE_BITS));
+            *slot = zone as u32;
+        }
         let first: Vec<u32> = (0..nz).map(|z| disk.zone_first_cylinder(z)).collect();
         let span: Vec<u64> = (0..nz)
             .map(|z| u64::from(disk.zone_cylinder_count(z)))
@@ -199,12 +165,30 @@ impl PlacementTables {
         let rate: Vec<f64> = (0..nz).map(|z| disk.zone_rate(z)).collect();
         Self {
             cum,
+            guide,
             first,
             span,
             thr,
             rate,
         }
     }
+
+    /// The zone of a unit draw `u` in guide bucket `bucket = ⌊u·256⌋`.
+    #[inline]
+    fn zone(&self, bucket: usize, u: f64) -> usize {
+        walk(&self.cum, self.guide[bucket] as usize, u)
+    }
+}
+
+/// The linear scan's zone for `u` — the first zone whose prefix sum
+/// exceeds `u`, or the last zone — found by walking forward from
+/// `zone`, below which every prefix sum is `≤ u`.
+#[inline]
+fn walk(cum: &[f64], mut zone: usize, u: f64) -> usize {
+    while zone + 1 < cum.len() && cum[zone] <= u {
+        zone += 1;
+    }
+    zone
 }
 
 /// Where a round's fragment sizes come from.
@@ -230,40 +214,34 @@ impl RoundSizes<'_> {
     }
 }
 
-/// The discrete-event round core: batched draws, arena state, the
+/// The discrete-event round core: arena state, placement tables, the
 /// fused serve loop. One per [`crate::RoundSimulator`]; all round entry
 /// points funnel through [`EventCore::round`].
 #[derive(Debug)]
 pub(crate) struct EventCore {
-    draws: DrawBuffer,
     arena: Arena,
     tables: PlacementTables,
+    radix: Radix,
     /// Cached disk constants (pure functions of the immutable disk).
     rot: f64,
     full_seek: f64,
+    top_cylinder: u32,
 }
-
-/// Raw draws prefetched per request when sizes come from a law (zone +
-/// cylinder + size sample + rotational; sized at the Gamma law's
-/// expected consumption).
-const DRAWS_PER_REQ_LAW: usize = 8;
-/// Raw draws prefetched per request with caller-provided sizes.
-const DRAWS_PER_REQ_GIVEN: usize = 4;
 
 impl EventCore {
     /// Build a core for `disk` with placement `weights`, preallocating
-    /// arena and draw-buffer storage for rounds of up to `capacity`
-    /// requests (steady-state rounds at or below that size allocate
-    /// nothing).
+    /// arena storage for rounds of up to `capacity` requests
+    /// (steady-state rounds at or below that size allocate nothing).
     pub(crate) fn new(disk: &Disk, weights: &[f64], capacity: usize) -> Self {
         let mut arena = Arena::default();
         arena.ensure(capacity);
         Self {
-            draws: DrawBuffer::with_capacity(capacity * DRAWS_PER_REQ_LAW + 1),
             arena,
             tables: PlacementTables::new(disk, weights),
+            radix: Radix::for_keys_below(disk.cylinders()),
             rot: disk.rotation_time(),
             full_seek: disk.seek_curve().max_seek_time(disk.cylinders()),
+            top_cylinder: disk.cylinders() - 1,
         }
     }
 
@@ -272,22 +250,22 @@ impl EventCore {
         self.tables = PlacementTables::new(disk, weights);
     }
 
-    /// Draw one placement: a zone by the configured weights (binary
-    /// search over the prefix sums), then a cylinder uniform within the
-    /// zone (Lemire rejection with the hoisted threshold). Draw-for-draw
-    /// and bit-for-bit identical to the legacy linear scan +
-    /// `random_range(0..count)`.
+    /// Draw one placement: a zone by the configured weights (guide
+    /// table, then a forward walk over the prefix sums), then a
+    /// cylinder uniform within the zone (Lemire rejection with the
+    /// hoisted threshold). Draw-for-draw and bit-for-bit identical to
+    /// the legacy linear scan + `random_range(0..count)`.
     #[inline]
-    pub(crate) fn place<R: Rng + ?Sized>(&mut self, base: &mut R) -> (u32, usize) {
-        let u = self.draws.f64_unit(base);
-        let target = u.clamp(0.0, 1.0);
+    pub(crate) fn place<R: Rng + ?Sized>(&self, rng: &mut R) -> (u32, usize) {
+        let w = rng.next_u64();
+        // The vendored `rand`'s unit `f64`: the top 53 bits of one word.
+        let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let t = &self.tables;
-        let zone = t.cum.partition_point(|&c| c <= target).min(t.cum.len() - 1);
+        let zone = t.zone((w >> (64 - GUIDE_BITS)) as usize, u);
         let span = t.span[zone];
         let thr = t.thr[zone];
         let off = loop {
-            let r = self.draws.next(base);
-            let m = u128::from(r) * u128::from(span);
+            let m = u128::from(rng.next_u64()) * u128::from(span);
             if (m as u64) >= thr {
                 break (m >> 64) as u32;
             }
@@ -297,8 +275,8 @@ impl EventCore {
 
     /// Draw one rotational latency, `U(0, ROT)`.
     #[inline]
-    pub(crate) fn rotational<R: Rng + ?Sized>(&mut self, base: &mut R) -> f64 {
-        self.draws.f64_range(base, 0.0, self.rot)
+    pub(crate) fn rotational<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        rng.random_range(0.0..self.rot)
     }
 
     /// Transfer time of `bytes` in `zone` (precomputed rate).
@@ -307,7 +285,7 @@ impl EventCore {
         bytes / self.tables.rate[zone]
     }
 
-    /// Run one round: generate requests (batched draws, arena state),
+    /// Run one round: generate requests (direct draws, arena state),
     /// order the sweep, and serve it against the logical clock.
     ///
     /// `arm` and `direction` are the cross-round elevator state, owned
@@ -328,23 +306,14 @@ impl EventCore {
     ) -> RoundOutcome {
         let n = sizes.len();
         self.arena.ensure(n);
-        let per_req = match sizes {
-            RoundSizes::Law { .. } => DRAWS_PER_REQ_LAW,
-            RoundSizes::Given(_) => DRAWS_PER_REQ_GIVEN,
-        };
-        self.draws
-            .refill(rng, n * per_req + usize::from(cfg.recalibration.is_some()));
 
         for i in 0..n {
             let (cylinder, zone) = self.place(rng);
             let bytes = match sizes {
-                RoundSizes::Law { law, .. } => {
-                    law.sample(&mut BufferedRng::new(&mut self.draws, rng))
-                }
+                RoundSizes::Law { law, .. } => law.sample(rng),
                 RoundSizes::Given(s) => s[i],
             };
-            let rotational = self.draws.f64_range(rng, 0.0, self.rot);
-            self.arena.stream[i] = i as u32;
+            let rotational = self.rotational(rng);
             self.arena.cylinder[i] = cylinder;
             self.arena.zone[i] = zone as u32;
             self.arena.bytes[i] = bytes;
@@ -354,28 +323,31 @@ impl EventCore {
         // The recalibration draw follows all request draws, exactly as
         // the legacy loop ordered it.
         let stall = match cfg.recalibration {
-            Some(r) if self.draws.f64_unit(rng) < 1.0 / r.mean_interval_rounds => r.duration,
+            Some(r) if rng.random::<f64>() < 1.0 / r.mean_interval_rounds => r.duration,
             _ => 0.0,
         };
 
+        let arena = &mut self.arena;
         match cfg.seek_policy {
             SeekPolicy::Scan => {
-                // Packed keys: stable cylinder order recovered from the
-                // unique index in the low 32 bits, so `sort_unstable`
-                // (allocation-free) matches the legacy stable sort.
+                // The index in the low 32 bits travels with its key.
                 let up = *direction == SweepDirection::Up;
-                for i in 0..n {
+                for (i, (slot, &cylinder)) in arena.order[..n]
+                    .iter_mut()
+                    .zip(&arena.cylinder[..n])
+                    .enumerate()
+                {
                     let key = if up {
-                        self.arena.cylinder[i]
+                        cylinder
                     } else {
-                        !self.arena.cylinder[i]
+                        self.top_cylinder - cylinder
                     };
-                    self.arena.order[i] = u64::from(key) << 32 | i as u64;
+                    *slot = u64::from(key) << 32 | i as u64;
                 }
-                self.arena.order[..n].sort_unstable();
+                counting_sort(&mut arena.order, &mut arena.spare, n, self.radix);
             }
             SeekPolicy::Fcfs => {
-                for (i, slot) in self.arena.order[..n].iter_mut().enumerate() {
+                for (i, slot) in arena.order[..n].iter_mut().enumerate() {
                     *slot = i as u64;
                 }
             }
@@ -433,7 +405,7 @@ impl EventCore {
                 failed = pert.failed;
             }
             if failed || clock > deadline {
-                glitched.push(self.arena.stream[i]);
+                glitched.push(i as u32);
             }
         }
         *arm = pos;
@@ -460,96 +432,140 @@ impl EventCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mzd_disk::placement::PlacementPolicy;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{RngExt as _, SeedableRng};
+    use rand::SeedableRng;
 
-    #[test]
-    fn draw_buffer_is_a_window_onto_the_base_stream() {
-        let mut direct = StdRng::seed_from_u64(99);
-        let mut base = StdRng::seed_from_u64(99);
-        let mut db = DrawBuffer::with_capacity(16);
-        let mut got = Vec::new();
-        // Interleave refills of varying sizes with draws, including a
-        // stretch past the buffered window (fallback path).
-        db.refill(&mut base, 5);
-        for _ in 0..3 {
-            got.push(db.next(&mut base));
-        }
-        db.refill(&mut base, 7); // 2 unconsumed carry over
-        for _ in 0..10 {
-            got.push(db.next(&mut base)); // drains past the window
-        }
-        db.refill(&mut base, 4);
-        for _ in 0..4 {
-            got.push(db.next(&mut base));
-        }
-        let want: Vec<u64> = (0..got.len()).map(|_| direct.next_u64()).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn buffered_rng_matches_direct_draws() {
-        let mut direct = StdRng::seed_from_u64(7);
-        let mut base = StdRng::seed_from_u64(7);
-        let mut db = DrawBuffer::with_capacity(64);
-        db.refill(&mut base, 40);
-        let mut br = BufferedRng::new(&mut db, &mut base);
-        for _ in 0..20 {
-            let a: f64 = br.random();
-            let b: f64 = direct.random();
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(br.random_range(0..1000u32), direct.random_range(0..1000u32));
-            let a = br.random_range(0.0..0.25f64);
-            let b = direct.random_range(0.0..0.25f64);
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Satellite: `partition_point` zone selection must agree with the
-    /// legacy linear scan for every draw, including exact boundaries.
+    /// The guide-table pick must agree with the legacy linear scan (and
+    /// with the binary search it replaced) for every draw, including
+    /// exact prefix-sum and bucket boundaries, on every catalog disk
+    /// under every placement policy.
     #[test]
     fn partition_point_matches_linear_scan_on_boundaries() {
-        let disk = crate::SimConfig::paper_reference().unwrap().disk;
-        let weights = mzd_disk::placement::PlacementPolicy::UniformByCapacity
-            .zone_weights(&disk)
-            .unwrap();
-        let tables = PlacementTables::new(&disk, &weights);
-        let legacy = |target: f64| {
-            let mut acc = 0.0;
-            let mut chosen = weights.len() - 1;
-            for (i, &w) in weights.iter().enumerate() {
-                acc += w;
-                if target < acc {
-                    chosen = i;
-                    break;
+        let catalog = [
+            mzd_disk::profiles::quantum_viking_2_1(),
+            mzd_disk::profiles::single_zone_75kb(),
+            mzd_disk::profiles::legacy_single_zone(),
+            mzd_disk::profiles::next_generation(),
+            mzd_disk::profiles::synthetic_two_to_one(),
+        ];
+        // Both neighbours of a non-negative probe, one ulp away.
+        let around = |x: f64, probes: &mut Vec<f64>| {
+            probes.push(x);
+            if x > 0.0 {
+                probes.push(f64::from_bits(x.to_bits() - 1));
+            }
+            probes.push(f64::from_bits(x.to_bits() + 1));
+        };
+        for profile in catalog {
+            let disk = profile.build().unwrap();
+            let z = disk.zone_count();
+            let mut policies = vec![
+                PlacementPolicy::UniformByCapacity,
+                PlacementPolicy::UniformByCylinder,
+            ];
+            for zones in [1, z.div_ceil(2), z] {
+                policies.push(PlacementPolicy::OuterZones { zones });
+                policies.push(PlacementPolicy::InnerZones { zones });
+            }
+            for policy in policies {
+                let weights = policy.zone_weights(&disk).unwrap();
+                let tables = PlacementTables::new(&disk, &weights);
+                let legacy = |target: f64| {
+                    let mut acc = 0.0;
+                    let mut chosen = weights.len() - 1;
+                    for (i, &w) in weights.iter().enumerate() {
+                        acc += w;
+                        if target < acc {
+                            chosen = i;
+                            break;
+                        }
+                    }
+                    chosen
+                };
+                let binary = |target: f64| {
+                    tables
+                        .cum
+                        .partition_point(|&c| c <= target)
+                        .min(tables.cum.len() - 1)
+                };
+                let mut probes = vec![0.5, 1.0 - 1e-16];
+                for &c in &tables.cum {
+                    around(c, &mut probes);
+                }
+                for b in 0..=256u32 {
+                    around(f64::from(b) / 256.0, &mut probes);
+                }
+                let mut rng = StdRng::seed_from_u64(3);
+                for _ in 0..10_000 {
+                    // A real draw: its bucket is its top 8 bits.
+                    let w = rng.next_u64();
+                    let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                    assert_eq!((w >> 56) as usize, (u * 256.0) as usize);
+                    probes.push(u);
+                }
+                for u in probes {
+                    let target = u.clamp(0.0, 1.0);
+                    let want = legacy(target);
+                    assert_eq!(binary(target), want, "binary search at u = {u:?}");
+                    // A unit draw never reaches 1.
+                    if (0.0..1.0).contains(&u) {
+                        assert_eq!(
+                            tables.zone((u * 256.0) as usize, u),
+                            want,
+                            "guide table diverged at u = {u:?} ({policy:?})"
+                        );
+                    }
                 }
             }
-            chosen
-        };
-        let fast = |target: f64| {
-            tables
-                .cum
-                .partition_point(|&c| c <= target)
-                .min(tables.cum.len() - 1)
-        };
-        let mut probes = vec![0.0, 0.5, 1.0 - 1e-16, 1.0];
-        for &c in &tables.cum {
-            // Exactly on, just below, and just above every boundary.
-            probes.push(c);
-            probes.push(f64::from_bits(c.to_bits().wrapping_sub(1)));
-            probes.push(f64::from_bits(c.to_bits() + 1));
         }
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..10_000 {
-            probes.push(rng.random());
-        }
-        for u in probes {
-            let target = u.clamp(0.0, 1.0);
-            assert_eq!(
-                fast(target),
-                legacy(target),
-                "zone selection diverged at u = {u:?}"
-            );
+    }
+
+    proptest! {
+        /// The counting sort puts a sweep in the order `sort_unstable`
+        /// gives the packed `(key << 32) | index` entries: key order,
+        /// ties in stream order.
+        #[test]
+        fn counting_sort_matches_packed_sort_unstable(
+            cylinders in prop_oneof![
+                Just(1u32),
+                Just(2u32),
+                Just(6_720u32),
+                Just(10_000u32),
+                Just(1u32 << 20),
+            ],
+            up in 0u8..2,
+            pool in 1u32..16,
+            picks in prop::collection::vec((0u32..u32::MAX, 0u8..4), 0..=600),
+        ) {
+            let top = cylinders - 1;
+            let n = picks.len();
+            let mut order = vec![0u64; n];
+            for (i, &(raw, kind)) in picks.iter().enumerate() {
+                let cylinder = match kind {
+                    0 => 0,
+                    1 => top,
+                    // Few distinct values: many ties.
+                    2 => (raw % pool) * (top / pool),
+                    _ => raw % cylinders,
+                };
+                let key = if up == 1 { cylinder } else { top - cylinder };
+                order[i] = u64::from(key) << 32 | i as u64;
+            }
+            let mut want = order.clone();
+            want.sort_unstable();
+            let mut spare = vec![0u64; n];
+            let radix = Radix::for_keys_below(cylinders);
+            prop_assert!(radix.bits <= 8);
+            prop_assert_eq!(radix.passes, match cylinders {
+                1 => 0,
+                2 => 1,
+                c if c <= 1 << 16 => 2,
+                _ => 3,
+            });
+            counting_sort(&mut order, &mut spare, n, radix);
+            prop_assert_eq!(order, want);
         }
     }
 }

@@ -14,8 +14,9 @@
 //!   sweep ordering, completion times);
 //! * [`event`] — the discrete-event core underneath every round: one
 //!   fused serve loop with its per-round identities debug-asserted,
-//!   struct-of-arrays request state in preallocated arenas, and batched
-//!   RNG draws bit-identical to per-request draws;
+//!   struct-of-arrays request state in preallocated arenas, a counting
+//!   sort into SCAN order, a guide-table zone pick, and direct draws in
+//!   the legacy per-request order;
 //! * [`engine`] — multi-round simulation with per-stream glitch accounting;
 //! * [`experiment`] — estimators for the paper's measured quantities:
 //!   `p_late` (Figure 1) and `p_error` (Table 2), with Wilson confidence
@@ -45,7 +46,6 @@ pub mod workahead;
 pub use cache_sweep::{run_point as run_cache_sweep_point, CacheSweepConfig, CacheSweepPoint};
 pub use drift::{run_drift_scenario, DriftScenarioConfig, DriftScenarioReport};
 pub use engine::{run_replicated_windows, GlitchAccounting, SimulationEngine};
-pub use event::DrawBuffer;
 pub use experiment::{
     estimate_p_error, estimate_p_late, estimate_p_late_par, PErrorEstimate, PLateEstimate,
 };

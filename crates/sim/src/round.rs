@@ -14,11 +14,11 @@
 //! after the round deadline.
 //!
 //! Since the event-core rewrite, every entry point here is a thin wrapper
-//! over the crate-private `event::EventCore` — batched RNG draws,
-//! struct-of-arrays round state and one fused serve loop — with a draw schedule
-//! bit-identical to the original per-request loop (the test-only `legacy`
-//! module below keeps the original loop verbatim as the equivalence
-//! oracle).
+//! over the crate-private `event::EventCore` — struct-of-arrays round
+//! state, a counting-sort sweep order and one fused serve loop — with a
+//! draw schedule bit-identical to the original per-request loop (the
+//! test-only `legacy` module below keeps the original loop verbatim as
+//! the equivalence oracle).
 
 use crate::event::{EventCore, RoundSizes};
 use crate::SimError;
@@ -248,7 +248,7 @@ pub struct DiscreteOutcome {
 ///
 /// Holds the arm state (position + sweep direction) across rounds; the
 /// RNG is owned so runs are reproducible from the seed. All rounds run
-/// through the discrete-event core ([`crate::event`]): batched draws,
+/// through the discrete-event core ([`crate::event`]): direct draws,
 /// preallocated struct-of-arrays state and one fused serve loop.
 ///
 /// ```
@@ -264,8 +264,7 @@ pub struct RoundSimulator {
     rng: StdRng,
     arm_position: u32,
     direction: SweepDirection,
-    /// The discrete-event round core: draw buffer, arenas, placement
-    /// tables.
+    /// The discrete-event round core: arenas, placement tables.
     core: EventCore,
     /// Rounds served so far — the logical round id of emitted events.
     rounds_run: u64,
@@ -288,8 +287,8 @@ impl RoundSimulator {
         Self::with_capacity(cfg, seed, DEFAULT_ROUND_CAPACITY)
     }
 
-    /// Create a simulator preallocating round state (arenas, draw
-    /// buffer) for up to `streams` requests per round — the server
+    /// Create a simulator preallocating round state (arenas and sort
+    /// scratch) for up to `streams` requests per round — the server
     /// passes its admission cap here. Rounds at or below that size do
     /// zero steady-state allocations; larger rounds still work and just
     /// grow the arenas once.
@@ -403,8 +402,8 @@ impl RoundSimulator {
     }
 
     /// Draw one placement under the configured policy: a zone by the
-    /// policy's weights (binary search over prefix sums), then a
-    /// cylinder uniform within the zone.
+    /// policy's weights (guide table over prefix sums), then a cylinder
+    /// uniform within the zone.
     fn place(&mut self) -> (u32, usize) {
         self.core.place(&mut self.rng)
     }
@@ -880,6 +879,24 @@ mod tests {
                 bx.time_used.to_bits(),
                 "extras time, round={round}"
             );
+        }
+    }
+
+    #[test]
+    fn event_core_matches_legacy_at_steady_shape() {
+        // The fleet benchmark's disk batch: 267 stored sizes per 8-s
+        // round, where the counting sort takes its two passes over a
+        // batch ten times the Figure-1 anchors'.
+        let mut cfg = SimConfig::paper_reference().unwrap();
+        cfg.round_length = 8.0;
+        let mut new = RoundSimulator::with_capacity(cfg.clone(), 267, 275).unwrap();
+        let mut old = legacy::LegacySimulator::new(cfg.clone(), 267);
+        let mut szrng = rand::rngs::StdRng::seed_from_u64(26);
+        for round in 0..200 {
+            let sizes: Vec<f64> = (0..267).map(|_| cfg.sizes.sample(&mut szrng)).collect();
+            let a = new.run_round_sized(&sizes);
+            let b = old.run_round_sized(&sizes);
+            assert_bit_identical(&a, &b, &format!("steady round={round}"));
         }
     }
 
