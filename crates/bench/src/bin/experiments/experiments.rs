@@ -1172,6 +1172,39 @@ fn timed(
     mzd_par::set_jobs(0);
 }
 
+/// One traced stream-round as a server's partition stage records it:
+/// `stream.round` with three arguments under the stream's root, then
+/// its disposition under that.
+fn record_stream_round(
+    tracer: &mut mzd_slo::Tracer,
+    root: &mzd_telemetry::SpanContext,
+    stream: u64,
+    round: u64,
+) {
+    let ctx = tracer.child(root);
+    tracer.record(
+        "stream.round",
+        "stream",
+        1,
+        stream,
+        round * 1_000_000,
+        1_000_000,
+        ctx,
+        &[("round", round), ("disk", stream % 4), ("fragment", round)],
+    );
+    let disposition = tracer.child(&ctx);
+    tracer.record(
+        "disk.fetch",
+        "disk",
+        1,
+        stream,
+        round * 1_000_000,
+        1_000_000,
+        disposition,
+        &[],
+    );
+}
+
 /// Measure every summary entry under `budget`. Shared by `bench-summary`
 /// (artifact generation) and `bench-check` (regression gate) so the two
 /// commands can never drift apart in what they time. Every micro-cost
@@ -1448,8 +1481,10 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
     // Span recording as a traced server round does it, per stream: a
     // `stream.round` span with three arguments under the stream's root,
     // then its disposition under that. One op is 1 000 stream-rounds
-    // over 16 streams into a fresh tracer, so it includes the chunk
-    // allocations and first touches a real run pays. Batches of ~10 ms.
+    // over 16 streams into a fresh tracer: the compute of encoding
+    // spans. Its log chunk is allocated per op, but after the first op
+    // the allocator hands back the same warm pages, so the row pays no
+    // first touch. Batches of ~10 ms.
     timed(
         &mut sim,
         "trace_record_1k_stream_rounds",
@@ -1460,32 +1495,39 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             let roots: [_; 16] = std::array::from_fn(|s| tracer.root(s as u64));
             for i in 0..1000u64 {
                 let (stream, round) = (i % 16, i / 16);
-                let ctx = tracer.child(&roots[stream as usize]);
-                tracer.record(
-                    "stream.round",
-                    "stream",
-                    1,
-                    stream,
-                    round * 1_000_000,
-                    1_000_000,
-                    ctx,
-                    &[("round", round), ("disk", stream % 4), ("fragment", round)],
-                );
-                let disposition = tracer.child(&ctx);
-                tracer.record(
-                    "disk.fetch",
-                    "disk",
-                    1,
-                    stream,
-                    round * 1_000_000,
-                    1_000_000,
-                    disposition,
-                    &[],
-                );
+                record_stream_round(&mut tracer, &roots[stream as usize], stream, round);
             }
             black_box(&tracer);
         },
     );
+    // The same spans at `observed`'s shape and volume, where memory
+    // traffic dominates: one op is a fleet pass of 16 fresh node
+    // tracers (rebased as a cluster rebases them), 25 streams each
+    // under roots a dispatcher tracer minted, and 500 rounds
+    // interleaved node by node, 200 000 stream-rounds. Fixed 160-byte
+    // records took ~32 MB an op, which the allocator gave back to the
+    // system and faulted in afresh every op (~7 500 page faults); the
+    // ~1.8 MB log stays mostly in its free lists (~70). Three ops a
+    // batch.
+    timed(&mut sim, "trace_record_fleet_pass", SERIAL, 3, || {
+        let mut fleet = mzd_slo::Tracer::new();
+        let roots: Vec<mzd_telemetry::SpanContext> = (0..16 * 25).map(|s| fleet.root(s)).collect();
+        let mut nodes: Vec<mzd_slo::Tracer> = (0..16u64)
+            .map(|i| {
+                let mut tracer = mzd_slo::Tracer::new();
+                tracer.set_span_base((i + 1) << 40);
+                tracer
+            })
+            .collect();
+        for round in 0..500 {
+            for (tracer, roots) in nodes.iter_mut().zip(roots.chunks(25)) {
+                for root in roots {
+                    record_stream_round(tracer, root, root.trace, round);
+                }
+            }
+        }
+        black_box((&fleet, &nodes));
+    });
     // The binary installs no sink and never turns profiling on; pin both
     // so these rows keep timing the disabled paths.
     mzd_telemetry::set_sink(std::sync::Arc::new(mzd_telemetry::event::NullSink));

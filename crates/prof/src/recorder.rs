@@ -147,7 +147,7 @@ fn push_u64(out: &mut String, key: &str, v: u64) {
     out.push(',');
     json::write_escaped(out, key);
     out.push(':');
-    out.push_str(&v.to_string());
+    json::write_u64(out, v);
 }
 
 fn push_f64(out: &mut String, key: &str, v: f64) {
@@ -164,7 +164,7 @@ impl RoundSnapshot {
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256 + self.disks.len() * 160);
         out.push_str("{\"round\":");
-        out.push_str(&self.round.to_string());
+        json::write_u64(&mut out, self.round);
         push_u64(&mut out, "active", self.active_streams);
         push_u64(&mut out, "waiting", self.waiting_streams);
         push_u64(&mut out, "glitches", self.glitches);
@@ -185,14 +185,14 @@ impl RoundSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&l.to_string());
+            json::write_u64(&mut out, u64::from(*l));
         }
         out.push_str("],\"rng_positions\":[");
         for (i, p) in self.rng_positions.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&p.to_string());
+            json::write_u64(&mut out, *p);
         }
         out.push_str("],\"disks\":[");
         for (i, d) in self.disks.iter().enumerate() {
@@ -200,7 +200,7 @@ impl RoundSnapshot {
                 out.push(',');
             }
             out.push_str("{\"disk\":");
-            out.push_str(&d.disk.to_string());
+            json::write_u64(&mut out, u64::from(d.disk));
             push_u64(&mut out, "requests", u64::from(d.requests));
             push_f64(&mut out, "service_time", d.service_time);
             out.push_str(",\"late\":");
@@ -213,7 +213,7 @@ impl RoundSnapshot {
             out.push('}');
         }
         out.push_str("],\"faults\":{\"media_errors\":");
-        out.push_str(&self.faults.media_errors.to_string());
+        json::write_u64(&mut out, self.faults.media_errors);
         push_u64(&mut out, "retries", self.faults.retries);
         push_u64(&mut out, "stalls", self.faults.stalls);
         push_u64(&mut out, "remaps", self.faults.remaps);

@@ -197,7 +197,8 @@ impl SimConfig {
         if let Some(r) = self.recalibration {
             if !(r.mean_interval_rounds >= 1.0) || !(r.duration >= 0.0) || !r.duration.is_finite() {
                 return Err(SimError::Invalid(format!(
-                    "recalibration needs interval >= 1 round and duration >= 0,                      got interval {} and duration {}",
+                    "recalibration needs interval >= 1 round and duration >= 0, \
+                     got interval {} and duration {}",
                     r.mean_interval_rounds, r.duration
                 )));
             }
@@ -1226,6 +1227,14 @@ mod tests {
             mean_interval_rounds: 0.5,
             duration: 0.1,
         });
+        assert_eq!(
+            cfg.validate(),
+            Err(SimError::Invalid(
+                "recalibration needs interval >= 1 round and duration >= 0, \
+                 got interval 0.5 and duration 0.1"
+                    .into()
+            ))
+        );
         assert!(RoundSimulator::new(cfg, 0).is_err());
         let mut cfg = SimConfig::paper_reference().unwrap();
         cfg.recalibration = Some(Recalibration {
