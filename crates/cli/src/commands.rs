@@ -318,7 +318,7 @@ fn serve_catalog(parsed: &Parsed) -> Result<(Vec<ObjectSpec>, Zipf), CliError> {
     Ok((catalog, zipf))
 }
 
-/// Running totals of one `serve` loop. The last three are fleet-only.
+/// Running totals of one `serve` loop. The last four are fleet-only.
 #[derive(Default)]
 struct Totals {
     stream_rounds: u64,
@@ -331,6 +331,8 @@ struct Totals {
     late_disks: u64,
     /// Rounds in which a node failed.
     failures: Vec<u64>,
+    /// Completed streams whose glitches reached the composed budget `g`.
+    over_budget: u64,
 }
 
 /// What the one `serve` loop needs from a single server or a fleet.
@@ -389,6 +391,8 @@ impl Serving for mzd_cluster::Cluster {
         if !report.failed_nodes.is_empty() {
             totals.failures.push(report.round);
         }
+        let g = self.guarantee().g;
+        totals.over_budget += report.completed.iter().filter(|c| c.glitches >= g).count() as u64;
         report.completed.len()
     }
 
@@ -778,11 +782,6 @@ fn serve_fleet(
     let totals = drive(parsed, &mut fleet, &catalog, seed, streams, rounds)?;
 
     let status = fleet.status();
-    let over_budget = fleet
-        .completed()
-        .iter()
-        .filter(|c| c.glitches >= guarantee.g)
-        .count();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -841,8 +840,8 @@ fn serve_fleet(
     );
     let _ = writeln!(
         out,
-        "  observed: {over_budget} of {} completed stream(s) exceeded the g = {} glitch budget",
-        status.completed, guarantee.g
+        "  observed: {} of {} completed stream(s) exceeded the g = {} glitch budget",
+        totals.over_budget, status.completed, guarantee.g
     );
     if let Some(h) = fleet.health_status() {
         let _ = writeln!(

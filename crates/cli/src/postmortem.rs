@@ -3,8 +3,8 @@
 //!
 //! Two audits run over every retained round:
 //!
-//! * **Identity**: per disk, `seek + rotational + transfer + stall +
-//!   fault` must reproduce `service_time` (to f64 accumulation noise) —
+//! * **Identity**: per disk, `seek + rotational + transfer + fault`
+//!   must reproduce `service_time` (to f64 accumulation noise) —
 //!   the invariant the simulator's [`mzd_sim::RoundOutcome`] maintains.
 //!   A violation means the bundle is corrupt or the recorder and
 //!   simulator disagree about the decomposition.
@@ -58,17 +58,16 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(out, "\n  round timeline (oldest retained first):");
     let _ = writeln!(
         out,
-        "  round   act wait glitch rung  burn-fast  svc(max)  seek     rot      xfer     stall    fault"
+        "  round   act wait glitch rung  burn-fast  svc(max)  seek     rot      xfer     fault"
     );
     let mut identity_violations = 0u64;
     for s in &bundle.rounds {
-        let (mut seek, mut rot, mut xfer, mut stall, mut fault) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        let (mut seek, mut rot, mut xfer, mut fault) = (0.0, 0.0, 0.0, 0.0);
         let mut svc_max: f64 = 0.0;
         for d in &s.disks {
             seek += d.seek_time;
             rot += d.rotational_time;
             xfer += d.transfer_time;
-            stall += d.stall_time;
             fault += d.fault_time;
             svc_max = svc_max.max(d.service_time);
             if !decomposition_holds(d) {
@@ -78,7 +77,7 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
         let late = s.disks.iter().any(|d| d.late);
         let _ = writeln!(
             out,
-            "  {:>6}{} {:>4} {:>4} {:>6} {:>4} {:>9.3}  {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
+            "  {:>6}{} {:>4} {:>4} {:>6} {:>4} {:>9.3}  {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
             s.round,
             if late { "!" } else { " " },
             s.active_streams,
@@ -90,13 +89,12 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
             seek,
             rot,
             xfer,
-            stall,
             fault
         );
     }
     let _ = writeln!(
         out,
-        "\n  decomposition identity (seek+rot+xfer+stall+fault = service): {}",
+        "\n  decomposition identity (seek+rot+xfer+fault = service): {}",
         if identity_violations == 0 {
             "holds on every disk-round".to_string()
         } else {
@@ -186,7 +184,7 @@ fn run_fleet(dir: &str) -> Result<String, CliError> {
         let _ = writeln!(out);
     }
 
-    // Per-node audit: the same seek+rot+xfer+stall+fault = service
+    // Per-node audit: the same seek+rot+xfer+fault = service
     // identity `--bundle` checks, run over every node's window.
     let _ = writeln!(out, "\n  per-node decomposition identity:");
     let mut total_violations = 0u64;
@@ -237,7 +235,7 @@ fn run_fleet(dir: &str) -> Result<String, CliError> {
 /// f64 accumulation noise — a relative 1e-9 covers thousands of
 /// requests while still catching any real bookkeeping error.
 fn decomposition_holds(d: &mzd_prof::DiskPhases) -> bool {
-    let sum = d.seek_time + d.rotational_time + d.transfer_time + d.stall_time + d.fault_time;
+    let sum = d.seek_time + d.rotational_time + d.transfer_time + d.fault_time;
     let tol = 1e-9 * d.service_time.abs().max(1.0);
     (sum - d.service_time).abs() <= tol
 }
@@ -354,6 +352,27 @@ mod tests {
         assert!(rendered.contains("disk=viking"), "{rendered}");
         assert!(rendered.contains("analytic decomposition"), "{rendered}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bundle_written_with_the_stall_key_still_audits() {
+        // `rounds.jsonl` and `MANIFEST.json` byte for byte as `serve`
+        // wrote them while each disk-round still carried a
+        // recalibration-stall phase (always 0): the same schema, a
+        // manifest checksum over the old lines, and one more key per disk.
+        let bundle = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/data/postmortem-stall-key"
+        );
+        let rounds = std::fs::read_to_string(format!("{bundle}/rounds.jsonl")).unwrap();
+        assert_eq!(rounds.matches(r#""stall_time":0,"#).count(), 4);
+        let rendered = run_line(&["postmortem", "--bundle", bundle]).unwrap();
+        assert!(
+            rendered.contains("trigger: manual at round 3"),
+            "{rendered}"
+        );
+        assert!(rendered.contains("holds on every disk-round"), "{rendered}");
+        assert!(rendered.contains("analytic decomposition"), "{rendered}");
     }
 
     #[test]

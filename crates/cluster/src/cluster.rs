@@ -173,7 +173,9 @@ pub enum SubmitOutcome {
     },
 }
 
-/// One stream that finished play-out, with its full fleet history.
+/// One stream that finished play-out, with its full fleet history. The
+/// round report that retires a stream carries its record; the fleet
+/// keeps no copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterCompletedStream {
     /// Cluster-wide sequence number.
@@ -331,7 +333,8 @@ pub struct Cluster {
     /// [`Cluster::refresh_views`] so a submission allocates nothing per
     /// node.
     views: Vec<NodeView>,
-    completed: Vec<ClusterCompletedStream>,
+    /// Streams that finished play-out so far.
+    completed: usize,
     next_seq: u64,
     round: u64,
     total_glitches: u64,
@@ -345,9 +348,6 @@ pub struct Cluster {
     /// The fleet (dispatcher) tracer; `None` until
     /// [`Cluster::enable_tracing`].
     tracer: Option<Tracer>,
-    /// Per-node flight-recorder handles (clones of the recorders
-    /// attached to the servers), for correlated fleet dumps.
-    recorders: Vec<Option<Recorder>>,
     /// Fleet postmortem directory; node bundles dump into
     /// `node-{i}/` subdirectories beneath it.
     fleet_dir: Option<PathBuf>,
@@ -364,9 +364,8 @@ impl Cluster {
     /// node owns an independent, reproducible RNG stream.
     ///
     /// # Errors
-    /// [`ClusterError::Invalid`] for a degenerate shape, a non-glitch-
-    /// rate target, or a lease so long the composed bound is
-    /// infeasible.
+    /// [`ClusterError::Invalid`] for a degenerate shape or a lease so
+    /// long the composed bound is infeasible.
     pub fn new(mut cfg: ClusterConfig, seed: u64) -> Result<Self, ClusterError> {
         cfg.validate()?;
         // Lift a correlated zone failure to fleet scope: the analogous
@@ -403,11 +402,7 @@ impl Cluster {
         let tables = Arc::new(ModelTables::for_config(&cfg.node)?);
         let guarantee =
             ClusterGuarantee::compose(&tables, cfg.nodes, cfg.node.disks, cfg.lease_rounds)?;
-        let admission = AdmissionController::with_limit(
-            guarantee.n_star,
-            cfg.node.round_length,
-            cfg.node.target,
-        );
+        let admission = AdmissionController::with_limit(guarantee.n_star);
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let mut node_cfg = cfg.node.clone();
@@ -430,7 +425,6 @@ impl Cluster {
         let mut sketches = SketchFleet::with_nodes(cfg.nodes);
         sketches.declare_all(SKETCH_SERVICE_TIME);
         sketches.declare_all(SKETCH_QUEUE_DEPTH);
-        let recorders = (0..cfg.nodes).map(|_| None).collect();
         Ok(Self {
             cfg,
             guarantee,
@@ -443,7 +437,7 @@ impl Cluster {
             meta: BTreeMap::new(),
             unrouted: Vec::new(),
             views: Vec::new(),
-            completed: Vec::new(),
+            completed: 0,
             next_seq: 0,
             round: 0,
             total_glitches: 0,
@@ -452,7 +446,6 @@ impl Cluster {
             metrics,
             sketches,
             tracer: None,
-            recorders,
             fleet_dir: None,
             fleet_dumps: Vec::new(),
             health: None,
@@ -591,9 +584,7 @@ impl Cluster {
             let mut s = settings.clone();
             s.out_dir = settings.out_dir.join(format!("node-{i}"));
             s.config_echo.push(("node".into(), i.to_string()));
-            let recorder = Recorder::new(s);
-            self.recorders[i as usize] = Some(recorder.clone());
-            node.attach_recorder(recorder);
+            node.attach_recorder(Recorder::new(s));
         }
     }
 
@@ -635,24 +626,28 @@ impl Cluster {
         if !self.fleet_dumps.is_empty() {
             return;
         }
-        let mut entries: Vec<(u32, Option<PathBuf>)> = Vec::with_capacity(self.recorders.len());
-        for (i, recorder) in self.recorders.iter().enumerate() {
-            let path = recorder
-                .as_ref()
-                .and_then(|r| match r.trigger_dump(trigger) {
-                    Ok(Some(p)) => Some(p),
-                    // Empty ring, dump cap, or the node's own hook (e.g.
-                    // its local fast-burn path) already dumped this kind:
-                    // reuse that bundle so the fleet manifest still
-                    // correlates it.
-                    _ => r
-                        .dumps()
-                        .into_iter()
-                        .find(|(t, _)| *t == trigger)
-                        .map(|(_, p)| p),
-                });
-            entries.push((i as u32, path));
-        }
+        let entries: Vec<(u32, Option<PathBuf>)> = self
+            .nodes
+            .iter()
+            .map(|node| {
+                let path = node
+                    .server()
+                    .recorder()
+                    .and_then(|r| match r.trigger_dump(trigger) {
+                        Ok(Some(p)) => Some(p),
+                        // Empty ring, dump cap, or the node's own hook (e.g.
+                        // its local fast-burn path) already dumped this kind:
+                        // reuse that bundle so the fleet manifest still
+                        // correlates it.
+                        _ => r
+                            .dumps()
+                            .into_iter()
+                            .find(|(t, _)| *t == trigger)
+                            .map(|(_, p)| p),
+                    });
+                (node.id(), path)
+            })
+            .collect();
         if let Ok(path) = mzd_prof::write_fleet_manifest(&dir, trigger, round, &entries) {
             self.fleet_dumps.push((trigger, path));
         }
@@ -701,12 +696,6 @@ impl Cluster {
         self.round
     }
 
-    /// Every stream that finished play-out, in completion order.
-    #[must_use]
-    pub fn completed(&self) -> &[ClusterCompletedStream] {
-        &self.completed
-    }
-
     /// Node `i`, for inspection.
     #[must_use]
     pub fn node(&self, i: u32) -> &ServerNode {
@@ -722,7 +711,7 @@ impl Cluster {
             live_nodes: self.lease.live_count(),
             active_streams: self.by_host.len(),
             waiting: self.waiting(),
-            completed: self.completed.len(),
+            completed: self.completed,
             total_glitches: self.total_glitches,
             outage_glitches: self.outage_glitches,
             migrations: self.migrations_total,
@@ -865,14 +854,13 @@ impl Cluster {
     /// Finish bookkeeping for a stream that completed play-out.
     fn finish_stream(&mut self, seq: u64) -> ClusterCompletedStream {
         let meta = self.meta.remove(&seq).expect("completed stream has meta");
-        let record = ClusterCompletedStream {
+        self.completed += 1;
+        ClusterCompletedStream {
             seq,
             glitches: meta.glitches,
             migrations: meta.migrations,
             rounds: meta.rounds_total,
-        };
-        self.completed.push(record.clone());
-        record
+        }
     }
 
     /// Evacuate node `from`: pull every hosted stream off it and
@@ -1358,13 +1346,15 @@ mod tests {
         let r0 = fleet.run_round();
         assert_eq!(r0.admitted, 1);
         assert_eq!(fleet.active_streams(), 1);
-        fleet.run_round();
+        let r1 = fleet.run_round();
         let r2 = fleet.run_round();
         assert_eq!(r2.completed.len(), 1);
         assert_eq!(r2.completed[0].seq, 0);
         assert_eq!(r2.completed[0].rounds, 3);
         assert_eq!(fleet.active_streams(), 0);
-        assert_eq!(fleet.completed().len(), 1);
+        let completed = [r0, r1, r2].map(|r| r.completed.len());
+        assert_eq!(completed, [0, 0, 1]);
+        assert_eq!(fleet.status().completed, 1);
     }
 
     #[test]

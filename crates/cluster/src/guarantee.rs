@@ -110,24 +110,18 @@ impl ClusterGuarantee {
     /// once for the composition and every node's admission controller.
     ///
     /// # Errors
-    /// [`ClusterError::Invalid`] when the target is not a glitch-rate
-    /// target, when the fleet shape is degenerate, or when no positive
-    /// `n*` satisfies the composed bound — i.e. the lease timeout
-    /// alone consumes the glitch budget (`ℓ/m` too close to `g/m`),
-    /// which is fixed by shortening the lease or loosening the target.
+    /// [`ClusterError::Invalid`] when the fleet shape is degenerate, or
+    /// when no positive `n*` satisfies the composed bound — i.e. the
+    /// lease timeout alone consumes the glitch budget (`ℓ/m` too close
+    /// to `g/m`), which is fixed by shortening the lease or loosening
+    /// the target.
     pub fn compose(
         tables: &ModelTables,
         nodes: u32,
         disks_per_node: u32,
         lease_rounds: u32,
     ) -> Result<Self, ClusterError> {
-        let QualityTarget::GlitchRate { m, g, epsilon } = tables.target() else {
-            return Err(ClusterError::Invalid(
-                "cluster guarantees compose glitch-rate targets; \
-                 a round-overrun target has no fleet-wide binomial form"
-                    .into(),
-            ));
-        };
+        let QualityTarget { m, g, epsilon } = tables.target();
         if nodes == 0 || disks_per_node == 0 {
             return Err(ClusterError::Invalid(
                 "fleet needs at least one node and one disk per node".into(),
@@ -190,7 +184,6 @@ impl ClusterGuarantee {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mzd_core::GuaranteeModel;
     use mzd_server::ServerConfig;
 
     /// The paper's reference node solved at round length `t`.
@@ -250,15 +243,6 @@ mod tests {
         assert!(msg.contains("lease"), "unhelpful error: {msg}");
         // The boundary case ℓ = g − 1 still composes.
         assert!(ClusterGuarantee::compose(&tables(), 4, 2, 9).is_ok());
-    }
-
-    #[test]
-    fn round_overrun_target_is_rejected() {
-        let model = GuaranteeModel::paper_reference().unwrap();
-        let overrun =
-            ModelTables::solve(model, 1.0, QualityTarget::RoundOverrun { delta: 0.01 }).unwrap();
-        let err = ClusterGuarantee::compose(&overrun, 4, 2, 3).unwrap_err();
-        assert!(err.to_string().contains("glitch-rate"));
     }
 
     #[test]

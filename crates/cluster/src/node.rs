@@ -101,7 +101,7 @@ impl ServerNode {
         };
         if migrated {
             // The handle was issued just above, so the stream is active.
-            let _ = self.server.set_degradable(handle, true);
+            let _ = self.server.mark_degradable(handle);
         }
         Some(handle.id())
     }

@@ -191,7 +191,6 @@ mod tests {
         let settings = RecorderSettings {
             capacity: 8,
             out_dir: base.join(format!("node-{node}")),
-            max_dumps: 4,
             config_echo: vec![("node".into(), node.to_string())],
         };
         let rec = Recorder::new(settings);

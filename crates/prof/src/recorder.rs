@@ -65,7 +65,7 @@ impl DumpTrigger {
 
 /// One disk's phase decomposition for one round — a copy of the
 /// simulator's `RoundOutcome` split (`seek + rotation + transfer +
-/// stall + fault = service_time`, exactly).
+/// fault = service_time`, exactly).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiskPhases {
     /// Disk index.
@@ -82,8 +82,6 @@ pub struct DiskPhases {
     pub rotational_time: f64,
     /// Transfer component, seconds.
     pub transfer_time: f64,
-    /// Thermal-recalibration stall component, seconds.
-    pub stall_time: f64,
     /// Injected-fault component, seconds.
     pub fault_time: f64,
 }
@@ -208,7 +206,6 @@ impl RoundSnapshot {
             push_f64(&mut out, "seek_time", d.seek_time);
             push_f64(&mut out, "rotational_time", d.rotational_time);
             push_f64(&mut out, "transfer_time", d.transfer_time);
-            push_f64(&mut out, "stall_time", d.stall_time);
             push_f64(&mut out, "fault_time", d.fault_time);
             out.push('}');
         }
@@ -277,7 +274,6 @@ impl RoundSnapshot {
                     seek_time: num(d, "seek_time"),
                     rotational_time: num(d, "rotational_time"),
                     transfer_time: num(d, "transfer_time"),
-                    stall_time: num(d, "stall_time"),
                     fault_time: num(d, "fault_time"),
                 });
             }
@@ -359,17 +355,18 @@ impl FlightRecorder {
     }
 }
 
-/// Recorder configuration: ring size, bundle destination, dump limits
-/// and the config echo replayed into every manifest.
+/// Maximum bundles one recorder dumps per run; later triggers are
+/// counted but not written.
+const MAX_DUMPS: usize = 4;
+
+/// Recorder configuration: ring size, bundle destination and the config
+/// echo replayed into every manifest.
 #[derive(Debug, Clone)]
 pub struct RecorderSettings {
     /// Rounds retained (default 64).
     pub capacity: usize,
     /// Directory bundles are written under (created on demand).
     pub out_dir: PathBuf,
-    /// Maximum bundles dumped per run; later triggers are counted but
-    /// not written (default 4).
-    pub max_dumps: usize,
     /// `(key, value)` pairs echoed into each manifest's `config` object
     /// — the run's provenance (disk profile, seed, fragment moments)
     /// so `mzd postmortem` can rebuild the analytic model.
@@ -377,13 +374,12 @@ pub struct RecorderSettings {
 }
 
 impl RecorderSettings {
-    /// Defaults: 64 rounds, 4 dumps, bundles under `dir`.
+    /// Defaults: 64 rounds, bundles under `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             capacity: 64,
             out_dir: dir.into(),
-            max_dumps: 4,
             config_echo: Vec::new(),
         }
     }
@@ -395,7 +391,7 @@ struct RecorderInner {
     settings: RecorderSettings,
     /// `(trigger, bundle path)` of every dump written.
     dumps: Vec<(DumpTrigger, PathBuf)>,
-    /// Triggers suppressed by the `max_dumps` cap or by having already
+    /// Triggers suppressed by the `MAX_DUMPS` cap or by having already
     /// dumped for the same trigger kind.
     suppressed: u64,
 }
@@ -453,9 +449,9 @@ impl Recorder {
     }
 
     /// Dump the retained window as a bundle, if the trigger is eligible:
-    /// each trigger kind dumps at most once per run, and at most
-    /// `max_dumps` bundles are written in total. Returns the bundle
-    /// directory when one was written, `None` when suppressed or empty.
+    /// each trigger kind dumps at most once per run, and at most four
+    /// bundles are written in total. Returns the bundle directory when
+    /// one was written, `None` when suppressed or empty.
     ///
     /// # Errors
     /// Propagates bundle I/O failures.
@@ -464,9 +460,7 @@ impl Recorder {
         if inner.ring.is_empty() {
             return Ok(None);
         }
-        if inner.dumps.len() >= inner.settings.max_dumps
-            || inner.dumps.iter().any(|(t, _)| *t == trigger)
-        {
+        if inner.dumps.len() >= MAX_DUMPS || inner.dumps.iter().any(|(t, _)| *t == trigger) {
             inner.suppressed += 1;
             return Ok(None);
         }
@@ -685,7 +679,6 @@ mod tests {
                 seek_time: 0.1,
                 rotational_time: 0.2,
                 transfer_time: 0.5,
-                stall_time: 0.0,
                 fault_time: 0.0,
             }],
             ..RoundSnapshot::default()
@@ -699,6 +692,35 @@ mod tests {
         let back = RoundSnapshot::parse_json_line(&line).expect("parses");
         assert_eq!(back, s);
         assert!(RoundSnapshot::parse_json_line("not json").is_none());
+    }
+
+    #[test]
+    fn lines_written_with_the_stall_key_still_parse() {
+        // A line as bundles carried it while rounds still had a
+        // recalibration-stall phase, which was always 0 (captured from
+        // `serve --rounds 4 --streams 8 --disks 2 --seed 11 --fault-profile
+        // media=0.25,retries=2,timeout=0.005`, recorder capacity 2).
+        let old = concat!(
+            r#"{"round":2,"active":8,"waiting":0,"glitches":0,"rung":0,"#,
+            r#""burn_fast":0,"burn_slow":0,"burn_long":0,"cache_hits":0,"#,
+            r#""cache_delayed_hits":0,"cache_misses":0,"cache_occupancy_bytes":0,"#,
+            r#""load":[4,4],"rng_positions":[3,3],"disks":["#,
+            r#"{"disk":0,"requests":4,"service_time":0.20182889815965982,"#,
+            r#""late":false,"seek_time":0.027328164466264623,"#,
+            r#""rotational_time":0.011750364942332194,"#,
+            r#""transfer_time":0.08425687532381247,"stall_time":0,"#,
+            r#""fault_time":0.07849349342725057},"#,
+            r#"{"disk":1,"requests":4,"service_time":0.1296163391048818,"#,
+            r#""late":false,"seek_time":0.024724958053094017,"#,
+            r#""rotational_time":0.02128118818633433,"#,
+            r#""transfer_time":0.08361019286545346,"stall_time":0,"fault_time":0}],"#,
+            r#""faults":{"media_errors":6,"retries":6,"stalls":0,"remaps":0,"#,
+            r#""failed_reads":0,"unavailable_rounds":0}}"#,
+        );
+        let snap = RoundSnapshot::parse_json_line(old).expect("parses");
+        let new = snap.to_json_line();
+        assert_eq!(new, old.replace(r#","stall_time":0"#, ""));
+        assert_eq!(RoundSnapshot::parse_json_line(&new), Some(snap));
     }
 
     #[test]
@@ -758,19 +780,22 @@ mod tests {
     fn max_dumps_caps_bundle_count() {
         let dir = std::env::temp_dir().join(format!("mzd-prof-cap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut settings = RecorderSettings::new(&dir);
-        settings.max_dumps = 1;
-        let rec = Recorder::new(settings);
+        let rec = Recorder::new(RecorderSettings::new(&dir));
         rec.push(snap(0));
-        assert!(rec
-            .trigger_dump(DumpTrigger::RoundOverrun)
-            .unwrap()
-            .is_some());
-        assert!(rec
-            .trigger_dump(DumpTrigger::DegradeEscalation)
-            .unwrap()
-            .is_none());
-        assert_eq!(rec.dumps().len(), 1);
+        // Five distinct trigger kinds: the first four dump, the fifth is
+        // over the cap.
+        let triggers = [
+            DumpTrigger::RoundOverrun,
+            DumpTrigger::DegradeEscalation,
+            DumpTrigger::SloFastBurn,
+            DumpTrigger::BudgetBreach,
+            DumpTrigger::HealthEjection,
+        ];
+        for (i, trigger) in triggers.into_iter().enumerate() {
+            let written = rec.trigger_dump(trigger).unwrap();
+            assert_eq!(written.is_some(), i < MAX_DUMPS, "{}", trigger.as_str());
+        }
+        assert_eq!(rec.dumps().len(), MAX_DUMPS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

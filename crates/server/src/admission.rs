@@ -1,74 +1,41 @@
 //! Table-driven stochastic admission control (§2.3, §5).
 //!
-//! The controller is configured with a quality target, precomputes the
-//! per-disk `N_max` from the analytic model **once**, and thereafter
-//! decides admissions with a comparison — the paper's §5 design ("a lookup
-//! table with precomputed values of N_max … incurs almost no run-time
-//! overhead").
+//! The per-disk `N_max` is solved from the analytic model **once**
+//! ([`crate::ModelTables`]); the controller then decides admissions with
+//! a comparison — the paper's §5 design ("a lookup table with
+//! precomputed values of N_max … incurs almost no run-time overhead").
 
 use crate::ServerError;
-use mzd_core::GuaranteeModel;
 
 /// Ceiling on cache-aware inflation: the enforced limit never exceeds
 /// this multiple of the analytic `N_max`, whatever the measured hit
 /// ratio.
 pub const MAX_CACHE_INFLATION: u32 = 8;
 
-/// The service-quality target the operator guarantees to clients.
+/// The service-quality target the operator guarantees to clients: a
+/// stream of `m` rounds suffers `g` or more glitches with probability at
+/// most `epsilon` (eq. 3.3.6) — the per-stream guarantee the paper
+/// advocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QualityTarget {
-    /// Bound the probability that any round overruns: `p_late ≤ delta`
-    /// (eq. 3.1.7).
-    RoundOverrun {
-        /// Tolerance on the per-round overrun probability.
-        delta: f64,
-    },
-    /// Bound the probability that a stream of `m` rounds suffers `g` or
-    /// more glitches: `p_error ≤ epsilon` (eq. 3.3.6) — the per-stream
-    /// guarantee the paper advocates.
-    GlitchRate {
-        /// Stream length in rounds (`M`).
-        m: u64,
-        /// Tolerated glitches per stream (`g`).
-        g: u64,
-        /// Tolerance on the per-stream failure probability.
-        epsilon: f64,
-    },
+pub struct QualityTarget {
+    /// Stream length in rounds (`M`).
+    pub m: u64,
+    /// Tolerated glitches per stream (`g`).
+    pub g: u64,
+    /// Tolerance on the per-stream failure probability.
+    pub epsilon: f64,
 }
 
 impl QualityTarget {
-    /// The per-disk `N_max` this target admits under `model` at
-    /// `round_length`: eq. 3.1.7 for a round-overrun target, eq. 3.3.6
-    /// for a glitch-rate target. One admission scan, one Chernoff
-    /// solve per probe.
-    ///
-    /// # Errors
-    /// Propagates model-evaluation errors (invalid `t` or thresholds).
-    pub fn n_max(&self, model: &GuaranteeModel, round_length: f64) -> Result<u32, ServerError> {
-        Ok(match *self {
-            QualityTarget::RoundOverrun { delta } => model.n_max_late(round_length, delta)?,
-            QualityTarget::GlitchRate { m, g, epsilon } => {
-                model.n_max_error(round_length, m, g, epsilon)?
-            }
-        })
-    }
-
     /// The per-stream-round glitch budget `p` this target admits — the
-    /// denominator of the SLO burn rate. For a round-overrun target a
-    /// glitch is tolerated with probability `delta` each round; for the
-    /// per-stream glitch-rate target the stream of `m` rounds tolerates
+    /// denominator of the SLO burn rate: a stream of `m` rounds tolerates
     /// `g` glitches, i.e. `g/m` per round.
     #[must_use]
     pub fn glitch_budget(&self) -> f64 {
-        match *self {
-            QualityTarget::RoundOverrun { delta } => delta,
-            QualityTarget::GlitchRate { m, g, .. } => {
-                if m == 0 {
-                    0.0
-                } else {
-                    g as f64 / m as f64
-                }
-            }
+        if self.m == 0 {
+            0.0
+        } else {
+            self.g as f64 / self.m as f64
         }
     }
 }
@@ -89,8 +56,6 @@ pub enum AdmissionDecision {
 /// Precomputed admission controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionController {
-    target: QualityTarget,
-    round_length: f64,
     per_disk_limit: u32,
     /// Cache-aware inflation: `Some(safety)` admits up to
     /// `N_max / (1 − h·(1−safety))` per disk, `h` the measured
@@ -105,39 +70,15 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// Derive the per-disk limit from the analytic model for the given
-    /// target and round length. This is the only expensive call (one
-    /// admission scan, [`QualityTarget::n_max`]: one Chernoff
-    /// optimization per candidate `N`, a few dozen at 1-s rounds and a
-    /// few hundred at 8-s rounds); store the controller and decide in
-    /// O(1) afterwards.
-    ///
-    /// # Errors
-    /// Propagates model-evaluation errors (invalid `t` or thresholds).
-    pub fn from_model(
-        model: &GuaranteeModel,
-        round_length: f64,
-        target: QualityTarget,
-    ) -> Result<Self, ServerError> {
-        Ok(Self::with_limit(
-            target.n_max(model, round_length)?,
-            round_length,
-            target,
-        ))
-    }
-
-    /// Build a controller enforcing an explicitly supplied per-disk
-    /// limit instead of deriving it from the model. Used where the limit
-    /// is already solved — a server's [`crate::ModelTables`] — or folds
+    /// Build a controller enforcing a per-disk limit already solved from
+    /// the model — a server's [`crate::ModelTables`] — or one that folds
     /// in effects the single-node model cannot see — e.g. a cluster's
     /// composed guarantee, which charges the glitch budget for
     /// lease-timeout outage and migration latency before solving for the
     /// feasible per-disk stream count.
     #[must_use]
-    pub fn with_limit(per_disk_limit: u32, round_length: f64, target: QualityTarget) -> Self {
+    pub fn with_limit(per_disk_limit: u32) -> Self {
         Self {
-            target,
-            round_length,
             per_disk_limit,
             cache_safety: None,
             hit_ratio_lower_bound: 0.0,
@@ -227,12 +168,6 @@ impl AdmissionController {
         inflated.min(cap).floor() as u32
     }
 
-    /// The round length the limit was computed for, seconds.
-    #[must_use]
-    pub fn round_length(&self) -> f64 {
-        self.round_length
-    }
-
     /// Decide whether one more stream fits, given the current per-disk
     /// stream counts. O(D).
     ///
@@ -258,46 +193,34 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelTables;
+    use mzd_core::GuaranteeModel;
 
-    fn model() -> GuaranteeModel {
-        GuaranteeModel::paper_reference().unwrap()
-    }
+    /// The paper's §4 target: at most 12 glitches in 1 200 rounds with
+    /// probability 0.99.
+    const PAPER: QualityTarget = QualityTarget {
+        m: 1200,
+        g: 12,
+        epsilon: 0.01,
+    };
 
-    #[test]
-    fn overrun_target_reproduces_paper_limit() {
-        let c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
-        assert_eq!(c.per_disk_limit(), 26);
-        assert_eq!(c.round_length(), 1.0);
+    /// A controller on the paper's reference model at 1-s rounds, with
+    /// the limit `target` solves to.
+    fn controller(target: QualityTarget) -> AdmissionController {
+        let model = GuaranteeModel::paper_reference().unwrap();
+        let tables = ModelTables::solve(model, 1.0, target).unwrap();
+        AdmissionController::with_limit(tables.per_disk_limit())
     }
 
     #[test]
     fn glitch_target_reproduces_paper_limit() {
-        let c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::GlitchRate {
-                m: 1200,
-                g: 12,
-                epsilon: 0.01,
-            },
-        )
-        .unwrap();
-        assert_eq!(c.per_disk_limit(), 28);
+        assert_eq!(controller(PAPER).per_disk_limit(), 28);
     }
 
     #[test]
     fn decisions_respect_the_most_loaded_disk() {
-        let c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.01 },
-        )
-        .unwrap();
+        // Three glitches per 1 200 rounds solves to N_max = 26.
+        let c = controller(QualityTarget { g: 3, ..PAPER });
         assert_eq!(c.decide(&[0, 0, 0]), AdmissionDecision::Admit);
         assert_eq!(c.decide(&[25, 25, 25]), AdmissionDecision::Admit);
         // One full offset doesn't block admission — the new stream takes a
@@ -314,16 +237,7 @@ mod tests {
 
     #[test]
     fn cache_aware_mode_inflates_conservatively() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::GlitchRate {
-                m: 1200,
-                g: 12,
-                epsilon: 0.01,
-            },
-        )
-        .unwrap();
+        let mut c = controller(PAPER);
         let base = c.per_disk_limit();
         assert_eq!(base, 28);
         assert!(!c.is_cache_aware());
@@ -363,18 +277,9 @@ mod tests {
 
     #[test]
     fn glitch_budget_matches_target_semantics() {
-        assert_eq!(
-            QualityTarget::RoundOverrun { delta: 0.01 }.glitch_budget(),
-            0.01
-        );
-        let t = QualityTarget::GlitchRate {
-            m: 1200,
-            g: 12,
-            epsilon: 0.01,
-        };
-        assert!((t.glitch_budget() - 0.01).abs() < 1e-15);
+        assert!((PAPER.glitch_budget() - 0.01).abs() < 1e-15);
         // Degenerate zero-length stream: no budget rather than a NaN.
-        let t = QualityTarget::GlitchRate {
+        let t = QualityTarget {
             m: 0,
             g: 3,
             epsilon: 0.01,
@@ -387,16 +292,7 @@ mod tests {
         // The measured hit ratio fed into cache-aware admission is the
         // Wilson lower bound from mzd-cache; pin its edge cases and the
         // limits they induce end to end.
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::GlitchRate {
-                m: 1200,
-                g: 12,
-                epsilon: 0.01,
-            },
-        )
-        .unwrap();
+        let mut c = controller(PAPER);
         let base = c.per_disk_limit();
         c.enable_cache_aware(0.0).unwrap();
 
@@ -422,16 +318,7 @@ mod tests {
 
     #[test]
     fn eight_x_cap_boundary() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::GlitchRate {
-                m: 1200,
-                g: 12,
-                epsilon: 0.01,
-            },
-        )
-        .unwrap();
+        let mut c = controller(PAPER);
         let base = c.per_disk_limit();
         c.enable_cache_aware(0.0).unwrap();
         // Exactly at the cap: h = 1 − 1/8 = 0.875 gives inflation 8×.
@@ -449,16 +336,7 @@ mod tests {
 
     #[test]
     fn freeze_restores_analytic_limit_and_thaws_cleanly() {
-        let mut c = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::GlitchRate {
-                m: 1200,
-                g: 12,
-                epsilon: 0.01,
-            },
-        )
-        .unwrap();
+        let mut c = controller(PAPER);
         let base = c.per_disk_limit();
         c.enable_cache_aware(0.0).unwrap();
         c.set_hit_ratio_lower_bound(0.5);
@@ -486,18 +364,8 @@ mod tests {
 
     #[test]
     fn stricter_targets_admit_fewer() {
-        let loose = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.05 },
-        )
-        .unwrap();
-        let strict = AdmissionController::from_model(
-            &model(),
-            1.0,
-            QualityTarget::RoundOverrun { delta: 0.001 },
-        )
-        .unwrap();
+        let loose = controller(QualityTarget { g: 60, ..PAPER });
+        let strict = controller(QualityTarget { g: 1, ..PAPER });
         assert!(strict.per_disk_limit() < loose.per_disk_limit());
     }
 }

@@ -162,7 +162,7 @@ impl ServerConfig {
             disk,
             disks,
             round_length: 1.0,
-            target: QualityTarget::GlitchRate {
+            target: QualityTarget {
                 m: 1200,
                 g: 12,
                 epsilon: 0.01,
@@ -262,7 +262,7 @@ pub struct RoundReport {
     /// 0-based round index.
     pub round: u64,
     /// Per-disk summaries, carrying the full phase decomposition
-    /// (`seek + rotational + transfer + stall + fault == service_time`
+    /// (`seek + rotational + transfer + fault == service_time`
     /// exactly — the invariant `mzd postmortem` audits).
     pub disks: Vec<mzd_prof::DiskPhases>,
     /// Stream ids that glitched this round.
@@ -418,8 +418,7 @@ impl VideoServer {
 
     fn build(cfg: ServerConfig, seed: u64, tables: Arc<ModelTables>) -> Result<Self, ServerError> {
         let layout = StripingLayout::new(cfg.disks)?;
-        let mut admission =
-            AdmissionController::with_limit(tables.per_disk_limit(), cfg.round_length, cfg.target);
+        let mut admission = AdmissionController::with_limit(tables.per_disk_limit());
         let cache = match &cfg.cache {
             Some(settings) if settings.capacity_bytes > 0.0 => Some(
                 FragmentCache::new(CacheConfig {
@@ -455,7 +454,6 @@ impl VideoServer {
             round_length: cfg.round_length,
             seek_policy: SeekPolicy::Scan,
             placement: mzd_disk::PlacementPolicy::UniformByCapacity,
-            recalibration: None,
             faults: None,
         };
         // Preallocate each simulator's round state for the admission cap
@@ -524,12 +522,11 @@ impl VideoServer {
     }
 
     /// Attach the SLO layer: a burn-rate engine over the admitted glitch
-    /// budget, optional online model-conformance checking, and optional
-    /// causal tracing. Replaces any previously attached SLO state.
+    /// budget, online model-conformance checking, and optional causal
+    /// tracing. Replaces any previously attached SLO state.
     ///
     /// # Errors
-    /// [`ServerError::Invalid`] for degenerate burn or conformance
-    /// configuration.
+    /// [`ServerError::Invalid`] for a degenerate burn configuration.
     pub fn enable_slo(&mut self, settings: SloSettings) -> Result<(), ServerError> {
         self.slo = Some(SloState::new(settings)?);
         Ok(())
@@ -921,13 +918,9 @@ impl VideoServer {
     ///
     /// # Errors
     /// [`ServerError::UnknownStream`] if the handle is not active.
-    pub fn set_degradable(
-        &mut self,
-        handle: StreamHandle,
-        degradable: bool,
-    ) -> Result<(), ServerError> {
+    pub fn mark_degradable(&mut self, handle: StreamHandle) -> Result<(), ServerError> {
         let i = self.session_index(handle)?;
-        self.sessions[i].degradable = degradable;
+        self.sessions[i].degradable = true;
         Ok(())
     }
 
@@ -1183,7 +1176,6 @@ impl VideoServer {
                 seek_time: out.seek_time,
                 rotational_time: out.rotational_time,
                 transfer_time: out.transfer_time,
-                stall_time: out.stall_time,
                 fault_time: out.fault_time,
             });
             for &slot in &out.glitched_streams {
@@ -1279,33 +1271,29 @@ impl VideoServer {
                 mzd_telemetry::emit(event);
             }
         }
-        if slo.conformance.is_some() {
-            for ds in disks.iter().filter(|ds| ds.requests > 0) {
-                let Some(drift) = slo.observe_sweep(&self.tables, ds.requests, ds.service_time)
-                else {
-                    continue;
-                };
-                if drift == Transition::Raised {
-                    slo.metrics.drifts.inc();
-                }
-                if mzd_telemetry::events_enabled() {
-                    let (ks, tail) = slo.conformance_stats();
-                    mzd_telemetry::emit(
-                        mzd_telemetry::Event::new("slo.drift")
-                            .str("transition", drift.as_str())
-                            .u64("round", round)
-                            .u64("disk", u64::from(ds.disk))
-                            .f64("ks", ks)
-                            .f64("tail_exceedance", tail),
-                    );
-                }
+        for ds in disks.iter().filter(|ds| ds.requests > 0) {
+            let Some(drift) = slo.observe_sweep(&self.tables, ds.requests, ds.service_time) else {
+                continue;
+            };
+            if drift == Transition::Raised {
+                slo.metrics.drifts.inc();
             }
-            let (ks, tail) = slo.conformance_stats();
-            slo.metrics.ks.set(ks);
-            slo.metrics.tail.set(tail);
+            if mzd_telemetry::events_enabled() {
+                let (ks, tail) = slo.conformance_stats();
+                mzd_telemetry::emit(
+                    mzd_telemetry::Event::new("slo.drift")
+                        .str("transition", drift.as_str())
+                        .u64("round", round)
+                        .u64("disk", u64::from(ds.disk))
+                        .f64("ks", ks)
+                        .f64("tail_exceedance", tail),
+                );
+            }
         }
+        let (ks, tail) = slo.conformance_stats();
+        slo.metrics.ks.set(ks);
+        slo.metrics.tail.set(tail);
         if mzd_telemetry::events_enabled() {
-            let (ks, tail) = slo.conformance_stats();
             mzd_telemetry::emit(
                 mzd_telemetry::Event::new("slo.round")
                     .u64("round", round)
@@ -1672,9 +1660,14 @@ mod tests {
     #[test]
     fn overloaded_server_would_glitch_hence_rejection_matters() {
         // Force a config with a vacuous target to show the machinery: a
-        // loose delta admits more streams and they do glitch.
+        // stream that may glitch in half its rounds admits more streams,
+        // and they do glitch.
         let mut cfg = ServerConfig::paper_reference(1).unwrap();
-        cfg.target = QualityTarget::RoundOverrun { delta: 1.0 };
+        cfg.target = QualityTarget {
+            m: 1200,
+            g: 600,
+            epsilon: 0.5,
+        };
         let mut s = VideoServer::new(cfg, 6).unwrap();
         let limit = s.admission().per_disk_limit();
         assert!(limit > 40, "vacuous target admits a lot, got {limit}");

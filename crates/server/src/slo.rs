@@ -40,9 +40,6 @@ pub struct SloSettings {
     /// Burn-rate engine configuration. [`SloSettings::for_target`]
     /// derives the budget from the admission target.
     pub burn: BurnConfig,
-    /// Online model-conformance checking; `None` skips the per-round
-    /// exact-CDF evaluations entirely.
-    pub conformance: Option<ConformanceConfig>,
     /// Whether to record causal spans for Chrome trace export.
     pub tracing: bool,
 }
@@ -50,13 +47,13 @@ pub struct SloSettings {
 impl SloSettings {
     /// Default settings for an admission target: burn windows/factors
     /// from [`BurnConfig::for_budget`] on the target's glitch budget,
-    /// conformance on with defaults, tracing off.
+    /// tracing off. Conformance always runs, with
+    /// [`ConformanceConfig::default`].
     #[must_use]
     pub fn for_target(target: QualityTarget) -> Self {
         let budget = target.glitch_budget();
         Self {
             burn: BurnConfig::for_budget(if budget > 0.0 { budget } else { 1e-9 }),
-            conformance: Some(ConformanceConfig::default()),
             tracing: false,
         }
     }
@@ -82,12 +79,11 @@ pub struct SloStatus {
     pub burn_slow: f64,
     /// Burn rate over the long reporting window.
     pub burn_long: f64,
-    /// Whether model drift is flagged right now (false when conformance
-    /// is disabled).
+    /// Whether model drift is flagged right now.
     pub drift_active: bool,
     /// Drift alarms raised so far.
     pub drifts_raised: u64,
-    /// KS-style PIT uniformity deviation (0 when conformance is off).
+    /// KS-style PIT uniformity deviation.
     pub ks_statistic: f64,
     /// Observed fraction of sweeps beyond the monitored model quantile.
     pub tail_exceedance: f64,
@@ -132,9 +128,8 @@ impl SloMetrics {
 #[derive(Debug)]
 pub(crate) struct SloState {
     pub burn: BurnRateEngine,
-    /// The PIT window over each busy disk's sweep; `None` when
-    /// conformance is off.
-    pub conformance: Option<ConformanceChecker>,
+    /// The PIT window over each busy disk's sweep.
+    conformance: ConformanceChecker,
     pub tracer: Option<Tracer>,
     /// Root span per live stream (tracing only).
     stream_roots: HashMap<u64, SpanContext>,
@@ -144,13 +139,9 @@ pub(crate) struct SloState {
 impl SloState {
     pub(crate) fn new(settings: SloSettings) -> Result<Self, mzd_slo::SloError> {
         let burn = BurnRateEngine::new(settings.burn)?;
-        let conformance = settings
-            .conformance
-            .map(ConformanceChecker::new)
-            .transpose()?;
         Ok(Self {
             burn,
-            conformance,
+            conformance: ConformanceChecker::new(ConformanceConfig::default())?,
             tracer: settings.tracing.then(Tracer::new),
             stream_roots: HashMap::new(),
             metrics: SloMetrics::new(),
@@ -161,26 +152,25 @@ impl SloState {
     /// observed service time pushed through `tables`' predicted CDF for
     /// its batch size (the PIT). An unbuildable table maps to NaN, which
     /// the checker counts as an exceedance rather than silently dropping.
-    /// `None` when conformance is off or its state did not change.
+    /// `None` when its state did not change.
     pub(crate) fn observe_sweep(
         &mut self,
         tables: &ModelTables,
         requests: u32,
         service_time: f64,
     ) -> Option<Transition> {
-        let conformance = self.conformance.as_mut()?;
         let u = tables
             .cdf_for(requests)
             .map_or(f64::NAN, |c| c.evaluate(service_time));
-        conformance.observe(u)
+        self.conformance.observe(u)
     }
 
-    /// KS statistic and tail exceedance of the conformance window, both
-    /// 0 when conformance is off.
+    /// KS statistic and tail exceedance of the conformance window.
     pub(crate) fn conformance_stats(&self) -> (f64, f64) {
-        self.conformance
-            .as_ref()
-            .map_or((0.0, 0.0), |c| (c.ks_statistic(), c.tail_exceedance()))
+        (
+            self.conformance.ks_statistic(),
+            self.conformance.tail_exceedance(),
+        )
     }
 
     /// The root span context of a stream, minted on first sight unless
@@ -269,14 +259,8 @@ impl SloState {
             burn_fast: self.burn.burn_fast(),
             burn_slow: self.burn.burn_slow(),
             burn_long: self.burn.burn_long(),
-            drift_active: self
-                .conformance
-                .as_ref()
-                .is_some_and(ConformanceChecker::drift_active),
-            drifts_raised: self
-                .conformance
-                .as_ref()
-                .map_or(0, ConformanceChecker::drifts_raised),
+            drift_active: self.conformance.drift_active(),
+            drifts_raised: self.conformance.drifts_raised(),
             ks_statistic,
             tail_exceedance,
             over_admission_frozen,
@@ -291,25 +275,25 @@ mod tests {
 
     #[test]
     fn settings_derive_budget_from_target() {
-        let s = SloSettings::for_target(QualityTarget::GlitchRate {
+        let paper = QualityTarget {
             m: 1200,
             g: 12,
             epsilon: 0.01,
-        });
+        };
+        let s = SloSettings::for_target(paper);
         assert!((s.burn.budget - 0.01).abs() < 1e-15);
-        assert!(s.conformance.is_some());
         assert!(!s.tracing);
         assert!(
-            SloSettings::for_target(QualityTarget::RoundOverrun { delta: 0.02 })
+            SloSettings::for_target(QualityTarget { g: 24, ..paper })
                 .burn
                 .budget
                 > 0.019
         );
         // Degenerate budget clamps instead of failing validation.
-        let s = SloSettings::for_target(QualityTarget::GlitchRate {
+        let s = SloSettings::for_target(QualityTarget {
             m: 0,
             g: 1,
-            epsilon: 0.01,
+            ..paper
         });
         assert!(s.burn.budget > 0.0);
         assert!(s.with_tracing(true).tracing);
@@ -317,8 +301,12 @@ mod tests {
 
     #[test]
     fn state_builds_and_reports_idle_status() {
-        let settings =
-            SloSettings::for_target(QualityTarget::RoundOverrun { delta: 0.01 }).with_tracing(true);
+        let target = QualityTarget {
+            m: 1200,
+            g: 12,
+            epsilon: 0.01,
+        };
+        let settings = SloSettings::for_target(target).with_tracing(true);
         let mut st = SloState::new(settings).unwrap();
         let status = st.status(false);
         assert!(!status.alert_active);

@@ -31,9 +31,8 @@ pub struct ModelTables {
     model: GuaranteeModel,
     round_length: f64,
     target: QualityTarget,
-    per_disk_limit: u32,
-    /// `b_glitch(k)` at index `k − 1` for `k` up to the limit, kept from
-    /// a glitch-rate target's scan; empty for a round-overrun target.
+    /// `b_glitch(k)` at index `k − 1` for `k` up to the per-disk limit,
+    /// kept from the admission scan; its length is the limit.
     glitch_bounds: Vec<f64>,
     /// `F_n` at index `n − 1`, for every `n` a disk batch can reach under
     /// the limit (cache-aware inflation included). `None` inside a set
@@ -54,19 +53,13 @@ impl ModelTables {
         round_length: f64,
         target: QualityTarget,
     ) -> Result<Self, ServerError> {
-        let (per_disk_limit, glitch_bounds) = match target {
-            QualityTarget::GlitchRate { m, g, epsilon } => {
-                let prefix = model.p_glitch_prefix(round_length, m, g, epsilon)?;
-                (prefix.len() as u32, prefix)
-            }
-            QualityTarget::RoundOverrun { .. } => (target.n_max(&model, round_length)?, Vec::new()),
-        };
-        let cells = per_disk_limit as usize * MAX_CACHE_INFLATION as usize;
+        let QualityTarget { m, g, epsilon } = target;
+        let glitch_bounds = model.p_glitch_prefix(round_length, m, g, epsilon)?;
+        let cells = glitch_bounds.len() * MAX_CACHE_INFLATION as usize;
         Ok(Self {
             model,
             round_length,
             target,
-            per_disk_limit,
             glitch_bounds,
             cdfs: (0..cells).map(|_| OnceLock::new()).collect(),
         })
@@ -113,14 +106,12 @@ impl ModelTables {
     /// any cache-aware inflation).
     #[must_use]
     pub fn per_disk_limit(&self) -> u32 {
-        self.per_disk_limit
+        self.glitch_bounds.len() as u32
     }
 
     /// The per-round glitch bounds `b_glitch(k, t)` of eq. 3.3.3 for
     /// `k = 1..=`[`Self::per_disk_limit`], kept from the eq. 3.3.6 scan
-    /// that solved a glitch-rate target's limit
-    /// ([`GuaranteeModel::p_glitch_prefix`]); empty for a round-overrun
-    /// target.
+    /// that solved the limit ([`GuaranteeModel::p_glitch_prefix`]).
     #[must_use]
     pub fn glitch_bounds(&self) -> &[f64] {
         &self.glitch_bounds
@@ -152,9 +143,16 @@ impl ModelTables {
 mod tests {
     use super::*;
 
+    /// The paper's reference model at 1-s rounds under a three-glitch
+    /// target, which solves to N_max = 26.
     fn tables() -> ModelTables {
         let model = GuaranteeModel::paper_reference().unwrap();
-        ModelTables::solve(model, 1.0, QualityTarget::RoundOverrun { delta: 0.01 }).unwrap()
+        let target = QualityTarget {
+            m: 1200,
+            g: 3,
+            epsilon: 0.01,
+        };
+        ModelTables::solve(model, 1.0, target).unwrap()
     }
 
     #[test]
@@ -203,7 +201,7 @@ mod tests {
         other.admission_size_mean = 300_000.0;
         assert!(!st.fits(&other).unwrap());
         let mut other = cfg.clone();
-        other.target = QualityTarget::RoundOverrun { delta: 0.01 };
+        other.target.g = 3;
         assert!(!st.fits(&other).unwrap());
         // The fleet constructor refuses them; a fitting config is served.
         let st = std::sync::Arc::new(st);

@@ -74,7 +74,6 @@ impl Fold {
                 d.seek_time,
                 d.rotational_time,
                 d.transfer_time,
-                d.stall_time,
                 d.fault_time,
             ] {
                 self.f64(v);
@@ -218,7 +217,7 @@ fn full_layer_round_is_pinned() {
             completions: 140,
             alerts_and_drifts: (0, 1),
             rung_and_shed: (0, 0),
-            digest: 0x16bd_d93a_b7e9_75c1,
+            digest: 0x011d_b786_77c0_bb81,
         },
         "digest {:#018x}",
         got.digest
@@ -239,7 +238,7 @@ fn full_layer_round_is_pinned_under_interval_caching() {
             completions: 140,
             alerts_and_drifts: (0, 1),
             rung_and_shed: (0, 0),
-            digest: 0x8ada_d1e5_4744_5acc,
+            digest: 0xaf02_517a_a9fc_46ec,
         },
         "digest {:#018x}",
         got.digest
@@ -260,7 +259,7 @@ fn full_layer_round_is_pinned_under_cost_aware_caching() {
             completions: 140,
             alerts_and_drifts: (1, 1),
             rung_and_shed: (4, 14),
-            digest: 0x9b95_93b1_2d2a_df9a,
+            digest: 0x6a4a_1f5a_5300_219a,
         },
         "digest {:#018x}",
         got.digest

@@ -139,7 +139,6 @@ pub fn run_point(cfg: &CacheSweepConfig, seed: u64) -> Result<CacheSweepPoint, S
         round_length: cfg.round_length,
         seek_policy: SeekPolicy::Scan,
         placement: mzd_disk::PlacementPolicy::UniformByCapacity,
-        recalibration: None,
         faults: None,
     };
     let mut disk = RoundSimulator::new(sim_cfg, seed.wrapping_add(1))?;

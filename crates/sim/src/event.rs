@@ -12,10 +12,10 @@
 //!    logical clock. The serve loop walks the sweep once and advances
 //!    the clock through those phases in that order — the round's
 //!    service time is SEEK + Σ T_rot,i + Σ T_trans,i (eq. 3.1.1) plus
-//!    the stall and fault terms. Debug builds assert that every phase
-//!    time is finite and non-negative (the clock never runs backwards)
-//!    and that the service time equals stall + seek + rotational +
-//!    transfer + fault on every round.
+//!    the fault term. Debug builds assert that every phase time is
+//!    finite and non-negative (the clock never runs backwards) and that
+//!    the service time equals seek + rotational + transfer + fault on
+//!    every round.
 //! 2. **Struct-of-arrays state, counting-sort sweep order.** Per-request
 //!    fields live in parallel preallocated arrays (`cylinder[]`,
 //!    `zone[]`, `bytes[]`, `rotational[]`) reused across rounds. SCAN
@@ -24,12 +24,12 @@
 //!    passes of at most 8 bits as the disk's cylinder count needs, so
 //!    ties keep stream order exactly as the legacy stable sort does and
 //!    steady-state rounds allocate nothing.
-//! 3. **Direct draws.** Placement, fragment size, rotational latency
-//!    and the recalibration draw take their words straight from the
-//!    simulator's seeded stream, in the legacy per-request order and
-//!    through the vendored `rand` recipes (top 53 bits for a unit
-//!    `f64`, `start + u·(end − start)` with its round-up guard for a
-//!    range), so every seeded anchor is byte-stable.
+//! 3. **Direct draws.** Placement, fragment size and rotational
+//!    latency take their words straight from the simulator's seeded
+//!    stream, in the legacy per-request order and through the vendored
+//!    `rand` recipes (top 53 bits for a unit `f64`, `start + u·(end −
+//!    start)` with its round-up guard for a range), so every seeded
+//!    anchor is byte-stable.
 //! 4. **Guide-table zone pick.** A 256-entry guide table maps a draw's
 //!    top 8 bits — exactly `⌊u·256⌋` of its unit `f64` `u` — to the
 //!    lowest zone that bucket can pick; a short forward walk over the
@@ -293,8 +293,8 @@ impl EventCore {
     ///
     /// The draw schedule is exactly the legacy per-request sequence —
     /// zone, cylinder, [size when drawn from a law,] rotational latency
-    /// per request in stream order, then the recalibration draw — so a
-    /// seeded run is byte-identical to the pre-event-core simulator.
+    /// per request in stream order — so a seeded run is byte-identical
+    /// to the pre-event-core simulator.
     pub(crate) fn round<R: Rng + ?Sized>(
         &mut self,
         cfg: &SimConfig,
@@ -319,13 +319,6 @@ impl EventCore {
             self.arena.bytes[i] = bytes;
             self.arena.rotational[i] = rotational;
         }
-
-        // The recalibration draw follows all request draws, exactly as
-        // the legacy loop ordered it.
-        let stall = match cfg.recalibration {
-            Some(r) if rng.random::<f64>() < 1.0 / r.mean_interval_rounds => r.duration,
-            _ => 0.0,
-        };
 
         let arena = &mut self.arena;
         match cfg.seek_policy {
@@ -358,7 +351,7 @@ impl EventCore {
         if let Some(inj) = injector.as_deref_mut() {
             inj.begin_round();
         }
-        let mut clock = stall;
+        let mut clock = 0.0;
         let mut seek_total = 0.0;
         let mut rot_total = 0.0;
         let mut trans_total = 0.0;
@@ -411,9 +404,9 @@ impl EventCore {
         *arm = pos;
         *direction = direction.reversed();
         debug_assert!(
-            (clock - (stall + seek_total + rot_total + trans_total + fault_total)).abs()
+            (clock - (seek_total + rot_total + trans_total + fault_total)).abs()
                 <= 1e-9 * clock.max(1.0),
-            "service time {clock} != stall {stall} + seek {seek_total} + rot {rot_total} \
+            "service time {clock} != seek {seek_total} + rot {rot_total} \
              + transfer {trans_total} + fault {fault_total}"
         );
         RoundOutcome {
@@ -423,7 +416,6 @@ impl EventCore {
             seek_time: seek_total,
             rotational_time: rot_total,
             transfer_time: trans_total,
-            stall_time: stall,
             fault_time: fault_total,
         }
     }

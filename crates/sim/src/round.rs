@@ -133,11 +133,6 @@ pub struct SimConfig {
     pub seek_policy: SeekPolicy,
     /// Where fragments live on the disk.
     pub placement: PlacementPolicy,
-    /// Optional thermal-recalibration model (\[RW94\]: drives of the era
-    /// paused for tens to hundreds of milliseconds every few tens of
-    /// seconds to re-measure head alignment — a classic hazard for
-    /// real-time service that AV-rated drives suppressed).
-    pub recalibration: Option<Recalibration>,
     /// Optional fault injection: media-error rereads, transient stalls,
     /// unavailability windows, remap detours and chaos scenarios
     /// ([`mzd_fault::FaultConfig`]). `None` — and a config whose profile
@@ -146,17 +141,6 @@ pub struct SimConfig {
     /// ignored here: the per-disk simulator injects whatever it is
     /// given.)
     pub faults: Option<FaultConfig>,
-}
-
-/// Thermal-recalibration behaviour: every round, with probability
-/// `1/mean_interval_rounds`, the disk stalls for `duration` seconds
-/// before serving its sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Recalibration {
-    /// Mean rounds between recalibrations (geometric).
-    pub mean_interval_rounds: f64,
-    /// Stall duration, seconds.
-    pub duration: f64,
 }
 
 impl SimConfig {
@@ -175,7 +159,6 @@ impl SimConfig {
             round_length: 1.0,
             seek_policy: SeekPolicy::Scan,
             placement: PlacementPolicy::UniformByCapacity,
-            recalibration: None,
             faults: None,
         })
     }
@@ -194,15 +177,6 @@ impl SimConfig {
         self.placement
             .validate(&self.disk)
             .map_err(|e| SimError::Invalid(e.to_string()))?;
-        if let Some(r) = self.recalibration {
-            if !(r.mean_interval_rounds >= 1.0) || !(r.duration >= 0.0) || !r.duration.is_finite() {
-                return Err(SimError::Invalid(format!(
-                    "recalibration needs interval >= 1 round and duration >= 0, \
-                     got interval {} and duration {}",
-                    r.mean_interval_rounds, r.duration
-                )));
-            }
-        }
         if let Some(f) = &self.faults {
             f.validate().map_err(|e| SimError::Invalid(e.to_string()))?;
         }
@@ -227,9 +201,6 @@ pub struct RoundOutcome {
     pub rotational_time: f64,
     /// Decomposition: total transfer time.
     pub transfer_time: f64,
-    /// Decomposition: thermal-recalibration stall, if one fired this
-    /// round (0 otherwise).
-    pub stall_time: f64,
     /// Decomposition: time added by injected faults — retry rereads,
     /// backoff waits, transient stalls and remap detours (0 when no
     /// injector is configured or no fault fired).
@@ -508,7 +479,6 @@ impl RoundSimulator {
                     .f64("seek", outcome.seek_time)
                     .f64("rot", outcome.rotational_time)
                     .f64("transfer", outcome.transfer_time)
-                    .f64("stall", outcome.stall_time)
                     .f64("fault", outcome.fault_time)
                     .bool("late", outcome.late)
                     .u64_list("glitched", &glitched),
@@ -667,10 +637,6 @@ mod legacy {
                 },
                 SeekPolicy::Fcfs => {}
             }
-            let stall = match self.cfg.recalibration {
-                Some(r) if self.rng.random::<f64>() < 1.0 / r.mean_interval_rounds => r.duration,
-                _ => 0.0,
-            };
             let disk = &self.cfg.disk;
             let curve = disk.seek_curve();
             let deadline = self.cfg.round_length;
@@ -679,7 +645,7 @@ mod legacy {
             if let Some(inj) = injector.as_deref_mut() {
                 inj.begin_round();
             }
-            let mut clock = stall;
+            let mut clock = 0.0;
             let mut seek_total = 0.0;
             let mut rot_total = 0.0;
             let mut trans_total = 0.0;
@@ -721,7 +687,6 @@ mod legacy {
                 seek_time: seek_total,
                 rotational_time: rot_total,
                 transfer_time: trans_total,
-                stall_time: stall,
                 fault_time: fault_total,
             }
         }
@@ -758,11 +723,6 @@ mod tests {
             a.transfer_time.to_bits(),
             b.transfer_time.to_bits(),
             "{ctx}: transfer"
-        );
-        assert_eq!(
-            a.stall_time.to_bits(),
-            b.stall_time.to_bits(),
-            "{ctx}: stall"
         );
         assert_eq!(
             a.fault_time.to_bits(),
@@ -821,14 +781,6 @@ mod tests {
     #[test]
     fn event_core_matches_legacy_across_policies() {
         let variants: Vec<(&str, SimConfig)> = vec![
-            {
-                let mut c = SimConfig::paper_reference().unwrap();
-                c.recalibration = Some(Recalibration {
-                    mean_interval_rounds: 12.0,
-                    duration: 0.2,
-                });
-                ("recalibration", c)
-            },
             {
                 let mut c = SimConfig::paper_reference().unwrap();
                 c.seek_policy = SeekPolicy::Fcfs;
@@ -915,11 +867,7 @@ mod tests {
         let mut s = sim(2);
         for _ in 0..50 {
             let out = s.run_round(27);
-            let sum = out.seek_time
-                + out.rotational_time
-                + out.transfer_time
-                + out.stall_time
-                + out.fault_time;
+            let sum = out.seek_time + out.rotational_time + out.transfer_time + out.fault_time;
             assert!((out.service_time - sum).abs() < 1e-9);
         }
     }
@@ -932,11 +880,7 @@ mod tests {
         let mut fault_seen = 0.0;
         for _ in 0..200 {
             let out = s.run_round(27);
-            let sum = out.seek_time
-                + out.rotational_time
-                + out.transfer_time
-                + out.stall_time
-                + out.fault_time;
+            let sum = out.seek_time + out.rotational_time + out.transfer_time + out.fault_time;
             assert!((out.service_time - sum).abs() < 1e-9);
             fault_seen += out.fault_time;
         }
@@ -1222,79 +1166,5 @@ mod tests {
         let mut cfg = SimConfig::paper_reference().unwrap();
         cfg.round_length = 0.0;
         assert!(RoundSimulator::new(cfg, 0).is_err());
-        let mut cfg = SimConfig::paper_reference().unwrap();
-        cfg.recalibration = Some(Recalibration {
-            mean_interval_rounds: 0.5,
-            duration: 0.1,
-        });
-        assert_eq!(
-            cfg.validate(),
-            Err(SimError::Invalid(
-                "recalibration needs interval >= 1 round and duration >= 0, \
-                 got interval 0.5 and duration 0.1"
-                    .into()
-            ))
-        );
-        assert!(RoundSimulator::new(cfg, 0).is_err());
-        let mut cfg = SimConfig::paper_reference().unwrap();
-        cfg.recalibration = Some(Recalibration {
-            mean_interval_rounds: 30.0,
-            duration: f64::NAN,
-        });
-        assert!(RoundSimulator::new(cfg, 0).is_err());
-    }
-
-    #[test]
-    fn recalibration_stalls_show_up_at_the_right_rate() {
-        let mut cfg = SimConfig::paper_reference().unwrap();
-        cfg.recalibration = Some(Recalibration {
-            mean_interval_rounds: 20.0,
-            duration: 0.25,
-        });
-        let mut s = RoundSimulator::new(cfg, 12).unwrap();
-        let rounds = 4000;
-        let mut stalled = 0u32;
-        for _ in 0..rounds {
-            let out = s.run_round(10);
-            if out.stall_time > 0.0 {
-                assert_eq!(out.stall_time, 0.25);
-                stalled += 1;
-            }
-        }
-        let rate = f64::from(stalled) / f64::from(rounds);
-        assert!((rate - 0.05).abs() < 0.01, "stall rate {rate}");
-    }
-
-    #[test]
-    fn recalibration_erodes_the_guarantee() {
-        // At N = 26 the clean drive almost never overruns; a 250 ms
-        // recalibration every ~30 rounds pushes p_late to roughly the
-        // stall rate times the probability the stall tips the round over.
-        let clean = {
-            let mut s = sim(13);
-            let mut late = 0;
-            for _ in 0..3000 {
-                if s.run_round(26).late {
-                    late += 1;
-                }
-            }
-            late
-        };
-        let mut cfg = SimConfig::paper_reference().unwrap();
-        cfg.recalibration = Some(Recalibration {
-            mean_interval_rounds: 30.0,
-            duration: 0.25,
-        });
-        let mut s = RoundSimulator::new(cfg, 13).unwrap();
-        let mut late = 0;
-        for _ in 0..3000 {
-            if s.run_round(26).late {
-                late += 1;
-            }
-        }
-        assert!(
-            late > clean + 20,
-            "recalibration late {late} vs clean {clean}"
-        );
     }
 }

@@ -2,7 +2,6 @@
 //! round outcome under randomized configurations.
 
 use mzd_disk::PlacementPolicy;
-use mzd_sim::round::Recalibration;
 use mzd_sim::{MixedConfig, MixedSimulator, RoundSimulator, SeekPolicy, SimConfig};
 use mzd_workload::SizeDistribution;
 use proptest::prelude::*;
@@ -17,19 +16,14 @@ fn arb_config() -> impl Strategy<Value = SimConfig> {
             Just(PlacementPolicy::OuterZones { zones: 5 }),
             Just(PlacementPolicy::InnerZones { zones: 5 }),
         ],
-        prop::option::of((2.0f64..100.0, 0.0f64..0.5)),
         50_000.0f64..600_000.0,
         0.1f64..1.2,
     )
-        .prop_map(|(round_length, seek_policy, placement, recal, mean, cv)| {
+        .prop_map(|(round_length, seek_policy, placement, mean, cv)| {
             let mut cfg = SimConfig::paper_reference().expect("valid");
             cfg.round_length = round_length;
             cfg.seek_policy = seek_policy;
             cfg.placement = placement;
-            cfg.recalibration = recal.map(|(interval, duration)| Recalibration {
-                mean_interval_rounds: interval,
-                duration,
-            });
             cfg.sizes = SizeDistribution::gamma(mean, (mean * cv).powi(2)).expect("valid");
             cfg
         })
@@ -51,7 +45,7 @@ proptest! {
             prop_assert!(out.seek_time >= 0.0);
             prop_assert!(out.rotational_time >= 0.0);
             prop_assert!(out.transfer_time >= 0.0);
-            prop_assert!(out.stall_time >= 0.0);
+            prop_assert!(out.fault_time >= 0.0);
             prop_assert_eq!(out.late, out.service_time > cfg.round_length);
             prop_assert!(out.glitched_streams.len() <= n as usize);
             for &g in &out.glitched_streams {
@@ -60,7 +54,7 @@ proptest! {
             let sum = out.seek_time
                 + out.rotational_time
                 + out.transfer_time
-                + out.stall_time;
+                + out.fault_time;
             prop_assert!((out.service_time - sum).abs() < 1e-9);
             // Rotational latency per request is bounded by one revolution.
             prop_assert!(

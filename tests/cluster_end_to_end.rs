@@ -166,15 +166,17 @@ fn composed_p_error_holds_over_long_horizon() {
     assert!(guarantee.p_error_stream <= 0.01);
     fill(&mut fleet, m);
     let rounds = 2400u64;
+    let mut completed = Vec::new();
     for _ in 0..rounds {
         let r = fleet.run_round();
         // Constant offered load: replace completed play-outs.
         for _ in &r.completed {
             fleet.submit(object(m)).unwrap();
         }
+        completed.extend(r.completed);
     }
     assert!(fleet.round() >= 2048);
-    let completed = fleet.completed();
+    assert_eq!(fleet.status().completed, completed.len());
     assert!(
         completed.len() >= 100,
         "need a population to judge the bound, got {}",

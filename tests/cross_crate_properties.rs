@@ -145,8 +145,7 @@ proptest! {
         ).expect("valid");
         let out = sim.run_round(n);
         prop_assert!(out.service_time >= 0.0);
-        let sum = out.seek_time + out.rotational_time + out.transfer_time + out.stall_time
-            + out.fault_time;
+        let sum = out.seek_time + out.rotational_time + out.transfer_time + out.fault_time;
         prop_assert!((out.service_time - sum).abs() < 1e-9);
         prop_assert!(out.glitched_streams.len() <= n as usize);
         prop_assert_eq!(out.late, out.service_time > 1.0);

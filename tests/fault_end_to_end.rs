@@ -139,7 +139,7 @@ fn ramp_glitch_rate(ladder: bool, seed: u64) -> f64 {
         handles.push(h);
     }
     for h in &handles {
-        server.set_degradable(*h, true).expect("known stream");
+        server.mark_degradable(*h).expect("known stream");
     }
     let (mut glitches, mut served_rounds) = (0u64, 0u64);
     for round in 0..512u64 {

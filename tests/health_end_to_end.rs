@@ -61,6 +61,7 @@ fn run_scenario(health: bool) -> RunOutcome {
     }
     let mut fingerprint = Vec::with_capacity(ROUNDS as usize);
     let mut min_effective = guarantee.fleet_capacity;
+    let mut completed = Vec::new();
     for _ in 0..ROUNDS {
         let report = fleet.run_round();
         fingerprint.push((
@@ -75,8 +76,8 @@ fn run_scenario(health: bool) -> RunOutcome {
         if let Some(h) = fleet.health_status() {
             min_effective = min_effective.min(h.recomposed.effective_capacity);
         }
+        completed.extend(report.completed);
     }
-    let completed = fleet.completed();
     let over = completed
         .iter()
         .filter(|c| c.glitches >= guarantee.g)

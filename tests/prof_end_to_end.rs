@@ -106,11 +106,7 @@ fn recorded_phases_reproduce_the_simulator_decomposition() {
         assert_eq!(rec.rotational_time, obs.rotational_time);
         assert_eq!(rec.transfer_time, obs.transfer_time);
         // And the phases must close the decomposition identity.
-        let sum = rec.seek_time
-            + rec.rotational_time
-            + rec.transfer_time
-            + rec.stall_time
-            + rec.fault_time;
+        let sum = rec.seek_time + rec.rotational_time + rec.transfer_time + rec.fault_time;
         let tol = 1e-9 * rec.service_time.max(1.0);
         assert!(
             (sum - rec.service_time).abs() <= tol,
@@ -144,7 +140,6 @@ fn chaos_run_fires_a_triggered_dump() {
         hysteresis: 16,
         ..settings.burn
     };
-    settings.conformance = None;
     server.enable_slo(settings).expect("slo enables");
     server.attach_recorder(mzd_prof::Recorder::new(mzd_prof::RecorderSettings::new(
         &dir,

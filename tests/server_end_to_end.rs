@@ -65,7 +65,13 @@ fn heterogeneous_catalog_round_trip() {
     let mut cfg = ServerConfig::paper_reference(2).expect("valid config");
     cfg.admission_size_mean = mean;
     cfg.admission_size_variance = var;
-    cfg.target = QualityTarget::RoundOverrun { delta: 0.01 };
+    // Three glitches per 1 200 rounds: 26 per disk on the paper's 200 KB
+    // reference workload.
+    cfg.target = QualityTarget {
+        m: 1200,
+        g: 3,
+        epsilon: 0.01,
+    };
     let mut server = VideoServer::new(cfg, 3).expect("valid server");
     // The heavier pooled workload must admit fewer streams per disk than
     // the paper's 200 KB reference.
@@ -114,10 +120,16 @@ fn per_disk_load_stays_balanced_under_churn() {
 fn glitch_rate_scales_with_admission_threshold() {
     // A server run past the paper's limit (loose target) must glitch more
     // than one at the limit — the stochastic guarantee is doing real work.
+    // Three glitches per 1 200 rounds admits 26 per disk; 120 admits 32.
+    let target = |g| QualityTarget {
+        m: 1200,
+        g,
+        epsilon: 0.01,
+    };
     let mut strict_cfg = ServerConfig::paper_reference(1).expect("valid");
-    strict_cfg.target = QualityTarget::RoundOverrun { delta: 0.01 };
+    strict_cfg.target = target(3);
     let mut loose_cfg = ServerConfig::paper_reference(1).expect("valid");
-    loose_cfg.target = QualityTarget::RoundOverrun { delta: 0.9 };
+    loose_cfg.target = target(120);
 
     let mut strict = VideoServer::new(strict_cfg, 5).expect("valid");
     let mut loose = VideoServer::new(loose_cfg, 5).expect("valid");

@@ -103,7 +103,6 @@ fn fast_burn_alert_freezes_cache_aware_over_admission_until_it_clears() {
         hysteresis: 32,
         ..settings.burn
     };
-    settings.conformance = None; // drift is covered by the sim scenario
     server.enable_slo(settings).expect("slo enables");
 
     // Phase 1 — warm up: 28 lockstep readers of one hot title. All but
