@@ -172,7 +172,7 @@ impl AdmissionController {
     /// stream counts. O(D).
     ///
     /// All streams rotate over the disks in lockstep (one fragment per
-    /// round, stride 1), so a round's per-disk load vector is always a
+    /// round, one disk on), so a round's per-disk load vector is always a
     /// rotation of the start-offset histogram: a new stream permanently
     /// adds one to exactly one *offset*. It fits iff some offset is below
     /// the per-disk limit — i.e. iff the least-loaded disk has headroom.

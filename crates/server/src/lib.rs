@@ -4,9 +4,8 @@
 //! The architecture follows §2 and §5 of the paper:
 //!
 //! * **Data layout** ([`striping`]) — coarse-grained round-robin striping
-//!   of each object's fragments across all `D` disks (cluster size 1,
-//!   stride 1), so consecutive rounds of one stream hit consecutive disks
-//!   and load stays balanced.
+//!   of each object's fragments across all `D` disks, so consecutive
+//!   rounds of one stream hit consecutive disks and load stays balanced.
 //! * **Admission control** ([`admission`]) — a table-driven controller
 //!   (§5: precomputed `N_max` per tolerance) that admits a new stream only
 //!   if every disk stays at or below the per-disk limit derived from the

@@ -4,67 +4,30 @@
 //! `d₀` lives on disk `(d₀ + k) mod D`: consecutive fragments — consumed
 //! in consecutive rounds — hit consecutive disks, a stream imposes
 //! exactly one request per round on exactly one disk, and staggered start
-//! disks keep the per-disk multiprogramming level balanced.
-//! [`StripingLayout::with_geometry`] generalizes this to the cluster/
-//! stride family the paper cites.
+//! disks keep the per-disk multiprogramming level balanced. Every stream
+//! steps one disk per round in lockstep, which is why admission only has
+//! to check the least-loaded disk.
 
 use crate::ServerError;
 
-/// The fragment→disk map: the general coarse-grained striping family of
-/// \[BGM94\]/\[ÖRS96\], `disk(k) = (start + ⌊k/cluster⌋·stride) mod D`.
-/// The paper's scheme (§2.1) is the `cluster = 1, stride = 1` special
-/// case; larger clusters keep a stream on one disk for several
-/// consecutive rounds (fewer arm hand-offs, lumpier short-term balance),
-/// and strides > 1 stagger successive segments across the array.
+/// The fragment→disk map of §2.1: `disk(k) = (start + k) mod D`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripingLayout {
     disks: u32,
-    cluster: u32,
-    stride: u32,
-    /// `stride mod disks`: the disk step between clusters, reduced once
-    /// so [`Self::next_disk`] never divides.
-    step: u32,
 }
 
 impl StripingLayout {
-    /// The paper's layout over `disks ≥ 1` disks (cluster 1, stride 1).
+    /// The paper's layout over `disks ≥ 1` disks.
     ///
     /// # Errors
     /// [`ServerError::Invalid`] for zero disks.
     pub fn new(disks: u32) -> Result<Self, ServerError> {
-        Self::with_geometry(disks, 1, 1)
-    }
-
-    /// A general layout. `stride` must be coprime with `disks` so every
-    /// object visits every disk (the load-balancing property §2.1 relies
-    /// on); `cluster ≥ 1`.
-    ///
-    /// # Errors
-    /// [`ServerError::Invalid`] for zero disks/cluster/stride or a stride
-    /// sharing a factor with the disk count.
-    pub fn with_geometry(disks: u32, cluster: u32, stride: u32) -> Result<Self, ServerError> {
         if disks == 0 {
             return Err(ServerError::Invalid(
                 "a server needs at least one disk".into(),
             ));
         }
-        if cluster == 0 || stride == 0 {
-            return Err(ServerError::Invalid(
-                "cluster and stride must be at least 1".into(),
-            ));
-        }
-        if gcd(stride, disks) != 1 {
-            return Err(ServerError::Invalid(format!(
-                "stride {stride} shares a factor with the disk count {disks}: \
-                 objects would never touch some disks"
-            )));
-        }
-        Ok(Self {
-            disks,
-            cluster,
-            stride,
-            step: stride % disks,
-        })
+        Ok(Self { disks })
     }
 
     /// Number of disks.
@@ -73,57 +36,27 @@ impl StripingLayout {
         self.disks
     }
 
-    /// Fragments per cluster (consecutive fragments on one disk).
-    #[must_use]
-    pub fn cluster(&self) -> u32 {
-        self.cluster
-    }
-
-    /// Disk step between consecutive clusters.
-    #[must_use]
-    pub fn stride(&self) -> u32 {
-        self.stride
-    }
-
     /// The disk holding fragment `fragment` of an object whose fragment 0
     /// is on `start_disk`.
     #[must_use]
     pub fn disk_of_fragment(&self, start_disk: u32, fragment: u32) -> u32 {
-        let segment = u64::from(fragment / self.cluster);
-        let step = (segment * u64::from(self.stride)) % u64::from(self.disks);
-        (start_disk + step as u32) % self.disks
+        let d = u64::from(self.disks);
+        ((u64::from(start_disk) + u64::from(fragment) % d) % d) as u32
     }
 
-    /// The disk holding fragment `fragment + 1`, given `disk`, the disk
-    /// holding fragment `fragment` — how a session steps through the
-    /// layout one round at a time without re-deriving its disk. Divides
-    /// only when the layout clusters fragments.
+    /// The disk holding the fragment after the one on `disk` — how a
+    /// session steps through the layout one round at a time without
+    /// re-deriving its disk.
     #[must_use]
-    pub fn next_disk(&self, disk: u32, fragment: u32) -> u32 {
+    pub fn next_disk(&self, disk: u32) -> u32 {
         debug_assert!(disk < self.disks, "disk {disk} out of range");
-        if self.cluster > 1 && (u64::from(fragment) + 1) % u64::from(self.cluster) != 0 {
-            return disk;
-        }
-        // `disk + step` wraps past the last disk exactly when `disk`
-        // is at least `disks - step` (> 0, since `step < disks`).
-        let wrap = self.disks - self.step;
-        if disk >= wrap {
-            disk - wrap
+        let next = disk + 1;
+        if next == self.disks {
+            0
         } else {
-            disk + self.step
+            next
         }
     }
-}
-
-/// Greatest common divisor (Euclid).
-fn gcd(a: u32, b: u32) -> u32 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 #[cfg(test)]
@@ -136,71 +69,18 @@ mod tests {
     }
 
     #[test]
-    fn geometry_validation() {
-        assert!(StripingLayout::with_geometry(4, 0, 1).is_err());
-        assert!(StripingLayout::with_geometry(4, 1, 0).is_err());
-        // stride 2 with 4 disks: objects would only see 2 disks.
-        assert_eq!(
-            StripingLayout::with_geometry(4, 1, 2),
-            Err(ServerError::Invalid(
-                "stride 2 shares a factor with the disk count 4: \
-                 objects would never touch some disks"
-                    .into()
-            ))
-        );
-        // stride 3 with 4 disks is coprime: fine.
-        let s = StripingLayout::with_geometry(4, 2, 3).unwrap();
-        assert_eq!((s.cluster(), s.stride()), (2, 3));
-    }
-
-    #[test]
-    fn cluster_keeps_streams_on_one_disk_for_cluster_rounds() {
-        let s = StripingLayout::with_geometry(4, 3, 1).unwrap();
-        let seq: Vec<u32> = (0..12).map(|k| s.disk_of_fragment(0, k)).collect();
-        assert_eq!(seq, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
-    fn coprime_stride_visits_every_disk() {
-        let s = StripingLayout::with_geometry(5, 1, 3).unwrap();
-        let mut seen = std::collections::BTreeSet::new();
-        for k in 0..5 {
-            seen.insert(s.disk_of_fragment(1, k));
-        }
-        assert_eq!(seen.len(), 5, "stride 3 must cover all 5 disks");
-        // Order: 1, 4, 2, 0, 3.
-        let seq: Vec<u32> = (0..5).map(|k| s.disk_of_fragment(1, k)).collect();
-        assert_eq!(seq, vec![1, 4, 2, 0, 3]);
-    }
-
-    #[test]
-    fn paper_layout_is_cluster_1_stride_1() {
-        let s = StripingLayout::new(4).unwrap();
-        assert_eq!((s.cluster(), s.stride()), (1, 1));
-        let general = StripingLayout::with_geometry(4, 1, 1).unwrap();
-        for k in 0..16 {
-            assert_eq!(s.disk_of_fragment(2, k), general.disk_of_fragment(2, k));
-        }
-    }
-
-    #[test]
     fn next_disk_steps_match_disk_of_fragment() {
         for disks in 1..=8u32 {
-            for cluster in 1..=4u32 {
-                for stride in (1..=2 * disks + 1).filter(|&s| gcd(s, disks) == 1) {
-                    let s = StripingLayout::with_geometry(disks, cluster, stride).unwrap();
-                    for start in 0..disks {
-                        let mut disk = start;
-                        for f in 0..40u32 {
-                            assert_eq!(
-                                disk,
-                                s.disk_of_fragment(start, f),
-                                "{disks} disks, cluster {cluster}, stride {stride}, \
-                                 start {start}, fragment {f}"
-                            );
-                            disk = s.next_disk(disk, f);
-                        }
-                    }
+            let s = StripingLayout::new(disks).unwrap();
+            for start in 0..disks {
+                let mut disk = start;
+                for f in 0..40u32 {
+                    assert_eq!(
+                        disk,
+                        s.disk_of_fragment(start, f),
+                        "{disks} disks, start {start}, fragment {f}"
+                    );
+                    disk = s.next_disk(disk);
                 }
             }
         }
@@ -208,10 +88,17 @@ mod tests {
 
     #[test]
     fn no_fragment_index_overflow() {
-        let s = StripingLayout::with_geometry(7, 2, 5).unwrap();
-        // u32::MAX fragments: the u64 arithmetic must not wrap.
-        let d = s.disk_of_fragment(3, u32::MAX);
-        assert!(d < 7);
+        // u32::MAX = 7 · 613 566 756 + 3, so the last fragment of an
+        // object starting on disk 3 sits on disk 6.
+        let s = StripingLayout::new(7).unwrap();
+        assert_eq!(s.disk_of_fragment(3, u32::MAX), 6);
+        // Start and fragment offset together pass u32::MAX on the widest
+        // layout: the sum must not wrap.
+        let wide = StripingLayout::new(u32::MAX).unwrap();
+        assert_eq!(
+            wide.disk_of_fragment(u32::MAX - 1, u32::MAX - 1),
+            u32::MAX - 2
+        );
     }
 
     #[test]
