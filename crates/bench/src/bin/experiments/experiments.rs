@@ -538,7 +538,8 @@ pub fn ablate_placement(budget: Budget) {
 /// A5 — temporal-correlation ablation: i.i.d. fragments (the §3.3
 /// assumption) vs scene-correlated GOP traces at matched marginals.
 pub fn ablate_correlation(budget: Budget) {
-    use mzd_sim::SimulationEngine;
+    use mzd_sim::engine::run_window_traced;
+    use mzd_sim::RoundSimulator;
     use mzd_workload::gop::GopModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -603,12 +604,12 @@ pub fn ablate_correlation(budget: Budget) {
         // Split the run into 1200-round windows: each window yields n
         // per-stream glitch-count samples for the p_error estimate.
         let windows = (rounds / window).max(1);
-        let mut engine = SimulationEngine::new(SimConfig::paper_reference().expect("valid"), 9_000)
+        let mut sim = RoundSimulator::new(SimConfig::paper_reference().expect("valid"), 9_000)
             .expect("valid");
         let mut failures = 0u64;
         let mut late_rounds = 0u64;
         for _ in 0..windows {
-            let acc = engine.run_window_traced(traces, window);
+            let acc = run_window_traced(&mut sim, traces, window);
             late_rounds += acc.late_rounds;
             failures += acc
                 .glitches_per_stream

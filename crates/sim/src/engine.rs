@@ -1,12 +1,12 @@
 //! Multi-round simulation with per-stream glitch accounting.
 //!
-//! [`SimulationEngine`] drives a [`RoundSimulator`] over many rounds and
-//! aggregates what the paper's §4 experiments measure: the distribution of
-//! the round service time, the rate of late rounds, and — for stream
-//! lifetimes of `M` rounds — the per-stream glitch counts that define
-//! `p_error`.
+//! [`run_window`] and its siblings drive a [`RoundSimulator`] over many
+//! rounds and aggregate what the paper's §4 experiments measure: the
+//! distribution of the round service time, the rate of late rounds, and
+//! — for stream lifetimes of `M` rounds — the per-stream glitch counts
+//! that define `p_error`.
 
-use crate::round::{RoundSimulator, SimConfig};
+use crate::round::{RoundOutcome, RoundSimulator, SimConfig};
 use crate::SimError;
 use mzd_numerics::stats::OnlineStats;
 
@@ -26,6 +26,41 @@ pub struct GlitchAccounting {
 }
 
 impl GlitchAccounting {
+    /// No rounds yet, over `streams` streams with no glitches.
+    #[must_use]
+    pub fn new(streams: usize) -> Self {
+        Self {
+            rounds: 0,
+            late_rounds: 0,
+            glitches_per_stream: vec![0; streams],
+            service_time: OnlineStats::new(),
+            seek_time: OnlineStats::new(),
+        }
+    }
+
+    /// Account one round.
+    pub fn record(&mut self, out: &RoundOutcome) {
+        self.rounds += 1;
+        self.service_time.push(out.service_time);
+        self.seek_time.push(out.seek_time);
+        if out.late {
+            self.late_rounds += 1;
+        }
+        for &s in &out.glitched_streams {
+            self.glitches_per_stream[s as usize] += 1;
+        }
+    }
+
+    /// Append another window: its rounds add up, its per-stream counts
+    /// follow this window's, and its round statistics merge in.
+    pub fn absorb(&mut self, w: GlitchAccounting) {
+        self.rounds += w.rounds;
+        self.late_rounds += w.late_rounds;
+        self.glitches_per_stream.extend(w.glitches_per_stream);
+        self.service_time.merge(&w.service_time);
+        self.seek_time.merge(&w.seek_time);
+    }
+
     /// Fraction of rounds that overran.
     #[must_use]
     pub fn p_late(&self) -> f64 {
@@ -57,121 +92,67 @@ impl GlitchAccounting {
     }
 }
 
-/// Drives rounds and aggregates statistics.
-#[derive(Debug)]
-pub struct SimulationEngine {
-    sim: RoundSimulator,
+/// Run `rounds` rounds of `sim` with `n` concurrent streams, accounting
+/// glitches per stream (stream ids are stable across the window — this
+/// models `n` streams whose lifetime spans the window, as in the paper's
+/// Table 2 setup where all streams run for `M` rounds).
+pub fn run_window(sim: &mut RoundSimulator, n: u32, rounds: u64) -> GlitchAccounting {
+    let mut acc = GlitchAccounting::new(n as usize);
+    for _ in 0..rounds {
+        acc.record(&sim.run_round(n));
+    }
+    acc
 }
 
-impl SimulationEngine {
-    /// Create an engine over the given configuration and seed.
-    ///
-    /// # Errors
-    /// Propagates configuration validation.
-    pub fn new(cfg: SimConfig, seed: u64) -> Result<Self, SimError> {
-        Ok(Self {
-            sim: RoundSimulator::new(cfg, seed)?,
-        })
-    }
-
-    /// Run `rounds` rounds with `n` concurrent streams, accounting
-    /// glitches per stream (stream ids are stable across the window —
-    /// this models `n` streams whose lifetime spans the window, as in the
-    /// paper's Table 2 setup where all streams run for `M` rounds).
-    pub fn run_window(&mut self, n: u32, rounds: u64) -> GlitchAccounting {
-        let mut acc = GlitchAccounting {
-            rounds,
-            late_rounds: 0,
-            glitches_per_stream: vec![0; n as usize],
-            service_time: OnlineStats::new(),
-            seek_time: OnlineStats::new(),
-        };
-        for _ in 0..rounds {
-            let out = self.sim.run_round(n);
-            acc.service_time.push(out.service_time);
-            acc.seek_time.push(out.seek_time);
-            if out.late {
-                acc.late_rounds += 1;
-            }
-            for &s in &out.glitched_streams {
-                acc.glitches_per_stream[s as usize] += 1;
-            }
+/// Run a window where each stream's fragment sizes come from its own
+/// recorded trace, played sequentially (wrapping) — preserving the
+/// temporal correlation of real VBR video that the i.i.d. draws of
+/// [`run_window`] idealize away (§3.3 assumes independence; this entry
+/// point measures what correlation costs).
+///
+/// Stream `i` in round `r` requests `traces[i].size(r mod len_i)` bytes.
+pub fn run_window_traced(
+    sim: &mut RoundSimulator,
+    traces: &[mzd_workload::Trace],
+    rounds: u64,
+) -> GlitchAccounting {
+    let mut acc = GlitchAccounting::new(traces.len());
+    let mut sizes = vec![0.0f64; traces.len()];
+    for r in 0..rounds {
+        for (i, t) in traces.iter().enumerate() {
+            sizes[i] = t.size((r % t.len() as u64) as usize);
         }
-        acc
+        acc.record(&sim.run_round_sized(&sizes));
     }
+    acc
+}
 
-    /// Run a window where each stream's fragment sizes come from its own
-    /// recorded trace, played sequentially (wrapping) — preserving the
-    /// temporal correlation of real VBR video that the i.i.d. draws of
-    /// [`Self::run_window`] idealize away (§3.3 assumes independence; this
-    /// entry point measures what correlation costs).
-    ///
-    /// Stream `i` in round `r` requests `traces[i].size(r mod len_i)`
-    /// bytes.
-    pub fn run_window_traced(
-        &mut self,
-        traces: &[mzd_workload::Trace],
-        rounds: u64,
-    ) -> GlitchAccounting {
-        let n = traces.len();
-        let mut acc = GlitchAccounting {
-            rounds,
-            late_rounds: 0,
-            glitches_per_stream: vec![0; n],
-            service_time: OnlineStats::new(),
-            seek_time: OnlineStats::new(),
-        };
-        let mut sizes = vec![0.0f64; n];
-        for r in 0..rounds {
-            for (i, t) in traces.iter().enumerate() {
-                sizes[i] = t.size((r % t.len() as u64) as usize);
-            }
-            let out = self.sim.run_round_sized(&sizes);
-            acc.service_time.push(out.service_time);
-            acc.seek_time.push(out.seek_time);
-            if out.late {
-                acc.late_rounds += 1;
-            }
-            for &s in &out.glitched_streams {
-                acc.glitches_per_stream[s as usize] += 1;
-            }
-        }
-        acc
+/// Run `batches` consecutive windows of `m` rounds each with `n`
+/// streams, concatenating the per-stream glitch counts — yielding
+/// `batches × n` independent stream-lifetime samples for `p_error`
+/// estimation (Table 2).
+pub fn run_stream_lifetimes(
+    sim: &mut RoundSimulator,
+    n: u32,
+    m: u64,
+    batches: u32,
+) -> GlitchAccounting {
+    let mut all = GlitchAccounting::new(0);
+    for _ in 0..batches {
+        all.absorb(run_window(sim, n, m));
     }
-
-    /// Run `batches` independent windows of `m` rounds each with `n`
-    /// streams, concatenating the per-stream glitch counts — yielding
-    /// `batches × n` independent stream-lifetime samples for `p_error`
-    /// estimation (Table 2).
-    pub fn run_stream_lifetimes(&mut self, n: u32, m: u64, batches: u32) -> GlitchAccounting {
-        let mut all = GlitchAccounting {
-            rounds: 0,
-            late_rounds: 0,
-            glitches_per_stream: Vec::with_capacity(batches as usize * n as usize),
-            service_time: OnlineStats::new(),
-            seek_time: OnlineStats::new(),
-        };
-        for _ in 0..batches {
-            let w = self.run_window(n, m);
-            all.rounds += w.rounds;
-            all.late_rounds += w.late_rounds;
-            all.glitches_per_stream.extend(w.glitches_per_stream);
-            all.service_time.merge(&w.service_time);
-            all.seek_time.merge(&w.seek_time);
-        }
-        all
-    }
+    all
 }
 
 /// Run `reps` independent replications of an `n`-stream window totalling
 /// `rounds` rounds, fanned out across the worker pool.
 ///
-/// Replication `i` gets its own engine seeded
+/// Replication `i` gets its own simulator seeded
 /// `mzd_par::derive_seed(seed, i)` and `rounds / reps` rounds, with the
 /// remainder spread over the first replications. Results merge in
 /// replication order: per-stream glitch counts concatenate (yielding
-/// `reps × n` stream samples, as in [`SimulationEngine::run_stream_lifetimes`])
-/// and the round statistics merge. The output is a pure function of
+/// `reps × n` stream samples, as in [`run_stream_lifetimes`]) and the
+/// round statistics merge. The output is a pure function of
 /// `(cfg, n, rounds, reps, seed)` — the worker count only moves
 /// wall-clock time, and `reps = 1` runs the very same code path as a
 /// wide fan-out.
@@ -190,23 +171,12 @@ pub fn run_replicated_windows(
     let extra = rounds % reps;
     let parts = mzd_par::par_map_indexed(reps as usize, |i| {
         let share = base + u64::from((i as u64) < extra);
-        let mut engine = SimulationEngine::new(cfg.clone(), mzd_par::derive_seed(seed, i as u64))?;
-        Ok::<GlitchAccounting, SimError>(engine.run_window(n, share))
+        let mut sim = RoundSimulator::new(cfg.clone(), mzd_par::derive_seed(seed, i as u64))?;
+        Ok::<GlitchAccounting, SimError>(run_window(&mut sim, n, share))
     });
-    let mut all = GlitchAccounting {
-        rounds: 0,
-        late_rounds: 0,
-        glitches_per_stream: Vec::with_capacity(reps as usize * n as usize),
-        service_time: OnlineStats::new(),
-        seek_time: OnlineStats::new(),
-    };
+    let mut all = GlitchAccounting::new(0);
     for part in parts {
-        let w = part?;
-        all.rounds += w.rounds;
-        all.late_rounds += w.late_rounds;
-        all.glitches_per_stream.extend(w.glitches_per_stream);
-        all.service_time.merge(&w.service_time);
-        all.seek_time.merge(&w.seek_time);
+        all.absorb(part?);
     }
     Ok(all)
 }
@@ -215,14 +185,13 @@ pub fn run_replicated_windows(
 mod tests {
     use super::*;
 
-    fn engine(seed: u64) -> SimulationEngine {
-        SimulationEngine::new(SimConfig::paper_reference().unwrap(), seed).unwrap()
+    fn sim(seed: u64) -> RoundSimulator {
+        RoundSimulator::new(SimConfig::paper_reference().unwrap(), seed).unwrap()
     }
 
     #[test]
     fn window_bookkeeping_is_consistent() {
-        let mut e = engine(1);
-        let acc = e.run_window(20, 500);
+        let acc = run_window(&mut sim(1), 20, 500);
         assert_eq!(acc.rounds, 500);
         assert_eq!(acc.glitches_per_stream.len(), 20);
         assert_eq!(acc.service_time.count(), 500);
@@ -236,8 +205,7 @@ mod tests {
 
     #[test]
     fn light_load_never_glitches() {
-        let mut e = engine(2);
-        let acc = e.run_window(5, 500);
+        let acc = run_window(&mut sim(2), 5, 500);
         assert_eq!(acc.late_rounds, 0);
         assert_eq!(acc.p_late(), 0.0);
         assert_eq!(acc.mean_glitches_per_stream(), 0.0);
@@ -246,8 +214,7 @@ mod tests {
 
     #[test]
     fn heavy_load_always_glitches() {
-        let mut e = engine(3);
-        let acc = e.run_window(60, 100);
+        let acc = run_window(&mut sim(3), 60, 100);
         assert_eq!(acc.late_rounds, 100);
         assert_eq!(acc.p_late(), 1.0);
         assert!(acc.stream_failure_fraction(1) > 0.9);
@@ -255,8 +222,7 @@ mod tests {
 
     #[test]
     fn stream_lifetimes_concatenate_batches() {
-        let mut e = engine(4);
-        let acc = e.run_stream_lifetimes(10, 50, 8);
+        let acc = run_stream_lifetimes(&mut sim(4), 10, 50, 8);
         assert_eq!(acc.rounds, 400);
         assert_eq!(acc.glitches_per_stream.len(), 80);
         assert_eq!(acc.service_time.count(), 400);
@@ -264,8 +230,7 @@ mod tests {
 
     #[test]
     fn failure_fraction_thresholds_are_monotone() {
-        let mut e = engine(5);
-        let acc = e.run_window(31, 1200);
+        let acc = run_window(&mut sim(5), 31, 1200);
         let mut prev = 1.0;
         for g in [0u64, 1, 2, 5, 12, 100] {
             let f = acc.stream_failure_fraction(g);
@@ -283,8 +248,7 @@ mod tests {
         let traces: Vec<Trace> = (0..20)
             .map(|_| Trace::new(vec![200_000.0; 7], 1.0).unwrap())
             .collect();
-        let mut e = engine(6);
-        let acc = e.run_window_traced(&traces, 300);
+        let acc = run_window_traced(&mut sim(6), &traces, 300);
         assert_eq!(acc.rounds, 300);
         assert_eq!(acc.glitches_per_stream.len(), 20);
         assert_eq!(acc.late_rounds, 0);
@@ -297,21 +261,14 @@ mod tests {
         // round all streams spike together and the round overruns.
         let trace = Trace::new(vec![100_000.0, 100_000.0, 2_000_000.0], 1.0).unwrap();
         let traces: Vec<Trace> = (0..20).map(|_| trace.clone()).collect();
-        let mut e = engine(7);
-        let acc = e.run_window_traced(&traces, 300);
+        let acc = run_window_traced(&mut sim(7), &traces, 300);
         // Exactly one round in three spikes: 100 late rounds.
         assert_eq!(acc.late_rounds, 100);
     }
 
     #[test]
     fn empty_accounting_edge_cases() {
-        let acc = GlitchAccounting {
-            rounds: 0,
-            late_rounds: 0,
-            glitches_per_stream: vec![],
-            service_time: OnlineStats::new(),
-            seek_time: OnlineStats::new(),
-        };
+        let acc = GlitchAccounting::new(0);
         assert_eq!(acc.p_late(), 0.0);
         assert_eq!(acc.stream_failure_fraction(1), 0.0);
         assert_eq!(acc.mean_glitches_per_stream(), 0.0);

@@ -8,8 +8,8 @@
 //! Both report Wilson 95% confidence intervals; the analytic bounds are
 //! expected to lie at or above the interval (the model is conservative).
 
-use crate::engine::SimulationEngine;
-use crate::round::SimConfig;
+use crate::engine::{run_stream_lifetimes, run_window};
+use crate::round::{RoundSimulator, SimConfig};
 use crate::SimError;
 use mzd_numerics::stats::{wilson_interval, ConfidenceInterval};
 
@@ -42,8 +42,7 @@ pub fn estimate_p_late(
     rounds: u64,
     seed: u64,
 ) -> Result<PLateEstimate, SimError> {
-    let mut engine = SimulationEngine::new(cfg.clone(), seed)?;
-    let acc = engine.run_window(n, rounds);
+    let acc = run_window(&mut RoundSimulator::new(cfg.clone(), seed)?, n, rounds);
     Ok(PLateEstimate {
         n,
         rounds,
@@ -120,8 +119,7 @@ pub fn estimate_p_error(
     batches: u32,
     seed: u64,
 ) -> Result<PErrorEstimate, SimError> {
-    let mut engine = SimulationEngine::new(cfg.clone(), seed)?;
-    let acc = engine.run_stream_lifetimes(n, m, batches);
+    let acc = run_stream_lifetimes(&mut RoundSimulator::new(cfg.clone(), seed)?, n, m, batches);
     let samples = acc.glitches_per_stream.len() as u64;
     let failures = acc.glitches_per_stream.iter().filter(|&&c| c >= g).count() as u64;
     Ok(PErrorEstimate {

@@ -45,7 +45,7 @@ pub mod workahead;
 
 pub use cache_sweep::{run_point as run_cache_sweep_point, CacheSweepConfig, CacheSweepPoint};
 pub use drift::{run_drift_scenario, DriftScenarioConfig, DriftScenarioReport};
-pub use engine::{run_replicated_windows, GlitchAccounting, SimulationEngine};
+pub use engine::{run_replicated_windows, GlitchAccounting};
 pub use experiment::{
     estimate_p_error, estimate_p_late, estimate_p_late_par, PErrorEstimate, PLateEstimate,
 };

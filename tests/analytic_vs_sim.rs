@@ -120,11 +120,11 @@ fn seek_decomposition_tracks_oyang_bound_gap() {
     // simulation pays the actual sweep. Check the simulated mean seek is
     // below the bound but the same order of magnitude (so the bound's
     // conservatism is "reasonable", not wild).
-    use mzd_sim::SimulationEngine;
+    use mzd_sim::{engine::run_window, RoundSimulator};
     let cfg = SimConfig::paper_reference().expect("valid sim");
-    let mut engine = SimulationEngine::new(cfg.clone(), 9).expect("valid");
+    let mut sim = RoundSimulator::new(cfg.clone(), 9).expect("valid");
     let n = 27u32;
-    let acc = engine.run_window(n, 2_000);
+    let acc = run_window(&mut sim, n, 2_000);
     let bound = mzd_disk::oyang::seek_bound(cfg.disk.seek_curve(), cfg.disk.cylinders(), n);
     let mean_seek = acc.seek_time.mean();
     assert!(
