@@ -40,5 +40,5 @@ pub use fleet::{
 pub use profile::{collapsed, phase, profiling_enabled, reset_profile, set_profiling, PhaseGuard};
 pub use recorder::{
     fnv1a64, install_panic_hook, read_bundle, Bundle, DiskPhases, DumpTrigger, FaultTotals,
-    FlightRecorder, Recorder, RecorderSettings, RoundSnapshot, BUNDLE_SCHEMA,
+    Recorder, RecorderSettings, RoundSnapshot, BUNDLE_SCHEMA,
 };

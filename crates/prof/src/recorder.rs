@@ -17,6 +17,7 @@
 //!   checksums so `mzd postmortem` can detect truncation or tampering.
 
 use mzd_telemetry::json::{self, Value};
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -292,69 +293,6 @@ impl RoundSnapshot {
     }
 }
 
-/// The fixed-capacity snapshot ring. Push never allocates after
-/// construction; the ring retains the newest `capacity` snapshots.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    slots: Vec<Option<RoundSnapshot>>,
-    /// Snapshots pushed over the recorder's lifetime.
-    pushed: u64,
-}
-
-impl FlightRecorder {
-    /// An empty ring retaining at most `capacity` rounds (min 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            pushed: 0,
-        }
-    }
-
-    /// Ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Snapshots currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::try_from(self.pushed).map_or(self.slots.len(), |p| p.min(self.slots.len()))
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.pushed == 0
-    }
-
-    /// Snapshots pushed over the recorder's lifetime (retained or
-    /// since overwritten).
-    #[must_use]
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Record one round, overwriting the oldest slot when full.
-    pub fn push(&mut self, snapshot: RoundSnapshot) {
-        let idx = usize::try_from(self.pushed % self.slots.len() as u64).expect("ring index fits");
-        self.slots[idx] = Some(snapshot);
-        self.pushed += 1;
-    }
-
-    /// Retained snapshots, oldest first.
-    #[must_use]
-    pub fn iter_oldest_first(&self) -> Vec<&RoundSnapshot> {
-        let cap = self.slots.len() as u64;
-        let start = self.pushed.saturating_sub(cap);
-        (start..self.pushed)
-            .filter_map(|i| self.slots[usize::try_from(i % cap).expect("ring index fits")].as_ref())
-            .collect()
-    }
-}
-
 /// Maximum bundles one recorder dumps per run; later triggers are
 /// counted but not written.
 const MAX_DUMPS: usize = 4;
@@ -387,7 +325,9 @@ impl RecorderSettings {
 
 #[derive(Debug)]
 struct RecorderInner {
-    ring: FlightRecorder,
+    /// The newest `settings.capacity` snapshots, oldest first;
+    /// preallocated, so a push never reallocates.
+    ring: VecDeque<RoundSnapshot>,
     settings: RecorderSettings,
     /// `(trigger, bundle path)` of every dump written.
     dumps: Vec<(DumpTrigger, PathBuf)>,
@@ -412,12 +352,14 @@ fn lock(inner: &Mutex<RecorderInner>) -> std::sync::MutexGuard<'_, RecorderInner
 }
 
 impl Recorder {
-    /// Create a recorder with the given settings.
+    /// Create a recorder with the given settings (a capacity of 0
+    /// retains one round).
     #[must_use]
-    pub fn new(settings: RecorderSettings) -> Self {
+    pub fn new(mut settings: RecorderSettings) -> Self {
+        settings.capacity = settings.capacity.max(1);
         Self {
             inner: Arc::new(Mutex::new(RecorderInner {
-                ring: FlightRecorder::new(settings.capacity),
+                ring: VecDeque::with_capacity(settings.capacity),
                 settings,
                 dumps: Vec::new(),
                 suppressed: 0,
@@ -425,9 +367,13 @@ impl Recorder {
         }
     }
 
-    /// Record one round's snapshot.
+    /// Record one round's snapshot, dropping the oldest when full.
     pub fn push(&self, snapshot: RoundSnapshot) {
-        lock(&self.inner).ring.push(snapshot);
+        let mut inner = lock(&self.inner);
+        if inner.ring.len() == inner.settings.capacity {
+            inner.ring.pop_front();
+        }
+        inner.ring.push_back(snapshot);
     }
 
     /// Snapshots currently retained.
@@ -486,19 +432,18 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub const BUNDLE_SCHEMA: &str = "mzd-postmortem/v1";
 
 fn write_bundle(
-    ring: &FlightRecorder,
+    snaps: &VecDeque<RoundSnapshot>,
     settings: &RecorderSettings,
     trigger: DumpTrigger,
 ) -> std::io::Result<PathBuf> {
-    let snaps = ring.iter_oldest_first();
-    let last_round = snaps.last().map_or(0, |s| s.round);
+    let last_round = snaps.back().map_or(0, |s| s.round);
     let dir = settings.out_dir.join(format!(
         "postmortem-r{last_round:06}-{}",
         trigger.as_str().replace('.', "-")
     ));
     std::fs::create_dir_all(&dir)?;
     let mut rounds = String::with_capacity(snaps.len() * 256);
-    for s in &snaps {
+    for s in snaps {
         rounds.push_str(&s.to_json_line());
         rounds.push('\n');
     }
@@ -511,7 +456,7 @@ fn write_bundle(
     manifest.push_str(&format!(
         ",\n  \"round\": {last_round},\n  \"captured\": {},\n  \"capacity\": {},\n  \"config\": {{",
         snaps.len(),
-        ring.capacity()
+        settings.capacity
     ));
     for (i, (k, v)) in settings.config_echo.iter().enumerate() {
         manifest.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -725,15 +670,25 @@ mod tests {
 
     #[test]
     fn ring_retains_newest_window() {
-        let mut r = FlightRecorder::new(4);
-        assert!(r.is_empty());
+        let dir = std::env::temp_dir().join(format!("mzd-prof-ring-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut settings = RecorderSettings::new(&dir);
+        settings.capacity = 4;
+        let rec = Recorder::new(settings);
+        assert!(rec.is_empty());
         for i in 0..10 {
-            r.push(snap(i));
+            rec.push(snap(i));
         }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.pushed(), 10);
-        let rounds: Vec<u64> = r.iter_oldest_first().iter().map(|s| s.round).collect();
+        assert_eq!(rec.len(), 4);
+        let path = rec
+            .trigger_dump(DumpTrigger::Manual)
+            .unwrap()
+            .expect("dumped");
+        let bundle = read_bundle(&path).expect("valid bundle");
+        let rounds: Vec<u64> = bundle.rounds.iter().map(|s| s.round).collect();
         assert_eq!(rounds, vec![6, 7, 8, 9]);
+        assert_eq!((bundle.captured, bundle.capacity), (4, 4));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
