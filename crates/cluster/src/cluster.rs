@@ -584,7 +584,7 @@ impl Cluster {
             let mut s = settings.clone();
             s.out_dir = settings.out_dir.join(format!("node-{i}"));
             s.config_echo.push(("node".into(), i.to_string()));
-            node.attach_recorder(Recorder::new(s));
+            node.server_mut().attach_recorder(Recorder::new(s));
         }
     }
 
@@ -835,7 +835,8 @@ impl Cluster {
         views.clear();
         views.extend(self.nodes.iter().map(|n| {
             let id = n.id();
-            let active = n.active_streams() as u32;
+            let server = n.server();
+            let active = server.active_streams() as u32;
             let queued = self.dispatcher.queue_len(id) as u32;
             NodeView {
                 node: id,
@@ -845,7 +846,7 @@ impl Cluster {
                     .node_capacity
                     .saturating_sub(active)
                     .saturating_sub(queued),
-                min_disk_load: n.per_disk_load().iter().copied().min().unwrap_or(0),
+                min_disk_load: server.per_disk_load().iter().copied().min().unwrap_or(0),
             }
         }));
         self.views = views;
@@ -972,7 +973,7 @@ impl Cluster {
             while self.dispatcher.peek(i).is_some()
                 && matches!(
                     self.admission
-                        .decide(self.nodes[i as usize].per_disk_load()),
+                        .decide(self.nodes[i as usize].server().per_disk_load()),
                     AdmissionDecision::Admit
                 )
             {
@@ -1054,7 +1055,7 @@ impl Cluster {
         // RNG, so the fleet round is byte-identical at any job count.
         let stepped = mzd_par::par_map_owned(std::mem::take(&mut self.nodes), |mut node| {
             let r = if operational[node.id() as usize] {
-                Some(node.step_round())
+                Some(node.server_mut().run_round())
             } else {
                 None
             };
@@ -1201,7 +1202,7 @@ impl Cluster {
                         return None;
                     }
                     let sweep: f64 = report.node_service_times[i as usize].iter().sum();
-                    let load: u32 = self.nodes[i as usize].per_disk_load().iter().sum();
+                    let load: u32 = self.nodes[i as usize].server().per_disk_load().iter().sum();
                     // A zero sweep or an empty node carries no signal
                     // (and an idle-heavy fleet must not collapse the
                     // baseline median to zero).
@@ -1429,7 +1430,7 @@ mod tests {
         for _ in 0..4 {
             fleet.run_round();
         }
-        let victim_streams = fleet.node(1).active_streams();
+        let victim_streams = fleet.node(1).server().active_streams();
         assert!(victim_streams > 0, "node 1 must host streams before dying");
         // Lease = 2: silent at rounds 4 and 5, declared failed at
         // round 5 (renewed last at round 3, lease runs to 3 + 2 = 5).
@@ -1443,7 +1444,7 @@ mod tests {
             }
         }
         assert_eq!(failed_round, Some(5), "failure must land at lease expiry");
-        assert_eq!(fleet.node(1).active_streams(), 0);
+        assert_eq!(fleet.node(1).server().active_streams(), 0);
         assert_eq!(migrations.len(), victim_streams);
         for m in &migrations {
             assert_eq!(m.from, 1);
@@ -1770,7 +1771,11 @@ mod tests {
         }
         let s = fleet.health_status().unwrap();
         assert!(s.ejections >= 1, "persistent slow node must eject: {s:?}");
-        assert_eq!(fleet.node(0).active_streams(), 0, "ejected node drained");
+        assert_eq!(
+            fleet.node(0).server().active_streams(),
+            0,
+            "ejected node drained"
+        );
         // Two survivors re-compose to one serving member + one spare:
         // the committed load no longer fits, so admission freezes.
         assert!(s.recomposed.frozen, "{s:?}");

@@ -39,7 +39,7 @@ fn node_failure_requeues_streams_within_the_lease_budget() {
     for _ in 0..start {
         fleet.run_round();
     }
-    let victims = fleet.node(2).active_streams();
+    let victims = fleet.node(2).server().active_streams();
     assert!(victims > 0, "node 2 must host streams before the kill");
 
     // Silent from round `start`; the lease was last renewed at round
@@ -72,7 +72,7 @@ fn node_failure_requeues_streams_within_the_lease_budget() {
     }
     let at = expiry_round.expect("the lease must expire");
     assert_eq!(migrated, victims, "every hosted stream must migrate");
-    assert_eq!(fleet.node(2).active_streams(), 0);
+    assert_eq!(fleet.node(2).server().active_streams(), 0);
     assert!(readmitted >= migrated as u64);
     let _ = at;
 }
