@@ -115,7 +115,7 @@ pub struct AdmissionTable {
 
 impl AdmissionTable {
     /// Build the table by evaluating the monotone `quality` bound once per
-    /// threshold. `thresholds` must be strictly ascending and in `(0, 1]`.
+    /// threshold. `thresholds` must be strictly ascending and in `(0, 1)`.
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for an empty, unsorted or out-of-range
@@ -201,9 +201,10 @@ impl AdmissionTable {
         }
         let mut prev = 0.0;
         for &t in thresholds {
-            if !(t > prev) || t > 1.0 {
+            crate::validate_threshold(t)?;
+            if !(t > prev) {
                 return Err(CoreError::Invalid(format!(
-                    "thresholds must be strictly ascending in (0, 1], got {t} after {prev}"
+                    "thresholds must be strictly ascending, got {t} after {prev}"
                 )));
             }
             prev = t;
@@ -337,6 +338,7 @@ mod tests {
         assert!(AdmissionTable::build(&[], q).is_err());
         assert!(AdmissionTable::build(&[0.5, 0.2], q).is_err());
         assert!(AdmissionTable::build(&[0.0, 0.5], q).is_err());
+        assert!(AdmissionTable::build(&[0.5, 1.0], q).is_err());
         assert!(AdmissionTable::build(&[0.5, 1.5], q).is_err());
         assert!(AdmissionTable::build(&[0.5, 0.5], q).is_err());
     }

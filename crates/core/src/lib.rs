@@ -299,7 +299,7 @@ impl GuaranteeModel {
     ///
     /// # Errors
     /// [`CoreError::Invalid`] for a non-positive round length or a
-    /// threshold outside `(0, 1]`.
+    /// threshold outside `(0, 1)`.
     pub fn n_max_late(&self, t: f64, delta: f64) -> Result<u32, CoreError> {
         validate_threshold(delta)?;
         validate_round_length(t)?;
@@ -414,10 +414,13 @@ fn n_max_error_scan<F: Fn(u32) -> f64 + Sync>(b_late: F, m: u64, g: u64, epsilon
     prefix
 }
 
-fn validate_threshold(x: f64) -> Result<(), CoreError> {
-    if !(x > 0.0) || x > 1.0 {
+/// A probability threshold must lie in `(0, 1)`: every bound holds at
+/// 1, so an admission scan against it would run to
+/// [`admission::N_SEARCH_CAP`] and report the cap as a limit.
+pub(crate) fn validate_threshold(x: f64) -> Result<(), CoreError> {
+    if !(x > 0.0 && x < 1.0) {
         return Err(CoreError::Invalid(format!(
-            "probability threshold must be in (0, 1], got {x}"
+            "probability threshold must be in (0, 1), got {x}"
         )));
     }
     Ok(())
@@ -609,6 +612,27 @@ mod tests {
         for (thr, nm) in table.rows() {
             assert_eq!(nm, m.n_max_error(1.0, 1200, 12, thr).unwrap());
         }
+    }
+
+    #[test]
+    fn thresholds_are_open_at_one() {
+        // Every bound holds at 1: a threshold of 1 would scan to the
+        // search cap and report it as a limit.
+        let m = model();
+        let err = m.n_max_late(1.0, 1.0).unwrap_err();
+        assert!(err.to_string().contains("(0, 1)"), "{err}");
+        assert!(m.n_max_error(1.0, 1200, 12, 1.0).is_err());
+        assert!(m.admission_table_late(1.0, &[0.5, 1.0]).is_err());
+        assert!(m.admission_table_error(1.0, 1200, 12, &[0.5, 1.0]).is_err());
+        let late = m.n_max_late(1.0, 0.999).unwrap();
+        let error = m.n_max_error(1.0, 1200, 12, 0.999).unwrap();
+        assert!(late < admission::N_SEARCH_CAP && error < admission::N_SEARCH_CAP);
+        let table = m.admission_table_late(1.0, &[0.5, 0.999]).unwrap();
+        assert_eq!(table.lookup(0.999), late);
+        let table = m
+            .admission_table_error(1.0, 1200, 12, &[0.5, 0.999])
+            .unwrap();
+        assert_eq!(table.lookup(0.999), error);
     }
 
     #[test]

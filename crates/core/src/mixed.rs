@@ -168,11 +168,7 @@ pub fn discrete_capacity<F: Fn(u32) -> f64>(
             "round length must be positive, got {t}"
         )));
     }
-    if !(delta > 0.0) || delta > 1.0 {
-        return Err(CoreError::Invalid(format!(
-            "threshold must be in (0, 1], got {delta}"
-        )));
-    }
+    crate::validate_threshold(delta)?;
     let bound_for = |k: u32| -> Result<f64, CoreError> {
         let model = MixedRoundModel::new(
             seek_for_total(n + k),
@@ -390,6 +386,16 @@ mod tests {
             10,
             1.0,
             0.0,
+            0.00834,
+            viking_seek
+        )
+        .is_err());
+        assert!(discrete_capacity(
+            continuous_transfer(),
+            discrete_transfer(),
+            10,
+            1.0,
+            1.0,
             0.00834,
             viking_seek
         )
