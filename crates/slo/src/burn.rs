@@ -1,8 +1,8 @@
 //! Glitch-budget burn-rate alerting.
 //!
 //! The admission controller promises a per-stream-round glitch budget
-//! `p` (derived from the quality target: `δ` for a round-overrun
-//! target, `g/M` for the per-stream glitch-rate target). The *burn
+//! `p = g/M`, from its one quality target: at most `g` glitches in a
+//! stream of `M` rounds (eq. 3.3.6). The *burn
 //! rate* is the observed glitch rate divided by that budget: burn 1.0
 //! means glitches arrive exactly as fast as the guarantee tolerates,
 //! burn 10 means the budget is being consumed ten times too fast.

@@ -1,10 +1,12 @@
 //! SLO machinery for the mzd server: is the analytic guarantee still
 //! holding *right now*?
 //!
-//! The paper's admission control promises a glitch budget (§3.1's
-//! `p_late ≤ δ`, §3.3's per-stream `ε`); PR 1's telemetry records what
-//! actually happened. This crate closes the loop with three always-on
-//! interpreters of those raw observations:
+//! The server admits by one criterion, the per-stream glitch-rate bound
+//! of eq. 3.3.6 (at most `g` glitches in `M` rounds, except with
+//! probability `ε`), which promises a glitch budget of `g/M` per
+//! stream-round; `mzd-telemetry` records what actually happened. This
+//! crate closes the loop with three always-on interpreters of those raw
+//! observations:
 //!
 //! * [`BurnRateEngine`] — SRE-style multi-window burn-rate alerting on
 //!   the admitted glitch budget: the observed per-stream-round glitch
