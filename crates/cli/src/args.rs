@@ -78,14 +78,18 @@ commands:
                              gray=slow:1.6|flap:2:40:20|creep:40:400:2.5]
              --prom-out PATH  [Prometheus text exposition of the
                                metrics registry, written at exit])
-  serve      round-based server on a Zipf catalog
+  serve      round-based server fleet on a Zipf catalog; a request
+             it turns away waits and is offered again, oldest first,
+             each round
              (flags: --disks D --streams N --rounds R --seed S
               --objects K --object-rounds M --zipf SKEW
-              --nodes N           [N > 1 serves a sharded fleet: N nodes
-                                   of --disks disks each, consistent-hash
+              --nodes N           [fleet size, default 1: N nodes of
+                                   --disks disks each, consistent-hash
                                    placement, per-node lease timeouts,
-                                   and the guarantee composed fleet-wide;
-                                   a zonefail --fault-profile becomes a
+                                   and the guarantee composed fleet-wide
+                                   (one node keeps no spare and pays no
+                                   failover debit); with N > 1 a
+                                   zonefail --fault-profile becomes a
                                    whole-node outage of node zone%N]
               --lease-rounds L    [rounds of silence before a node is
                                    declared failed and its streams
@@ -105,43 +109,41 @@ commands:
                                    members run it stripped; default 0;
                                    needs --nodes N]
               --cache-bytes B --cache-policy lru|interval|cost
-              --cache-safety S    [enables cache-aware admission;
-                                   single server only]
-              --slo               [burn-rate + model-conformance monitor;
-                                   single server only: with --nodes N
-                                   each node runs it under --degrade
-                                   or --trace-out]
+              --cache-safety S    [enables cache-aware admission on
+                                   every node; needs --cache-bytes]
+              --slo               [burn-rate + model-conformance monitor
+                                   on every node]
               --trace-out PATH    [per-stream causal trace, Chrome JSON;
-                                   implies --slo; with --nodes N the
-                                   per-node traces are stitched under
-                                   one root span per stream, so a
-                                   migration reads as one causal chain]
+                                   implies --slo; the node traces are
+                                   stitched under one root span per
+                                   stream, so a migration reads as one
+                                   causal chain]
               --fault-profile SPEC [same grammar as --faults; add
                                     disk=D to degrade one spindle only]
               --work-ahead K      [prefetch K fragments/stream into the
-                                   cache in post-sweep slack]
+                                   cache in post-sweep slack; needs
+                                   --cache-bytes]
               --degrade           [graceful-degradation ladder driven by
                                    the burn alert; implies --slo]
-              --postmortem-dir DIR [attach the flight recorder; an SLO
-                                    fast-burn alert, a ladder escalation
-                                    or a round overrun dumps a
-                                    post-mortem bundle under DIR; with
-                                    --nodes N every node gets its own
-                                    recorder and a fleet trigger dumps
-                                    all of them under DIR/node-I/ plus
-                                    a correlating DIR/MANIFEST.json]
+              --postmortem-dir DIR [attach a flight recorder to every
+                                    node; an SLO fast-burn alert, a
+                                    ladder escalation or a round
+                                    overrun dumps that node's bundle
+                                    under DIR/node-I/, and a fleet
+                                    trigger dumps all of them plus a
+                                    correlating DIR/MANIFEST.json]
               --recorder-capacity N [rounds retained in the flight
                                      recorder ring; default 64]
               --dump-on-exit      [also dump a manual bundle at exit]
               --profile-out PATH  [phase profile as collapsed stacks,
                                    flamegraph.pl/inferno compatible;
-                                   with --nodes N every node's rounds
-                                   fold into the same stacks]
+                                   every node's rounds fold into the
+                                   same stacks]
               --prom-out PATH     [Prometheus text exposition of the
-                                   metrics registry, written per round;
-                                   with --nodes N it also carries the
-                                   fleet's node-labeled quantile-sketch
-                                   series and merged fleet summaries])
+                                   metrics registry, written per round,
+                                   with the fleet's node-labeled
+                                   quantile-sketch series and merged
+                                   fleet summaries])
   plan       disks for a population (flags: --population N --m R --g G --epsilon P)
   worstcase  deterministic worst-case limits (eq. 4.1)
   disks      list built-in drive profiles
@@ -153,8 +155,8 @@ commands:
   postmortem render a flight-recorder bundle as a timeline and audit the
              observed phase decomposition against the analytic model
              (flags: --bundle DIR | --fleet DIR  [a fleet bundle written
-              by serve --nodes: cross-node timeline keyed by round, with
-              the decomposition audited per node])
+              by serve: cross-node timeline keyed by round, with the
+              decomposition audited per node])
   help       this text
 
 common flags:

@@ -3,13 +3,14 @@
 
 use crate::args::{Command, Parsed, USAGE};
 use crate::CliError;
+use mzd_cluster::{Cluster, SubmitOutcome};
 use mzd_core::{GuaranteeModel, WorstCaseRate, ZoneHandling};
 use mzd_disk::{profiles, Disk, DiskProfile};
 use mzd_sim::{estimate_p_late_par, SimConfig};
 use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
 use rand::{rngs::StdRng, SeedableRng};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Execute a parsed command line, returning the text to print.
 ///
@@ -256,9 +257,7 @@ fn simulate(parsed: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Build the per-server configuration the `serve` flags describe —
-/// shared by the single-node path and (as the per-node template) the
-/// `--nodes N` fleet path.
+/// Build the per-node server configuration the `serve` flags describe.
 fn serve_server_config(parsed: &Parsed, disks: u32) -> Result<mzd_server::ServerConfig, CliError> {
     let mean = parsed.f64_or("mean", 200_000.0)?;
     let sd = parsed.f64_or("sd", 100_000.0)?;
@@ -292,6 +291,17 @@ fn serve_server_config(parsed: &Parsed, disks: u32) -> Result<mzd_server::Server
     if parsed.flag("degrade") {
         cfg.degrade = Some(mzd_server::DegradeSettings::default());
     }
+    // The server refuses these settings too; here the error names the
+    // flag behind it.
+    cfg.check_cache().map_err(|e| {
+        let flag = match e {
+            mzd_server::CacheMisconfig::Budget(_) => "--cache-bytes",
+            mzd_server::CacheMisconfig::Safety(_)
+            | mzd_server::CacheMisconfig::SafetyWithoutCache => "--cache-safety",
+            mzd_server::CacheMisconfig::WorkAheadWithoutCache => "--work-ahead",
+        };
+        CliError::Usage(format!("{flag}: {e}"))
+    })?;
     Ok(cfg)
 }
 
@@ -318,16 +328,12 @@ fn serve_catalog(parsed: &Parsed) -> Result<(Vec<ObjectSpec>, Zipf), CliError> {
     Ok((catalog, zipf))
 }
 
-/// Running totals of one `serve` loop. The last four are fleet-only.
+/// Running totals of one `serve` loop.
 #[derive(Default)]
 struct Totals {
+    /// Streams served, counted per round: hosted after it, completed in
+    /// it, or migrated at its end.
     stream_rounds: u64,
-    completions: u64,
-    /// Requests turned away at capacity.
-    rejected: u64,
-    /// Host glitch events.
-    glitches: u64,
-    migrated: u64,
     late_disks: u64,
     /// Rounds in which a node failed.
     failures: Vec<u64>,
@@ -335,116 +341,63 @@ struct Totals {
     over_budget: u64,
 }
 
-/// What the one `serve` loop needs from a single server or a fleet.
-trait Serving {
-    /// Offer one request; `true` when it is turned away at capacity.
-    fn offer(&mut self, object: ObjectSpec) -> bool;
-    /// Run one round into `totals`, returning its completions.
-    fn step(&mut self, totals: &mut Totals) -> usize;
-    /// Dump a manual postmortem now (`--dump-on-exit`).
-    fn dump_now(&mut self) -> Result<(), CliError>;
-    /// Exposition every `--prom-out` write appends to the registry.
-    fn prom_appendix(&self) -> Option<String> {
-        None
-    }
-}
-
-impl Serving for mzd_server::VideoServer {
-    fn offer(&mut self, object: ObjectSpec) -> bool {
-        // A request beyond capacity waits in the server's queue.
-        self.enqueue_stream(object);
-        false
-    }
-
-    fn step(&mut self, totals: &mut Totals) -> usize {
-        totals.stream_rounds += self.active_streams() as u64;
-        let report = self.run_round();
-        totals.glitches += report.glitched_streams.len() as u64;
-        report.completed_streams.len()
-    }
-
-    fn dump_now(&mut self) -> Result<(), CliError> {
-        match self.recorder() {
-            Some(rec) => rec
-                .trigger_dump(mzd_prof::DumpTrigger::Manual)
-                .map(drop)
-                .map_err(|e| CliError::Execution(format!("postmortem dump failed: {e}"))),
-            None => Ok(()),
+/// Offer the client's waiting requests (catalog indices) to the fleet,
+/// oldest first, stopping at the first refusal.
+fn offer_waiting(fleet: &mut Cluster, catalog: &[ObjectSpec], waiting: &mut VecDeque<usize>) {
+    while let Some(&object) = waiting.front() {
+        if let Ok(SubmitOutcome::Rejected { .. }) = fleet.submit(catalog[object].clone()) {
+            return;
         }
+        waiting.pop_front();
     }
 }
 
-impl Serving for mzd_cluster::Cluster {
-    fn offer(&mut self, object: ObjectSpec) -> bool {
-        matches!(
-            self.submit(object),
-            Ok(mzd_cluster::SubmitOutcome::Rejected { .. })
-        )
-    }
-
-    fn step(&mut self, totals: &mut Totals) -> usize {
-        totals.stream_rounds += self.active_streams() as u64;
-        let report = self.run_round();
-        totals.glitches += report.glitched_streams;
-        totals.migrated += report.migrations.len() as u64;
-        totals.late_disks += u64::from(report.late_disks);
-        if !report.failed_nodes.is_empty() {
-            totals.failures.push(report.round);
-        }
-        let g = self.guarantee().g;
-        totals.over_budget += report.completed.iter().filter(|c| c.glitches >= g).count() as u64;
-        report.completed.len()
-    }
-
-    fn dump_now(&mut self) -> Result<(), CliError> {
-        self.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
-        Ok(())
-    }
-
-    /// The fleet's node-labeled quantile-sketch series.
-    fn prom_appendix(&self) -> Option<String> {
-        Some(self.sketches().render_prom())
-    }
-}
-
-/// The one `serve` loop: offer `streams` requests, then run `rounds`
-/// rounds at constant offered load — every play-out completion draws a
-/// fresh request — rewriting `--metrics-out` and `--prom-out` after
-/// every round so a mid-run reader sees live state. `--profile-out`
-/// profiles the loop; `--dump-on-exit` dumps once it ends.
+/// The `serve` loop: offer `streams` requests, then run `rounds` rounds
+/// at constant offered load — every play-out completion draws a fresh
+/// request — rewriting `--metrics-out` and `--prom-out` after every
+/// round so a mid-run reader sees live state. A request the fleet turns
+/// away waits at this client, which re-offers its waiting requests each
+/// round, oldest first, until one is refused: §1's postponement "until
+/// one or more active streams terminate". `--profile-out` profiles the
+/// loop; `--dump-on-exit` dumps once it ends. Returns the totals and the
+/// requests still waiting at the client.
 fn drive(
     parsed: &Parsed,
-    target: &mut impl Serving,
+    fleet: &mut Cluster,
     (catalog, zipf): &(Vec<ObjectSpec>, Zipf),
     seed: u64,
     streams: u64,
     rounds: u64,
-) -> Result<Totals, CliError> {
-    // The request-arrival RNG is deliberately separate from the target's
-    // seeded RNG so admission order does not perturb fragment sampling.
+) -> Result<(Totals, usize), CliError> {
+    // The request-arrival RNG is deliberately separate from the nodes'
+    // seeded RNGs so admission order does not perturb fragment sampling.
     let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-    let mut draw = || catalog[zipf.sample(&mut arrivals)].clone();
+    let mut draw = || zipf.sample(&mut arrivals);
     let profiling = parsed.has("profile-out");
     if profiling {
         mzd_prof::reset_profile();
         mzd_prof::set_profiling(true);
     }
+    let g = fleet.guarantee().g;
     let mut totals = Totals::default();
-    for _ in 0..streams {
-        totals.rejected += u64::from(target.offer(draw()));
-    }
+    let mut waiting: VecDeque<usize> = (0..streams).map(|_| draw()).collect();
+    offer_waiting(fleet, catalog, &mut waiting);
     for _ in 0..rounds {
-        for _ in 0..target.step(&mut totals) {
-            totals.completions += 1;
-            totals.rejected += u64::from(target.offer(draw()));
+        let report = fleet.run_round();
+        let served = fleet.active_streams() + report.completed.len() + report.migrations.len();
+        totals.stream_rounds += served as u64;
+        totals.late_disks += u64::from(report.late_disks);
+        if !report.failed_nodes.is_empty() {
+            totals.failures.push(report.round);
         }
+        totals.over_budget += report.completed.iter().filter(|c| c.glitches >= g).count() as u64;
+        waiting.extend(report.completed.iter().map(|_| draw()));
+        offer_waiting(fleet, catalog, &mut waiting);
         if let Some(path) = parsed.str_opt("metrics-out") {
             write_file(path, &mzd_telemetry::global().snapshot().to_json())?;
         }
         if let Some(path) = parsed.str_opt("prom-out") {
-            if let Some(appendix) = target.prom_appendix() {
-                crate::telemetry::set_prom_appendix(appendix);
-            }
+            crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
             write_file(path, &crate::telemetry::render_prom())?;
         }
     }
@@ -452,13 +405,11 @@ fn drive(
         mzd_prof::set_profiling(false);
     }
     // Keep the appendix current for the exit-time `--prom-out` write.
-    if let Some(appendix) = target.prom_appendix() {
-        crate::telemetry::set_prom_appendix(appendix);
-    }
+    crate::telemetry::set_prom_appendix(fleet.sketches().render_prom());
     if parsed.flag("dump-on-exit") {
-        target.dump_now()?;
+        fleet.trigger_fleet_dump(mzd_prof::DumpTrigger::Manual);
     }
-    Ok(totals)
+    Ok((totals, waiting.len()))
 }
 
 fn read_file(path: &str) -> Result<String, CliError> {
@@ -471,23 +422,14 @@ pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
         .map_err(|e| CliError::Execution(format!("cannot write {path}: {e}")))
 }
 
-/// Glitches per stream-round, 0 before any stream-round.
-fn glitch_rate(glitches: u64, stream_rounds: u64) -> f64 {
-    if stream_rounds == 0 {
-        0.0
-    } else {
-        glitches as f64 / stream_rounds as f64
-    }
-}
-
 /// Flight-recorder settings for `--postmortem-dir`, `None` without it.
 /// `config_echo` carries enough provenance for `mzd postmortem` to
-/// rebuild the analytic model and rerun the exact configuration; a
+/// rebuild the analytic model and rerun the exact configuration; the
 /// fleet's `(nodes, lease rounds)` follow `disks`.
 fn recorder_settings(
     parsed: &Parsed,
     disks: u32,
-    fleet: Option<(u32, u32)>,
+    (nodes, lease_rounds): (u32, u32),
     seed: u64,
     streams: u64,
     rounds: u64,
@@ -502,10 +444,8 @@ fn recorder_settings(
     let echo = &mut settings.config_echo;
     echo.push(("disk".into(), parsed.str_or("disk", "viking").into()));
     echo.push(("disks".into(), disks.to_string()));
-    if let Some((nodes, lease_rounds)) = fleet {
-        echo.push(("nodes".into(), nodes.to_string()));
-        echo.push(("lease_rounds".into(), lease_rounds.to_string()));
-    }
+    echo.push(("nodes".into(), nodes.to_string()));
+    echo.push(("lease_rounds".into(), lease_rounds.to_string()));
     echo.push((
         "mean".into(),
         format!("{}", parsed.f64_or("mean", 200_000.0)?),
@@ -520,107 +460,85 @@ fn recorder_settings(
     Ok(Some(settings))
 }
 
-/// The lines that close every `serve` report: `--trace-out` (`trace`
-/// holds the JSON and its span count, `None` when tracing is off),
-/// `--profile-out`, and the postmortem dumps (`None` without recorders,
-/// else the dumps and the line to print when there are none).
-fn serve_tail(
-    out: &mut String,
-    parsed: &Parsed,
-    trace: Option<(String, String)>,
-    dumps: Option<(Vec<(mzd_prof::DumpTrigger, PathBuf)>, String)>,
-) -> Result<(), CliError> {
-    if let Some(path) = parsed.str_opt("trace-out") {
-        let (json, spans) =
-            trace.ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
-        write_file(path, &json)?;
-        let _ = writeln!(out, "  trace: {spans} -> {path}");
-    }
-    if let Some(path) = parsed.str_opt("profile-out") {
-        let folded = mzd_prof::collapsed();
-        write_file(path, &folded)?;
-        let stacks = folded.lines().count();
-        let _ = writeln!(out, "  profile: {stacks} stack(s) -> {path}");
-    }
-    if let Some((dumps, none)) = dumps {
-        if dumps.is_empty() {
-            let _ = writeln!(out, "  postmortem: {none}");
-        }
-        for (trigger, path) in dumps {
-            let (trigger, path) = (trigger.as_str(), path.display());
-            let _ = writeln!(out, "  postmortem: {trigger} -> {path}");
-        }
-    }
-    Ok(())
-}
-
-/// `mzd serve`: one server, or with `--nodes N` (N > 1) a sharded
-/// fleet of such servers, driven by the same loop.
+/// `mzd serve`: a fleet of `--nodes` servers (one by default) behind
+/// one dispatcher, each of `--disks` disks, with consistent-hash
+/// placement, lease-timeout failure detection and the paper's guarantee
+/// composed fleet-wide. One node is a fleet with no spare.
 fn serve(parsed: &Parsed) -> Result<String, CliError> {
     let disks = u32::try_from(parsed.u64_or("disks", 1)?)
         .map_err(|_| CliError::Usage("--disks is too large".into()))?;
     let nodes = u32::try_from(parsed.u64_or("nodes", 1)?)
         .map_err(|_| CliError::Usage("--nodes is too large".into()))?;
-    let fleet = nodes > 1;
-    // A flag only the other path reads is a usage error, not a no-op.
-    let foreign: &[&str] = if fleet {
-        &["slo", "cache-safety"]
-    } else {
-        &["health", "gray-node", "lease-rounds"]
-    };
-    if let Some(flag) = foreign.iter().find(|flag| parsed.has(flag)) {
-        return Err(CliError::Usage(if fleet {
-            format!(
-                "--{flag} is single-server only; fleet nodes admit at the composed cap \
-                 (never cache-aware) and run SLO via --degrade or --trace-out"
-            )
-        } else {
-            format!("--{flag} needs a fleet: add --nodes N with N > 1")
-        }));
+    if nodes == 0 {
+        return Err(CliError::Usage("--nodes must be at least 1".into()));
+    }
+    // A flag that acts only across nodes is a usage error on one node,
+    // not a no-op.
+    if nodes == 1 {
+        let fleet_only = ["health", "gray-node", "lease-rounds"];
+        if let Some(flag) = fleet_only.iter().find(|flag| parsed.has(flag)) {
+            return Err(CliError::Usage(format!(
+                "--{flag} needs a fleet: add --nodes N with N > 1"
+            )));
+        }
     }
     let rounds = parsed.u64_or("rounds", 1200)?;
     let seed = parsed.u64_or("seed", 42)?;
-    let cfg = serve_server_config(parsed, disks)?;
-    if fleet {
-        serve_fleet(parsed, cfg, nodes, rounds, seed)
-    } else {
-        serve_single(parsed, cfg, rounds, seed)
-    }
-}
-
-fn serve_single(
-    parsed: &Parsed,
-    cfg: mzd_server::ServerConfig,
-    rounds: u64,
-    seed: u64,
-) -> Result<String, CliError> {
-    let streams = parsed.u64_or("streams", 28)?;
-    let disks = cfg.disks;
-    let catalog = serve_catalog(parsed)?;
-    // `--trace-out` implies the SLO layer; a server built with
-    // `--degrade`'s ladder attaches its own.
-    let slo_enabled = parsed.flag("slo") || parsed.has("trace-out");
-    let target = cfg.target;
-    let mut server =
-        mzd_server::VideoServer::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
-    if slo_enabled {
-        let settings =
-            mzd_server::SloSettings::for_target(target).with_tracing(parsed.has("trace-out"));
-        server
-            .enable_slo(settings)
+    let lease_rounds = u32::try_from(parsed.u64_or("lease-rounds", 3)?)
+        .map_err(|_| CliError::Usage("--lease-rounds is too large".into()))?;
+    let gray_node = u32::try_from(parsed.u64_or("gray-node", 0)?)
+        .map_err(|_| CliError::Usage("--gray-node is too large".into()))?;
+    let cfg = mzd_cluster::ClusterConfig {
+        node: serve_server_config(parsed, disks)?,
+        lease_rounds,
+        gray_node,
+        ..mzd_cluster::ClusterConfig::paper_reference(nodes, disks)
+            .map_err(|e| CliError::Execution(e.to_string()))?
+    };
+    let mut fleet = Cluster::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
+    if parsed.flag("health") {
+        fleet
+            .enable_health(mzd_health::HealthConfig::default())
             .map_err(|e| CliError::Execution(e.to_string()))?;
     }
-    if let Some(settings) = recorder_settings(parsed, disks, None, seed, streams, rounds)? {
-        let recorder = mzd_prof::Recorder::new(settings);
-        mzd_prof::install_panic_hook(recorder.clone());
-        server.attach_recorder(recorder);
+    // `--trace-out` stitches every node's traced SLO layer under one
+    // root span per stream at the dispatcher, adopted by every host it
+    // migrates across; `--slo` attaches the layer untraced. A node built
+    // with `--degrade`'s ladder attaches its own.
+    if parsed.has("trace-out") {
+        fleet
+            .enable_tracing()
+            .map_err(|e| CliError::Execution(e.to_string()))?;
+    } else if parsed.flag("slo") {
+        fleet
+            .enable_slo()
+            .map_err(|e| CliError::Execution(e.to_string()))?;
     }
-    let totals = drive(parsed, &mut server, &catalog, seed, streams, rounds)?;
+    let guarantee = fleet.guarantee().clone();
+    // Default offered load: the composed fleet capacity — the largest
+    // population the guarantee covers.
+    let streams = parsed.u64_or("streams", guarantee.fleet_capacity)?;
+    // Correlated postmortems: per-node recorders under `DIR/node-{i}/`
+    // plus the fleet manifest the fleet triggers write, and one panic
+    // hook that dumps every node's window.
+    let shape = (nodes, lease_rounds);
+    if let Some(settings) = recorder_settings(parsed, disks, shape, seed, streams, rounds)? {
+        fleet.attach_recorders(&settings);
+        let recorders = (0..nodes)
+            .filter_map(|i| fleet.node(i).server().recorder().cloned())
+            .collect();
+        mzd_prof::install_panic_hook(recorders);
+    }
+    let catalog = serve_catalog(parsed)?;
+    let (totals, client_waiting) = drive(parsed, &mut fleet, &catalog, seed, streams, rounds)?;
 
+    let status = fleet.status();
+    let servers: Vec<&mzd_server::VideoServer> =
+        (0..nodes).map(|i| fleet.node(i).server()).collect();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "served {rounds} rounds on {disks} disk(s) (seed {seed}):"
+        "served {rounds} rounds on a {nodes}-node fleet ({disks} disk(s)/node, seed {seed}):"
     );
     // The catalog holds at least one object (a Zipf law over zero ranks
     // is an error), all `--object-rounds` long.
@@ -631,161 +549,6 @@ fn serve_single(
         objects.len(),
         objects[0].rounds,
         zipf.skew()
-    );
-    let adm = server.admission();
-    if adm.is_cache_aware() {
-        let _ = writeln!(
-            out,
-            "  admission: {} streams/disk (base {}, cache-aware)",
-            adm.effective_per_disk_limit(),
-            adm.per_disk_limit()
-        );
-    } else {
-        let _ = writeln!(out, "  admission: {} streams/disk", adm.per_disk_limit());
-    }
-    let _ = writeln!(
-        out,
-        "  streams: {} active, {} waiting, {} completed play-out",
-        server.active_streams(),
-        server.waiting_streams(),
-        totals.completions
-    );
-    let (glitches, stream_rounds) = (totals.glitches, totals.stream_rounds);
-    let rate = glitch_rate(glitches, stream_rounds);
-    let _ = writeln!(
-        out,
-        "  glitches: {glitches} in {stream_rounds} stream-rounds (rate {rate:.5})"
-    );
-    if let Some(cache) = server.cache() {
-        let stats = cache.stats();
-        let _ = writeln!(
-            out,
-            "  cache: {} policy, {:.1} MB capacity, {:.1} MB resident ({} fragments)",
-            cache.config().policy.name(),
-            cache.capacity_bytes() / 1e6,
-            cache.occupancy_bytes() / 1e6,
-            cache.len()
-        );
-        let _ = writeln!(
-            out,
-            "  cache traffic: {} hits, {} delayed hits, {} misses ({:.1}% of lookups avoided disk)",
-            stats.hits,
-            stats.delayed_hits,
-            stats.misses,
-            100.0 * stats.disk_avoidance_ratio()
-        );
-        let _ = writeln!(
-            out,
-            "  cache churn: {} insertions, {} evictions, {} rejected fills",
-            stats.insertions, stats.evictions, stats.rejected_fills
-        );
-    } else {
-        let _ = writeln!(out, "  cache: disabled");
-    }
-    if let Some(spec) = parsed.str_opt("fault-profile") {
-        let _ = writeln!(out, "  faults: {spec} injected");
-    }
-    if let Some(status) = server.degrade_status() {
-        let _ = writeln!(
-            out,
-            "  degrade: rung {} ({} escalation(s), {} recover(y/ies), {} stream(s) shed)",
-            status.rung, status.escalations, status.recoveries, status.shed_streams
-        );
-    }
-    if let Some(status) = server.slo_status() {
-        let _ = writeln!(
-            out,
-            "  slo: burn fast {:.2} / slow {:.2} / long {:.2}; {} alert(s), {}",
-            status.burn_fast,
-            status.burn_slow,
-            status.burn_long,
-            status.alerts_raised,
-            if status.over_admission_frozen {
-                "over-admission frozen"
-            } else if status.alert_active {
-                "alert active"
-            } else {
-                "healthy"
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  conformance: ks {:.3}, tail exceedance {:.3}, {} drift(s){}",
-            status.ks_statistic,
-            status.tail_exceedance,
-            status.drifts_raised,
-            if status.drift_active {
-                " [model drift active]"
-            } else {
-                ""
-            }
-        );
-    }
-    let trace = server
-        .trace_chrome_json()
-        .zip(server.slo_status())
-        .map(|(json, s)| (json, format!("{} span(s)", s.trace_spans)));
-    let dumps = server.recorder().map(|rec| {
-        let none = format!("no dump triggered ({} round(s) retained)", rec.len());
-        (rec.dumps(), none)
-    });
-    serve_tail(&mut out, parsed, trace, dumps)?;
-    Ok(out)
-}
-
-/// The sharded fleet behind `serve --nodes N`: one dispatcher, N nodes
-/// of `--disks` disks, consistent-hash placement, lease-timeout failure
-/// detection, and the paper guarantee composed fleet-wide.
-fn serve_fleet(
-    parsed: &Parsed,
-    node: mzd_server::ServerConfig,
-    nodes: u32,
-    rounds: u64,
-    seed: u64,
-) -> Result<String, CliError> {
-    let disks = node.disks;
-    let lease_rounds = u32::try_from(parsed.u64_or("lease-rounds", 3)?)
-        .map_err(|_| CliError::Usage("--lease-rounds is too large".into()))?;
-    let gray_node = u32::try_from(parsed.u64_or("gray-node", 0)?)
-        .map_err(|_| CliError::Usage("--gray-node is too large".into()))?;
-    let mut cfg = mzd_cluster::ClusterConfig::paper_reference(nodes, disks)
-        .map_err(|e| CliError::Execution(e.to_string()))?;
-    cfg.node = node;
-    cfg.lease_rounds = lease_rounds;
-    cfg.gray_node = gray_node;
-    let mut fleet =
-        mzd_cluster::Cluster::new(cfg, seed).map_err(|e| CliError::Execution(e.to_string()))?;
-    if parsed.flag("health") {
-        fleet
-            .enable_health(mzd_health::HealthConfig::default())
-            .map_err(|e| CliError::Execution(e.to_string()))?;
-    }
-    let guarantee = fleet.guarantee().clone();
-    // Default offered load: the composed fleet capacity — the largest
-    // population the guarantee covers.
-    let streams = parsed.u64_or("streams", guarantee.fleet_capacity)?;
-
-    // Cross-node trace stitching: one root span per stream at the
-    // dispatcher, adopted by every host it migrates across.
-    if parsed.has("trace-out") {
-        fleet
-            .enable_tracing()
-            .map_err(|e| CliError::Execution(e.to_string()))?;
-    }
-    // Correlated fleet postmortems: per-node recorders under
-    // `DIR/node-{i}/` plus the fleet manifest the triggers write.
-    let shape = Some((nodes, lease_rounds));
-    if let Some(settings) = recorder_settings(parsed, disks, shape, seed, streams, rounds)? {
-        fleet.attach_recorders(&settings);
-    }
-    let catalog = serve_catalog(parsed)?;
-    let totals = drive(parsed, &mut fleet, &catalog, seed, streams, rounds)?;
-
-    let status = fleet.status();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "served {rounds} rounds on a {nodes}-node fleet ({disks} disk(s)/node, seed {seed}):"
     );
     let _ = writeln!(
         out,
@@ -805,6 +568,18 @@ fn serve_fleet(
         guarantee.p_error_any,
         guarantee.epsilon
     );
+    if servers[0].admission().is_cache_aware() {
+        let highest = servers
+            .iter()
+            .map(|s| s.admission().effective_per_disk_limit())
+            .max()
+            .unwrap_or(0);
+        let _ = writeln!(
+            out,
+            "  admission: {highest} streams/disk (base {}, cache-aware)",
+            guarantee.n_star
+        );
+    }
     let _ = writeln!(
         out,
         "  fleet: capacity {} streams ({} spare node(s)); {} live node(s) at exit",
@@ -812,15 +587,21 @@ fn serve_fleet(
     );
     let _ = writeln!(
         out,
-        "  streams: {} active, {} waiting, {} completed play-out, {} rejected at capacity",
-        status.active_streams, status.waiting, status.completed, totals.rejected
+        "  streams: {} active, {} waiting, {} completed play-out",
+        status.active_streams,
+        status.waiting + client_waiting,
+        status.completed
     );
     let stream_rounds = totals.stream_rounds;
-    let rate = glitch_rate(status.total_glitches, stream_rounds);
+    let rate = status.total_glitches as f64 / stream_rounds.max(1) as f64;
     let _ = writeln!(
         out,
         "  glitches: {} host + {} outage in {} stream-rounds (rate {:.5}); {} late disk-rounds",
-        totals.glitches, status.outage_glitches, stream_rounds, rate, totals.late_disks
+        status.total_glitches - status.outage_glitches,
+        status.outage_glitches,
+        stream_rounds,
+        rate,
+        totals.late_disks
     );
     let _ = writeln!(
         out,
@@ -836,7 +617,7 @@ fn serve_fleet(
         } else {
             format!(" ({} scripted outage(s))", fleet.config().outages.len())
         },
-        totals.migrated
+        status.migrations
     );
     let _ = writeln!(
         out,
@@ -885,16 +666,134 @@ fn serve_fleet(
             service.count()
         );
     }
-    let trace = fleet.trace_chrome_json().map(|json| {
+    node_layers(&mut out, parsed, &servers);
+    if let Some(path) = parsed.str_opt("trace-out") {
+        let json = fleet
+            .trace_chrome_json()
+            .ok_or_else(|| CliError::Execution("tracing was not enabled".into()))?;
+        write_file(path, &json)?;
         let spans = json.matches("\"ph\":\"X\"").count();
-        (json, format!("{spans} stitched span(s)"))
-    });
-    let dumps = parsed.has("postmortem-dir").then(|| {
-        let none = "no fleet dump triggered".to_string();
-        (fleet.fleet_dumps().to_vec(), none)
-    });
-    serve_tail(&mut out, parsed, trace, dumps)?;
+        let _ = writeln!(out, "  trace: {spans} stitched span(s) -> {path}");
+    }
+    if let Some(path) = parsed.str_opt("profile-out") {
+        let folded = mzd_prof::collapsed();
+        write_file(path, &folded)?;
+        let stacks = folded.lines().count();
+        let _ = writeln!(out, "  profile: {stacks} stack(s) -> {path}");
+    }
+    // The fleet manifests, then every node's own bundles.
+    if parsed.has("postmortem-dir") {
+        let mut dumps = fleet.fleet_dumps().to_vec();
+        for server in &servers {
+            dumps.extend(
+                server
+                    .recorder()
+                    .map_or_else(Vec::new, mzd_prof::Recorder::dumps),
+            );
+        }
+        if dumps.is_empty() {
+            let _ = writeln!(out, "  postmortem: no dump triggered");
+        }
+        for (trigger, path) in dumps {
+            let (trigger, path) = (trigger.as_str(), path.display());
+            let _ = writeln!(out, "  postmortem: {trigger} -> {path}");
+        }
+    }
     Ok(out)
+}
+
+/// The report lines of the nodes' own layers, folded over the fleet:
+/// cache counts summed, the highest degrade rung with its counts
+/// summed, the highest burn rates and KS with alert and drift counts
+/// summed, and whether any node has an alert or drift active.
+fn node_layers(out: &mut String, parsed: &Parsed, servers: &[&mzd_server::VideoServer]) {
+    let caches: Vec<&mzd_cache::FragmentCache> = servers.iter().filter_map(|s| s.cache()).collect();
+    if let Some(first) = caches.first() {
+        let mut stats = mzd_cache::CacheStats::default();
+        let (mut capacity, mut resident, mut fragments) = (0.0, 0.0, 0);
+        for cache in &caches {
+            let s = cache.stats();
+            stats.hits += s.hits;
+            stats.delayed_hits += s.delayed_hits;
+            stats.misses += s.misses;
+            stats.insertions += s.insertions;
+            stats.evictions += s.evictions;
+            stats.rejected_fills += s.rejected_fills;
+            capacity += cache.capacity_bytes();
+            resident += cache.occupancy_bytes();
+            fragments += cache.len();
+        }
+        let _ = writeln!(
+            out,
+            "  cache: {} policy, {:.1} MB capacity, {:.1} MB resident ({fragments} fragments)",
+            first.config().policy.name(),
+            capacity / 1e6,
+            resident / 1e6,
+        );
+        let _ = writeln!(
+            out,
+            "  cache traffic: {} hits, {} delayed hits, {} misses ({:.1}% of lookups avoided disk)",
+            stats.hits,
+            stats.delayed_hits,
+            stats.misses,
+            100.0 * stats.disk_avoidance_ratio()
+        );
+        let _ = writeln!(
+            out,
+            "  cache churn: {} insertions, {} evictions, {} rejected fills",
+            stats.insertions, stats.evictions, stats.rejected_fills
+        );
+    } else {
+        let _ = writeln!(out, "  cache: disabled");
+    }
+    if let Some(spec) = parsed.str_opt("fault-profile") {
+        let _ = writeln!(out, "  faults: {spec} injected");
+    }
+    let ladders: Vec<_> = servers.iter().filter_map(|s| s.degrade_status()).collect();
+    if !ladders.is_empty() {
+        let rung = ladders.iter().map(|d| d.rung).max().unwrap_or(0);
+        let sum = |f: fn(&mzd_server::DegradeStatus) -> u64| ladders.iter().map(f).sum::<u64>();
+        let _ = writeln!(
+            out,
+            "  degrade: rung {rung} ({} escalation(s), {} recover(y/ies), {} stream(s) shed)",
+            sum(|d| d.escalations),
+            sum(|d| d.recoveries),
+            sum(|d| d.shed_streams)
+        );
+    }
+    let slos: Vec<_> = servers.iter().filter_map(|s| s.slo_status()).collect();
+    if !slos.is_empty() {
+        let max = |f: fn(&mzd_server::SloStatus) -> f64| slos.iter().map(f).fold(0.0, f64::max);
+        let sum = |f: fn(&mzd_server::SloStatus) -> u64| slos.iter().map(f).sum::<u64>();
+        let any = |f: fn(&mzd_server::SloStatus) -> bool| slos.iter().any(f);
+        let _ = writeln!(
+            out,
+            "  slo: burn fast {:.2} / slow {:.2} / long {:.2}; {} alert(s), {}",
+            max(|s| s.burn_fast),
+            max(|s| s.burn_slow),
+            max(|s| s.burn_long),
+            sum(|s| s.alerts_raised),
+            if any(|s| s.over_admission_frozen) {
+                "over-admission frozen"
+            } else if any(|s| s.alert_active) {
+                "alert active"
+            } else {
+                "healthy"
+            }
+        );
+        let _ = writeln!(
+            out,
+            "  conformance: ks {:.3}, tail exceedance {:.3}, {} drift(s){}",
+            max(|s| s.ks_statistic),
+            max(|s| s.tail_exceedance),
+            sum(|s| s.drifts_raised),
+            if any(|s| s.drift_active) {
+                " [model drift active]"
+            } else {
+                ""
+            }
+        );
+    }
 }
 
 fn report(parsed: &Parsed) -> Result<String, CliError> {
@@ -1193,6 +1092,38 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&base), strip(&clean));
+    }
+
+    #[test]
+    fn turned_away_requests_are_admitted_oldest_first() {
+        // One disk admits 28; the first 28 objects end one per round, so
+        // capacity frees one slot at a time.
+        let cfg = mzd_cluster::ClusterConfig::paper_reference(1, 1).unwrap();
+        let mut fleet = Cluster::new(cfg, 15).unwrap();
+        let catalog: Vec<ObjectSpec> = (0..31u32)
+            .map(|i| {
+                let rounds = if i < 28 { i + 1 } else { 50 };
+                ObjectSpec::new(format!("o{i}"), SizeDistribution::paper_default(), rounds).unwrap()
+            })
+            .collect();
+        let mut waiting: VecDeque<usize> = (0..31).collect();
+        offer_waiting(&mut fleet, &catalog, &mut waiting);
+        assert_eq!(waiting, [28, 29, 30]);
+        for left in [vec![29, 30], vec![30], vec![]] {
+            fleet.run_round();
+            offer_waiting(&mut fleet, &catalog, &mut waiting);
+            assert_eq!(Vec::from(waiting.clone()), left);
+        }
+        fleet.run_round();
+        let admitted: Vec<String> = fleet
+            .node(0)
+            .server()
+            .active_session_info()
+            .into_iter()
+            .map(|s| s.object.name)
+            .filter(|name| ["o28", "o29", "o30"].contains(&name.as_str()))
+            .collect();
+        assert_eq!(admitted, ["o28", "o29", "o30"]);
     }
 
     #[test]

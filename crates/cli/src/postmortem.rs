@@ -58,7 +58,7 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(out, "\n  round timeline (oldest retained first):");
     let _ = writeln!(
         out,
-        "  round   act wait glitch rung  burn-fast  svc(max)  seek     rot      xfer     fault"
+        "  round   act glitch rung  burn-fast  svc(max)  seek     rot      xfer     fault"
     );
     let mut identity_violations = 0u64;
     for s in &bundle.rounds {
@@ -77,11 +77,10 @@ pub fn run(parsed: &Parsed) -> Result<String, CliError> {
         let late = s.disks.iter().any(|d| d.late);
         let _ = writeln!(
             out,
-            "  {:>6}{} {:>4} {:>4} {:>6} {:>4} {:>9.3}  {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
+            "  {:>6}{} {:>4} {:>6} {:>4} {:>9.3}  {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4}",
             s.round,
             if late { "!" } else { " " },
             s.active_streams,
-            s.waiting_streams,
             s.glitches,
             s.rung,
             s.burn_fast,
@@ -340,7 +339,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("postmortem: manual ->"), "{out}");
-        let bundle = dir.join("postmortem-r000011-manual");
+        let bundle = dir.join("node-0/postmortem-r000011-manual");
         assert!(bundle.join("MANIFEST.json").is_file());
         let rendered = run_line(&["postmortem", "--bundle", bundle.to_str().unwrap()]).unwrap();
         assert!(
@@ -437,7 +436,7 @@ mod tests {
             "--dump-on-exit",
         ])
         .unwrap();
-        let bundle = dir.join("postmortem-r000005-manual");
+        let bundle = dir.join("node-0/postmortem-r000005-manual");
         let rounds = bundle.join("rounds.jsonl");
         let mut text = std::fs::read_to_string(&rounds).unwrap();
         text.push('\n');

@@ -19,7 +19,7 @@ use crate::CliError;
 use std::sync::{Arc, Mutex};
 
 /// Extra Prometheus exposition text appended after the global registry
-/// whenever `--prom-out` renders — how `serve --nodes` ships the
+/// whenever `--prom-out` renders — how `serve` ships the
 /// fleet's labeled quantile-sketch series (which live on the cluster,
 /// not in the process-global registry) through the same file.
 static PROM_APPENDIX: Mutex<String> = Mutex::new(String::new());

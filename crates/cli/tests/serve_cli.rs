@@ -1,6 +1,8 @@
-//! Subprocess tests for `serve`'s two paths: a flag only one path reads
-//! fails loudly on the other, the flags both paths share work on the
-//! fleet too, and a flag neither reads fails before anything runs.
+//! Subprocess tests for `serve`, which runs every configuration as a
+//! fleet: one node serves what `--nodes 1` serves, a flag that acts
+//! only across nodes fails loudly on one, the flags every fleet shares
+//! work at any size, and a flag `serve` does not read fails before
+//! anything runs.
 
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,31 +79,145 @@ fn fleet_profile_out_writes_the_server_round_stacks() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The words of a command line.
+fn words(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
+}
+
+/// Every file under `dir`, as (path relative to `dir`, bytes), sorted.
+fn files(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut found = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for path in std::fs::read_dir(&d).unwrap().map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                found.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
 #[test]
-fn slo_with_a_fleet_is_a_usage_error() {
+fn serve_is_a_one_node_fleet() {
+    // The same report and the same files, byte for byte: every path the
+    // report prints is relative to the run's own directory. (The metrics
+    // and Prometheus files also carry wall-clock timings, so no two
+    // runs write those alike.)
+    let root = std::env::temp_dir().join(format!("mzd-serve-one-{}", std::process::id()));
+    let line = "serve --rounds 40 --streams 30 --disks 2 --seed 3 --object-rounds 25 --zipf 1.0 \
+                --cache-bytes 2e7 --fault-profile media=0.05 --degrade --trace-out t.json \
+                --events-out e.jsonl --postmortem-dir pm --dump-on-exit";
+    let run = |name: &str, extra: &str| {
+        let dir = root.join(name);
+        std::fs::create_dir_all(&dir).expect("create run dir");
+        let output = Command::new(env!("CARGO_BIN_EXE_mzd"))
+            .args(words(line))
+            .args(words(extra))
+            .current_dir(&dir)
+            .output()
+            .expect("failed to spawn mzd");
+        assert!(output.status.success(), "{name}: {output:?}");
+        (String::from_utf8(output.stdout).unwrap(), files(&dir))
+    };
+    let (plain, written) = run("plain", "");
+    let (one, one_written) = run("one", "--nodes 1");
+    assert!(plain.contains("on a 1-node fleet"), "{plain}");
+    assert_eq!(plain, one);
+    let names: Vec<_> = written.iter().map(|f| f.0.to_str().unwrap()).collect();
+    for name in ["e.jsonl", "t.json", "pm/MANIFEST.json"] {
+        assert!(names.contains(&name), "{names:?}");
+    }
+    assert!(
+        names.iter().any(|n| n.starts_with("pm/node-0/")),
+        "{names:?}"
+    );
+    assert!(written == one_written, "the two runs wrote different files");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn zero_nodes_is_a_usage_error() {
+    assert_usage_error(&words("serve --nodes 0 --rounds 1"), "--nodes");
+}
+
+#[test]
+fn slo_turns_on_every_node_of_a_fleet() {
+    let output = mzd(&words("serve --nodes 2 --rounds 30 --seed 7 --slo"));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stdout}");
+    assert!(stdout.contains("slo: burn fast"), "{stdout}");
+    assert!(stdout.contains("conformance: ks"), "{stdout}");
+}
+
+#[test]
+fn cache_safety_raises_a_cached_fleet_above_its_composed_capacity() {
+    // The roadmap's cached fleet: its composed capacity is 27 streams,
+    // so without cache-aware admission most of the offered 70 wait.
+    let line = "serve --nodes 2 --disks 1 --rounds 200 --seed 7 --objects 8 \
+                --object-rounds 100 --zipf 1.0 --cache-bytes 40000000 --streams 70";
+    let run = |extra: &str| {
+        let output = mzd(&[words(line), words(extra)].concat());
+        assert!(output.status.success(), "{output:?}");
+        let report = String::from_utf8(output.stdout).unwrap();
+        let glitches = report
+            .lines()
+            .find(|l| l.contains("stream-rounds"))
+            .unwrap();
+        let served: u64 = glitches
+            .split(" in ")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        (report, served)
+    };
+    let (plain, plain_served) = run("");
+    let (aware, aware_served) = run("--cache-safety 0.0");
+    assert!(!plain.contains("cache-aware"), "{plain}");
+    assert!(aware.contains("(base 27, cache-aware)"), "{aware}");
+    assert!(aware_served > plain_served, "{plain}\n{aware}");
+}
+
+#[test]
+fn a_nan_cache_budget_is_a_usage_error() {
     assert_usage_error(
-        &["serve", "--nodes", "4", "--rounds", "1", "--slo"],
-        "--slo",
+        &words("serve --rounds 1 --cache-bytes nan"),
+        "--cache-bytes",
     );
 }
 
 #[test]
-fn cache_safety_with_a_fleet_is_a_usage_error() {
-    // The fleet admits through its composed cap, never cache-aware.
+fn a_negative_cache_budget_is_a_usage_error() {
+    assert_usage_error(&words("serve --rounds 1 --cache-bytes -5"), "--cache-bytes");
+}
+
+#[test]
+fn a_safety_outside_the_unit_interval_is_a_usage_error() {
     assert_usage_error(
-        &[
-            "serve",
-            "--nodes",
-            "2",
-            "--rounds",
-            "1",
-            "--cache-bytes",
-            "40000000",
-            "--cache-safety",
-            "0.0",
-        ],
+        &words("serve --rounds 1 --cache-safety 1.5"),
         "--cache-safety",
     );
+}
+
+#[test]
+fn a_safety_without_a_cache_is_a_usage_error() {
+    assert_usage_error(
+        &words("serve --rounds 1 --cache-safety 0.2"),
+        "--cache-safety",
+    );
+}
+
+#[test]
+fn work_ahead_without_a_cache_is_a_usage_error() {
+    assert_usage_error(&words("serve --rounds 1 --work-ahead 3"), "--work-ahead");
 }
 
 #[test]

@@ -7,9 +7,8 @@
 //!
 //! 1. **revive** nodes whose scripted outage ended (fresh lease);
 //! 2. **dispatch** — every live node pulls from the front of its queue
-//!    while the *cluster's* composed admission cap (`n*` per disk, an
-//!    [`mzd_server::AdmissionController`] at the fleet layer) says yes;
-//!    the node's own controller stays as backstop;
+//!    while its own controller, which enforces the composed cap `n*`
+//!    per disk, admits;
 //! 3. **step** every operational node one round, in parallel via
 //!    `mzd_par::par_map_owned` — each node owns its RNG and reports
 //!    join in node order, so results are byte-identical at any
@@ -22,11 +21,13 @@
 //!    *ahead of* newer arrivals — and marked degradable so the
 //!    adopters' degradation ladders absorb the surge.
 //!
-//! Node failure is driven by `mzd-fault`'s chaos scenarios: a
-//! [`ChaosScenario::ZoneFailure`] on the node config is lifted to
-//! fleet scope as a [`NodeOutage`] of node `zone % nodes` (the fleet
-//! analogue of a correlated zone loss), while `Burst`/`Ramp`
-//! scenarios stay on the disks where they belong.
+//! Node failure is driven by `mzd-fault`'s chaos scenarios: on a fleet
+//! of two or more nodes a [`ChaosScenario::ZoneFailure`] on the node
+//! config is lifted to fleet scope as a [`NodeOutage`] of node
+//! `zone % nodes` (the fleet analogue of a correlated zone loss),
+//! while `Burst`/`Ramp` scenarios stay on the disks where they belong.
+//! A one-node fleet has no node to adopt the streams, so there the
+//! zone failure stays on the disks too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ use mzd_fault::{ChaosScenario, GrayDegradation};
 use mzd_health::{HealthConfig, HealthDetector, RecomposedGuarantee};
 use mzd_obs::SketchFleet;
 use mzd_prof::{DumpTrigger, Recorder, RecorderSettings};
-use mzd_server::{AdmissionController, AdmissionDecision, ModelTables, ServerConfig};
+use mzd_server::{ModelTables, ServerConfig, SloSettings};
 use mzd_slo::Tracer;
 use mzd_telemetry::SpanContext;
 use mzd_workload::ObjectSpec;
@@ -98,9 +99,9 @@ impl NodeOutage {
 pub struct ClusterConfig {
     /// Fleet size.
     pub nodes: u32,
-    /// Per-node server configuration, cloned for every member. A
-    /// `ZoneFailure` chaos scenario on its fault config is lifted to a
-    /// fleet-scope [`NodeOutage`] at construction.
+    /// Per-node server configuration, cloned for every member. On two
+    /// or more nodes a `ZoneFailure` chaos scenario on its fault config
+    /// is lifted to a fleet-scope [`NodeOutage`] at construction.
     pub node: ServerConfig,
     /// Lease timeout in rounds: a node silent this long is declared
     /// failed and its streams migrate.
@@ -318,7 +319,13 @@ struct HealthState {
 pub struct Cluster {
     cfg: ClusterConfig,
     guarantee: ClusterGuarantee,
-    admission: AdmissionController,
+    /// Streams the fleet admits now: the spare rule over the nodes'
+    /// effective limits, capped by the re-composed guarantee when health
+    /// is on. Refreshed at construction and once per round.
+    capacity: u64,
+    /// Each node's effective stream limit (per-disk limit × disks), as
+    /// of the last refresh; routing headroom reads it.
+    node_limits: Vec<u32>,
     placement: Placement,
     dispatcher: Dispatcher,
     lease: LeaseTable,
@@ -369,8 +376,9 @@ impl Cluster {
     pub fn new(mut cfg: ClusterConfig, seed: u64) -> Result<Self, ClusterError> {
         cfg.validate()?;
         // Lift a correlated zone failure to fleet scope: the analogous
-        // event at cluster scale is a whole member going dark.
-        if let Some(fc) = cfg.node.faults.as_mut() {
+        // event at cluster scale is a whole member going dark — when
+        // another member could adopt its streams.
+        if let Some(fc) = cfg.node.faults.as_mut().filter(|_| cfg.nodes > 1) {
             if let ChaosScenario::ZoneFailure {
                 zone,
                 start,
@@ -402,7 +410,6 @@ impl Cluster {
         let tables = Arc::new(ModelTables::for_config(&cfg.node)?);
         let guarantee =
             ClusterGuarantee::compose(&tables, cfg.nodes, cfg.node.disks, cfg.lease_rounds)?;
-        let admission = AdmissionController::with_limit(guarantee.n_star);
         let nodes = (0..cfg.nodes)
             .map(|i| {
                 let mut node_cfg = cfg.node.clone();
@@ -412,7 +419,7 @@ impl Cluster {
                     }
                 }
                 let seed = mzd_par::derive_seed(seed, u64::from(i));
-                ServerNode::new(i, node_cfg, seed, Arc::clone(&tables))
+                ServerNode::new(i, node_cfg, seed, Arc::clone(&tables), guarantee.n_star)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let placement = Placement::new(cfg.nodes)?;
@@ -425,10 +432,11 @@ impl Cluster {
         let mut sketches = SketchFleet::with_nodes(cfg.nodes);
         sketches.declare_all(SKETCH_SERVICE_TIME);
         sketches.declare_all(SKETCH_QUEUE_DEPTH);
-        Ok(Self {
+        let mut fleet = Self {
             cfg,
             guarantee,
-            admission,
+            capacity: 0,
+            node_limits: Vec::new(),
             placement,
             dispatcher,
             lease,
@@ -449,7 +457,9 @@ impl Cluster {
             fleet_dir: None,
             fleet_dumps: Vec::new(),
             health: None,
-        })
+        };
+        fleet.refresh_capacity();
+        Ok(fleet)
     }
 
     /// One round expressed in trace microseconds (logical time: round
@@ -479,6 +489,21 @@ impl Cluster {
             node.enable_tracing(base)?;
         }
         self.tracer = Some(Tracer::new());
+        Ok(())
+    }
+
+    /// Attach every node's SLO layer untraced: burn-rate alerting and
+    /// model conformance against the node's own glitch budget. Call
+    /// before the first round; [`Self::enable_tracing`] attaches the
+    /// traced layer instead.
+    ///
+    /// # Errors
+    /// Propagates per-node server configuration errors.
+    pub fn enable_slo(&mut self) -> Result<(), ClusterError> {
+        let settings = SloSettings::for_target(self.cfg.node.target);
+        for node in &mut self.nodes {
+            node.server_mut().enable_slo(settings)?;
+        }
         Ok(())
     }
 
@@ -529,6 +554,7 @@ impl Cluster {
             },
             metrics,
         });
+        self.refresh_capacity();
         Ok(())
     }
 
@@ -558,6 +584,35 @@ impl Cluster {
     /// queued plus held unrouted.
     fn committed(&self) -> u64 {
         (self.by_host.len() + self.dispatcher.queued_total() + self.unrouted.len()) as u64
+    }
+
+    /// Re-read every node's effective limit and the fleet capacity they
+    /// imply: the sum over nodes, less the largest node when a spare is
+    /// held, and with health on no more than the re-composed capacity
+    /// (nothing while admission is frozen). Without cache-aware
+    /// admission every node's limit is `n*`, so this is the composed
+    /// [`ClusterGuarantee::fleet_capacity`].
+    fn refresh_capacity(&mut self) {
+        self.node_limits.clear();
+        self.node_limits.extend(self.nodes.iter().map(|n| {
+            let server = n.server();
+            server.admission().effective_per_disk_limit() * server.config().disks
+        }));
+        let sum: u64 = self.node_limits.iter().map(|&l| u64::from(l)).sum();
+        let spare = if self.guarantee.spares > 0 {
+            self.node_limits.iter().copied().max().unwrap_or(0)
+        } else {
+            0
+        };
+        let own = sum - u64::from(spare);
+        self.capacity = self.health.as_ref().map_or(own, |h| {
+            let recomposed = &h.status.recomposed;
+            if recomposed.frozen {
+                0
+            } else {
+                recomposed.effective_capacity.min(own)
+            }
+        });
     }
 
     /// Whether the health subsystem has `node` ejected. Ejection is
@@ -720,35 +775,22 @@ impl Cluster {
 
     /// Submit a play-out request. Accepted requests are parked in the
     /// queue placement chose and admitted when their node pulls them;
-    /// requests beyond the composed fleet capacity are rejected so the
-    /// guarantee is never diluted.
+    /// requests beyond the fleet's capacity (the spare rule over the
+    /// nodes' effective limits, as of the last round) are rejected so
+    /// the guarantee is never diluted.
     ///
     /// # Errors
     /// Currently infallible (the `Result` reserves room for workload
     /// validation); rejection is the `Ok(`[`SubmitOutcome::Rejected`]`)`
     /// case, not an error.
     pub fn submit(&mut self, object: ObjectSpec) -> Result<SubmitOutcome, ClusterError> {
-        let committed = self.committed();
-        // Admission consults the re-composed guarantee when health is
-        // on: ejections debit capacity, and a frozen fleet (survivors
+        // The capacity consults the re-composed guarantee when health
+        // is on: ejections debit it, and a frozen fleet (survivors
         // over-committed) rejects everything until it drains or heals.
-        let capacity = self
-            .health
-            .as_ref()
-            .map_or(self.guarantee.fleet_capacity, |h| {
-                if h.status.recomposed.frozen {
-                    0
-                } else {
-                    h.status
-                        .recomposed
-                        .effective_capacity
-                        .min(self.guarantee.fleet_capacity)
-                }
-            });
-        if committed >= capacity {
+        if self.committed() >= self.capacity {
             self.metrics.rejected.inc();
             return Ok(SubmitOutcome::Rejected {
-                fleet_capacity: capacity,
+                fleet_capacity: self.capacity,
             });
         }
         let seq = self.next_seq;
@@ -828,8 +870,9 @@ impl Cluster {
     /// routes on belief — a silent node keeps collecting queue entries
     /// until its lease expires, exactly the window the guarantee's
     /// outage charge pays for), minus health-ejected members (alive
-    /// but excluded from routing until readmitted). Rebuilt in place, so
-    /// only the first refresh allocates.
+    /// but excluded from routing until readmitted); headroom is under
+    /// each node's effective limit as of the last round. Rebuilt in
+    /// place, so only the first refresh allocates.
     fn refresh_views(&mut self) {
         let mut views = std::mem::take(&mut self.views);
         views.clear();
@@ -841,9 +884,7 @@ impl Cluster {
             NodeView {
                 node: id,
                 available: self.lease.is_live(id) && !self.is_health_ejected(id),
-                headroom: self
-                    .guarantee
-                    .node_capacity
+                headroom: self.node_limits[id as usize]
                     .saturating_sub(active)
                     .saturating_sub(queued),
                 min_disk_load: server.per_disk_load().iter().copied().min().unwrap_or(0),
@@ -964,46 +1005,31 @@ impl Cluster {
         }
 
         // 3. Dispatch: live, operational, non-ejected nodes pull from
-        // their queue front while the composed cap admits. The pull
+        // their queue front while their own controller admits. The pull
         // order (node index) is fixed, so admission is deterministic.
         for i in 0..n {
             if !operational[i as usize] || !self.lease.is_live(i) || self.is_health_ejected(i) {
                 continue;
             }
-            while self.dispatcher.peek(i).is_some()
-                && matches!(
-                    self.admission
-                        .decide(self.nodes[i as usize].server().per_disk_load()),
-                    AdmissionDecision::Admit
-                )
-            {
+            while self.dispatcher.peek(i).is_some() && self.nodes[i as usize].admits() {
                 let Some(pending) = self.dispatcher.pull(i) else {
                     break;
                 };
                 // Hand the submission-time root to the adopting node:
                 // its admit/round spans stitch under it.
                 let root = self.meta.get(&pending.seq).and_then(|m| m.root);
-                let node = &mut self.nodes[i as usize];
-                match node.try_open_traced(pending.object.clone(), root, pending.migrated) {
-                    Some(local_id) => {
-                        self.by_host.insert((i, local_id), pending.seq);
-                        let meta = self.meta.get_mut(&pending.seq).expect("queued stream meta");
-                        meta.glitches = meta.glitches.max(pending.carried_glitches);
-                        let queued = meta.queued_at.take().unwrap_or(round);
-                        report.admitted += 1;
-                        self.metrics.admitted.inc();
-                        let (ts, dur) = (queued * round_us, (round - queued) * round_us);
-                        let args = [("node", u64::from(i))];
-                        self.fleet_span(pending.seq, "fleet.queue.wait", ts, dur, &args);
-                    }
-                    None => {
-                        // Node backstop refused (should not out-admit
-                        // the composed cap, but the node has the last
-                        // word): put it back at the queue front.
-                        self.dispatcher.enqueue(i, pending);
-                        break;
-                    }
-                }
+                let local_id = self.nodes[i as usize]
+                    .try_open_traced(pending.object, root, pending.migrated)
+                    .expect("the node's controller admits the stream");
+                self.by_host.insert((i, local_id), pending.seq);
+                let meta = self.meta.get_mut(&pending.seq).expect("queued stream meta");
+                meta.glitches = meta.glitches.max(pending.carried_glitches);
+                let queued = meta.queued_at.take().unwrap_or(round);
+                report.admitted += 1;
+                self.metrics.admitted.inc();
+                let (ts, dur) = (queued * round_us, (round - queued) * round_us);
+                let args = [("node", u64::from(i))];
+                self.fleet_span(pending.seq, "fleet.queue.wait", ts, dur, &args);
             }
         }
 
@@ -1260,7 +1286,9 @@ impl Cluster {
             }
         }
 
-        // 8. Gauges and the round counter.
+        // 8. The capacity the next submissions see, gauges and the round
+        // counter.
+        self.refresh_capacity();
         self.metrics.streams_active.set(self.by_host.len() as f64);
         self.metrics.streams_waiting.set(self.waiting() as f64);
         self.metrics
@@ -1325,7 +1353,11 @@ mod tests {
         for i in 0..4 {
             let server = fleet.node(i).server();
             assert!(Arc::ptr_eq(tables, server.tables()), "node {i}");
-            assert_eq!(server.admission().per_disk_limit(), tables.per_disk_limit());
+            // Each node enforces the composed cap itself.
+            assert_eq!(
+                server.admission().per_disk_limit(),
+                fleet.guarantee().n_star
+            );
         }
         // One tables object, held by the nodes alone: no node solved a
         // copy of its own, and the composition read the same limit.
@@ -1410,6 +1442,29 @@ mod tests {
         let nf = fleet.config().node.faults.as_ref().unwrap();
         assert_eq!(nf.profile.scenario, ChaosScenario::None);
         assert!(nf.profile.p_media > 0.0);
+    }
+
+    #[test]
+    fn one_node_keeps_its_zone_failure_on_the_disks() {
+        // `zonefail` slows reads of zone 0 twentyfold from round 200;
+        // with no node to adopt the streams, the failure stays on the
+        // disks and the node overruns instead of going silent.
+        let mut cfg = ClusterConfig::paper_reference(1, 1).unwrap();
+        cfg.node.faults = Some(mzd_fault::FaultConfig::preset("zonefail").unwrap());
+        let mut fleet = Cluster::new(cfg.clone(), 23).unwrap();
+        assert_eq!(
+            *fleet.config(),
+            cfg,
+            "no outage lifted, no scenario stripped"
+        );
+        for _ in 0..fleet.guarantee().fleet_capacity {
+            fleet.submit(small_object(10_000)).unwrap();
+        }
+        let reports: Vec<_> = (0..300).map(|_| fleet.run_round()).collect();
+        assert!(reports
+            .iter()
+            .all(|r| r.failed_nodes.is_empty() && r.outage_glitches == 0));
+        assert!(reports[200..].iter().any(|r| r.late_disks > 0));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The dispatcher never pushes work into a node. It *parks* each
 //! request in the queue of the node placement chose; every round, nodes
 //! with admission headroom pull from the front of their own queue. This
-//! keeps admission decisions local (the node's controller remains the
-//! backstop) while the queues make waiting work observable and the
-//! drain order auditable.
+//! keeps admission decisions local (each node's controller decides)
+//! while the queues make waiting work observable and the drain order
+//! auditable.
 //!
 //! # Fairness invariant
 //!
@@ -16,9 +16,7 @@
 //! *migrated* off a failed node keeps its original `seq` and is
 //! re-inserted at its sorted position — **ahead of every newer
 //! arrival**. A stream therefore never loses its place in line by
-//! being unlucky enough to sit on the node that died. This mirrors the
-//! invariant `mzd_server::VideoServer::drain_wait_queue` documents for
-//! the single-node wait queue.
+//! being unlucky enough to sit on the node that died.
 //!
 //! # Leases
 //!
@@ -59,8 +57,8 @@ pub struct NodeView {
     pub node: u32,
     /// Whether the node is live (lease not expired, no active outage).
     pub available: bool,
-    /// Open slots under the *cluster's* composed per-node stream cap,
-    /// minus work already parked in the node's queue.
+    /// Open slots under the node's effective stream limit, minus work
+    /// already parked in the node's queue.
     pub headroom: u32,
     /// The node's least-loaded disk — the striping-aware tiebreak:
     /// lower means the node's striping rotation absorbs a new stream

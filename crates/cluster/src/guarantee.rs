@@ -52,6 +52,10 @@
 //! `nodes − spares` members (one spare when the fleet has more than
 //! one node) so a single failure never leaves admitted streams without
 //! a host.
+//!
+//! A one-node fleet has no spare and so no failover target: a failure
+//! has nowhere to move its streams, and no debit buys anything. It
+//! charges `ℓ = 0`, so `n*` is the single-node cap.
 
 use mzd_server::{ModelTables, QualityTarget};
 
@@ -85,7 +89,7 @@ pub struct ClusterGuarantee {
     pub p_glitch_round: f64,
     /// Deterministic glitch-rounds `ℓ = lease_rounds +
     /// REQUEUE_SLACK_ROUNDS` one failure costs a stream, debited from
-    /// the budget.
+    /// the budget; 0 on one node, which has no failover target.
     pub outage_rounds: u64,
     /// The budget left for host glitches: `g − ℓ`.
     pub g_effective: u64,
@@ -105,9 +109,10 @@ pub struct ClusterGuarantee {
 impl ClusterGuarantee {
     /// Compose the fleet guarantee for `nodes` members of
     /// `disks_per_node` disks each, all running the model `tables` were
-    /// solved from, with lease timeout `lease_rounds`. The single-node
-    /// cap is the tables' per-disk limit, so the fleet solves eq. 3.3.6
-    /// once for the composition and every node's admission controller.
+    /// solved from, with lease timeout `lease_rounds` (unused on one
+    /// node). The single-node cap is the tables' per-disk limit, so the
+    /// fleet solves eq. 3.3.6 once for the composition and every node's
+    /// admission controller.
     ///
     /// # Errors
     /// [`ClusterError::Invalid`] when the fleet shape is degenerate, or
@@ -128,7 +133,11 @@ impl ClusterGuarantee {
             ));
         }
         let n_max_single = tables.per_disk_limit();
-        let ell = u64::from(lease_rounds) + u64::from(REQUEUE_SLACK_ROUNDS);
+        let ell = if nodes > 1 {
+            u64::from(lease_rounds) + u64::from(REQUEUE_SLACK_ROUNDS)
+        } else {
+            0
+        };
         if ell >= g {
             return Err(ClusterError::Invalid(format!(
                 "the lease timeout consumes the glitch budget: one failure \
@@ -232,6 +241,9 @@ mod tests {
         let g = ClusterGuarantee::compose(&tables(), 1, 8, 3).unwrap();
         assert_eq!(g.spares, 0);
         assert_eq!(g.fleet_capacity, u64::from(g.n_star) * 8);
+        // No failover target, so no failover price: the single-node cap.
+        assert_eq!(g.outage_rounds, 0);
+        assert_eq!(g.n_star, g.n_max_single);
     }
 
     #[test]

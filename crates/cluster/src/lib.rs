@@ -23,16 +23,16 @@
 //!   when they have admission headroom; a node that misses lease renewal
 //!   for [`ClusterConfig::lease_rounds`] consecutive rounds is declared
 //!   failed and its streams are deterministically requeued onto the
-//!   survivors — re-entering *ahead of* newer arrivals, the same
-//!   fairness invariant `VideoServer::drain_wait_queue` documents.
+//!   survivors — re-entering *ahead of* newer arrivals.
 //! * **[`guarantee`]** — the analytic composition: per-node Chernoff
 //!   bounds (eq. 3.3.3/3.3.5) compose into a cluster-wide `p_error`
 //!   with a deterministic glitch charge for lease outage and migration
 //!   latency, in the transform-domain style of Jiang's stochastic
 //!   network calculus (heterogeneous per-round Bernoulli glitches bound
-//!   by the binomial tail at the mean rate). The result is exposed
-//!   through the same [`mzd_server::AdmissionController`] type the node
-//!   layer uses.
+//!   by the binomial tail at the mean rate). Each node's own
+//!   [`mzd_server::AdmissionController`] enforces the composed `n*`.
+//!   One node is a fleet with no spare and no failover price, which is
+//!   how `mzd serve` runs a single server.
 //!
 //! [`Cluster`] ties the layers together and runs the fleet round loop,
 //! stepping nodes in parallel via `mzd_par::par_map_owned` — results

@@ -2,12 +2,15 @@
 //!
 //! A node hosts streams, advances one round at a time, and hands its
 //! streams back when the cluster declares it failed. [`ServerNode`]
-//! pairs a full [`mzd_server::VideoServer`] (config + admission + round
-//! loop) with its fleet slot and the fleet's open and migration rules.
+//! pairs a full [`mzd_server::VideoServer`] (config + admission at the
+//! fleet's composed cap + round loop) with its fleet slot and the
+//! fleet's open and migration rules.
 
 use std::sync::Arc;
 
-use mzd_server::{ActiveStreamInfo, ModelTables, ServerConfig, SloSettings, VideoServer};
+use mzd_server::{
+    ActiveStreamInfo, AdmissionDecision, ModelTables, ServerConfig, SloSettings, VideoServer,
+};
 use mzd_workload::ObjectSpec;
 
 use crate::ClusterError;
@@ -28,7 +31,8 @@ pub struct ServerNode {
 
 impl ServerNode {
     /// Bring up one node from a per-node server configuration on the
-    /// fleet's shared [`ModelTables`].
+    /// fleet's shared [`ModelTables`], its own controller admitting at
+    /// most `per_disk_limit` streams per disk (the fleet's `n*`).
     ///
     /// # Errors
     /// Propagates server configuration errors, including tables solved
@@ -38,10 +42,11 @@ impl ServerNode {
         cfg: ServerConfig,
         seed: u64,
         tables: Arc<ModelTables>,
+        per_disk_limit: u32,
     ) -> Result<Self, ClusterError> {
         Ok(Self {
             id,
-            server: VideoServer::with_tables(cfg, seed, tables)?,
+            server: VideoServer::with_tables(cfg, seed, tables, per_disk_limit)?,
         })
     }
 
@@ -68,14 +73,20 @@ impl ServerNode {
     pub fn enable_tracing(&mut self, span_base: u64) -> Result<(), ClusterError> {
         let target = self.server.config().target;
         self.server
-            .enable_slo(SloSettings::for_target(target).with_tracing(true))?;
+            .enable_slo(SloSettings::for_target(target).with_tracing())?;
         self.server.set_trace_span_base(span_base);
         Ok(())
     }
 
+    /// Whether the node's own controller admits one more stream now.
+    #[must_use]
+    pub(crate) fn admits(&self) -> bool {
+        let decision = self.server.admission().decide(self.server.per_disk_load());
+        decision == AdmissionDecision::Admit
+    }
+
     /// Try to open a stream; `Some(local id)` on admission, `None` if
-    /// the node's own controller rejects (the cluster's composed limit
-    /// is checked by the caller first — this is the node's backstop).
+    /// the node's own controller rejects.
     ///
     /// `root`, when given, is the dispatcher's submission-time
     /// [`mzd_telemetry::SpanContext`], adopted so a migrated stream
@@ -129,7 +140,8 @@ mod tests {
     fn node(disks: u32, seed: u64) -> ServerNode {
         let cfg = ServerConfig::paper_reference(disks).unwrap();
         let tables = Arc::new(ModelTables::for_config(&cfg).unwrap());
-        ServerNode::new(3, cfg, seed, tables).unwrap()
+        let limit = tables.per_disk_limit();
+        ServerNode::new(3, cfg, seed, tables, limit).unwrap()
     }
 
     fn obj(rounds: u32) -> ObjectSpec {
@@ -182,8 +194,10 @@ mod tests {
         let mut n = node(1, 7);
         let limit = n.server().admission().per_disk_limit();
         for _ in 0..limit {
+            assert!(n.admits());
             assert!(n.try_open_traced(obj(50), None, false).is_some());
         }
+        assert!(!n.admits());
         assert!(n.try_open_traced(obj(50), None, false).is_none());
     }
 }

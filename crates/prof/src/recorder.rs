@@ -111,8 +111,6 @@ pub struct RoundSnapshot {
     pub round: u64,
     /// Active streams at end of round.
     pub active_streams: u64,
-    /// Streams queued for admission at end of round.
-    pub waiting_streams: u64,
     /// Glitched stream-rounds this round.
     pub glitches: u64,
     /// Degradation-ladder rung (0 = full service).
@@ -165,7 +163,6 @@ impl RoundSnapshot {
         out.push_str("{\"round\":");
         json::write_u64(&mut out, self.round);
         push_u64(&mut out, "active", self.active_streams);
-        push_u64(&mut out, "waiting", self.waiting_streams);
         push_u64(&mut out, "glitches", self.glitches);
         push_u64(&mut out, "rung", u64::from(self.rung));
         push_f64(&mut out, "burn_fast", self.burn_fast);
@@ -237,7 +234,6 @@ impl RoundSnapshot {
         let mut snap = RoundSnapshot {
             round: int(&doc, "round"),
             active_streams: int(&doc, "active"),
-            waiting_streams: int(&doc, "waiting"),
             glitches: int(&doc, "glitches"),
             #[allow(clippy::cast_possible_truncation)]
             rung: int(&doc, "rung").min(u64::from(u8::MAX)) as u8,
@@ -374,18 +370,6 @@ impl Recorder {
             inner.ring.pop_front();
         }
         inner.ring.push_back(snapshot);
-    }
-
-    /// Snapshots currently retained.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        lock(&self.inner).ring.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        lock(&self.inner).ring.is_empty()
     }
 
     /// Bundles dumped so far, as `(trigger, path)`.
@@ -591,15 +575,17 @@ pub fn read_bundle(dir: &Path) -> Result<Bundle, String> {
     })
 }
 
-/// Install a process-wide panic hook that dumps `recorder`'s window
+/// Install a process-wide panic hook that dumps every recorder's window
 /// (trigger `panic`) before delegating to the previous hook, so a crash
-/// mid-run still leaves a post-mortem bundle behind. Installs over the
-/// current hook; call at most once per process.
-pub fn install_panic_hook(recorder: Recorder) {
+/// mid-run still leaves a post-mortem bundle per recorder behind.
+/// Installs over the current hook; call at most once per process.
+pub fn install_panic_hook(recorders: Vec<Recorder>) {
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        // Best-effort: a failed dump must not mask the original panic.
-        let _ = recorder.trigger_dump(DumpTrigger::Panic);
+        for recorder in &recorders {
+            // Best-effort: a failed dump must not mask the original panic.
+            let _ = recorder.trigger_dump(DumpTrigger::Panic);
+        }
         previous(info);
     }));
 }
@@ -642,7 +628,8 @@ mod tests {
     #[test]
     fn lines_written_with_the_stall_key_still_parse() {
         // A line as bundles carried it while rounds still had a
-        // recalibration-stall phase, which was always 0 (captured from
+        // recalibration-stall phase and servers a wait queue, both
+        // always 0 here (captured from
         // `serve --rounds 4 --streams 8 --disks 2 --seed 11 --fault-profile
         // media=0.25,retries=2,timeout=0.005`, recorder capacity 2).
         let old = concat!(
@@ -664,7 +651,11 @@ mod tests {
         );
         let snap = RoundSnapshot::parse_json_line(old).expect("parses");
         let new = snap.to_json_line();
-        assert_eq!(new, old.replace(r#","stall_time":0"#, ""));
+        // The queue-depth key left with the server's wait queue.
+        let dropped = old
+            .replace(r#","stall_time":0"#, "")
+            .replace(r#","waiting":0"#, "");
+        assert_eq!(new, dropped);
         assert_eq!(RoundSnapshot::parse_json_line(&new), Some(snap));
     }
 
@@ -675,11 +666,11 @@ mod tests {
         let mut settings = RecorderSettings::new(&dir);
         settings.capacity = 4;
         let rec = Recorder::new(settings);
-        assert!(rec.is_empty());
+        // An empty ring dumps nothing.
+        assert_eq!(rec.trigger_dump(DumpTrigger::Manual).unwrap(), None);
         for i in 0..10 {
             rec.push(snap(i));
         }
-        assert_eq!(rec.len(), 4);
         let path = rec
             .trigger_dump(DumpTrigger::Manual)
             .unwrap()

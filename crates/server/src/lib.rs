@@ -57,7 +57,8 @@ pub use admission::{AdmissionController, AdmissionDecision, QualityTarget};
 pub use buffer::BufferTracker;
 pub use degrade::{DegradeSettings, DegradeStatus};
 pub use server::{
-    ActiveStreamInfo, CacheSettings, RoundReport, ServerConfig, StreamHandle, VideoServer,
+    ActiveStreamInfo, CacheMisconfig, CacheSettings, RoundReport, ServerConfig, StreamHandle,
+    VideoServer,
 };
 pub use slo::{SloSettings, SloStatus};
 pub use striping::StripingLayout;

@@ -43,10 +43,8 @@ const HIT_WINDOW_MIN_TRIALS: u64 = 256;
 struct ServerMetrics {
     accepted: mzd_telemetry::Counter,
     rejected: mzd_telemetry::Counter,
-    queued: mzd_telemetry::Counter,
     queue_depth: mzd_telemetry::Histogram,
     buffer_occupancy: mzd_telemetry::Gauge,
-    waiting: mzd_telemetry::Gauge,
     cache_hits: mzd_telemetry::Counter,
     cache_misses: mzd_telemetry::Counter,
     cache_delayed_hits: mzd_telemetry::Counter,
@@ -63,10 +61,8 @@ impl ServerMetrics {
         Self {
             accepted: g.counter("server.admission.accepted"),
             rejected: g.counter("server.admission.rejected"),
-            queued: g.counter("server.admission.queued"),
             queue_depth: g.histogram("server.round.queue_depth"),
             buffer_occupancy: g.gauge("server.buffer.occupancy"),
-            waiting: g.gauge("server.round.waiting"),
             cache_hits: g.counter("cache.hits"),
             cache_misses: g.counter("cache.misses"),
             cache_delayed_hits: g.counter("cache.delayed_hits"),
@@ -91,8 +87,8 @@ pub struct CacheSettings {
     /// `Some(safety)` additionally enables cache-aware admission: the
     /// per-disk limit inflates to `N_max / (1 − h·(1−safety))`, `h` a
     /// conservative lower confidence bound on the measured disk-avoidance
-    /// ratio over a 64-round sliding window. Ignored while the cache is
-    /// disabled.
+    /// ratio over a 64-round sliding window. Needs a positive byte
+    /// budget.
     pub admission_safety: Option<f64>,
 }
 
@@ -104,6 +100,37 @@ impl CacheSettings {
             capacity_bytes,
             policy: CachePolicy::Lru,
             admission_safety: None,
+        }
+    }
+}
+
+/// A cache setting a server refuses (see [`ServerConfig::check_cache`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CacheMisconfig {
+    /// The byte budget is not a finite number of at least 0.
+    Budget(f64),
+    /// The cache-aware admission safety lies outside `[0, 1]`.
+    Safety(f64),
+    /// Cache-aware admission without a positive byte budget.
+    SafetyWithoutCache,
+    /// Work-ahead prefetch without a positive byte budget.
+    WorkAheadWithoutCache,
+}
+
+impl std::fmt::Display for CacheMisconfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Budget(b) => write!(f, "the cache byte budget must be finite and >= 0, got {b}"),
+            Self::Safety(s) => write!(f, "the admission safety must be in [0, 1], got {s}"),
+            Self::SafetyWithoutCache => {
+                write!(
+                    f,
+                    "cache-aware admission needs a positive cache byte budget"
+                )
+            }
+            Self::WorkAheadWithoutCache => {
+                write!(f, "work-ahead prefetch needs a positive cache byte budget")
+            }
         }
     }
 }
@@ -131,9 +158,9 @@ pub struct ServerConfig {
     /// restricts the injector to one spindle (degrading-disk drills);
     /// other disks run clean. `None` runs all disks fault-free.
     pub faults: Option<FaultConfig>,
-    /// Work-ahead prefetch depth in fragments (0 = off). When a cache is
-    /// configured, each disk uses its post-sweep slack to pull up to this
-    /// many upcoming fragments per stream into the cache, best-effort.
+    /// Work-ahead prefetch depth in fragments (0 = off). Needs a cache:
+    /// each disk uses its post-sweep slack to pull up to this many
+    /// upcoming fragments per stream into the cache, best-effort.
     /// Dropped at degradation rung 2+.
     pub work_ahead: u32,
     /// Optional graceful-degradation ladder, driven by the SLO layer's
@@ -175,6 +202,35 @@ impl ServerConfig {
             work_ahead: 0,
             degrade: None,
         })
+    }
+
+    /// Check the cache settings whatever the budget: the budget is
+    /// finite and at least 0, the admission safety lies in `[0, 1]`,
+    /// and cache-aware admission or work-ahead needs a positive budget.
+    /// A zero budget alone is the cacheless path.
+    ///
+    /// # Errors
+    /// The first [`CacheMisconfig`] found.
+    pub fn check_cache(&self) -> Result<(), CacheMisconfig> {
+        let (bytes, safety) = self
+            .cache
+            .as_ref()
+            .map_or((0.0, None), |c| (c.capacity_bytes, c.admission_safety));
+        if !(bytes.is_finite() && bytes >= 0.0) {
+            return Err(CacheMisconfig::Budget(bytes));
+        }
+        if let Some(s) = safety {
+            if !(0.0..=1.0).contains(&s) {
+                return Err(CacheMisconfig::Safety(s));
+            }
+            if bytes == 0.0 {
+                return Err(CacheMisconfig::SafetyWithoutCache);
+            }
+        }
+        if self.work_ahead > 0 && bytes == 0.0 {
+            return Err(CacheMisconfig::WorkAheadWithoutCache);
+        }
+        Ok(())
     }
 
     /// Build the analytic model this configuration implies.
@@ -271,8 +327,6 @@ pub struct RoundReport {
     /// Records of the streams that finished play-out this round, in
     /// retirement order. The server keeps no copy.
     pub completed_streams: Vec<CompletedStream>,
-    /// Stream ids admitted from the wait queue at the end of this round.
-    pub admitted_from_queue: Vec<u64>,
 }
 
 /// What a round's stages hand each other: the counts the SLO, degrade,
@@ -355,10 +409,6 @@ pub struct VideoServer {
     admission: AdmissionController,
     disks: Vec<RoundSimulator>,
     sessions: Vec<Session>,
-    /// Pending requests as `(arrival id, object)`, in arrival order:
-    /// [`Self::enqueue_stream`] appends with a fresh (monotone) id and
-    /// [`Self::drain_wait_queue`] admits strictly front-first.
-    waiting: VecDeque<(u64, ObjectSpec)>,
     rng: StdRng,
     next_id: u64,
     rounds_run: u64,
@@ -394,32 +444,50 @@ impl VideoServer {
     /// Propagates configuration and model errors.
     pub fn new(cfg: ServerConfig, seed: u64) -> Result<Self, ServerError> {
         let tables = ModelTables::for_config(&cfg)?;
-        Self::build(cfg, seed, Arc::new(tables))
+        let limit = tables.per_disk_limit();
+        Self::build(cfg, seed, Arc::new(tables), limit)
     }
 
-    /// [`Self::new`] on tables already solved for this configuration —
-    /// how a fleet's nodes share one admission solve and one set of
-    /// predicted-CDF tables.
+    /// [`Self::new`] on tables already solved for this configuration,
+    /// admitting at most `per_disk_limit` streams per disk before any
+    /// cache-aware inflation — how a fleet's nodes share one admission
+    /// solve and one set of predicted-CDF tables, each enforcing the
+    /// fleet's composed cap itself.
     ///
     /// # Errors
     /// [`ServerError::Invalid`] if `tables` were solved for a different
-    /// model, round length or target; otherwise as [`Self::new`].
+    /// model, round length or target, or `per_disk_limit` is 0 or above
+    /// the tables' limit; otherwise as [`Self::new`].
     pub fn with_tables(
         cfg: ServerConfig,
         seed: u64,
         tables: Arc<ModelTables>,
+        per_disk_limit: u32,
     ) -> Result<Self, ServerError> {
         if !tables.fits(&cfg)? {
             return Err(ServerError::Invalid(
                 "model tables were solved for a different model, round length or target".into(),
             ));
         }
-        Self::build(cfg, seed, tables)
+        if per_disk_limit == 0 || per_disk_limit > tables.per_disk_limit() {
+            return Err(ServerError::Invalid(format!(
+                "per-disk limit {per_disk_limit} outside 1..={}",
+                tables.per_disk_limit()
+            )));
+        }
+        Self::build(cfg, seed, tables, per_disk_limit)
     }
 
-    fn build(cfg: ServerConfig, seed: u64, tables: Arc<ModelTables>) -> Result<Self, ServerError> {
+    fn build(
+        cfg: ServerConfig,
+        seed: u64,
+        tables: Arc<ModelTables>,
+        per_disk_limit: u32,
+    ) -> Result<Self, ServerError> {
         let layout = StripingLayout::new(cfg.disks)?;
-        let mut admission = AdmissionController::with_limit(tables.per_disk_limit());
+        cfg.check_cache()
+            .map_err(|e| ServerError::Invalid(e.to_string()))?;
+        let mut admission = AdmissionController::with_limit(per_disk_limit);
         let cache = match &cfg.cache {
             Some(settings) if settings.capacity_bytes > 0.0 => Some(
                 FragmentCache::new(CacheConfig {
@@ -430,10 +498,8 @@ impl VideoServer {
             ),
             _ => None,
         };
-        if cache.is_some() {
-            if let Some(safety) = cfg.cache.as_ref().and_then(|s| s.admission_safety) {
-                admission.enable_cache_aware(safety)?;
-            }
+        if let Some(safety) = cfg.cache.as_ref().and_then(|s| s.admission_safety) {
+            admission.enable_cache_aware(safety)?;
         }
         if let Some(fc) = &cfg.faults {
             fc.validate()
@@ -489,7 +555,6 @@ impl VideoServer {
             admission,
             disks,
             sessions: Vec::new(),
-            waiting: VecDeque::new(),
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
             rounds_run: 0,
@@ -546,17 +611,6 @@ impl VideoServer {
         self.slo
             .as_ref()
             .map(|s| s.status(self.admission.over_admission_frozen()))
-    }
-
-    /// The recorded causal trace as Chrome trace-event JSON, `None`
-    /// unless SLO tracing is enabled.
-    #[must_use]
-    pub fn trace_chrome_json(&self) -> Option<String> {
-        self.slo
-            .as_ref()?
-            .tracer
-            .as_ref()
-            .map(Tracer::to_chrome_json)
     }
 
     /// Rebase this server's span-id allocation (see
@@ -697,16 +751,13 @@ impl VideoServer {
             })
     }
 
-    /// Open session `id` on `object` — the one admission path behind
-    /// [`Self::open_stream`] and [`Self::drain_wait_queue`], which differ
-    /// only in the event's `decision`. The caller has already consulted
+    /// Open session `id` on `object`. The caller has already consulted
     /// the admission controller.
     fn admit(
         &mut self,
         id: u64,
         object: ObjectSpec,
         root: Option<mzd_telemetry::SpanContext>,
-        decision: &'static str,
     ) -> StreamHandle {
         // Start on the least-loaded disk to keep the rotation balanced.
         let start = self
@@ -748,7 +799,7 @@ impl VideoServer {
         if mzd_telemetry::events_enabled() {
             mzd_telemetry::emit(
                 mzd_telemetry::Event::new("server.admission")
-                    .str("decision", decision)
+                    .str("decision", "accept")
                     .u64("stream", id)
                     .u64("disk", u64::from(start)),
             );
@@ -802,7 +853,7 @@ impl VideoServer {
             AdmissionDecision::Admit => {
                 let id = self.next_id;
                 self.next_id += 1;
-                Ok(self.admit(id, object, root, "accept"))
+                Ok(self.admit(id, object, root))
             }
             reject @ AdmissionDecision::Reject { .. } => {
                 self.rejected += 1;
@@ -836,60 +887,6 @@ impl VideoServer {
         root: mzd_telemetry::SpanContext,
     ) -> Result<StreamHandle, AdmissionDecision> {
         self.try_open(object, Some(root))
-    }
-
-    /// Enqueue a stream request instead of rejecting it: §1's alternative
-    /// ("the request is turned away or postponed until one or more active
-    /// streams terminate"). If capacity is free the stream opens
-    /// immediately (the returned handle is Some); otherwise it waits in
-    /// FIFO order and is admitted by [`Self::run_round`] as capacity
-    /// frees.
-    pub fn enqueue_stream(&mut self, object: ObjectSpec) -> Option<StreamHandle> {
-        // Probe admission before open_stream so a postponed request is
-        // classified as queued, never as rejected.
-        if matches!(self.admission.decide(&self.load), AdmissionDecision::Admit) {
-            return self.open_stream(object).ok();
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.waiting.push_back((id, object));
-        self.metrics.queued.inc();
-        self.metrics.waiting.set(self.waiting.len() as f64);
-        let ts = self.trace_now_us();
-        if let Some(slo) = self.slo.as_mut() {
-            slo.record_stream_span(id, "queue.wait", "admission", ts, 1, &[]);
-        }
-        if mzd_telemetry::events_enabled() {
-            mzd_telemetry::emit(
-                mzd_telemetry::Event::new("server.admission")
-                    .str("decision", "queue")
-                    .u64("stream", id)
-                    .u64("waiting", self.waiting.len() as u64),
-            );
-        }
-        None
-    }
-
-    /// Number of stream requests waiting for capacity.
-    #[must_use]
-    pub fn waiting_streams(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Admit as many waiting requests as capacity allows, strictly
-    /// front-first, so admission order equals arrival order. Called
-    /// automatically at the end of every round; public so callers can
-    /// trigger it after [`Self::close_stream`].
-    pub fn drain_wait_queue(&mut self) -> Vec<StreamHandle> {
-        let mut admitted = Vec::new();
-        while matches!(self.admission.decide(&self.load), AdmissionDecision::Admit) {
-            let Some((id, object)) = self.waiting.pop_front() else {
-                break;
-            };
-            admitted.push(self.admit(id, object, None, "dequeue"));
-        }
-        self.metrics.waiting.set(self.waiting.len() as f64);
-        admitted
     }
 
     /// Close a stream before it finishes (client hang-up), returning
@@ -962,15 +959,11 @@ impl VideoServer {
         self.cache_stage(&tally);
 
         self.rounds_run += 1;
-        // Capacity freed by completions goes to waiting requests (§1:
-        // postponed admissions resume when streams terminate).
-        let admitted = self.drain_wait_queue();
         let report = RoundReport {
             round: self.rounds_run - 1,
             disks,
             glitched_streams: std::mem::take(&mut tally.glitched),
             completed_streams,
-            admitted_from_queue: admitted.iter().map(StreamHandle::id).collect(),
         };
         self.publish_round(&report, &tally, alert_raised, escalated);
         report
@@ -1465,11 +1458,9 @@ impl VideoServer {
                 mzd_telemetry::Event::new("server.round")
                     .u64("round", report.round)
                     .u64("active", self.sessions.len() as u64)
-                    .u64("waiting", self.waiting.len() as u64)
                     .f64("buffer_occupancy", occupancy)
                     .u64_list("glitched", &report.glitched_streams)
-                    .u64_list("completed", &completed)
-                    .u64_list("admitted_from_queue", &report.admitted_from_queue),
+                    .u64_list("completed", &completed),
             );
         }
         let Some(recorder) = self.recorder.as_ref() else {
@@ -1488,7 +1479,6 @@ impl VideoServer {
         recorder.push(mzd_prof::RoundSnapshot {
             round: report.round,
             active_streams: self.sessions.len() as u64,
-            waiting_streams: self.waiting.len() as u64,
             glitches: report.glitched_streams.len() as u64,
             rung: self.degrade.as_ref().map_or(tally.rung, DegradeState::rung),
             burn_fast: self.slo.as_ref().map_or(0.0, |s| s.burn.burn_fast()),
@@ -1705,30 +1695,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_queue_admits_in_fifo_order_as_capacity_frees() {
-        let mut s = server(1, 15);
-        // Fill with 5-round objects.
-        while s.open_stream(short_object(5)).is_ok() {}
-        let limit = s.admission().per_disk_limit();
-        assert_eq!(s.active_streams(), limit as usize);
-        // Queue three more.
-        assert!(s.enqueue_stream(short_object(5)).is_none());
-        assert!(s.enqueue_stream(short_object(5)).is_none());
-        assert!(s.enqueue_stream(short_object(5)).is_none());
-        assert_eq!(s.waiting_streams(), 3);
-        assert_eq!(s.rejected_streams(), 1); // only the fill loop's probe
-                                             // After the first batch finishes (5 rounds), all three enter.
-        let mut admitted_total = 0;
-        for _ in 0..5 {
-            let report = s.run_round();
-            admitted_total += report.admitted_from_queue.len();
-        }
-        assert_eq!(admitted_total, 3);
-        assert_eq!(s.waiting_streams(), 0);
-        assert_eq!(s.active_streams(), 3);
-    }
-
-    #[test]
     fn active_session_info_is_a_faithful_manifest() {
         let mut s = server(2, 21);
         let a = s.open_stream(short_object(30)).unwrap();
@@ -1746,26 +1712,31 @@ mod tests {
     }
 
     #[test]
-    fn enqueue_with_capacity_opens_immediately() {
-        let mut s = server(2, 16);
-        let h = s.enqueue_stream(short_object(10));
-        assert!(h.is_some());
-        assert_eq!(s.waiting_streams(), 0);
-        assert_eq!(s.active_streams(), 1);
-    }
-
-    #[test]
-    fn drain_after_close_stream() {
-        let mut s = server(1, 17);
-        let mut first = None;
-        while let Ok(h) = s.open_stream(short_object(100)) {
-            first.get_or_insert(h);
+    fn cache_settings_are_checked_whatever_the_budget() {
+        let build = |(bytes, safety, work_ahead): (f64, Option<f64>, u32)| {
+            let mut cfg = ServerConfig::paper_reference(1).unwrap();
+            let mut cache = CacheSettings::lru(bytes);
+            cache.admission_safety = safety;
+            cfg.cache = Some(cache);
+            cfg.work_ahead = work_ahead;
+            VideoServer::new(cfg, 1).map(|_| ())
+        };
+        let refused = [
+            (f64::NAN, None, 0),
+            (-5.0, None, 0),
+            (0.0, Some(1.5), 0),
+            (1e8, Some(1.5), 0),
+            (0.0, Some(0.2), 0),
+            (0.0, None, 3),
+        ];
+        for case in refused {
+            assert!(
+                matches!(build(case), Err(ServerError::Invalid(_))),
+                "{case:?}"
+            );
         }
-        assert!(s.enqueue_stream(short_object(100)).is_none());
-        s.close_stream(first.unwrap()).unwrap();
-        let admitted = s.drain_wait_queue();
-        assert_eq!(admitted.len(), 1);
-        assert_eq!(s.waiting_streams(), 0);
+        // A zero budget alone is the exact cacheless path.
+        build((0.0, None, 0)).unwrap();
     }
 
     #[test]
@@ -1894,7 +1865,7 @@ mod tests {
     #[test]
     fn slo_layer_attaches_traces_and_stays_quiet_under_admitted_load() {
         let mut s = server(2, 51);
-        let settings = crate::slo::SloSettings::for_target(s.config().target).with_tracing(true);
+        let settings = crate::slo::SloSettings::for_target(s.config().target).with_tracing();
         s.enable_slo(settings).unwrap();
         assert!(s.slo_status().is_some());
         for _ in 0..4 {
@@ -1911,7 +1882,7 @@ mod tests {
         // 4 streams × 10 rounds produce at least a round span + a
         // disposition span each, plus disk sweeps.
         assert!(status.trace_spans >= 80, "spans {}", status.trace_spans);
-        let json = s.trace_chrome_json().unwrap();
+        let json = mzd_slo::render_chrome_json(&[s.tracer().unwrap()]);
         let parsed = mzd_telemetry::json::parse(&json).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         assert_eq!(events.len(), status.trace_spans);
@@ -1921,7 +1892,7 @@ mod tests {
             .enable_slo(crate::slo::SloSettings::for_target(plain.config().target))
             .unwrap();
         plain.run_round();
-        assert!(plain.trace_chrome_json().is_none());
+        assert!(plain.tracer().is_none());
         assert_eq!(plain.slo_status().unwrap().trace_spans, 0);
     }
 

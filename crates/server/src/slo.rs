@@ -58,10 +58,10 @@ impl SloSettings {
         }
     }
 
-    /// The same settings with tracing switched on or off.
+    /// The same settings with tracing switched on.
     #[must_use]
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
+    pub fn with_tracing(mut self) -> Self {
+        self.tracing = true;
         self
     }
 }
@@ -296,7 +296,7 @@ mod tests {
             ..paper
         });
         assert!(s.burn.budget > 0.0);
-        assert!(s.with_tracing(true).tracing);
+        assert!(s.with_tracing().tracing);
     }
 
     #[test]
@@ -306,7 +306,7 @@ mod tests {
             g: 12,
             epsilon: 0.01,
         };
-        let settings = SloSettings::for_target(target).with_tracing(true);
+        let settings = SloSettings::for_target(target).with_tracing();
         let mut st = SloState::new(settings).unwrap();
         let status = st.status(false);
         assert!(!status.alert_active);

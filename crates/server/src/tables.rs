@@ -203,12 +203,17 @@ mod tests {
         let mut other = cfg.clone();
         other.target.g = 3;
         assert!(!st.fits(&other).unwrap());
-        // The fleet constructor refuses them; a fitting config is served.
+        // The fleet constructor refuses them, and a limit above the
+        // tables' own; a fitting config is served at the limit it asks.
         let st = std::sync::Arc::new(st);
-        let err = crate::VideoServer::with_tables(other, 1, st.clone()).unwrap_err();
+        let err = crate::VideoServer::with_tables(other, 1, st.clone(), 28).unwrap_err();
         assert!(matches!(err, ServerError::Invalid(_)), "{err}");
-        let server = crate::VideoServer::with_tables(cfg, 1, st.clone()).unwrap();
+        for limit in [0, 29] {
+            let err = crate::VideoServer::with_tables(cfg.clone(), 1, st.clone(), limit);
+            assert!(matches!(err, Err(ServerError::Invalid(_))), "limit {limit}");
+        }
+        let server = crate::VideoServer::with_tables(cfg, 1, st.clone(), 27).unwrap();
         assert!(std::sync::Arc::ptr_eq(server.tables(), &st));
-        assert_eq!(server.admission().per_disk_limit(), 28);
+        assert_eq!(server.admission().per_disk_limit(), 27);
     }
 }

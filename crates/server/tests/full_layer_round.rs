@@ -1,6 +1,6 @@
 //! Pins one single-server run with every round stage engaged: a cached,
 //! work-ahead, fault-injected, SLO-traced server on the degradation
-//! ladder. The run mirrors
+//! ladder. The run is the one node of
 //!
 //! ```text
 //! mzd serve --rounds 300 --streams 70 --disks 2 --seed 13 --objects 64 \
@@ -8,6 +8,10 @@
 //!     --zipf 1.0 --work-ahead 2 --fault-profile media=0.25,retries=2,timeout=0.005 \
 //!     --degrade --trace-out t.json
 //! ```
+//!
+//! seeded with 13 itself (`serve` seeds its node with
+//! `mzd_par::derive_seed(13, 0)`), with the same client: requests the
+//! server refuses wait, and are offered again oldest first each round.
 //!
 //! and folds every round report, the causal trace and the final layer
 //! summaries into one FNV-1a digest. Any change to RNG draw order, stage
@@ -25,6 +29,7 @@ use mzd_server::{
 use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Serializes the runs, so the prefetch counter's delta is one run's.
@@ -35,7 +40,7 @@ static RUNS: Mutex<()> = Mutex::new(());
 struct Pinned {
     prefetched: u64,
     delayed_hits: u64,
-    dequeued: usize,
+    refusals: u64,
     completions: usize,
     alerts_and_drifts: (u64, u64),
     rung_and_shed: (u8, u64),
@@ -82,7 +87,18 @@ impl Fold {
         self.ids(&r.glitched_streams);
         let completed: Vec<u64> = r.completed_streams.iter().map(|c| c.id).collect();
         self.ids(&completed);
-        self.ids(&r.admitted_from_queue);
+    }
+}
+
+/// Open the waiting requests oldest first until the server refuses
+/// one: the client postpones a refused request until streams terminate
+/// (§1), as `mzd serve`'s client does.
+fn admit_waiting(server: &mut VideoServer, waiting: &mut VecDeque<ObjectSpec>) {
+    while let Some(object) = waiting.front() {
+        if server.open_stream(object.clone()).is_err() {
+            break;
+        }
+        waiting.pop_front();
     }
 }
 
@@ -115,7 +131,7 @@ fn run(policy: CachePolicy) -> Pinned {
     let target = cfg.target;
     let mut server = VideoServer::new(cfg, seed).unwrap();
     server
-        .enable_slo(SloSettings::for_target(target).with_tracing(true))
+        .enable_slo(SloSettings::for_target(target).with_tracing())
         .unwrap();
 
     let sizes = SizeDistribution::gamma(200_000.0, 1e10).unwrap();
@@ -128,24 +144,25 @@ fn run(policy: CachePolicy) -> Pinned {
         .collect();
     let zipf = Zipf::new(catalog.len(), 1.0).unwrap();
     let mut arrivals = StdRng::seed_from_u64(seed ^ 0x5EED_CA7A_0A11_0C8D);
-    for _ in 0..70 {
-        server.enqueue_stream(catalog[zipf.sample(&mut arrivals)].clone());
-    }
+    let mut waiting: VecDeque<ObjectSpec> = (0..70)
+        .map(|_| catalog[zipf.sample(&mut arrivals)].clone())
+        .collect();
+    admit_waiting(&mut server, &mut waiting);
 
     let mut fold = Fold::default();
-    let (mut dequeued, mut completions) = (0usize, 0usize);
+    let mut completions = 0usize;
     for _ in 0..300 {
         let report = server.run_round();
         fold.report(&report);
-        dequeued += report.admitted_from_queue.len();
         for _ in &report.completed_streams {
             completions += 1;
-            server.enqueue_stream(catalog[zipf.sample(&mut arrivals)].clone());
+            waiting.push_back(catalog[zipf.sample(&mut arrivals)].clone());
         }
+        admit_waiting(&mut server, &mut waiting);
     }
 
-    fold.0
-        .extend_from_slice(server.trace_chrome_json().unwrap().as_bytes());
+    let trace = mzd_slo::render_chrome_json(&[server.tracer().unwrap()]);
+    fold.0.extend_from_slice(trace.as_bytes());
     let slo = server.slo_status().unwrap();
     for flag in [
         slo.alert_active,
@@ -193,7 +210,7 @@ fn run(policy: CachePolicy) -> Pinned {
     Pinned {
         prefetched: prefetched_so_far() - prefetched_before,
         delayed_hits: stats.delayed_hits,
-        dequeued,
+        refusals: server.rejected_streams(),
         completions,
         alerts_and_drifts: (slo.alerts_raised, slo.drifts_raised),
         rung_and_shed: (degrade.rung, degrade.shed_streams),
@@ -201,8 +218,8 @@ fn run(policy: CachePolicy) -> Pinned {
     }
 }
 
-/// Prefetch and coalescing (partition, sweep, cache), queue drains and
-/// completions (advance) and a drift (slo) did work. This run climbs no
+/// Prefetch and coalescing (partition, sweep, cache), postponed
+/// admissions and completions (advance) and a drift (slo) did work. This run climbs no
 /// rung and raises no alert; the cost-aware run below does both, so the
 /// three runs together engage every stage.
 #[test]
@@ -213,11 +230,11 @@ fn full_layer_round_is_pinned() {
         Pinned {
             prefetched: 5_485,
             delayed_hits: 9_588,
-            dequeued: 14,
+            refusals: 5,
             completions: 140,
             alerts_and_drifts: (0, 1),
             rung_and_shed: (0, 0),
-            digest: 0x011d_b786_77c0_bb81,
+            digest: 0xab61_6327_e902_e599,
         },
         "digest {:#018x}",
         got.digest
@@ -234,11 +251,11 @@ fn full_layer_round_is_pinned_under_interval_caching() {
         Pinned {
             prefetched: 6_316,
             delayed_hits: 9_333,
-            dequeued: 14,
+            refusals: 5,
             completions: 140,
             alerts_and_drifts: (0, 1),
             rung_and_shed: (0, 0),
-            digest: 0xaf02_517a_a9fc_46ec,
+            digest: 0x4b6b_1068_d4d1_42f7,
         },
         "digest {:#018x}",
         got.digest
@@ -255,11 +272,11 @@ fn full_layer_round_is_pinned_under_cost_aware_caching() {
         Pinned {
             prefetched: 4_147,
             delayed_hits: 8_594,
-            dequeued: 28,
+            refusals: 66,
             completions: 140,
             alerts_and_drifts: (1, 1),
             rung_and_shed: (4, 14),
-            digest: 0x6a4a_1f5a_5300_219a,
+            digest: 0xf5a1_1446_474a_6de8,
         },
         "digest {:#018x}",
         got.digest

@@ -481,13 +481,6 @@ impl Tracer {
         }
     }
 
-    /// Render the Chrome trace-event JSON object
-    /// (`{"traceEvents": [...], ...}`).
-    #[must_use]
-    pub fn to_chrome_json(&self) -> String {
-        render_chrome_json(&[self])
-    }
-
     /// Append this tracer's spans as trace-event objects, each preceded
     /// by a comma unless `first`. Each kind's fixed text is escaped once
     /// per call.
@@ -550,10 +543,10 @@ impl Tracer {
 
 /// Render the spans of `tracers` as one Chrome trace-event JSON object:
 /// each tracer's spans in recording order, tracers in slice order, and
-/// the spans they dropped summed. This is the exporter behind
-/// [`Tracer::to_chrome_json`], and how a fleet stitches its tracers
-/// (dispatcher, then every node) into a single trace file without
-/// copying their spans; callers fix the order for byte-stable output.
+/// the spans they dropped summed (`{"traceEvents": [...], ...}`). This
+/// is how a fleet stitches its tracers (dispatcher, then every node)
+/// into a single trace file without copying their spans; callers fix
+/// the order for byte-stable output.
 #[must_use]
 pub fn render_chrome_json(tracers: &[&Tracer]) -> String {
     let spans: usize = tracers.iter().map(|t| t.len()).sum();
@@ -606,7 +599,7 @@ mod tests {
         );
         let child = t.child(&root);
         t.record("disk.fetch", "disk", 1, 42, 1_000_000, 750_000, child, &[]);
-        let parsed = json::parse(&t.to_chrome_json()).unwrap();
+        let parsed = json::parse(&render_chrome_json(&[&t])).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         assert_eq!(events.len(), 2);
         for e in events {
@@ -636,7 +629,7 @@ mod tests {
         }
         assert_eq!(t.len(), 2);
         assert_eq!(t.dropped(), 3);
-        let parsed = json::parse(&t.to_chrome_json()).unwrap();
+        let parsed = json::parse(&render_chrome_json(&[&t])).unwrap();
         assert_eq!(
             parsed
                 .get("otherData")
@@ -899,7 +892,7 @@ mod tests {
                 read += 1;
             }
             prop_assert_eq!(read, inputs.len());
-            prop_assert_eq!(t.to_chrome_json(), render(&inputs));
+            prop_assert_eq!(render_chrome_json(&[&t]), render(&inputs));
         }
     }
 }

@@ -14,6 +14,7 @@ use mzd_server::{CacheSettings, ServerConfig, VideoServer};
 use mzd_workload::{ObjectSpec, SizeDistribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 
 const OBJECTS: usize = 20;
 const ROUNDS: u64 = 1600;
@@ -35,6 +36,18 @@ fn catalog() -> Vec<ObjectSpec> {
             .with_content_id(i as u64 + 1)
         })
         .collect()
+}
+
+/// Open the waiting requests oldest first until the server refuses
+/// one: the client postpones a refused request until streams terminate
+/// (§1), as `mzd serve`'s client does.
+fn admit_waiting(server: &mut VideoServer, waiting: &mut VecDeque<ObjectSpec>) {
+    while let Some(object) = waiting.front() {
+        if server.open_stream(object.clone()).is_err() {
+            break;
+        }
+        waiting.pop_front();
+    }
 }
 
 struct RunStats {
@@ -60,9 +73,10 @@ fn run_scenario(cache: Option<CacheSettings>, seed: u64) -> RunStats {
     let titles = catalog();
     let zipf = Zipf::new(OBJECTS, 1.0).expect("valid zipf");
     let mut arrivals = StdRng::seed_from_u64(seed ^ 0xCA11_0F21);
-    for _ in 0..TARGET_STREAMS {
-        server.enqueue_stream(titles[zipf.sample(&mut arrivals)].clone());
-    }
+    let mut waiting: VecDeque<ObjectSpec> = (0..TARGET_STREAMS)
+        .map(|_| titles[zipf.sample(&mut arrivals)].clone())
+        .collect();
+    admit_waiting(&mut server, &mut waiting);
 
     let warmup = ROUNDS / 4;
     let mut glitches = 0u64;
@@ -82,10 +96,11 @@ fn run_scenario(cache: Option<CacheSettings>, seed: u64) -> RunStats {
         let report = server.run_round();
         glitches += report.glitched_streams.len() as u64;
         // Constant offered load: each play-out completion is replaced by
-        // a fresh Zipf draw (admitted from the wait queue next round).
+        // a fresh Zipf draw, behind the requests already waiting.
         for _ in &report.completed_streams {
-            server.enqueue_stream(titles[zipf.sample(&mut arrivals)].clone());
+            waiting.push_back(titles[zipf.sample(&mut arrivals)].clone());
         }
+        admit_waiting(&mut server, &mut waiting);
         completed.extend(report.completed_streams);
     }
 
