@@ -580,10 +580,18 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
             guarantee.n_star
         );
     }
+    // What the dispatcher admits against, with the composed capacity
+    // beside it when cache-aware admission or health moved it.
+    let capacity = fleet.capacity();
+    let composed = if capacity == guarantee.fleet_capacity {
+        String::new()
+    } else {
+        format!(", composed {}", guarantee.fleet_capacity)
+    };
     let _ = writeln!(
         out,
-        "  fleet: capacity {} streams ({} spare node(s)); {} live node(s) at exit",
-        guarantee.fleet_capacity, guarantee.spares, status.live_nodes
+        "  fleet: capacity {capacity} streams{composed} ({} spare node(s)); {} live node(s) at exit",
+        guarantee.spares, status.live_nodes
     );
     let _ = writeln!(
         out,
