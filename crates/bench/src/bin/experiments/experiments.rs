@@ -1273,11 +1273,33 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
                 .expect("valid"),
         );
     });
-    timed(&mut core, "cdf_build_n28_257pt", PAIR, iters(2, 8), || {
-        black_box(
-            mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(28), 257).expect("builds"),
-        );
-    });
+    // Predicted-CDF tables: the default 257-point grid, and the
+    // 65-point grid the SLO layer builds once per batch size on a
+    // fleet's first rounds. Batches of ~10 ms.
+    timed(
+        &mut core,
+        "cdf_build_n28_257pt",
+        PAIR,
+        iters(10, 40),
+        || {
+            black_box(
+                mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(28), 257)
+                    .expect("builds"),
+            );
+        },
+    );
+    timed(
+        &mut core,
+        "cdf_build_n27_65pt",
+        SERIAL,
+        iters(20, 80),
+        || {
+            black_box(
+                mzd_core::ServiceTimeCdf::with_resolution(&model, black_box(27), 65)
+                    .expect("builds"),
+            );
+        },
+    );
     // The §5 tiers at the paper's 1-s anchor: one eq. 3.3.3 bound, the
     // two N_max searches an operator re-runs per configuration, and the
     // table lookup that sits on the request path. Batches of ~10 ms, so
@@ -1324,9 +1346,15 @@ fn measure_entries(budget: Budget) -> (Vec<BenchEntry>, Vec<BenchEntry>) {
             black_box(model.p_late_estimate(black_box(28), 1.0).expect("valid"));
         },
     );
-    timed(&mut core, "exact_p_late_n28", SERIAL, iters(8, 40), || {
-        black_box(model.p_late_exact(black_box(28), 1.0).expect("valid"));
-    });
+    timed(
+        &mut core,
+        "exact_p_late_n28",
+        SERIAL,
+        iters(40, 200),
+        || {
+            black_box(model.p_late_exact(black_box(28), 1.0).expect("valid"));
+        },
+    );
 
     let cfg = SimConfig::paper_reference().expect("reference sim");
     let rep_rounds = budget.scale(1600);
