@@ -44,10 +44,6 @@ pub struct Pending {
     /// The object to play out. For a migrated stream this is the
     /// *remainder* (rounds not yet consumed on the failed node).
     pub object: ObjectSpec,
-    /// Glitches already charged to this stream on previous hosts.
-    pub carried_glitches: u64,
-    /// Whether this entry re-entered the queue via failure migration.
-    pub migrated: bool,
 }
 
 /// A routing snapshot of one node, taken at the start of a round.
@@ -171,21 +167,10 @@ impl Dispatcher {
         self.queues[node as usize].drain(..).collect()
     }
 
-    /// Charge one waiting round to every *migrated* pending. A migrated
-    /// stream is mid play-out: a round spent in a queue is a round its
-    /// viewer receives nothing, i.e. a glitch round — the latency the
-    /// guarantee's `REQUEUE_SLACK_ROUNDS` charge budgets for. Fresh
-    /// arrivals are merely postponed, not glitched, and are not
-    /// charged. Returns how many streams were charged.
-    pub fn charge_migrated_wait(&mut self) -> u64 {
-        let mut charged = 0;
-        for q in &mut self.queues {
-            for p in q.iter_mut().filter(|p| p.migrated) {
-                p.carried_glitches += 1;
-                charged += 1;
-            }
-        }
-        charged
+    /// Sequence numbers of every request parked fleet-wide, queue by
+    /// queue.
+    pub fn queued_seqs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.queues.iter().flatten().map(|p| p.seq)
     }
 }
 
@@ -268,8 +253,6 @@ mod tests {
         Pending {
             seq,
             object: obj(10),
-            carried_glitches: 0,
-            migrated: false,
         }
     }
 
@@ -352,12 +335,7 @@ mod tests {
         d.enqueue(0, pending(10));
         d.enqueue(0, pending(11));
         d.enqueue(0, pending(12));
-        let migrated = Pending {
-            migrated: true,
-            carried_glitches: 3,
-            ..pending(5)
-        };
-        d.enqueue(0, migrated);
+        d.enqueue(0, pending(5));
         let order: Vec<u64> = std::iter::from_fn(|| d.pull(0)).map(|p| p.seq).collect();
         assert_eq!(order, vec![5, 10, 11, 12]);
     }

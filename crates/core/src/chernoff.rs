@@ -22,7 +22,7 @@
 
 use crate::transfer::TransferTimeModel;
 use crate::{transform, CoreError};
-use mzd_numerics::minimize::brent_minimize;
+use mzd_numerics::minimize::{brent_minimize, Minimum};
 use std::sync::OnceLock;
 
 /// Cached global-registry handles for the minimizer hot path (one lock
@@ -147,34 +147,58 @@ impl RoundService {
     /// `θ = 0` and the bound is the vacuous 1.
     #[must_use]
     pub fn p_late_bound(&self, t: f64) -> ChernoffBound {
-        if self.n == 0 {
-            return ChernoffBound {
-                probability: if t > self.seek { 0.0 } else { 1.0 },
-                theta: 0.0,
-            };
-        }
-        // The bound can only be nontrivial past the mean.
-        if t <= self.mean() {
-            return ChernoffBound {
-                probability: 1.0,
-                theta: 0.0,
-            };
-        }
-        let alpha = self.transfer.alpha();
-        let objective = |theta: f64| self.log_mgf(theta) - theta * t;
-        let upper = alpha * (1.0 - 1e-9);
-        let (iterations, converge_fail) = chernoff_metrics();
-        let _span = mzd_telemetry::span!("core.chernoff.minimize");
-        let m = brent_minimize(objective, 0.0, upper, 1e-12).unwrap_or_else(|e| {
-            converge_fail.inc();
-            panic!("interval (0, alpha) is valid by construction: {e}")
-        });
-        iterations.record(m.evaluations as f64);
-        let exponent = m.value.min(0.0);
-        ChernoffBound {
-            probability: exponent.exp().min(1.0),
-            theta: m.x,
-        }
+        let upper = self.transfer.alpha() * (1.0 - 1e-9);
+        let log_mgf = |theta: f64| self.log_mgf(theta);
+        chernoff_bound(self.n, self.seek, self.mean(), t, upper, log_mgf, |brent| {
+            let (iterations, converge_fail) = chernoff_metrics();
+            let _span = mzd_telemetry::span!("core.chernoff.minimize");
+            let m = brent().unwrap_or_else(|e| {
+                converge_fail.inc();
+                panic!("interval (0, alpha) is valid by construction: {e}")
+            });
+            iterations.record(m.evaluations as f64);
+            m
+        })
+    }
+}
+
+/// The Chernoff bound on `P[T ≥ t]` for a round of `requests` requests
+/// whose total has log-MGF `log_mgf`, mean `mean` and constant part
+/// `seek` — the step [`RoundService`] and
+/// [`crate::mixed::MixedRoundModel`] share. An empty round is the
+/// constant `seek`, so its tail is exactly 0 or 1; for `t ≤ mean` the
+/// infimum is at `θ = 0` and the bound is the vacuous 1. Otherwise
+/// Brent's method minimizes the exponent `ln M(θ) − θt` over
+/// `(0, upper)`. `search` runs that minimization and returns its
+/// minimum, so each caller keeps its own instrumentation and failure
+/// handling.
+pub(crate) fn chernoff_bound(
+    requests: u32,
+    seek: f64,
+    mean: f64,
+    t: f64,
+    upper: f64,
+    log_mgf: impl Fn(f64) -> f64,
+    search: impl FnOnce(&dyn Fn() -> mzd_numerics::Result<Minimum>) -> Minimum,
+) -> ChernoffBound {
+    if requests == 0 {
+        return ChernoffBound {
+            probability: if t > seek { 0.0 } else { 1.0 },
+            theta: 0.0,
+        };
+    }
+    // The bound can only be nontrivial past the mean.
+    if t <= mean {
+        return ChernoffBound {
+            probability: 1.0,
+            theta: 0.0,
+        };
+    }
+    let objective = |theta: f64| log_mgf(theta) - theta * t;
+    let m = search(&|| brent_minimize(objective, 0.0, upper, 1e-12));
+    ChernoffBound {
+        probability: m.value.min(0.0).exp().min(1.0),
+        theta: m.x,
     }
 }
 

@@ -17,10 +17,9 @@
 //! many discrete requests per round can be admitted alongside `N` streams
 //! without eroding their glitch guarantee?
 
-use crate::chernoff::ChernoffBound;
+use crate::chernoff::{chernoff_bound, ChernoffBound};
 use crate::transfer::TransferTimeModel;
 use crate::{transform, CoreError};
-use mzd_numerics::minimize::brent_minimize;
 
 /// A request class in a mixed round: a transfer-time law and a count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,18 +108,6 @@ impl MixedRoundModel {
     /// smallest class α (the first MGF pole).
     #[must_use]
     pub fn p_late_bound(&self, t: f64) -> ChernoffBound {
-        if self.total_requests() == 0 {
-            return ChernoffBound {
-                probability: if t > self.seek { 0.0 } else { 1.0 },
-                theta: 0.0,
-            };
-        }
-        if t <= self.mean() {
-            return ChernoffBound {
-                probability: 1.0,
-                theta: 0.0,
-            };
-        }
         let alpha_min = self
             .classes
             .iter()
@@ -134,13 +121,16 @@ impl MixedRoundModel {
             // large θ works, the uniform MGF is entire.
             1e9
         };
-        let objective = |theta: f64| self.log_mgf(theta) - theta * t;
-        let m = brent_minimize(objective, 0.0, upper, 1e-12)
-            .expect("optimization interval is valid by construction");
-        ChernoffBound {
-            probability: m.value.min(0.0).exp().min(1.0),
-            theta: m.x,
-        }
+        let log_mgf = |theta: f64| self.log_mgf(theta);
+        chernoff_bound(
+            self.total_requests(),
+            self.seek,
+            self.mean(),
+            t,
+            upper,
+            log_mgf,
+            |brent| brent().expect("optimization interval is valid by construction"),
+        )
     }
 }
 

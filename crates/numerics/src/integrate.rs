@@ -153,8 +153,10 @@ impl GaussLegendre {
     }
 
     /// The explicit `(node, weight)` pairs of [`Self::integrate_panels`]
-    /// over `[a, b]` with `pieces` equal panels, in evaluation order —
-    /// `integrate_panels(f, …) == Σ w_k · f(x_k)` exactly. Lets a caller
+    /// over `[a, b]` with `pieces` equal panels, in evaluation order, so
+    /// `Σ w_k · f(x_k)` equals `integrate_panels(f, …)` up to rounding:
+    /// each weight here carries its panel's half-width, which
+    /// `integrate_panels` applies after summing a panel. Lets a caller
     /// evaluate an expensive integrand once per node and reuse the
     /// samples across many related integrals (e.g. one characteristic
     /// function inverted at many grid points).

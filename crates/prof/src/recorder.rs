@@ -327,9 +327,6 @@ struct RecorderInner {
     settings: RecorderSettings,
     /// `(trigger, bundle path)` of every dump written.
     dumps: Vec<(DumpTrigger, PathBuf)>,
-    /// Triggers suppressed by the `MAX_DUMPS` cap or by having already
-    /// dumped for the same trigger kind.
-    suppressed: u64,
 }
 
 /// Shared handle to a flight recorder: clone freely; the server pushes,
@@ -358,7 +355,6 @@ impl Recorder {
                 ring: VecDeque::with_capacity(settings.capacity),
                 settings,
                 dumps: Vec::new(),
-                suppressed: 0,
             })),
         }
     }
@@ -391,7 +387,6 @@ impl Recorder {
             return Ok(None);
         }
         if inner.dumps.len() >= MAX_DUMPS || inner.dumps.iter().any(|(t, _)| *t == trigger) {
-            inner.suppressed += 1;
             return Ok(None);
         }
         let path = write_bundle(&inner.ring, &inner.settings, trigger)?;

@@ -279,6 +279,10 @@ struct Session {
     /// Degradable streams accept a reduced fragment size at degradation
     /// rung 3+ (a lower-bitrate rendition).
     degradable: bool,
+    /// The stream's root span as `(trace id, span id)`, adopted at
+    /// admission or minted at its first span (tracing only). A root has
+    /// no parent, so the pair is its whole context.
+    root: Option<(u64, u64)>,
 }
 
 /// A point-in-time view of one active session, carrying everything
@@ -330,7 +334,7 @@ pub struct RoundReport {
 }
 
 /// What a round's stages hand each other: the counts the SLO, degrade,
-/// cache and recorder stages read, and the glitched ids the report
+/// cache and recorder stages read, and the glitched streams the report
 /// carries.
 #[derive(Debug, Default)]
 struct RoundTally {
@@ -347,8 +351,9 @@ struct RoundTally {
     downshifts: u64,
     /// Cache evictions before the round's fills.
     evictions_before: u64,
-    /// Ids of the streams that glitched, in sweep order.
-    glitched: Vec<u64>,
+    /// Session indices of the streams that glitched, in sweep order;
+    /// valid until the advance stage retires sessions.
+    glitched: Vec<usize>,
 }
 
 /// Per-round working buffers, cleared and refilled every round so a
@@ -428,8 +433,6 @@ pub struct VideoServer {
     slo: Option<SloState>,
     /// Optional graceful-degradation ladder.
     degrade: Option<DegradeState>,
-    /// Streams paused by the ladder's rung-4 shed, to resume on recovery.
-    shed_by_degrade: Vec<u64>,
     /// Optional flight recorder: retains a ring of per-round snapshots
     /// and dumps a post-mortem bundle on alert/escalation/overrun.
     recorder: Option<mzd_prof::Recorder>,
@@ -566,7 +569,6 @@ impl VideoServer {
             metrics: ServerMetrics::new(),
             slo: None,
             degrade,
-            shed_by_degrade: Vec::new(),
             recorder: None,
         };
         if server.cfg.degrade.is_some() {
@@ -596,12 +598,17 @@ impl VideoServer {
     /// Attach the SLO layer: a burn-rate engine over the admitted glitch
     /// budget, online model-conformance checking, and optional causal
     /// tracing. Replaces any previously attached SLO state, including
-    /// the one a server with a degradation ladder starts with.
+    /// the one a server with a degradation ladder starts with; every
+    /// open stream's trace root goes with it, so the new tracer mints
+    /// each one afresh.
     ///
     /// # Errors
     /// [`ServerError::Invalid`] for a degenerate burn configuration.
     pub fn enable_slo(&mut self, settings: SloSettings) -> Result<(), ServerError> {
         self.slo = Some(SloState::new(settings)?);
+        for s in &mut self.sessions {
+            s.root = None;
+        }
         Ok(())
     }
 
@@ -770,7 +777,7 @@ impl VideoServer {
         if let (Some(cache), Some(cid)) = (self.cache.as_mut(), object.content_id) {
             cache.update_reader(id, cid, 0);
         }
-        self.sessions.push(Session {
+        let mut session = Session {
             id,
             object,
             fragments_consumed: 0,
@@ -780,14 +787,13 @@ impl VideoServer {
             buffer: BufferTracker::new(),
             paused: false,
             degradable: false,
-        });
+            root: root.map(|r| (r.trace, r.span)),
+        };
         self.metrics.accepted.inc();
         let ts = self.trace_now_us();
         if let Some(slo) = self.slo.as_mut() {
-            if let Some(root) = root {
-                slo.adopt_root(id, root);
-            }
             slo.record_stream_span(
+                &mut session.root,
                 id,
                 "admit",
                 "admission",
@@ -796,6 +802,7 @@ impl VideoServer {
                 &[("disk", u64::from(start))],
             );
         }
+        self.sessions.push(session);
         if mzd_telemetry::events_enabled() {
             mzd_telemetry::emit(
                 mzd_telemetry::Event::new("server.admission")
@@ -809,16 +816,13 @@ impl VideoServer {
 
     /// Retire session `idx`, whose reservation sits on `disk` — the one
     /// retirement path behind [`Self::close_stream`] and the round's
-    /// advance stage. Releases the reservation, the cache reader and the
-    /// trace root, and returns the stream's record.
+    /// advance stage. Releases the reservation and the cache reader, and
+    /// returns the stream's record.
     fn retire(&mut self, idx: usize, disk: usize) -> CompletedStream {
         let s = self.sessions.swap_remove(idx);
         self.load[disk] -= 1;
         if let (Some(cache), Some(_)) = (self.cache.as_mut(), s.object.content_id) {
             cache.remove_reader(s.id);
-        }
-        if let Some(slo) = self.slo.as_mut() {
-            slo.forget_stream(s.id);
         }
         CompletedStream {
             id: s.id,
@@ -937,7 +941,7 @@ impl VideoServer {
             rung: d.rung(),
             escalations: d.escalations(),
             recoveries: d.recoveries(),
-            shed_streams: self.shed_by_degrade.len() as u64,
+            shed_streams: paused_count(&self.sessions),
         })
     }
 
@@ -955,6 +959,10 @@ impl VideoServer {
         let disks = self.sweep_stage(&mut tally);
         let alert_raised = self.slo_stage(&tally, &disks);
         let escalated = self.degrade_stage(tally.downshifts);
+        let glitched_streams = std::mem::take(&mut tally.glitched)
+            .into_iter()
+            .map(|i| self.sessions[i].id)
+            .collect();
         let completed_streams = self.advance_stage();
         self.cache_stage(&tally);
 
@@ -962,7 +970,7 @@ impl VideoServer {
         let report = RoundReport {
             round: self.rounds_run - 1,
             disks,
-            glitched_streams: std::mem::take(&mut tally.glitched),
+            glitched_streams,
             completed_streams,
         };
         self.publish_round(&report, &tally, alert_raised, escalated);
@@ -1048,6 +1056,7 @@ impl VideoServer {
                 // One causal chain per stream per round: the round span
                 // under the stream root, the disposition under the round.
                 if let Some(round_ctx) = slo.record_stream_span(
+                    &mut s.root,
                     s.id,
                     "stream.round",
                     "stream",
@@ -1181,14 +1190,13 @@ impl VideoServer {
             });
             for &slot in &out.glitched_streams {
                 let slot = slot as usize;
-                let session = &mut self.sessions[batch[slot]];
-                session.glitches += 1;
-                tally.glitched.push(session.id);
+                self.sessions[batch[slot]].glitches += 1;
+                tally.glitched.push(batch[slot]);
                 // A late fetch is late for everyone coalesced onto it.
                 let waiters = keys[slot].and_then(|key| scratch.waiters.get(&key));
                 for &w in waiters.into_iter().flatten() {
                     self.sessions[w].glitches += 1;
-                    tally.glitched.push(self.sessions[w].id);
+                    tally.glitched.push(w);
                 }
             }
             // Deliveries: every request of the batch fills its client's
@@ -1235,9 +1243,11 @@ impl VideoServer {
         };
         let round = self.rounds_run;
         if slo.tracer.is_some() {
-            for &gid in &tally.glitched {
+            for &i in &tally.glitched {
+                let s = &mut self.sessions[i];
                 slo.record_stream_span(
-                    gid,
+                    &mut s.root,
+                    s.id,
                     "glitch",
                     "glitch",
                     tally.trace_ts,
@@ -1326,29 +1336,28 @@ impl VideoServer {
         let step = match transition {
             Some(DegradeTransition::Escalated(rung)) => {
                 if rung == RUNG_PAUSE_NEWEST {
-                    shed_newest(
-                        &mut self.sessions,
-                        &mut self.shed_by_degrade,
-                        ladder.settings.shed_fraction,
-                    );
+                    shed_newest(&mut self.sessions, ladder.settings.shed_fraction);
                 }
                 Some(("escalate", rung))
             }
             Some(DegradeTransition::Recovered(rung)) => {
                 if rung == RUNG_PAUSE_NEWEST - 1 {
-                    resume_shed(&mut self.sessions, &mut self.shed_by_degrade);
+                    for s in &mut self.sessions {
+                        s.paused = false;
+                    }
                 }
                 Some(("recover", rung))
             }
             None => None,
         };
+        let shed = paused_count(&self.sessions);
         if let (Some((action, rung)), true) = (step, mzd_telemetry::events_enabled()) {
             mzd_telemetry::emit(
                 mzd_telemetry::Event::new("server.degrade")
                     .str("action", action)
                     .u64("rung", u64::from(rung))
                     .u64("round", self.rounds_run)
-                    .u64("shed", self.shed_by_degrade.len() as u64),
+                    .u64("shed", shed),
             );
         }
         // With a ladder attached, the over-admission freeze holds as
@@ -1356,10 +1365,7 @@ impl VideoServer {
         // alert state the SLO layer reacts to.
         self.admission
             .set_over_admission_frozen(alert || ladder.rung() >= RUNG_FREEZE_OVER_ADMISSION);
-        ladder
-            .metrics
-            .shed_streams
-            .set(self.shed_by_degrade.len() as f64);
+        ladder.metrics.shed_streams.set(shed as f64);
         ladder.metrics.downshift_rounds.add(downshifts);
         matches!(transition, Some(DegradeTransition::Escalated(_)))
     }
@@ -1523,10 +1529,10 @@ impl VideoServer {
     }
 }
 
-/// Rung 4: pause the newest `fraction` of unpaused sessions, recording
-/// their ids in `shed`. They hold their admission reservation and resume
-/// when the ladder steps back below rung 4.
-fn shed_newest(sessions: &mut [Session], shed: &mut Vec<u64>, fraction: f64) {
+/// Rung 4: pause the newest `fraction` of unpaused sessions. They hold
+/// their admission reservation and resume when the ladder steps back
+/// below rung 4.
+fn shed_newest(sessions: &mut [Session], fraction: f64) {
     let mut candidates: Vec<(u64, usize)> = sessions
         .iter()
         .enumerate()
@@ -1539,19 +1545,14 @@ fn shed_newest(sessions: &mut [Session], shed: &mut Vec<u64>, fraction: f64) {
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
     #[allow(clippy::cast_sign_loss)]
     let count = ((candidates.len() as f64 * fraction).ceil() as usize).min(candidates.len());
-    for &(id, idx) in candidates.iter().take(count) {
+    for &(_, idx) in candidates.iter().take(count) {
         sessions[idx].paused = true;
-        shed.push(id);
     }
 }
 
-/// Resume every stream the ladder shed, if still active.
-fn resume_shed(sessions: &mut [Session], shed: &mut Vec<u64>) {
-    for id in shed.drain(..) {
-        if let Some(s) = sessions.iter_mut().find(|s| s.id == id) {
-            s.paused = false;
-        }
-    }
+/// Streams the ladder has shed and not yet resumed: the paused sessions.
+fn paused_count(sessions: &[Session]) -> u64 {
+    sessions.iter().filter(|s| s.paused).count() as u64
 }
 
 #[cfg(test)]
@@ -2013,8 +2014,8 @@ mod tests {
         assert!(s.cache().unwrap().stats().hits > hits_before);
     }
 
-    #[test]
-    fn degradation_ladder_escalates_under_fault_storm_and_sheds_newest() {
+    /// One disk under a 30 % media-error storm with a fast ladder.
+    fn fault_storm_server() -> VideoServer {
         let mut cfg = ServerConfig::paper_reference(1).unwrap();
         cfg.faults = Some(mzd_fault::FaultConfig {
             profile: mzd_fault::FaultProfile {
@@ -2028,7 +2029,12 @@ mod tests {
             recover_rounds: 16,
             ..crate::degrade::DegradeSettings::default()
         });
-        let mut s = VideoServer::new(cfg, 65).unwrap();
+        VideoServer::new(cfg, 65).unwrap()
+    }
+
+    #[test]
+    fn degradation_ladder_escalates_under_fault_storm_and_sheds_newest() {
+        let mut s = fault_storm_server();
         let mut handles = Vec::new();
         while let Ok(h) = s.open_stream(short_object(10_000)) {
             handles.push(h);
@@ -2072,6 +2078,36 @@ mod tests {
         }
         // Admission stays frozen at rung 1+.
         assert!(s.slo_status().unwrap().over_admission_frozen);
+    }
+
+    #[test]
+    fn shed_count_is_the_paused_sessions_after_a_shed_stream_closes() {
+        let mut s = fault_storm_server();
+        while s.open_stream(short_object(10_000)).is_ok() {}
+        let mut rounds = 0;
+        while s.degrade_status().unwrap().rung < 4 {
+            s.run_round();
+            rounds += 1;
+            assert!(rounds < 120, "the storm never maxed the ladder");
+        }
+        let paused = |s: &VideoServer| {
+            let info = s.active_session_info();
+            info.into_iter()
+                .filter(|i| i.paused)
+                .map(|i| i.handle)
+                .collect::<Vec<_>>()
+        };
+        let shed = paused(&s);
+        assert!(shed.len() > 1, "rung 4 must shed streams");
+        s.close_stream(shed[0]).unwrap();
+        assert_eq!(paused(&s).len(), shed.len() - 1);
+        let status = s.degrade_status().unwrap();
+        assert_eq!(status.shed_streams, paused(&s).len() as u64);
+        s.run_round();
+        assert_eq!(
+            s.degrade_status().unwrap().shed_streams,
+            paused(&s).len() as u64
+        );
     }
 
     #[test]

@@ -28,7 +28,6 @@ use mzd_slo::{
     BurnConfig, BurnRateEngine, ConformanceChecker, ConformanceConfig, Tracer, Transition,
 };
 use mzd_telemetry::SpanContext;
-use std::collections::HashMap;
 
 /// Disk-sweep spans get trace ids in a reserved high range so they never
 /// collide with stream trace ids (raw stream ids).
@@ -131,8 +130,6 @@ pub(crate) struct SloState {
     /// The PIT window over each busy disk's sweep.
     conformance: ConformanceChecker,
     pub tracer: Option<Tracer>,
-    /// Root span per live stream (tracing only).
-    stream_roots: HashMap<u64, SpanContext>,
     pub metrics: SloMetrics,
 }
 
@@ -143,7 +140,6 @@ impl SloState {
             burn,
             conformance: ConformanceChecker::new(ConformanceConfig::default())?,
             tracer: settings.tracing.then(Tracer::new),
-            stream_roots: HashMap::new(),
             metrics: SloMetrics::new(),
         })
     }
@@ -173,31 +169,6 @@ impl SloState {
         )
     }
 
-    /// The root span context of a stream, minted on first sight unless
-    /// one was adopted ([`Self::adopt_root`]). `None` when tracing is
-    /// off.
-    pub(crate) fn stream_root(&mut self, stream: u64) -> Option<SpanContext> {
-        let tracer = self.tracer.as_mut()?;
-        let root = self.stream_roots.entry(stream);
-        Some(*root.or_insert_with(|| tracer.root(stream)))
-    }
-
-    /// Adopt an externally minted root for `stream` — how a cluster
-    /// dispatcher threads its submission-time span through admission on
-    /// whichever node the stream lands on, so cross-node chains stitch.
-    /// A no-op when tracing is off.
-    pub(crate) fn adopt_root(&mut self, stream: u64, root: SpanContext) {
-        if self.tracer.is_some() {
-            self.stream_roots.insert(stream, root);
-        }
-    }
-
-    /// Drop the root context of a finished stream (the recorded spans
-    /// stay in the tracer).
-    pub(crate) fn forget_stream(&mut self, stream: u64) {
-        self.stream_roots.remove(&stream);
-    }
-
     /// Record a span as a child of `parent`, returning the new context
     /// so further children can hang off it. `None` when tracing is off.
     #[allow(clippy::too_many_arguments)]
@@ -219,10 +190,15 @@ impl SloState {
     }
 
     /// Record a span on a stream's causal chain (pid 1, tid = stream
-    /// id), directly under the stream's root. `None` when tracing is
-    /// off.
+    /// id), directly under the stream's `root` (its trace and span
+    /// ids), which the stream's first span mints unless one was adopted
+    /// — how a cluster dispatcher threads its submission-time span
+    /// through admission on whichever node the stream lands on, so
+    /// cross-node chains stitch. `None` when tracing is off.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_stream_span(
         &mut self,
+        root: &mut Option<(u64, u64)>,
         stream: u64,
         name: &'static str,
         cat: &'static str,
@@ -230,8 +206,13 @@ impl SloState {
         dur_us: u64,
         args: &[(&'static str, u64)],
     ) -> Option<SpanContext> {
-        let root = self.stream_root(stream)?;
-        self.record_under(root, name, cat, 1, stream, ts_us, dur_us, args)
+        let tracer = self.tracer.as_mut()?;
+        let (trace, span) = *root.get_or_insert_with(|| {
+            let minted = tracer.root(stream);
+            (minted.trace, minted.span)
+        });
+        let parent = SpanContext::root(trace, span);
+        self.record_under(parent, name, cat, 1, stream, ts_us, dur_us, args)
     }
 
     /// Record a per-disk span (pid 2, tid = disk index). Disk sweeps are
@@ -312,14 +293,28 @@ mod tests {
         assert!(!status.alert_active);
         assert!(!status.drift_active);
         assert_eq!(status.trace_spans, 0);
-        // Stream roots are stable per stream and distinct across streams.
-        let a = st.stream_root(1).unwrap();
-        let b = st.stream_root(1).unwrap();
-        let c = st.stream_root(2).unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a.span, c.span);
-        st.forget_stream(1);
-        let d = st.stream_root(1).unwrap();
-        assert_ne!(a.span, d.span);
+        // A stream's first span mints its root; later spans hang off the
+        // same root, and another stream's root is distinct.
+        let (mut one, mut two) = (None, None);
+        let a = st
+            .record_stream_span(&mut one, 1, "a", "s", 0, 1, &[])
+            .unwrap();
+        let b = st
+            .record_stream_span(&mut one, 1, "b", "s", 0, 1, &[])
+            .unwrap();
+        let c = st
+            .record_stream_span(&mut two, 2, "c", "s", 0, 1, &[])
+            .unwrap();
+        let (trace, root) = one.unwrap();
+        assert_eq!(trace, 1);
+        assert_eq!((a.parent, b.parent), (Some(root), Some(root)));
+        assert_ne!(c.parent, Some(root));
+        // An adopted root keeps its own trace id.
+        let mut adopted = Some((77, 5));
+        let d = st
+            .record_stream_span(&mut adopted, 3, "d", "s", 0, 1, &[])
+            .unwrap();
+        assert_eq!((d.trace, d.parent), (77, Some(5)));
+        assert_eq!(st.status(false).trace_spans, 4);
     }
 }

@@ -20,7 +20,6 @@ use mzd_disk::Disk;
 use mzd_workload::{SizeDistribution, Zipf};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
-use std::collections::HashMap;
 
 /// Configuration of one cache-sweep simulation point.
 #[derive(Debug, Clone)]
@@ -159,12 +158,10 @@ pub fn run_point(cfg: &CacheSweepConfig, seed: u64) -> Result<CacheSweepPoint, S
     let mut disk_requests = 0u64;
     let mut batch_sizes: Vec<f64> = Vec::new();
     let mut batch_keys: Vec<FragmentKey> = Vec::new();
-    let mut waiters: HashMap<FragmentKey, u64> = HashMap::new();
 
     for _ in 0..cfg.rounds {
         batch_sizes.clear();
         batch_keys.clear();
-        waiters.clear();
         for (i, s) in streams.iter().enumerate() {
             let key = FragmentKey {
                 object: u64::from(s.object),
@@ -177,10 +174,9 @@ pub fn run_point(cfg: &CacheSweepConfig, seed: u64) -> Result<CacheSweepPoint, S
                 Some(c) => {
                     c.update_reader(i as u64, key.object, s.position);
                     match c.lookup(key) {
-                        Lookup::Hit => {}
-                        Lookup::DelayedHit => {
-                            *waiters.entry(key).or_insert(0) += 1;
-                        }
+                        // The cache counts a delayed hit's wait on the
+                        // in-flight fetch itself.
+                        Lookup::Hit | Lookup::DelayedHit => {}
                         Lookup::Miss => {
                             c.begin_fetch(key);
                             batch_sizes.push(bytes);
@@ -201,7 +197,7 @@ pub fn run_point(cfg: &CacheSweepConfig, seed: u64) -> Result<CacheSweepPoint, S
             // coalesced onto its fetch.
             glitches += 1;
             let key = batch_keys[slot as usize];
-            glitches += waiters.get(&key).copied().unwrap_or(0);
+            glitches += cache.as_ref().map_or(0, |c| u64::from(c.waiters(key)));
         }
         if let Some(c) = &mut cache {
             for (slot, &key) in batch_keys.iter().enumerate() {

@@ -115,8 +115,6 @@ pub struct MixedSimulator {
     rng: StdRng,
     queue: VecDeque<QueuedRequest>,
     round: u64,
-    dropped: u64,
-    arrived: u64,
 }
 
 impl MixedSimulator {
@@ -145,8 +143,6 @@ impl MixedSimulator {
             rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             queue: VecDeque::new(),
             round: 0,
-            dropped: 0,
-            arrived: 0,
         })
     }
 
@@ -174,9 +170,7 @@ impl MixedSimulator {
             // Arrivals for this round.
             let k = self.arrivals.sample_count(&mut self.rng);
             for _ in 0..k {
-                self.arrived += 1;
                 if self.queue.len() >= self.cfg.queue_capacity {
-                    self.dropped += 1;
                     stats.discrete_dropped += 1;
                 } else {
                     self.queue.push_back(QueuedRequest {
